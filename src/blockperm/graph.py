@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .constructions import CodeBook
 from .perm import Perm, char_set, identity
@@ -41,9 +42,9 @@ class NeighborhoodStats:
 
     Left-invariance makes every vertex's neighborhood isomorphic, so the
     identity's suffices.  ``zero_x_edge_count`` counts adjacent pairs on the
-    outermost sphere that share no missing identity adjacency; structurally
+    outermost sphere that share no missing identity adjacency.  For d >= 3
     there are none, and keeping the counter at zero is the checkable form of
-    that claim.
+    that claim; at d = 2 the count is C(n-1, 2).
     """
 
     n: int
@@ -54,12 +55,34 @@ class NeighborhoodStats:
     zero_x_edge_count: int
 
 
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+
+
+def _identity_ball(n: int, radius: int) -> list[tuple[Perm, int]]:
+    """Every s with 0 < d(identity, s) <= radius, with its distance, in
+    lexicographic order, by one scan of S_n."""
+    aid = char_set(identity(n))
+    ball = []
+    for s in itertools.permutations(range(1, n + 1)):
+        k = len(char_set(s) - aid)
+        if 0 < k <= radius:
+            ball.append((s, k))
+    return ball
+
+
 def graph_on(vertices, d: int) -> BlockGraph:
-    """Explicit graph on the given permutations; edge iff 0 < distance < d."""
+    """Explicit graph on the given permutations; edge iff 0 < distance < d.
+
+    Compares every pair, so it serves any vertex subset; it is also the
+    reference that ``build_graph`` is tested against.
+    """
     verts = tuple(vertices)
     if not verts:
         raise ValueError("graph needs at least one vertex")
     n = len(verts[0])
+    _check_n(n)
     if any(len(v) != n for v in verts):
         raise ValueError("vertices must share one n")
     sets = [char_set(v) for v in verts]
@@ -73,10 +96,24 @@ def graph_on(vertices, d: int) -> BlockGraph:
 
 
 def build_graph(n: int, d: int, max_n: int = GRAPH_MAX_N) -> BlockGraph:
-    """The full graph on S_n in lexicographic vertex order."""
+    """The full graph on S_n in lexicographic vertex order.
+
+    The metric is left-invariant, d(p∘s, p∘t) = d(s, t), so the neighbors of
+    p are p∘s for s in the identity's ball of radius d-1: O(n!·Δ) work
+    instead of the O(n!²) pair loop of ``graph_on``.
+    """
+    _check_n(n)
     if n > max_n:
         raise ValueError(f"n={n} exceeds graph guard {max_n} (n! vertices)")
-    return graph_on(itertools.permutations(range(1, n + 1)), d)
+    verts = tuple(itertools.permutations(range(1, n + 1)))
+    index = {v: i for i, v in enumerate(verts)}
+    # One column per s: the index of p∘s for every vertex p.  The ball is
+    # empty at n = 1, so itemgetter always gets at least two indices here and
+    # returns tuples.
+    cols = [list(map(index.__getitem__, map(itemgetter(*(j - 1 for j in s)), verts)))
+            for s, _ in _identity_ball(n, d - 1)]
+    rows = zip(*cols) if cols else [()] * len(verts)
+    return BlockGraph(n, d, verts, tuple(tuple(sorted(row)) for row in rows))
 
 
 def x_value(p1: Perm, p2: Perm) -> int:
@@ -96,29 +133,21 @@ def neighborhood_stats(n: int, d: int, max_n: int = GRAPH_MAX_N) -> Neighborhood
     if n > max_n:
         raise ValueError(f"n={n} exceeds graph guard {max_n}")
     aid = char_set(identity(n))
-    members: list[frozenset] = []
-    ring: list[int] = []  # indices of members exactly at distance d-1
-    for p in itertools.permutations(range(1, n + 1)):
-        cs = char_set(p)
-        k = len(cs - aid)
-        if 0 < k <= d - 1:
-            members.append(cs)
-            if k == d - 1:
-                ring.append(len(members) - 1)
+    ball = _identity_ball(n, d - 1)
+    members = [char_set(s) for s, _ in ball]
+    ring = [i for i, (_, k) in enumerate(ball) if k == d - 1]  # exactly at distance d-1
     delta = len(members)
-    adj: list[set[int]] = [set() for _ in members]
-    p_edges = 0
+    # later[i] is the bitset of neighbors j > i, so each triangle i < j < k
+    # is counted once, as a bit of later[i] & later[j] on its edge (i, j).
+    later = [0] * delta
+    edges: list[tuple[int, int]] = []
     for i, si in enumerate(members):
         for j in range(i + 1, delta):
             if 0 < len(si - members[j]) < d:
-                adj[i].add(j)
-                adj[j].add(i)
-                p_edges += 1
-    triangles = 0
-    for i in range(delta):
-        for j in adj[i]:
-            if j > i:
-                triangles += sum(1 for k in adj[i] & adj[j] if k > j)
+                later[i] |= 1 << j
+                edges.append((i, j))
+    p_edges = len(edges)
+    triangles = sum((later[i] & later[j]).bit_count() for i, j in edges)
     zero_x = 0
     for a, b in itertools.combinations(ring, 2):
         sa, sb = members[a], members[b]
@@ -171,6 +200,11 @@ def exact_independent_set(g: BlockGraph, max_vertices: int = EXACT_MAX_VERTICES)
     is within the incumbent and otherwise only the overflow vertices need
     branching.  Deterministic.  On the full S_n graph the result size is the
     maximum code size for that (n, d).
+
+    When the vertices are exactly the lexicographic S_n of ``build_graph``,
+    the graph is a Cayley graph, so vertex-transitive: some maximum
+    independent set contains vertex 0 (the identity), and the search fixes
+    it there.  Any other vertex set is searched from the empty set.
     """
     count = len(g.vertices)
     if count > max_vertices:
@@ -225,7 +259,11 @@ def exact_independent_set(g: BlockGraph, max_vertices: int = EXACT_MAX_VERTICES)
             chosen.pop()
             cand &= ~(1 << v)
 
-    grow([], (1 << count) - 1)
+    everything = (1 << count) - 1
+    if g.vertices == tuple(itertools.permutations(range(1, g.n + 1))):
+        grow([0], everything & ~(adj[0] | 1))
+    else:
+        grow([], everything)
     words = tuple(sorted(g.vertices[v] for v in best))
     return CodeBook(g.n, g.d, words, "exact-independent")
 

@@ -1,6 +1,10 @@
 """Command-line behavior: outputs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +44,23 @@ def test_dist_validation_error(capsys):
     code, _, err = run(capsys, "dist", "1 1 2", "1 2 3")
     assert code == 1
     assert "error" in err
+
+
+def run_module(*argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("module", ["blockperm", "blockperm.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    done = run_module(module, "dist", "1 2 3", "2 1 3")
+    assert (done.returncode, done.stdout) == (0, "2\n")
+    done = run_module(module, "dist", "1 1 2", "1 2 3")
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:")
 
 
 def test_unknown_subcommand_exits_1(capsys):
@@ -188,6 +209,12 @@ def test_graph_greedy_degree_order(capsys):
                        "--order", "degree", "--format", "json")
     assert code == 0
     assert json.loads(out)["verified_min_distance"] >= 3
+
+
+def test_graph_rejects_n_0(capsys):
+    code, out, err = run(capsys, "graph", "--n", "0", "--d", "2", "--greedy")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
 
 
 def test_threads_default_from_environment(monkeypatch):

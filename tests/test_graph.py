@@ -42,6 +42,32 @@ def test_build_graph_guard():
         build_graph(8, 3)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_build_graph_rejects_n_below_1(n):
+    with pytest.raises(ValueError, match="at least 1"):
+        build_graph(n, 2)
+
+
+def test_graph_on_rejects_empty_permutations():
+    with pytest.raises(ValueError, match="at least 1"):
+        graph_on([()], 2)
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 7) for d in range(1, n + 2)])
+def test_build_graph_matches_pair_loop(n, d):
+    assert build_graph(n, d) == graph_on(itertools.permutations(range(1, n + 1)), d)
+
+
+def test_build_graph_7_3_against_distance():
+    g = build_graph(7, 3)
+    assert set(g.degrees()) == {myers_count(7, 1) + myers_count(7, 2)}
+    rng = random.Random(73)
+    for _ in range(2000):
+        i, j = rng.sample(range(5040), 2)
+        dist = block_distance(g.vertices[i], g.vertices[j])
+        assert (j in g.adjacency[i]) == (0 < dist < 3)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_full_graph_regularity(n, d):
@@ -85,6 +111,24 @@ def test_neighborhood_matches_sphere_sizes_and_no_zero_x_edges(n, d):
     stats = neighborhood_stats(n, d)
     assert stats.delta == sum(myers_count(n, k) for k in range(1, d))
     assert stats.zero_x_edge_count == 0
+
+
+@pytest.mark.parametrize("n,d", [(4, 3), (5, 3), (5, 4), (6, 3)])
+def test_neighborhood_edges_and_triangles_by_brute_force(n, d):
+    g = build_graph(n, d)
+    sub = graph_on([g.vertices[j] for j in g.adjacency[0]], d)
+    adj = [set(nbrs) for nbrs in sub.adjacency]
+    triangles = sum(1 for a, b, c in itertools.combinations(range(len(adj)), 3)
+                    if b in adj[a] and c in adj[a] and c in adj[b])
+    stats = neighborhood_stats(n, d)
+    assert (stats.p_edges, stats.triangle_count) == (sub.edge_count(), triangles)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_zero_x_edges_only_at_distance_2(n):
+    assert neighborhood_stats(n, 2).zero_x_edge_count == math.comb(n - 1, 2)
+    for d in range(3, n + 1):
+        assert neighborhood_stats(n, d).zero_x_edge_count == 0
 
 
 def test_jv_formula_plugin():
@@ -137,7 +181,8 @@ def test_greedy_rejects_unknown_order():
         greedy_independent_set(build_graph(3, 2), order="random")
 
 
-@pytest.mark.parametrize("n,d,alpha", [(3, 2, 2), (4, 2, 6), (5, 4, 4), (5, 2, 24)])
+@pytest.mark.parametrize("n,d,alpha", [(3, 2, 2), (4, 2, 6), (5, 4, 4), (5, 2, 24),
+                                       (4, 3, 4), (5, 3, 14), (6, 5, 6)])
 def test_exact_independence_numbers(n, d, alpha):
     code = exact_independent_set(build_graph(n, d))
     assert len(code.words) == alpha
@@ -149,6 +194,22 @@ def test_exact_at_least_greedy_at_least_gv():
     exact = len(exact_independent_set(g).words)
     greedy = len(greedy_independent_set(g).words)
     assert exact >= greedy >= gv_lower(5, 3, "exact")
+
+
+STAR = [(1, 2, 3, 4, 5), (2, 1, 3, 4, 5), (1, 2, 3, 5, 4)]
+# Both greedy orders find only 2 here, and vertex 0 is in no maximum set.
+NO_ZERO = [(1, 2, 5, 4, 3), (2, 3, 4, 5, 1), (3, 1, 5, 4, 2),
+           (3, 4, 5, 2, 1), (5, 1, 2, 4, 3), (5, 3, 4, 2, 1)]
+
+
+@pytest.mark.parametrize("vertices,d,expected", [
+    (STAR, 3, STAR[1:]),
+    (NO_ZERO, 4, NO_ZERO[2:5]),
+])
+def test_exact_does_not_fix_vertex_0_off_the_full_group(vertices, d, expected):
+    code = exact_independent_set(graph_on(vertices, d))
+    assert code.words == tuple(sorted(expected))
+    assert vertices[0] not in code.words
 
 
 def test_exact_guard():
