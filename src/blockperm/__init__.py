@@ -37,6 +37,7 @@ from .enumeration import (
     ball_size_bounds,
     ball_size_exact,
     enumerate_spheres,
+    identity_sphere,
     myers_count,
 )
 from .graph import (

@@ -17,6 +17,8 @@ import sys
 from . import bounds as bounds_mod
 from . import selftest as selftest_mod
 from .constructions import (
+    HAM_SEARCH_MAX_N,
+    PAIRWISE_MAX_WORDS,
     CodeBook,
     PairEncoder,
     codebook_from_text,
@@ -31,15 +33,29 @@ from .constructions import (
     with_verified_min_distance,
     zn1_code,
 )
-from .enumeration import ball_size_bounds, ball_size_exact, enumerate_spheres, sphere_profile_payload
+from .enumeration import (
+    DEFAULT_MAX_N,
+    ball_size_bounds,
+    ball_size_exact,
+    enumerate_spheres,
+    sphere_profile_payload,
+)
 from .graph import (
+    EXACT_MAX_VERTICES,
+    GRAPH_MAX_N,
     build_graph,
     exact_independent_set,
     greedy_independent_set,
     neighborhood_stats,
     neighborhood_stats_payload,
 )
-from .perm import block_distance, char_set_payload, distance_by_definition, parse_permutation
+from .perm import (
+    DEFINITION_SEARCH_MAX_N,
+    block_distance,
+    char_set_payload,
+    distance_by_definition,
+    parse_permutation,
+)
 
 
 def _emit_json(payload) -> None:
@@ -56,7 +72,7 @@ def cmd_dist(args) -> int:
     p2 = parse_permutation(args.perm2)
     dist = block_distance(p1, p2)
     if args.check_definition:
-        _warn_guard("cut-search n", args.max_n, 8)
+        _warn_guard("cut-search n", args.max_n, DEFINITION_SEARCH_MAX_N)
         slow = distance_by_definition(p1, p2, max_n=args.max_n)
         if slow != dist:
             print(f"mismatch: pair-count {dist} vs cut-search {slow}", file=sys.stderr)
@@ -74,7 +90,7 @@ def cmd_charset(args) -> int:
 
 
 def cmd_spheres(args) -> int:
-    _warn_guard("enumeration n", args.max_n, 8)
+    _warn_guard("enumeration n", args.max_n, DEFAULT_MAX_N)
     profile = enumerate_spheres(args.n, max_n=args.max_n, workers=args.threads)
     if args.format == "json":
         _emit_json(sphere_profile_payload(profile))
@@ -93,7 +109,7 @@ def cmd_ball(args) -> int:
         else:
             print(f"{lower} {upper}")
         return 0
-    _warn_guard("enumeration n", args.max_n, 8)
+    _warn_guard("enumeration n", args.max_n, DEFAULT_MAX_N)
     ball = ball_size_exact(args.n, args.t, max_n=args.max_n, workers=args.threads)
     if args.format == "json":
         _emit_json({"n": ball.n, "t": ball.t, "size": ball.size})
@@ -119,12 +135,12 @@ def _construct(args) -> CodeBook | None:
     if method == "zn1":
         return zn1_code(n)
     if method == "hamdecomp":
-        return ham_decomp_code(n, max_n=max(args.max_n, 9))
+        return ham_decomp_code(n, max_n=max(args.max_n, HAM_SEARCH_MAX_N))
     raise ValueError(f"unknown method {method!r}")
 
 
 def cmd_construct(args) -> int:
-    _warn_guard("enumeration n", args.max_n, 8)
+    _warn_guard("enumeration n", args.max_n, DEFAULT_MAX_N)
     code = _construct(args)
     if code is None:
         print(f"no code found: the search space for n={args.n} is exhausted", file=sys.stderr)
@@ -157,7 +173,7 @@ def _read_codebook(path: str, d: int) -> CodeBook:
 
 def cmd_verify(args) -> int:
     code = _read_codebook(args.path, args.d)
-    _warn_guard("pairwise words", args.max_words, 10_000)
+    _warn_guard("pairwise words", args.max_words, PAIRWISE_MAX_WORDS)
     dist = verify_min_distance(code, max_words=args.max_words)
     print(f"{len(code.words)} words, minimum distance {dist}, required {args.d}")
     return 0 if dist >= args.d else 2
@@ -188,9 +204,11 @@ def cmd_bounds(args) -> int:
         for problem in problems:
             print(f"deviation: {problem}", file=sys.stderr)
         return 2 if problems else 0
+    if args.format == "csv":
+        raise ValueError("--format csv needs --table1; use text or json for one report")
     if args.n is None or args.d is None:
         raise ValueError("bounds needs --n and --d (or --table1)")
-    _warn_guard("enumeration n", args.max_n, 8)
+    _warn_guard("enumeration n", args.max_n, DEFAULT_MAX_N)
     rep = bounds_mod.bound_report(args.n, args.d, exact=args.exact, max_n=args.max_n)
     if args.format == "json":
         _emit_json(bounds_mod.bound_report_payload(rep))
@@ -200,7 +218,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    _warn_guard("graph n", args.max_n, 7)
+    _warn_guard("graph n", args.max_n, GRAPH_MAX_N)
     if args.stats:
         stats = neighborhood_stats(args.n, args.d, max_n=args.max_n)
         _emit_json(neighborhood_stats_payload(stats))
@@ -248,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-definition", action="store_true",
                    help="cross-check with the cut-and-reorder search")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--max-n", type=int, default=DEFINITION_SEARCH_MAX_N)
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("charset", help="characteristic set of a permutation as JSON")
@@ -258,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spheres", help="distance histogram around the identity")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=cmd_spheres)
 
@@ -267,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--bounds", action="store_true", help="print the product sandwich instead")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=cmd_ball)
 
@@ -278,14 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--f", default=None, help="comma-separated syndrome, e.g. 1,1")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-n", type=int, default=8)
-    p.add_argument("--max-words", type=int, default=10_000)
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
+    p.add_argument("--max-words", type=int, default=PAIRWISE_MAX_WORDS)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="check a code file against a required distance")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("path")
-    p.add_argument("--max-words", type=int, default=10_000)
+    p.add_argument("--max-words", type=int, default=PAIRWISE_MAX_WORDS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bounds", help="bound report for one (n, d), or the table")
@@ -294,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true", help="use enumerated balls")
     p.add_argument("--table1", action="store_true", help="print the ten-row comparison table")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("graph", help="full distance graph: stats or independent sets")
@@ -306,13 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exact", action="store_true")
     p.add_argument("--order", choices=("lexicographic", "degree"), default="lexicographic")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-n", type=int, default=7)
-    p.add_argument("--max-vertices", type=int, default=1000)
-    p.add_argument("--max-words", type=int, default=10_000)
+    p.add_argument("--max-n", type=int, default=GRAPH_MAX_N)
+    p.add_argument("--max-vertices", type=int, default=EXACT_MAX_VERTICES)
+    p.add_argument("--max-words", type=int, default=PAIRWISE_MAX_WORDS)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("selftest", help="run the acceptance checks")
-    p.add_argument("--max-n", type=int, default=7)
+    p.add_argument("--max-n", type=int, default=selftest_mod.FULL_MAX_N)
     p.set_defaults(func=cmd_selftest)
 
     return parser

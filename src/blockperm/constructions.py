@@ -22,8 +22,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
-from .enumeration import DEFAULT_MAX_N
+from .enumeration import DEFAULT_MAX_N, identity_sphere, myers_count
 from .perm import Perm, char_set, format_permutation, from_one_line, parse_permutation
 
 PAIRWISE_MAX_WORDS = 10_000
@@ -41,6 +42,8 @@ class CodeBook:
     verified_min_distance: int | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be positive, got {self.n}")
         if self.design_distance < 1:
             raise ValueError(f"design distance must be positive, got {self.design_distance}")
         for w in self.words:
@@ -293,20 +296,44 @@ def ham_decomp_code(n: int, max_n: int = HAM_SEARCH_MAX_N) -> CodeBook | None:
 
 
 def verify_min_distance(code: CodeBook, max_words: int = PAIRWISE_MAX_WORDS) -> int:
-    """Exact minimum pairwise block distance; n by convention for <= 1 word."""
-    if len(code.words) > max_words:
-        raise ValueError(f"{len(code.words)} words exceed pairwise guard {max_words}")
-    if len(code.words) <= 1:
+    """Exact minimum pairwise block distance; n by convention for <= 1 word.
+
+    The metric is left-invariant, so d(w, v) = r exactly when v = w∘s for some
+    s on the identity's sphere of radius r.  Spheres r = 1, 2, ... are walked,
+    looking up w∘s among the words, while the total lookups N·Σ|sphere| stay
+    within the C(N, 2) pairs of a pairwise scan; the first radius with a hit
+    is the minimum.  Past that point the pairwise scan finishes the job,
+    stopping as soon as it meets the first radius not walked.  Both costs come
+    from closed-form sphere sizes, so the choice is made before any work.
+    """
+    words = code.words
+    count = len(words)
+    if count > max_words:
+        raise ValueError(f"{count} words exceed pairwise guard {max_words}")
+    if count <= 1:
         return code.n
-    sets = [char_set(w) for w in code.words]
-    best = code.n
+    n = code.n
+    lookups, walked = 0, 0
+    while walked < n - 1:
+        lookups += count * myers_count(n, walked + 1)
+        if lookups > math.comb(count, 2):
+            break
+        walked += 1
+    members = set(words)
+    for r in range(1, walked + 1):
+        for s in identity_sphere(n, r):
+            if not members.isdisjoint(map(itemgetter(*(j - 1 for j in s)), words)):
+                return r
+    floor = walked + 1
+    sets = [char_set(w) for w in words]
+    best = n
     for i, si in enumerate(sets):
         for sj in sets[i + 1 :]:
             dist = len(si - sj)
             if dist < best:
                 best = dist
-                if best == 1:
-                    return 1
+                if best == floor:
+                    return best
     return best
 
 

@@ -1,9 +1,9 @@
 """Exhaustive statistics over S_n for the block permutation metric.
 
-Distance spheres around the identity, the closed-form sphere count, and ball
-sizes with their product sandwich bounds.  Everything here is exact integer
-arithmetic; the full-group scans carry a size guard because they walk all n!
-permutations.
+Distance spheres around the identity, the closed-form sphere count and the
+sphere's members generated by cut-and-reorder, and ball sizes with their
+product sandwich bounds.  Everything here is exact integer arithmetic; the
+full-group scans carry a size guard because they walk all n! permutations.
 """
 
 from __future__ import annotations
@@ -13,6 +13,10 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
+from typing import Iterator
+
+from .perm import Perm, is_minimal
 
 DEFAULT_MAX_N = 8
 
@@ -91,6 +95,26 @@ def myers_count(n: int, k: int) -> int:
     if value.denominator != 1:
         raise ArithmeticError(f"non-integral sphere count for n={n}, k={k}: {value}")
     return int(value)
+
+
+def identity_sphere(n: int, k: int) -> Iterator[Perm]:
+    """Every permutation at block distance exactly k from the identity,
+    1 <= k <= n-1, at any n, as an iterator.
+
+    By the metric's definition: cut the identity at k of its n-1 gaps and
+    reorder the k+1 blocks by a minimal order (block j never directly before
+    block j+1).  The blocks are then the maximal runs of consecutive labels of
+    the result, so no member repeats and there are ``myers_count(n, k)`` of
+    them.  The minimal orders are listed up front, by filtering all (k+1)!
+    orders; the members follow lazily, one cut set at a time.
+    """
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must lie in [1, n-1], got k={k} with n={n}")
+    orders = [itemgetter(*o) for o in itertools.permutations(range(k + 1)) if is_minimal(o)]
+    blockings = ([tuple(range(a, b)) for a, b in zip((1, *cuts), (*cuts, n + 1))]
+                 for cuts in itertools.combinations(range(2, n + 1), k))
+    return (tuple(itertools.chain.from_iterable(pick(blocks)))
+            for blocks in blockings for pick in orders)
 
 
 def ball_size_exact(n: int, t: int, max_n: int = DEFAULT_MAX_N, workers: int = 1) -> BallSize:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .constructions import CodeBook
+from .enumeration import identity_sphere
 from .perm import Perm, char_set, identity
 
 GRAPH_MAX_N = 7
@@ -61,15 +62,9 @@ def _check_n(n: int) -> None:
 
 
 def _identity_ball(n: int, radius: int) -> list[tuple[Perm, int]]:
-    """Every s with 0 < d(identity, s) <= radius, with its distance, in
-    lexicographic order, by one scan of S_n."""
-    aid = char_set(identity(n))
-    ball = []
-    for s in itertools.permutations(range(1, n + 1)):
-        k = len(char_set(s) - aid)
-        if 0 < k <= radius:
-            ball.append((s, k))
-    return ball
+    """Every s with 0 < d(identity, s) <= radius, with its distance, sphere by
+    sphere."""
+    return [(s, k) for k in range(1, min(radius, n - 1) + 1) for s in identity_sphere(n, k)]
 
 
 def graph_on(vertices, d: int) -> BlockGraph:

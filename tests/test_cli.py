@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from blockperm import constructions, enumeration, graph, perm, selftest
 from blockperm.bounds import bound_report_from_payload
-from blockperm.cli import main
+from blockperm.cli import build_parser, main
 from blockperm.constructions import codebook_from_payload, codebook_from_text, even_n_code, codebook_to_text
 from blockperm.enumeration import sphere_profile_from_payload, enumerate_spheres
 
@@ -149,6 +150,14 @@ def test_verify_duplicate_words_is_validation_error(tmp_path, capsys):
     assert "duplicate" in err
 
 
+def test_verify_rejects_header_with_n_0(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("0 2 file\n")
+    code, out, err = run(capsys, "verify", "--d", "2", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+
+
 def test_verify_missing_file(capsys):
     assert run(capsys, "verify", "--d", "2", "/nonexistent/code.txt")[0] == 1
 
@@ -170,6 +179,12 @@ def test_bounds_exact_text(capsys):
 
 def test_bounds_needs_n_and_d(capsys):
     assert run(capsys, "bounds")[0] == 1
+
+
+def test_bounds_csv_needs_table1(capsys):
+    code, out, err = run(capsys, "bounds", "--n", "8", "--d", "5", "--format", "csv")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "--table1" in err
 
 
 def test_bounds_table_reports_known_reference_deviation(capsys):
@@ -215,6 +230,23 @@ def test_graph_rejects_n_0(capsys):
     code, out, err = run(capsys, "graph", "--n", "0", "--d", "2", "--greedy")
     assert (code, out) == (1, "")
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, field, guard", [
+    (["dist", "1 2", "2 1"], "max_n", perm.DEFINITION_SEARCH_MAX_N),
+    (["spheres", "--n", "4"], "max_n", enumeration.DEFAULT_MAX_N),
+    (["ball", "--n", "4", "--t", "1"], "max_n", enumeration.DEFAULT_MAX_N),
+    (["construct", "--method", "even", "--n", "4"], "max_n", enumeration.DEFAULT_MAX_N),
+    (["construct", "--method", "even", "--n", "4"], "max_words", constructions.PAIRWISE_MAX_WORDS),
+    (["verify", "--d", "2", "x"], "max_words", constructions.PAIRWISE_MAX_WORDS),
+    (["bounds"], "max_n", enumeration.DEFAULT_MAX_N),
+    (["graph", "--n", "3", "--d", "2", "--stats"], "max_n", graph.GRAPH_MAX_N),
+    (["graph", "--n", "3", "--d", "2", "--stats"], "max_vertices", graph.EXACT_MAX_VERTICES),
+    (["graph", "--n", "3", "--d", "2", "--stats"], "max_words", constructions.PAIRWISE_MAX_WORDS),
+    (["selftest"], "max_n", selftest.FULL_MAX_N),
+])
+def test_guard_defaults_come_from_the_library(argv, field, guard):
+    assert getattr(build_parser().parse_args(argv), field) == guard
 
 
 def test_threads_default_from_environment(monkeypatch):

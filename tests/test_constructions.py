@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -25,6 +26,7 @@ from blockperm.constructions import (
     with_verified_min_distance,
     zn1_code,
 )
+from blockperm.enumeration import myers_count
 from blockperm.perm import block_distance, char_set
 
 
@@ -244,6 +246,65 @@ def test_verify_min_distance_conventions():
         verify_min_distance(cyclic_class_code(5), max_words=5)
 
 
+def _random_code(seed):
+    """Seeded distinct words at n = 3..9; sizes log-uniform over 2..300."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 9)
+    size = min(math.factorial(n), round(2 * 150 ** rng.random()))
+    words = set()
+    while len(words) < size:
+        words.add(tuple(rng.sample(range(1, n + 1), n)))
+    return CodeBook(n, 1, tuple(sorted(words)), "random")
+
+
+def _pairwise_min(code):
+    return min(block_distance(a, b) for a, b in itertools.combinations(code.words, 2))
+
+
+def _walked_radius(n, count):
+    """Spheres walked before the switch: while N·Σ myers_count(n, r) <= C(N, 2)."""
+    lookups, r = 0, 0
+    while r < n - 1:
+        lookups += count * myers_count(n, r + 1)
+        if lookups > math.comb(count, 2):
+            break
+        r += 1
+    return r
+
+
+DIFFERENTIAL_SEEDS = range(40)
+
+
+@pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
+def test_verify_min_distance_matches_pairwise_on_random_codes(seed):
+    code = _random_code(seed)
+    assert verify_min_distance(code) == _pairwise_min(code)
+
+
+def test_random_codes_reach_every_route():
+    """The seeded codes finish inside the walk, on its last sphere, exactly at
+    the first radius left to the pairwise scan, and beyond it."""
+    routes = set()
+    for seed in DIFFERENTIAL_SEEDS:
+        code = _random_code(seed)
+        walked, found = _walked_radius(code.n, len(code.words)), _pairwise_min(code)
+        routes.add("inside" if found < walked else "last sphere" if found == walked
+                   else "switch" if found == walked + 1 else "pairwise")
+    assert routes == {"inside", "last sphere", "switch", "pairwise"}
+
+
+@pytest.mark.parametrize("make, args", [(cyclic_class_code, (6,)), (largest_syndrome_class, (7, 3)),
+                                        (even_n_code, (8,)), (zn1_code, (10,))],
+                         ids=["cyclic-6", "syndrome-7-3", "even-8", "zn1-10"])
+def test_verify_min_distance_matches_pairwise_on_constructions(make, args):
+    code = make(*args)
+    assert verify_min_distance(code) == _pairwise_min(code)
+
+
+def test_verify_min_distance_of_the_5040_word_cyclic_code():
+    assert verify_min_distance(cyclic_class_code(8)) == 2
+
+
 def test_with_verified_min_distance():
     code = with_verified_min_distance(even_n_code(6))
     assert code.verified_min_distance == 5
@@ -256,6 +317,10 @@ def test_codebook_rejects_bad_words():
         CodeBook(3, 2, ((1, 2),), "file")
     with pytest.raises(ValueError):
         CodeBook(3, 0, ((1, 2, 3),), "file")
+    with pytest.raises(ValueError):
+        CodeBook(0, 2, ((),), "file")
+    with pytest.raises(ValueError):
+        CodeBook(0, 2, (), "file")
 
 
 def test_codebook_text_round_trip():

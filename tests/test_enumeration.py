@@ -10,11 +10,12 @@ from blockperm.enumeration import (
     ball_size_bounds,
     ball_size_exact,
     enumerate_spheres,
+    identity_sphere,
     myers_count,
     sphere_profile_from_payload,
     sphere_profile_payload,
 )
-from blockperm.perm import block_distance
+from blockperm.perm import block_distance, identity
 
 
 def test_sphere_profile_small_frozen():
@@ -47,6 +48,38 @@ def test_myers_count_frozen_values():
 def test_myers_count_range(bad_k):
     with pytest.raises(ValueError):
         myers_count(4, bad_k)
+
+
+# n = 10 stops at k = 6: its spheres k = 7..9 hold 3.4 of its 3.6 million
+# members, too many to generate and hold in a set in the unit suite.
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 11)
+                                  for k in range(1, n if n < 10 else 7)])
+def test_identity_sphere_members_are_distinct_and_counted_by_formula(n, k):
+    members = list(identity_sphere(n, k))
+    assert len(set(members)) == len(members) == myers_count(n, k)
+
+
+def _ball_by_scan(n, radius):
+    """The identity's ball minus the identity, by a scan of all of S_n."""
+    e = identity(n)
+    return {p for p in itertools.permutations(e) if 0 < block_distance(e, p) <= radius}
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_identity_spheres_match_the_scan(n):
+    e = identity(n)
+    union = set()
+    for k in range(1, n):
+        members = set(identity_sphere(n, k))
+        assert {block_distance(e, s) for s in members} == {k}
+        union |= members
+        assert union == _ball_by_scan(n, k)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (4, 0), (4, 4), (4, -1)])
+def test_identity_sphere_range(n, k):
+    with pytest.raises(ValueError):
+        identity_sphere(n, k)
 
 
 def test_enumerate_spheres_guard():
