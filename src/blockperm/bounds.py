@@ -5,10 +5,11 @@ For odd minimum distance d = 2t+1 the classical pair is
 
     gv_lower:   n! / |ball(n, 2t)|  <=  max code size  <=  n! / |ball(n, t)|   :sp_upper
 
-where balls can be enumerated exactly (small n) or replaced by their product
-estimates.  The estimate used for the sphere-packing side is n! divided by
-the *upper* ball product, i.e. (n-t-1)!; that is a floor of the true
-sphere-packing value, the conventional way these tables are quoted.
+where balls are counted exactly at any n (one plus a sum of closed-form
+sphere counts) or replaced by their product estimates.  The estimate used
+for the sphere-packing side is n! divided by the *upper* ball product, i.e.
+(n-t-1)!; that is a floor of the true sphere-packing value, the
+conventional way these tables are quoted.
 
 The newer upper bound counts (n-d)-subsets of characteristic sets:
 
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumeration import DEFAULT_MAX_N, ball_size_exact
+from .enumeration import ball_size_exact
 
 #: the published comparison rows: (n, d) -> (sphere-packing estimate, new bound)
 TABLE1_PUBLISHED = {
@@ -65,12 +66,12 @@ def _require_sandwich_radius(n: int, r: int):
                          f"(n, radius) = ({n}, {r}) fails")
 
 
-def gv_lower(n: int, d: int, mode: str = "exact", max_n: int = DEFAULT_MAX_N) -> int:
+def gv_lower(n: int, d: int, mode: str = "exact") -> int:
     """Existence lower bound ceil(n! / |ball(n, d-1)|) for odd d."""
     t = _odd_radius(d)
     fact = math.factorial(n)
     if mode == "exact":
-        ball = ball_size_exact(n, min(2 * t, n - 1), max_n=max_n).size
+        ball = ball_size_exact(n, min(2 * t, n - 1)).size
     elif mode == "estimate":
         _require_sandwich_radius(n, 2 * t)
         ball = math.prod(range(n - 2 * t, n + 1))
@@ -79,7 +80,7 @@ def gv_lower(n: int, d: int, mode: str = "exact", max_n: int = DEFAULT_MAX_N) ->
     return -(-fact // ball)
 
 
-def sp_upper(n: int, d: int, mode: str = "exact", max_n: int = DEFAULT_MAX_N) -> int:
+def sp_upper(n: int, d: int, mode: str = "exact") -> int:
     """Packing upper bound floor(n! / |ball(n, t)|) for odd d = 2t+1.
 
     In "estimate" mode the ball is replaced by its upper product, giving
@@ -87,7 +88,7 @@ def sp_upper(n: int, d: int, mode: str = "exact", max_n: int = DEFAULT_MAX_N) ->
     """
     t = _odd_radius(d)
     if mode == "exact":
-        ball = ball_size_exact(n, min(t, n - 1), max_n=max_n).size
+        ball = ball_size_exact(n, min(t, n - 1)).size
         return math.factorial(n) // ball
     if mode == "estimate":
         _require_sandwich_radius(n, t)
@@ -157,15 +158,15 @@ class BoundReport:
     corollary_applies: bool
 
 
-def bound_report(n: int, d: int, exact: bool = False, max_n: int = DEFAULT_MAX_N) -> BoundReport:
+def bound_report(n: int, d: int, exact: bool = False) -> BoundReport:
     bd = d if d % 2 else d + 1
     t = (bd - 1) // 2
     mode = "exact" if exact else "estimate"
     gv = sp = None
     if exact or _sandwich_radius_ok(n, 2 * t):
-        gv = gv_lower(n, bd, mode, max_n=max_n)
+        gv = gv_lower(n, bd, mode)
     if exact or _sandwich_radius_ok(n, t):
-        sp = sp_upper(n, bd, mode, max_n=max_n)
+        sp = sp_upper(n, bd, mode)
     exact_frac, floor = new_upper(n, d)
     return BoundReport(
         n=n,

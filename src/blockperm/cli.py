@@ -3,15 +3,16 @@
 Permutations on the command line are quoted, space-separated label lists;
 files hold one permutation per line, with code files carrying a
 "n d provenance" header.  Exit codes: 0 success, 1 validation error,
-2 verification failure.  BLOCKPERM_THREADS sets the default worker count
-for the enumeration subcommands.
+2 verification failure.  Size guards (``--max-n``, ``--max-words``,
+``--max-vertices``) default to the library's constants and stop the
+full-group scans and searches; exact balls and bounds are closed forms and
+need none.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bounds as bounds_mod
@@ -91,7 +92,7 @@ def cmd_charset(args) -> int:
 
 def cmd_spheres(args) -> int:
     _warn_guard("enumeration n", args.max_n, DEFAULT_MAX_N)
-    profile = enumerate_spheres(args.n, max_n=args.max_n, workers=args.threads)
+    profile = enumerate_spheres(args.n, max_n=args.max_n)
     if args.format == "json":
         _emit_json(sphere_profile_payload(profile))
     else:
@@ -109,8 +110,7 @@ def cmd_ball(args) -> int:
         else:
             print(f"{lower} {upper}")
         return 0
-    _warn_guard("enumeration n", args.max_n, DEFAULT_MAX_N)
-    ball = ball_size_exact(args.n, args.t, max_n=args.max_n, workers=args.threads)
+    ball = ball_size_exact(args.n, args.t)
     if args.format == "json":
         _emit_json({"n": ball.n, "t": ball.t, "size": ball.size})
     else:
@@ -118,7 +118,12 @@ def cmd_ball(args) -> int:
     return 0
 
 
-def _construct(args) -> CodeBook | None:
+def _construct_max_n(method: str) -> int:
+    """construct's --max-n default: the hub-cycle search has its own guard."""
+    return HAM_SEARCH_MAX_N if method == "hamdecomp" else DEFAULT_MAX_N
+
+
+def _construct(args, max_n: int) -> CodeBook | None:
     method, n = args.method, args.n
     if method == "syndrome":
         if args.d is None:
@@ -126,8 +131,8 @@ def _construct(args) -> CodeBook | None:
         enc = PairEncoder.for_n(n)
         if args.f is not None:
             f = tuple(int(tok) for tok in args.f.split(","))
-            return syndrome_class(n, args.d, f, enc, max_n=args.max_n)
-        return largest_syndrome_class(n, args.d, enc, max_n=args.max_n)
+            return syndrome_class(n, args.d, f, enc, max_n=max_n)
+        return largest_syndrome_class(n, args.d, enc, max_n=max_n)
     if method == "cyclic":
         return cyclic_class_code(n)
     if method == "even":
@@ -135,13 +140,15 @@ def _construct(args) -> CodeBook | None:
     if method == "zn1":
         return zn1_code(n)
     if method == "hamdecomp":
-        return ham_decomp_code(n, max_n=max(args.max_n, HAM_SEARCH_MAX_N))
+        return ham_decomp_code(n, max_n=max_n)
     raise ValueError(f"unknown method {method!r}")
 
 
 def cmd_construct(args) -> int:
-    _warn_guard("enumeration n", args.max_n, DEFAULT_MAX_N)
-    code = _construct(args)
+    default = _construct_max_n(args.method)
+    max_n = default if args.max_n is None else args.max_n
+    _warn_guard("enumeration n", max_n, default)
+    code = _construct(args, max_n)
     if code is None:
         print(f"no code found: the search space for n={args.n} is exhausted", file=sys.stderr)
         return 2
@@ -208,8 +215,7 @@ def cmd_bounds(args) -> int:
         raise ValueError("--format csv needs --table1; use text or json for one report")
     if args.n is None or args.d is None:
         raise ValueError("bounds needs --n and --d (or --table1)")
-    _warn_guard("enumeration n", args.max_n, DEFAULT_MAX_N)
-    rep = bounds_mod.bound_report(args.n, args.d, exact=args.exact, max_n=args.max_n)
+    rep = bounds_mod.bound_report(args.n, args.d, exact=args.exact)
     if args.format == "json":
         _emit_json(bounds_mod.bound_report_payload(rep))
     else:
@@ -247,13 +253,6 @@ def cmd_selftest(args) -> int:
     return 2 if failed else 0
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("BLOCKPERM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockperm",
@@ -277,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=cmd_spheres)
 
     p = sub.add_parser("ball", help="ball size, exact or product bounds")
@@ -285,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--bounds", action="store_true", help="print the product sandwich instead")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=cmd_ball)
 
     p = sub.add_parser("construct", help="build a code and print it")
@@ -296,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--f", default=None, help="comma-separated syndrome, e.g. 1,1")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
+    p.add_argument("--max-n", type=int, default=None)  # per method: _construct_max_n
     p.add_argument("--max-words", type=int, default=PAIRWISE_MAX_WORDS)
     p.set_defaults(func=cmd_construct)
 
@@ -309,10 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="bound report for one (n, d), or the table")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--exact", action="store_true", help="use enumerated balls")
+    p.add_argument("--exact", action="store_true", help="use exact ball sizes")
     p.add_argument("--table1", action="store_true", help="print the ten-row comparison table")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("graph", help="full distance graph: stats or independent sets")

@@ -2,15 +2,16 @@
 
 Distance spheres around the identity, the closed-form sphere count and the
 sphere's members generated by cut-and-reorder, and ball sizes with their
-product sandwich bounds.  Everything here is exact integer arithmetic; the
-full-group scans carry a size guard because they walk all n! permutations.
+product sandwich bounds.  Everything here is exact integer arithmetic.  Ball
+sizes are sums of the closed-form sphere counts and work at any n; only
+``enumerate_spheres`` walks all n! permutations, the independent cross-check
+of that formula, and it carries a size guard.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -39,15 +40,18 @@ class BallSize:
     size: int
 
 
-def _sphere_counts_slice(n: int, start: int, stop: int) -> list[int]:
-    """Distance histogram over one lexicographic slice of S_n.
+def enumerate_spheres(n: int, max_n: int = DEFAULT_MAX_N) -> SphereProfile:
+    """Scan all of S_n and histogram block distances to the identity.
 
     A pair (a, b) is an identity adjacency exactly when b = a + 1, so the
     distance to the identity is the number of adjacent pairs failing that.
     """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if n > max_n:
+        raise ValueError(f"n={n} exceeds enumeration guard {max_n}")
     counts = [0] * n
-    perms = itertools.islice(itertools.permutations(range(1, n + 1)), start, stop)
-    for p in perms:
+    for p in itertools.permutations(range(1, n + 1)):
         k = 0
         prev = p[0]
         for cur in p[1:]:
@@ -55,29 +59,6 @@ def _sphere_counts_slice(n: int, start: int, stop: int) -> list[int]:
                 k += 1
             prev = cur
         counts[k] += 1
-    return counts
-
-
-def enumerate_spheres(n: int, max_n: int = DEFAULT_MAX_N, workers: int = 1) -> SphereProfile:
-    """Scan all of S_n and histogram block distances to the identity.
-
-    With workers > 1 the lexicographic index range is split into equal slices
-    counted in separate processes; the per-slice histograms merge by addition,
-    so the result does not depend on the worker count.
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds enumeration guard {max_n}")
-    total = math.factorial(n)
-    if workers <= 1 or total < 2 * workers:
-        return SphereProfile(n, tuple(_sphere_counts_slice(n, 0, total)))
-    step = -(-total // workers)
-    slices = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    counts = [0] * n
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_sphere_counts_slice, *zip(*slices)):
-            counts = [a + b for a, b in zip(counts, part)]
     return SphereProfile(n, tuple(counts))
 
 
@@ -117,16 +98,16 @@ def identity_sphere(n: int, k: int) -> Iterator[Perm]:
             for blocks in blockings for pick in orders)
 
 
-def ball_size_exact(n: int, t: int, max_n: int = DEFAULT_MAX_N, workers: int = 1) -> BallSize:
-    """Exact number of permutations within block distance t of any center.
+def ball_size_exact(n: int, t: int) -> BallSize:
+    """Exact number of permutations within block distance t of any center,
+    at any n.
 
     Left-invariance of the metric makes the size center-independent, so the
-    count is taken around the identity.
+    count is taken around the identity: 1 + sum_{k=1..t} myers_count(n, k).
     """
     if not 0 <= t <= n - 1:
         raise ValueError(f"radius t must lie in [0, n-1], got t={t} with n={n}")
-    profile = enumerate_spheres(n, max_n=max_n, workers=workers)
-    return BallSize(n, t, profile.ball(t))
+    return BallSize(n, t, 1 + sum(myers_count(n, k) for k in range(1, t + 1)))
 
 
 def ball_size_bounds(n: int, t: int) -> tuple[int, int]:

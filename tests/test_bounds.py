@@ -19,7 +19,7 @@ from blockperm.bounds import (
     table1,
     table1_deviations,
 )
-from blockperm.enumeration import ball_size_exact
+from blockperm.enumeration import ball_size_bounds, ball_size_exact
 
 
 def test_gv_lower_exact_frozen():
@@ -187,3 +187,23 @@ def test_exact_ball_backs_the_exact_bounds():
     ball = ball_size_exact(5, 2).size
     assert ball == 23
     assert gv_lower(5, 3, "exact") == -(-math.factorial(5) // ball)
+
+
+@pytest.mark.parametrize("n,d", sorted(TABLE1_PUBLISHED))
+def test_exact_bounds_on_table_rows_lie_in_the_product_brackets(n, d):
+    # where the product sandwich holds, lower <= ball <= upper, so n!/ball lies
+    # between n!/upper and n!/lower; every row's packing radius satisfies it
+    t = (d - 1) // 2
+    fact = math.factorial(n)
+    lower, upper = ball_size_bounds(n, t)
+    assert fact // upper <= sp_upper(n, d, "exact") <= fact // lower
+    try:
+        lower, upper = ball_size_bounds(n, 2 * t)
+    except ValueError:
+        return  # the GV radius fails the hypothesis on this row
+    assert -(-fact // upper) <= gv_lower(n, d, "exact") <= -(-fact // lower)
+
+
+def test_exact_bounds_at_13_9():
+    rep = bound_report(13, 9, exact=True)
+    assert (rep.gv_lower, rep.sp_upper) == (71, 215721)

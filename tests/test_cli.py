@@ -10,7 +10,7 @@ import pytest
 
 from blockperm import constructions, enumeration, graph, perm, selftest
 from blockperm.bounds import bound_report_from_payload
-from blockperm.cli import build_parser, main
+from blockperm.cli import _construct_max_n, build_parser, main
 from blockperm.constructions import codebook_from_payload, codebook_from_text, even_n_code, codebook_to_text
 from blockperm.enumeration import sphere_profile_from_payload, enumerate_spheres
 
@@ -47,12 +47,16 @@ def test_dist_validation_error(capsys):
     assert "error" in err
 
 
-def run_module(*argv):
+def run_python(*argv):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", *argv], capture_output=True,
+    return subprocess.run([sys.executable, *argv], capture_output=True,
                           text=True, env=env, timeout=60)
+
+
+def run_module(*argv):
+    return run_python("-m", *argv)
 
 
 @pytest.mark.parametrize("module", ["blockperm", "blockperm.cli"])
@@ -62,6 +66,12 @@ def test_python_dash_m_runs_the_cli(module):
     done = run_module(module, "dist", "1 1 2", "1 2 3")
     assert done.returncode == 1
     assert done.stderr.startswith("error:")
+
+
+def test_cli_import_starts_no_process_machinery():
+    done = run_python("-c", "import sys, blockperm.cli; "
+                            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    assert (done.returncode, done.stdout) == (0, "[]\n")
 
 
 def test_unknown_subcommand_exits_1(capsys):
@@ -93,6 +103,26 @@ def test_ball_exact_and_bounds(capsys):
     assert out.split() == ["11880", "154440"]
 
 
+def test_exact_balls_and_bounds_need_no_guard(capsys):
+    code, out, _ = run(capsys, "ball", "--n", "13", "--t", "4")
+    assert (code, out) == (0, f"{enumeration.ball_size_exact(13, 4).size}\n")
+    code, out, _ = run(capsys, "bounds", "--n", "13", "--d", "9", "--exact")
+    assert code == 0
+    assert "gv_lower        71\n" in out and "sp_upper        215721\n" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["ball", "--n", "4", "--t", "1", "--max-n", "9"],
+    ["bounds", "--n", "5", "--d", "3", "--exact", "--max-n", "9"],
+    ["ball", "--n", "4", "--t", "1", "--threads", "2"],
+    ["spheres", "--n", "4", "--threads", "2"],
+])
+def test_removed_options_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments" in err
+
+
 def test_construct_even_text(capsys):
     code, out, _ = run(capsys, "construct", "--method", "even", "--n", "4")
     assert code == 0
@@ -121,6 +151,19 @@ def test_construct_hamdecomp_not_found_exits_2(capsys):
     code, _, err = run(capsys, "construct", "--method", "hamdecomp", "--n", "5")
     assert code == 2
     assert "no code found" in err
+
+
+def test_construct_hamdecomp_default_guard_reaches_9(capsys):
+    code, out, _ = run(capsys, "construct", "--method", "hamdecomp", "--n", "9")
+    assert code == 0
+    book = codebook_from_text(out)
+    assert len(book.words) == 9 and constructions.verify_min_distance(book) == 8
+
+
+def test_construct_hamdecomp_respects_a_lower_guard(capsys):
+    code, out, err = run(capsys, "construct", "--method", "hamdecomp", "--n", "9", "--max-n", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: n=9 exceeds search guard 5\n"
 
 
 def test_construct_needs_d_for_syndrome(capsys):
@@ -235,29 +278,23 @@ def test_graph_rejects_n_0(capsys):
 @pytest.mark.parametrize("argv, field, guard", [
     (["dist", "1 2", "2 1"], "max_n", perm.DEFINITION_SEARCH_MAX_N),
     (["spheres", "--n", "4"], "max_n", enumeration.DEFAULT_MAX_N),
-    (["ball", "--n", "4", "--t", "1"], "max_n", enumeration.DEFAULT_MAX_N),
+    (["construct", "--method", "syndrome", "--n", "4", "--d", "3"], "max_n", enumeration.DEFAULT_MAX_N),
     (["construct", "--method", "even", "--n", "4"], "max_n", enumeration.DEFAULT_MAX_N),
     (["construct", "--method", "even", "--n", "4"], "max_words", constructions.PAIRWISE_MAX_WORDS),
     (["verify", "--d", "2", "x"], "max_words", constructions.PAIRWISE_MAX_WORDS),
-    (["bounds"], "max_n", enumeration.DEFAULT_MAX_N),
+    (["construct", "--method", "hamdecomp", "--n", "9"], "max_n", constructions.HAM_SEARCH_MAX_N),
     (["graph", "--n", "3", "--d", "2", "--stats"], "max_n", graph.GRAPH_MAX_N),
     (["graph", "--n", "3", "--d", "2", "--stats"], "max_vertices", graph.EXACT_MAX_VERTICES),
     (["graph", "--n", "3", "--d", "2", "--stats"], "max_words", constructions.PAIRWISE_MAX_WORDS),
     (["selftest"], "max_n", selftest.FULL_MAX_N),
 ])
 def test_guard_defaults_come_from_the_library(argv, field, guard):
-    assert getattr(build_parser().parse_args(argv), field) == guard
-
-
-def test_threads_default_from_environment(monkeypatch):
-    from blockperm.cli import build_parser
-
-    monkeypatch.setenv("BLOCKPERM_THREADS", "3")
-    args = build_parser().parse_args(["spheres", "--n", "4"])
-    assert args.threads == 3
-    monkeypatch.setenv("BLOCKPERM_THREADS", "junk")
-    args = build_parser().parse_args(["spheres", "--n", "4"])
-    assert args.threads == 1
+    args = build_parser().parse_args(argv)
+    value = getattr(args, field)
+    if args.subcommand == "construct" and field == "max_n":
+        assert value is None  # resolved per method when the command runs
+        value = _construct_max_n(args.method)
+    assert value == guard
 
 
 def test_selftest_reduced_guard_skips_and_flags(capsys):

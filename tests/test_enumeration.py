@@ -88,18 +88,23 @@ def test_enumerate_spheres_guard():
     assert enumerate_spheres(9, max_n=9).counts[0] == 1  # override allowed
 
 
-def test_parallel_enumeration_matches_serial():
-    serial = enumerate_spheres(6, workers=1)
-    parallel = enumerate_spheres(6, workers=3)
-    assert serial == parallel
-
-
 def test_ball_size_exact_frozen():
     assert ball_size_exact(4, 1).size == 4
     assert ball_size_exact(4, 0).size == 1
     assert ball_size_exact(4, 3).size == 24
     with pytest.raises(ValueError):
         ball_size_exact(4, 4)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_ball_size_exact_matches_the_scan(n):
+    profile = enumerate_spheres(n)
+    assert [ball_size_exact(n, t).size for t in range(n)] == [profile.ball(t) for t in range(n)]
+
+
+def test_ball_size_exact_full_ball_is_the_group():
+    for n in range(1, 21):
+        assert ball_size_exact(n, n - 1).size == math.factorial(n)
 
 
 def test_ball_sizes_strictly_increase():
