@@ -39,6 +39,8 @@ from .enumeration import (
     enumerate_spheres,
     identity_sphere,
     myers_count,
+    sandwich_applies,
+    sphere_profile,
 )
 from .graph import (
     BlockGraph,
@@ -49,7 +51,6 @@ from .graph import (
     greedy_independent_set,
     jv_lower_formula,
     neighborhood_stats,
-    x_value,
 )
 from .perm import (
     block_distance,

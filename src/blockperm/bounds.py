@@ -5,11 +5,11 @@ For odd minimum distance d = 2t+1 the classical pair is
 
     gv_lower:   n! / |ball(n, 2t)|  <=  max code size  <=  n! / |ball(n, t)|   :sp_upper
 
-where balls are counted exactly at any n (one plus a sum of closed-form
-sphere counts) or replaced by their product estimates.  The estimate used
-for the sphere-packing side is n! divided by the *upper* ball product, i.e.
-(n-t-1)!; that is a floor of the true sphere-packing value, the
-conventional way these tables are quoted.
+where balls are counted exactly at any n (``ball_size_exact``) or, in
+estimate mode, replaced by the *upper* product of ``ball_size_bounds``,
+which needs the radius to satisfy ``sandwich_applies``.  On the
+sphere-packing side that estimate is (n-t-1)!, a floor of the true
+sphere-packing value and the conventional way these tables are quoted.
 
 The newer upper bound counts (n-d)-subsets of characteristic sets:
 
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumeration import ball_size_exact
+from .enumeration import ball_size_bounds, ball_size_exact, sandwich_applies
 
 #: the published comparison rows: (n, d) -> (sphere-packing estimate, new bound)
 TABLE1_PUBLISHED = {
@@ -55,29 +55,22 @@ def _odd_radius(d: int) -> int:
     return (d - 1) // 2
 
 
-def _sandwich_radius_ok(n: int, r: int) -> bool:
-    # integer form of r <= n - sqrt(n) - 1
-    return n - r - 1 >= 0 and (n - r - 1) ** 2 >= n
-
-
-def _require_sandwich_radius(n: int, r: int):
-    if not _sandwich_radius_ok(n, r):
-        raise ValueError(f"product ball estimate needs radius <= n - sqrt(n) - 1; "
-                         f"(n, radius) = ({n}, {r}) fails")
+def _group_over_ball(n: int, r: int, mode: str) -> tuple[int, int]:
+    """divmod(n!, |ball(n, r)|), the ball counted exactly ("exact") or
+    replaced by its upper product ("estimate")."""
+    if mode == "exact":
+        ball = ball_size_exact(n, min(r, n - 1)).size
+    elif mode == "estimate":
+        ball = ball_size_bounds(n, r)[1]
+    else:
+        raise ValueError(f"mode must be 'exact' or 'estimate', got {mode!r}")
+    return divmod(math.factorial(n), ball)
 
 
 def gv_lower(n: int, d: int, mode: str = "exact") -> int:
     """Existence lower bound ceil(n! / |ball(n, d-1)|) for odd d."""
-    t = _odd_radius(d)
-    fact = math.factorial(n)
-    if mode == "exact":
-        ball = ball_size_exact(n, min(2 * t, n - 1)).size
-    elif mode == "estimate":
-        _require_sandwich_radius(n, 2 * t)
-        ball = math.prod(range(n - 2 * t, n + 1))
-    else:
-        raise ValueError(f"mode must be 'exact' or 'estimate', got {mode!r}")
-    return -(-fact // ball)
+    quotient, remainder = _group_over_ball(n, 2 * _odd_radius(d), mode)
+    return quotient + (remainder > 0)
 
 
 def sp_upper(n: int, d: int, mode: str = "exact") -> int:
@@ -86,14 +79,7 @@ def sp_upper(n: int, d: int, mode: str = "exact") -> int:
     In "estimate" mode the ball is replaced by its upper product, giving
     (n-t-1)!, an optimistic floor of the true sphere-packing value.
     """
-    t = _odd_radius(d)
-    if mode == "exact":
-        ball = ball_size_exact(n, min(t, n - 1)).size
-        return math.factorial(n) // ball
-    if mode == "estimate":
-        _require_sandwich_radius(n, t)
-        return math.factorial(n - t - 1)
-    raise ValueError(f"mode must be 'exact' or 'estimate', got {mode!r}")
+    return _group_over_ball(n, _odd_radius(d), mode)[0]
 
 
 def new_upper(n: int, d: int) -> tuple[Fraction, int]:
@@ -126,14 +112,12 @@ def special_exact(n: int, d: int) -> int | None:
 
 def corollary_applies(n: int, d: int) -> bool:
     """True when the new bound provably does not exceed the packing estimate:
-    odd d = 2t+1 with t <= n - sqrt(n) - 1, n * prod_{i=0..t}(n-i) <= d * d!,
-    and d <= n-1."""
+    odd d = 2t+1 where the product sandwich applies to radius t,
+    n * prod_{i=0..t}(n-i) <= d * d!, and d <= n-1."""
     t = _odd_radius(d)
-    if d > n - 1:
+    if d > n - 1 or not sandwich_applies(n, t):
         return False
-    if n - t - 1 < 0 or (n - t - 1) ** 2 < n:
-        return False
-    return n * math.prod(range(n - t, n + 1)) <= d * math.factorial(d)
+    return n * ball_size_bounds(n, t)[1] <= d * math.factorial(d)
 
 
 @dataclass(frozen=True)
@@ -163,9 +147,9 @@ def bound_report(n: int, d: int, exact: bool = False) -> BoundReport:
     t = (bd - 1) // 2
     mode = "exact" if exact else "estimate"
     gv = sp = None
-    if exact or _sandwich_radius_ok(n, 2 * t):
+    if exact or sandwich_applies(n, 2 * t):
         gv = gv_lower(n, bd, mode)
-    if exact or _sandwich_radius_ok(n, t):
+    if exact or sandwich_applies(n, t):
         sp = sp_upper(n, bd, mode)
     exact_frac, floor = new_upper(n, d)
     return BoundReport(

@@ -2,11 +2,12 @@
 
 Permutations on the command line are quoted, space-separated label lists;
 files hold one permutation per line, with code files carrying a
-"n d provenance" header.  Exit codes: 0 success, 1 validation error,
-2 verification failure.  Size guards (``--max-n``, ``--max-words``,
-``--max-vertices``) default to the library's constants and stop the
-full-group scans and searches; exact balls and bounds are closed forms and
-need none.
+"n d provenance" header: a first line that is a permutation starts a bare
+file, any other first line is the header.  Exit codes: 0 success,
+1 validation error, 2 verification failure.  Size guards (``--max-n``,
+``--max-words``, ``--max-vertices``) default to the library's constants and
+stop the full-group scans and searches; spheres, balls and bounds are closed
+forms and need none.  Integers print in full, however many digits they have.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .enumeration import (
     DEFAULT_MAX_N,
     ball_size_bounds,
     ball_size_exact,
-    enumerate_spheres,
+    sphere_profile,
     sphere_profile_payload,
 )
 from .graph import (
@@ -91,8 +92,7 @@ def cmd_charset(args) -> int:
 
 
 def cmd_spheres(args) -> int:
-    _warn_guard("enumeration n", args.max_n, DEFAULT_MAX_N)
-    profile = enumerate_spheres(args.n, max_n=args.max_n)
+    profile = sphere_profile(args.n)
     if args.format == "json":
         _emit_json(sphere_profile_payload(profile))
     else:
@@ -147,7 +147,8 @@ def _construct(args, max_n: int) -> CodeBook | None:
 def cmd_construct(args) -> int:
     default = _construct_max_n(args.method)
     max_n = default if args.max_n is None else args.max_n
-    _warn_guard("enumeration n", max_n, default)
+    if args.method in ("syndrome", "hamdecomp"):  # the other methods read no guard
+        _warn_guard("enumeration n", max_n, default)
     code = _construct(args, max_n)
     if code is None:
         print(f"no code found: the search space for n={args.n} is exhausted", file=sys.stderr)
@@ -164,18 +165,13 @@ def cmd_construct(args) -> int:
 def _read_codebook(path: str, d: int) -> CodeBook:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    first = next((ln for ln in text.splitlines() if ln.strip()), "")
-    try:
-        [int(tok) for tok in first.split()]
-        bare = True
-    except ValueError:
-        bare = False
-    if bare:
-        words = tuple(parse_permutation(ln) for ln in text.splitlines() if ln.strip())
-        if not words:
-            raise ValueError(f"no permutations in {path}")
-        return CodeBook(len(words[0]), d, words, "file")
-    return codebook_from_text(text)
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    try:  # a first line that is a permutation starts a bare file
+        first = parse_permutation(lines[0])
+    except (IndexError, ValueError):
+        return codebook_from_text(text)
+    words = (first, *(parse_permutation(ln) for ln in lines[1:]))
+    return CodeBook(len(first), d, words, "file")
 
 
 def cmd_verify(args) -> int:
@@ -275,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spheres", help="distance histogram around the identity")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p.set_defaults(func=cmd_spheres)
 
     p = sub.add_parser("ball", help="ball size, exact or product bounds")
@@ -337,11 +332,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    # Exact sizes such as 2000! have more digits than Python's default limit
+    # on int-to-text conversion (4300, from Python 3.10.7 on); lift it here.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 def entry() -> None:

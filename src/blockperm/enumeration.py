@@ -2,10 +2,10 @@
 
 Distance spheres around the identity, the closed-form sphere count and the
 sphere's members generated by cut-and-reorder, and ball sizes with their
-product sandwich bounds.  Everything here is exact integer arithmetic.  Ball
-sizes are sums of the closed-form sphere counts and work at any n; only
-``enumerate_spheres`` walks all n! permutations, the independent cross-check
-of that formula, and it carries a size guard.
+product sandwich bounds.  Everything here is exact integer arithmetic.
+Sphere and ball sizes come from one integer recurrence and work at any n;
+only ``enumerate_spheres`` walks all n! permutations, the independent
+cross-check of that recurrence, and it carries a size guard.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 from typing import Iterator
 
@@ -62,20 +61,36 @@ def enumerate_spheres(n: int, max_n: int = DEFAULT_MAX_N) -> SphereProfile:
     return SphereProfile(n, tuple(counts))
 
 
-def myers_count(n: int, k: int) -> int:
-    """Closed-form size of the distance-k sphere, 1 <= k <= n-1.
+def _sphere_sizes(n: int, t: int) -> Iterator[int]:
+    """|sphere(n, k)| = C(n-1, k) m_k for k = 0..t, as running integers.
 
-    Evaluates k! C(n-1, k) * sum_{i=0..k} (-1)^(k-i) (i+1) / (k-i)! in exact
-    rational arithmetic; the sum is an inclusion-exclusion over retained
-    identity adjacencies and must come out integral.
+    A distance-k permutation is the identity cut at k of its n-1 gaps and
+    reordered by a minimal order of the k+1 blocks (see ``identity_sphere``).
+    m_k counts those orders, the permutations of k+1 items with no i directly
+    followed by i+1 (OEIS A000255): m_0 = m_1 = 1 and
+    m_k = k m_{k-1} + (k-1) m_{k-2}.  Stopping at t keeps small radii cheap
+    at any n.
     """
+    binom, m, m_prev = 1, 1, 0
+    for k in range(t + 1):
+        yield binom * m
+        binom = binom * (n - 1 - k) // (k + 1)
+        m, m_prev = (k + 1) * m + k * m_prev, m
+
+
+def myers_count(n: int, k: int) -> int:
+    """Closed-form size of the distance-k sphere, 1 <= k <= n-1, at any n."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must lie in [1, n-1], got k={k} with n={n}")
-    acc = sum(Fraction((-1) ** (k - i) * (i + 1), math.factorial(k - i)) for i in range(k + 1))
-    value = math.factorial(k) * math.comb(n - 1, k) * acc
-    if value.denominator != 1:
-        raise ArithmeticError(f"non-integral sphere count for n={n}, k={k}: {value}")
-    return int(value)
+    *_, size = _sphere_sizes(n, k)
+    return size
+
+
+def sphere_profile(n: int) -> SphereProfile:
+    """Every sphere size around the identity in closed form, at any n."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    return SphereProfile(n, tuple(_sphere_sizes(n, n - 1)))
 
 
 def identity_sphere(n: int, k: int) -> Iterator[Perm]:
@@ -103,23 +118,27 @@ def ball_size_exact(n: int, t: int) -> BallSize:
     at any n.
 
     Left-invariance of the metric makes the size center-independent, so the
-    count is taken around the identity: 1 + sum_{k=1..t} myers_count(n, k).
+    count is taken around the identity: the sphere sizes for k = 0..t.
     """
     if not 0 <= t <= n - 1:
         raise ValueError(f"radius t must lie in [0, n-1], got t={t} with n={n}")
-    return BallSize(n, t, 1 + sum(myers_count(n, k) for k in range(1, t + 1)))
+    return BallSize(n, t, sum(_sphere_sizes(n, t)))
+
+
+def sandwich_applies(n: int, t: int) -> bool:
+    """The product sandwich's hypothesis t <= n - sqrt(n) - 1, tested in
+    exact integers, so no floating-point boundary doubt."""
+    return n - t - 1 >= 0 and (n - t - 1) ** 2 >= n
 
 
 def ball_size_bounds(n: int, t: int) -> tuple[int, int]:
-    """Product sandwich for the t-ball size, valid for t <= n - sqrt(n) - 1.
+    """Product sandwich for the t-ball size, valid where ``sandwich_applies``.
 
     Returns (prod_{i=1..t} (n-i), prod_{i=0..t} (n-i)); empty products are 1.
-    The hypothesis is tested in exact integer form: n-t-1 >= 0 and
-    (n-t-1)^2 >= n, avoiding any floating-point boundary doubt.
     """
     if t < 0:
         raise ValueError(f"radius t must be nonnegative, got {t}")
-    if n - t - 1 < 0 or (n - t - 1) ** 2 < n:
+    if not sandwich_applies(n, t):
         raise ValueError(f"sandwich bounds need t <= n - sqrt(n) - 1; (n, t) = ({n}, {t}) fails")
     lower = math.prod(range(n - t, n))
     upper = math.prod(range(n - t, n + 1))

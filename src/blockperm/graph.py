@@ -111,14 +111,6 @@ def build_graph(n: int, d: int, max_n: int = GRAPH_MAX_N) -> BlockGraph:
     return BlockGraph(n, d, verts, tuple(tuple(sorted(row)) for row in rows))
 
 
-def x_value(p1: Perm, p2: Perm) -> int:
-    """Number of identity adjacencies missing from both p1 and p2."""
-    if len(p1) != len(p2):
-        raise ValueError(f"mismatched sizes {len(p1)} and {len(p2)}")
-    aid = char_set(identity(len(p1)))
-    return len((aid - char_set(p1)) & (aid - char_set(p2)))
-
-
 def neighborhood_stats(n: int, d: int, max_n: int = GRAPH_MAX_N) -> NeighborhoodStats:
     """Measure the identity's neighborhood in the full (n, d) graph.
 

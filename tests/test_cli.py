@@ -1,16 +1,20 @@
 """Command-line behavior: outputs, formats, exit codes."""
 
+import contextlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockperm import constructions, enumeration, graph, perm, selftest
-from blockperm.bounds import bound_report_from_payload
-from blockperm.cli import _construct_max_n, build_parser, main
+from blockperm.bounds import bound_report_from_payload, gv_lower, sp_upper
+from blockperm.cli import _construct_max_n, _read_codebook, build_parser, main
 from blockperm.constructions import codebook_from_payload, codebook_from_text, even_n_code, codebook_to_text
 from blockperm.enumeration import sphere_profile_from_payload, enumerate_spheres
 
@@ -96,6 +100,56 @@ def test_spheres_json_round_trip(capsys):
     assert sphere_profile_from_payload(json.loads(out)) == enumerate_spheres(5)
 
 
+@pytest.mark.parametrize("n", range(9, 13))
+def test_spheres_past_the_scan_guard(capsys, n):
+    code, out, err = run(capsys, "spheres", "--n", str(n))
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(k) for k, _ in rows] == list(range(n))
+    counts = [int(c) for _, c in rows]
+    assert sum(counts) == math.factorial(n)
+    if n == 9:
+        assert tuple(counts) == enumerate_spheres(9, max_n=9).counts
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lift Python's int/text conversion limit while a test reads the CLI's
+    output; the CLI itself must print under the default limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv, mode", [
+    (["bounds", "--n", "2000", "--d", "3", "--exact"], "exact"),
+    (["bounds", "--n", "1700", "--d", "5"], "estimate"),
+])
+def test_bounds_print_integers_past_the_digit_limit(capsys, argv, mode):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit  # restored after the command
+    n, d = int(argv[2]), int(argv[4])
+    with unlimited_int_digits():
+        values = dict(line.split(maxsplit=1) for line in out.splitlines()[1:])
+        assert int(values["gv_lower"].split()[0]) == gv_lower(n, d, mode)
+        assert int(values["sp_upper"].split()[0]) == sp_upper(n, d, mode)
+        assert len(values["sp_upper"]) > 4300  # past the interpreter's default limit
+
+
+def test_spheres_json_past_the_digit_limit(capsys):
+    code, out, err = run(capsys, "spheres", "--n", "2000", "--format", "json")
+    assert (code, err) == (0, "")
+    with unlimited_int_digits():
+        profile = sphere_profile_from_payload(json.loads(out))
+        assert profile.n == 2000 and len(profile.counts) == 2000
+        assert sum(profile.counts) == math.factorial(2000)
+
+
 def test_ball_exact_and_bounds(capsys):
     assert run(capsys, "ball", "--n", "4", "--t", "1")[1].strip() == "4"
     code, out, _ = run(capsys, "ball", "--n", "13", "--t", "4", "--bounds")
@@ -116,6 +170,7 @@ def test_exact_balls_and_bounds_need_no_guard(capsys):
     ["bounds", "--n", "5", "--d", "3", "--exact", "--max-n", "9"],
     ["ball", "--n", "4", "--t", "1", "--threads", "2"],
     ["spheres", "--n", "4", "--threads", "2"],
+    ["spheres", "--n", "4", "--max-n", "8"],
 ])
 def test_removed_options_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -166,6 +221,23 @@ def test_construct_hamdecomp_respects_a_lower_guard(capsys):
     assert err == "error: n=9 exceeds search guard 5\n"
 
 
+@pytest.mark.parametrize("method", ["even", "cyclic", "zn1"])
+def test_construct_without_a_guard_does_not_warn(capsys, method):
+    code, out, err = run(capsys, "construct", "--method", method, "--n", "6", "--max-n", "10")
+    assert (code, err) == (0, "")
+    assert codebook_from_text(out).provenance == method
+
+
+@pytest.mark.parametrize("argv, default", [
+    (["construct", "--method", "syndrome", "--n", "4", "--d", "3"], 8),
+    (["construct", "--method", "hamdecomp", "--n", "7"], 9),
+])
+def test_construct_warns_when_raising_a_guard(capsys, argv, default):
+    code, _, err = run(capsys, *argv, "--max-n", "10")
+    assert code == 0
+    assert err == f"warning: raising enumeration n guard to 10 (default {default})\n"
+
+
 def test_construct_needs_d_for_syndrome(capsys):
     assert run(capsys, "construct", "--method", "syndrome", "--n", "4")[0] == 1
 
@@ -183,6 +255,45 @@ def test_verify_bare_permutation_file(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--d", "3", str(path))
     assert code == 0
     assert "minimum distance 3" in out
+
+
+def test_verify_header_with_integer_provenance(tmp_path, capsys):
+    path = tmp_path / "code.txt"
+    path.write_text("3 2 7\n1 2 3\n3 2 1\n")
+    code, out, err = run(capsys, "verify", "--d", "2", str(path))
+    assert (code, err) == (0, "")
+    assert out == "2 words, minimum distance 2, required 2\n"
+
+
+def _is_permutation_line(line):
+    tokens = line.split()
+    return sorted(tokens) == sorted(str(i) for i in range(1, len(tokens) + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(words=st.integers(2, 6).flatmap(lambda n: st.lists(
+           st.permutations(range(1, n + 1)), min_size=1, max_size=6, unique_by=tuple)),
+       d=st.integers(1, 6),
+       provenance=st.one_of(
+           st.integers(-10**6, 10**6).map(str),
+           st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=8),
+           st.lists(st.integers(0, 9), min_size=1, max_size=4).map(lambda xs: " ".join(map(str, xs))),
+       ),
+       headed=st.booleans())
+def test_code_files_read_back_to_the_same_words(tmp_path_factory, words, d, provenance, headed):
+    words = tuple(tuple(w) for w in words)
+    n = len(words[0])
+    header = f"{n} {d} {provenance}"
+    # a header that is itself a permutation reads as a word: the one ambiguity
+    # of the format, and the rule's documented choice
+    headed = headed and not _is_permutation_line(header)
+    lines = ([header] if headed else []) + [" ".join(map(str, w)) for w in words]
+    path = tmp_path_factory.mktemp("codes") / "code.txt"
+    path.write_text("\n".join(lines) + "\n")
+    book = _read_codebook(str(path), d)
+    assert book.words == words
+    assert book.provenance == (provenance if headed else "file")
+    assert main(["verify", "--d", str(d), str(path)]) in (0, 2)  # read, not rejected
 
 
 def test_verify_duplicate_words_is_validation_error(tmp_path, capsys):
@@ -277,7 +388,7 @@ def test_graph_rejects_n_0(capsys):
 
 @pytest.mark.parametrize("argv, field, guard", [
     (["dist", "1 2", "2 1"], "max_n", perm.DEFINITION_SEARCH_MAX_N),
-    (["spheres", "--n", "4"], "max_n", enumeration.DEFAULT_MAX_N),
+    (["dist", "1 2", "2 1", "--check-definition"], "max_n", perm.DEFINITION_SEARCH_MAX_N),
     (["construct", "--method", "syndrome", "--n", "4", "--d", "3"], "max_n", enumeration.DEFAULT_MAX_N),
     (["construct", "--method", "even", "--n", "4"], "max_n", enumeration.DEFAULT_MAX_N),
     (["construct", "--method", "even", "--n", "4"], "max_words", constructions.PAIRWISE_MAX_WORDS),

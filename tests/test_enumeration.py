@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -12,10 +14,12 @@ from blockperm.enumeration import (
     enumerate_spheres,
     identity_sphere,
     myers_count,
+    sandwich_applies,
+    sphere_profile,
     sphere_profile_from_payload,
     sphere_profile_payload,
 )
-from blockperm.perm import block_distance, identity
+from blockperm.perm import block_distance, identity, is_minimal
 
 
 def test_sphere_profile_small_frozen():
@@ -36,6 +40,29 @@ def test_sphere_profile_matches_closed_formula(n):
     profile = enumerate_spheres(n)
     for k in range(1, n):
         assert profile.counts[k] == myers_count(n, k)
+
+
+def _myers_by_inclusion_exclusion(n, k):
+    """Reference: k! C(n-1, k) sum_{i=0..k} (-1)^(k-i) (i+1) / (k-i)!, an
+    inclusion-exclusion over retained identity adjacencies, in rationals."""
+    acc = sum(Fraction((-1) ** (k - i) * (i + 1), math.factorial(k - i)) for i in range(k + 1))
+    value = math.factorial(k) * math.comb(n - 1, k) * acc
+    assert value.denominator == 1
+    return int(value)
+
+
+def test_myers_count_matches_inclusion_exclusion():
+    for n in range(2, 60):
+        assert [myers_count(n, k) for k in range(1, n)] == [
+            _myers_by_inclusion_exclusion(n, k) for k in range(1, n)]
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_single_cut_sphere_counts_minimal_orders(k):
+    # with n = k+1 there is one way to cut every gap, so the distance-k
+    # sphere is exactly the minimal orders of k+1 blocks (k = 0: the identity)
+    minimal = sum(1 for o in itertools.permutations(range(k + 1)) if is_minimal(o))
+    assert sphere_profile(k + 1).counts[k] == minimal
 
 
 def test_myers_count_frozen_values():
@@ -82,6 +109,24 @@ def test_identity_sphere_range(n, k):
         identity_sphere(n, k)
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_sphere_profile_matches_the_scan(n):
+    assert sphere_profile(n) == enumerate_spheres(n, max_n=9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 13, 100, 500])
+def test_sphere_profile_mass(n):
+    counts = sphere_profile(n).counts
+    assert len(counts) == n and counts[0] == 1
+    assert sum(counts) == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_sphere_profile_range(n):
+    with pytest.raises(ValueError):
+        sphere_profile(n)
+
+
 def test_enumerate_spheres_guard():
     with pytest.raises(ValueError):
         enumerate_spheres(9)
@@ -105,6 +150,16 @@ def test_ball_size_exact_matches_the_scan(n):
 def test_ball_size_exact_full_ball_is_the_group():
     for n in range(1, 21):
         assert ball_size_exact(n, n - 1).size == math.factorial(n)
+
+
+def test_ball_size_exact_is_fast_at_large_n():
+    start = time.perf_counter()
+    assert ball_size_exact(2000, 1999).size == math.factorial(2000)
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert ball_size_exact(10000, 5).size == 1 + sum(myers_count(10000, k) for k in range(1, 6))
+    # the recurrence stops at the radius, whatever n is
+    assert time.perf_counter() - start < 0.1
 
 
 def test_ball_sizes_strictly_increase():
@@ -132,6 +187,14 @@ def test_ball_size_bounds_frozen():
     assert ball_size_bounds(13, 4) == (11880, 154440)
 
 
+def test_sandwich_applies_matches_the_real_inequality():
+    for n in range(1, 300):
+        for t in range(n + 2):
+            # n - sqrt(n) - 1 is an integer only when n is a square, where
+            # math.sqrt is exact, so the float comparison is safe here
+            assert sandwich_applies(n, t) == (t <= n - math.sqrt(n) - 1), (n, t)
+
+
 def test_ball_size_bounds_hypothesis_errors():
     with pytest.raises(ValueError):
         ball_size_bounds(4, 2)  # (4-2-1)^2 = 1 < 4
@@ -145,7 +208,7 @@ def test_ball_size_bounds_hypothesis_errors():
 def test_sandwich_contains_exact_ball(n):
     profile = enumerate_spheres(n)
     for t in range(n):
-        if n - t - 1 < 0 or (n - t - 1) ** 2 < n:
+        if not sandwich_applies(n, t):
             continue
         lower, upper = ball_size_bounds(n, t)
         assert lower <= profile.ball(t) <= upper

@@ -17,9 +17,8 @@ from blockperm.graph import (
     jv_lower_formula,
     neighborhood_stats,
     neighborhood_stats_payload,
-    x_value,
 )
-from blockperm.perm import block_distance, identity
+from blockperm.perm import block_distance
 
 
 def test_build_graph_4_3_shape():
@@ -83,13 +82,6 @@ def test_edge_criterion_matches_distance():
         i, j = rng.sample(range(24), 2)
         dist = block_distance(g.vertices[i], g.vertices[j])
         assert (j in g.adjacency[i]) == (0 < dist < 3)
-
-
-def test_x_value_frozen():
-    assert x_value((2, 1, 3, 4), (1, 3, 2, 4)) == 2
-    p = (3, 1, 4, 2)
-    assert x_value(p, p) == block_distance(p, identity(4))
-    assert x_value(identity(4), p) == 0
 
 
 def test_neighborhood_stats_4_3():
