@@ -45,7 +45,7 @@ print(f"block distance = {block_distance(P1, P2)}\n")
 blocks, order = find_decomposition(P1, P2)
 print(f"p1 cut into blocks: {blocks}")
 print(f"reordered by the minimal permutation {order} -> p2")
-print(f"cut-and-reorder distance = {distance_by_definition(P1, P2, max_n=9)}\n")
+print(f"cut-and-reorder distance = {distance_by_definition(P1, P2)}\n")
 
 base = (1, 2, 3, 4, 5)
 print(f"rotations of {base} and their distances from it:")

@@ -1,9 +1,9 @@
 """End-to-end acceptance checks for the whole library.
 
-Each criterion is a self-contained verification at desk scale; ``run_all``
-executes them in order and reports one line each.  A criterion that cannot
-run completely under a reduced size guard reports "skip" instead of
-pretending to pass.
+Each criterion is a self-contained verification at desk scale, on fixed
+sizes that the library's default guards admit (S_n is scanned for n <= 7
+only); ``run_all`` executes them in order and reports one line each, "pass"
+or "fail".
 """
 
 from __future__ import annotations
@@ -27,42 +27,38 @@ from .enumeration import ball_size_bounds, enumerate_spheres, myers_count, sandw
 from .graph import build_graph, exact_independent_set, jv_lower_formula, neighborhood_stats
 from .perm import block_distance, char_set, compose, distance_by_definition, from_one_line
 
-FULL_MAX_N = 7
-
 
 @dataclass(frozen=True)
 class CriterionResult:
     number: int
     name: str
-    status: str  # "pass", "fail" or "skip"
+    status: str  # "pass" or "fail"
     detail: str
 
 
-def _result(number, name, ok, complete, detail) -> CriterionResult:
-    status = "fail" if not ok else ("pass" if complete else "skip")
-    return CriterionResult(number, name, status, detail)
+def _result(number, name, ok, detail) -> CriterionResult:
+    return CriterionResult(number, name, "pass" if ok else "fail", detail)
 
 
-def criterion_1_worked_example(max_n: int = FULL_MAX_N) -> CriterionResult:
+def criterion_1_worked_example() -> CriterionResult:
     """The 9-element example pair is at distance 3 by both routes, fast."""
     start = time.perf_counter()
     p1 = from_one_line((4, 8, 3, 2, 6, 7, 5, 1, 9))
     p2 = from_one_line((6, 7, 8, 3, 2, 5, 1, 9, 4))
     fast = block_distance(p1, p2)
-    slow = distance_by_definition(p1, p2, max_n=9)
+    slow = distance_by_definition(p1, p2)
     elapsed = time.perf_counter() - start
     ok = fast == 3 and slow == 3 and elapsed < 1.0
-    return _result(1, "worked example distance", ok, True,
+    return _result(1, "worked example distance", ok,
                    f"pair-count {fast}, cut-search {slow}, {elapsed:.3f}s")
 
 
-def criterion_2_sphere_formula(max_n: int = FULL_MAX_N) -> CriterionResult:
+def criterion_2_sphere_formula() -> CriterionResult:
     """Enumerated sphere sizes equal the closed formula for n = 3..7."""
     start = time.perf_counter()
-    top = min(7, max_n)
     bad = []
-    for n in range(3, top + 1):
-        profile = enumerate_spheres(n, max_n=max_n)
+    for n in range(3, 8):
+        profile = enumerate_spheres(n)
         if sum(profile.counts) != math.factorial(n) or profile.counts[0] != 1:
             bad.append(f"n={n} mass")
         for k in range(1, n):
@@ -70,16 +66,15 @@ def criterion_2_sphere_formula(max_n: int = FULL_MAX_N) -> CriterionResult:
                 bad.append(f"n={n} k={k}")
     elapsed = time.perf_counter() - start
     ok = not bad and elapsed < 300.0
-    detail = f"n=3..{top}, {elapsed:.2f}s" + (f"; mismatches {bad}" if bad else "")
-    return _result(2, "sphere counts vs formula", ok, top == 7, detail)
+    detail = f"n=3..7, {elapsed:.2f}s" + (f"; mismatches {bad}" if bad else "")
+    return _result(2, "sphere counts vs formula", ok, detail)
 
 
-def criterion_3_ball_sandwich(max_n: int = FULL_MAX_N) -> CriterionResult:
+def criterion_3_ball_sandwich() -> CriterionResult:
     """Product sandwich holds exactly for every admissible (n, t), n <= 7."""
-    top = min(7, max_n)
     checked, bad = 0, []
-    for n in range(1, top + 1):
-        profile = enumerate_spheres(n, max_n=max_n)
+    for n in range(1, 8):
+        profile = enumerate_spheres(n)
         for t in range(n):
             if not sandwich_applies(n, t):
                 continue
@@ -90,29 +85,27 @@ def criterion_3_ball_sandwich(max_n: int = FULL_MAX_N) -> CriterionResult:
                 bad.append(f"(n={n}, t={t}): {lower} <= {size} <= {upper}")
     ok = not bad and checked > 0
     detail = f"{checked} admissible (n, t) pairs" + (f"; failed {bad}" if bad else "")
-    return _result(3, "ball size sandwich", ok, top == 7, detail)
+    return _result(3, "ball size sandwich", ok, detail)
 
 
-def criterion_4_bound_table(max_n: int = FULL_MAX_N) -> CriterionResult:
+def criterion_4_bound_table() -> CriterionResult:
     """All ten published comparison rows reproduce within tolerance, fast."""
     start = time.perf_counter()
     problems = bounds_mod.table1_deviations(bounds_mod.table1())
     elapsed = time.perf_counter() - start
     ok = not problems and elapsed < 1.0
     detail = f"10 rows, {elapsed:.3f}s" + (f"; {problems}" if problems else "")
-    return _result(4, "published bound table", ok, True, detail)
+    return _result(4, "published bound table", ok, detail)
 
 
-def criterion_5_syndrome_partition(max_n: int = FULL_MAX_N) -> CriterionResult:
+def criterion_5_syndrome_partition() -> CriterionResult:
     """Syndrome fibers partition S_n into codes of the designed distance."""
     start = time.perf_counter()
     bad = []
     pairs = {}
     for n, d in ((5, 3), (5, 4), (6, 3), (6, 4), (7, 3)):
-        if n > max_n:
-            continue
         enc = PairEncoder.for_n(n)
-        buckets = syndrome_classes(n, d, enc, max_n=max_n)
+        buckets = syndrome_classes(n, d, enc)
         if sum(len(ws) for ws in buckets.values()) != math.factorial(n):
             bad.append(f"(n={n}, d={d}): fiber sizes do not sum to n!")
         checked = 0
@@ -129,12 +122,12 @@ def criterion_5_syndrome_partition(max_n: int = FULL_MAX_N) -> CriterionResult:
             bad.append(f"(n={n}, d={d}): largest fiber below pigeonhole floor {floor}")
     elapsed = time.perf_counter() - start
     ok = not bad and elapsed < 300.0
-    ran = ", ".join(f"({n},{d}) {count}" for (n, d), count in pairs.items()) or "none"
+    ran = ", ".join(f"({n},{d}) {count}" for (n, d), count in pairs.items())
     detail = f"all fiber pairs checked: {ran}; {elapsed:.2f}s" + (f"; {bad[:3]}" if bad else "")
-    return _result(5, "syndrome fibers are codes", ok, max_n >= 7, detail)
+    return _result(5, "syndrome fibers are codes", ok, detail)
 
 
-def criterion_6_max_distance_codes(max_n: int = FULL_MAX_N) -> CriterionResult:
+def criterion_6_max_distance_codes() -> CriterionResult:
     """The d = n-1 families: sizes, exact distances, and pair partitions."""
     bad = []
 
@@ -162,56 +155,45 @@ def criterion_6_max_distance_codes(max_n: int = FULL_MAX_N) -> CriterionResult:
             bad.append(f"hub-cycle search claims a decomposition at n={n}")
     detail = "even n in {4..12}, n+1 prime in {4..12}, hub cycles at n=3,5,7" + (
         f"; {bad[:3]}" if bad else "")
-    return _result(6, "maximum-distance constructions", not bad, True, detail)
+    return _result(6, "maximum-distance constructions", not bad, detail)
 
 
-def criterion_7_independence_numbers(max_n: int = FULL_MAX_N) -> CriterionResult:
+def criterion_7_independence_numbers() -> CriterionResult:
     """Exact maximum code sizes from the solver: (3,2)->2, (4,2)->6, (5,4)->4."""
-    if max_n < 5:
-        return _result(7, "exact independence numbers", True, False,
-                       f"needs n=5 graphs, guard is {max_n}")
     start = time.perf_counter()
     got = {case: len(exact_independent_set(build_graph(*case)).words)
            for case in ((3, 2), (4, 2), (5, 4))}
     elapsed = time.perf_counter() - start
     want = {(3, 2): 2, (4, 2): 6, (5, 4): 4}
     ok = got == want and elapsed < 300.0
-    return _result(7, "exact independence numbers", ok, True, f"{got}, {elapsed:.2f}s")
+    return _result(7, "exact independence numbers", ok, f"{got}, {elapsed:.2f}s")
 
 
-def criterion_8_graph_structure(max_n: int = FULL_MAX_N) -> CriterionResult:
+def criterion_8_graph_structure() -> CriterionResult:
     """Regularity of the full graphs and absence of zero-overlap ring edges."""
     bad = []
-    reg_top = min(6, max_n)
-    for n in range(3, reg_top + 1):
-        profile = enumerate_spheres(n, max_n=max_n)
+    for n in range(3, 7):
+        profile = enumerate_spheres(n)
         for d in range(1, 5):
-            g = build_graph(n, d, max_n=max_n)
+            g = build_graph(n, d)
             expected = profile.ball(min(d - 1, n - 1)) - 1
             if any(deg != expected for deg in g.degrees()):
                 bad.append(f"G({n},{d}) not {expected}-regular")
-    ring_top = min(7, max_n)
-    for n in range(3, ring_top + 1):
+    for n in range(3, 8):
         for d in (3, 4):
-            stats = neighborhood_stats(n, d, max_n=max_n)
+            stats = neighborhood_stats(n, d)
             if stats.zero_x_edge_count != 0:
                 bad.append(f"({n},{d}): {stats.zero_x_edge_count} zero-overlap edges")
-    detail = (f"regularity n<={reg_top}, ring check n<={ring_top}"
-              + (f"; {bad[:3]}" if bad else ""))
-    complete = reg_top == 6 and ring_top == 7
-    return _result(8, "graph structure", not bad, complete, detail)
+    detail = "regularity n<=6, ring check n<=7" + (f"; {bad[:3]}" if bad else "")
+    return _result(8, "graph structure", not bad, detail)
 
 
-def criterion_9_metric_axioms(max_n: int = FULL_MAX_N) -> CriterionResult:
+def criterion_9_metric_axioms() -> CriterionResult:
     """Symmetry, left-invariance and the triangle inequality, exhaustively on
     S_4 and S_5 and on 10^5 random triples in S_7."""
     start = time.perf_counter()
     violations = 0
-    exhausted = []
     for n in (4, 5):
-        if n > max_n:
-            continue
-        exhausted.append(n)
         perms = list(itertools.permutations(range(1, n + 1)))
         size = len(perms)
         sets = [frozenset(zip(p, p[1:])) for p in perms]
@@ -242,32 +224,28 @@ def criterion_9_metric_axioms(max_n: int = FULL_MAX_N) -> CriterionResult:
             for j in range(size):
                 if (table[i][j] == 0) != (i == j):
                     violations += 1
-    sampled = 0
-    if max_n >= 7:
-        rng = random.Random(2759)
-        labels = list(range(1, 8))
-        for _ in range(100_000):
-            a = tuple(rng.sample(labels, 7))
-            b = tuple(rng.sample(labels, 7))
-            c = tuple(rng.sample(labels, 7))
-            sa, sb, sc = (frozenset(zip(p, p[1:])) for p in (a, b, c))
-            dab = len(sa - sb)
-            if dab != len(sb - sa):
-                violations += 1
-            if block_distance(compose(c, a), compose(c, b)) != dab:
-                violations += 1
-            if len(sa - sc) > dab + len(sb - sc):
-                violations += 1
-            sampled += 1
+    rng = random.Random(2759)
+    labels = list(range(1, 8))
+    for _ in range(100_000):
+        a = tuple(rng.sample(labels, 7))
+        b = tuple(rng.sample(labels, 7))
+        c = tuple(rng.sample(labels, 7))
+        sa, sb, sc = (frozenset(zip(p, p[1:])) for p in (a, b, c))
+        dab = len(sa - sb)
+        if dab != len(sb - sa):
+            violations += 1
+        if block_distance(compose(c, a), compose(c, b)) != dab:
+            violations += 1
+        if len(sa - sc) > dab + len(sb - sc):
+            violations += 1
     elapsed = time.perf_counter() - start
     ok = violations == 0
-    ran = ", ".join(f"S_{n}" for n in exhausted) or "none"
-    detail = f"exhaustive on {ran}; {sampled} random S_7 triples; " \
+    detail = f"exhaustive on S_4, S_5; 100000 random S_7 triples; " \
              f"{violations} violations, {elapsed:.2f}s"
-    return _result(9, "metric axioms", ok, max_n >= 7, detail)
+    return _result(9, "metric axioms", ok, detail)
 
 
-def criterion_10_asymptotics_substitute(max_n: int = FULL_MAX_N) -> CriterionResult:
+def criterion_10_asymptotics_substitute() -> CriterionResult:
     """The asymptotic improvement claims are out of desk scale by declaration;
     the finite stand-in plugs measured graph parameters into the independence
     formula and checks it does not exceed the measured optimum on (4, 3)."""
@@ -277,7 +255,7 @@ def criterion_10_asymptotics_substitute(max_n: int = FULL_MAX_N) -> CriterionRes
     ok = value <= alpha
     detail = (f"formula {value:.3f} <= measured maximum {alpha} on (4,3); "
               f"asymptotic statements themselves declared untestable at desk scale")
-    return _result(10, "asymptotics stand-in", ok, True, detail)
+    return _result(10, "asymptotics stand-in", ok, detail)
 
 
 CRITERIA = (
@@ -294,8 +272,8 @@ CRITERIA = (
 )
 
 
-def run_all(max_n: int = FULL_MAX_N) -> list[CriterionResult]:
-    return [fn(max_n=max_n) for fn in CRITERIA]
+def run_all() -> list[CriterionResult]:
+    return [fn() for fn in CRITERIA]
 
 
 def format_result(result: CriterionResult) -> str:

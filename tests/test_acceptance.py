@@ -1,6 +1,6 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
-Each test prints one PASS/FAIL/SKIP line (visible with ``pytest -s`` or in
+Each test prints one PASS/FAIL line (visible with ``pytest -s`` or in
 captured output).  Nine criteria must pass.  Criterion 4 compares the
 new-bound column against the published reference table at tolerance +-1;
 the (18, 11) reference entry disagrees with its own defining formula by
@@ -21,7 +21,7 @@ from blockperm.bounds import TABLE1_PUBLISHED
 
 @pytest.fixture(scope="module")
 def results():
-    return {r.number: r for r in selftest.run_all(max_n=7)}
+    return {r.number: r for r in selftest.run_all()}
 
 
 def _expected_table_erratum() -> str:
@@ -35,7 +35,6 @@ def _expected_table_erratum() -> str:
 def test_criterion(results, number):
     result = results[number]
     print(selftest.format_result(result))
-    assert result.status != "skip", f"criterion {number} did not run completely"
     if number != 4:
         assert result.status == "pass", selftest.format_result(result)
         return

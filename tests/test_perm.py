@@ -6,6 +6,7 @@ import random
 import pytest
 
 from blockperm.perm import (
+    DEFINITION_SEARCH_MAX_N,
     block_distance,
     char_set,
     char_set_payload,
@@ -99,14 +100,19 @@ def test_is_minimal():
 
 
 def test_distance_by_definition_worked_example():
-    assert distance_by_definition(WORKED_P1, WORKED_P2, max_n=9) == 3
-    assert distance_by_definition(WORKED_P1, WORKED_P1, max_n=9) == 0
+    assert distance_by_definition(WORKED_P1, WORKED_P2) == 3
+    assert distance_by_definition(WORKED_P1, WORKED_P1) == 0
     assert distance_by_definition((1, 2, 3, 4), (3, 4, 1, 2)) == 1
 
 
 def test_distance_by_definition_guards():
-    with pytest.raises(ValueError):
-        distance_by_definition(WORKED_P1, WORKED_P2)  # default guard is 8
+    assert DEFINITION_SEARCH_MAX_N == 16
+    top = identity(16)
+    # reversal is at distance n - 1, so every one of the 2^15 cut sets is tried
+    assert distance_by_definition(top, top[::-1]) == 15
+    with pytest.raises(ValueError, match="exceeds search guard 16"):
+        distance_by_definition(identity(17), identity(17))
+    assert distance_by_definition(identity(17), identity(17), max_n=17) == 0
     with pytest.raises(ValueError):
         distance_by_definition((1, 2), (1, 2, 3))
 
