@@ -27,7 +27,7 @@ print(f"graph on S_4 with edges below distance 3: {len(g.vertices)} vertices, "
 stats = neighborhood_stats(4, 3)
 print(f"one neighborhood: degree {stats.delta}, {stats.p_edges} internal edges, "
       f"{stats.triangle_count} triangles, {stats.zero_x_edge_count} zero-overlap ring edges")
-print(f"locally-sparse independence formula gives >= {jv_lower_formula(4, 3, stats):.3f}\n")
+print(f"locally-sparse independence formula gives >= {jv_lower_formula(stats):.3f}\n")
 
 print("greedy vs exact maximum independent sets (= maximum code sizes):\n")
 print(f"{'n':>3} {'d':>3} {'greedy':>7} {'exact':>6}")

@@ -6,8 +6,8 @@ For odd minimum distance d = 2t+1 the classical pair is
     gv_lower:   n! / |ball(n, 2t)|  <=  max code size  <=  n! / |ball(n, t)|   :sp_upper
 
 where balls are counted exactly at any n (``ball_size_exact``) or, in
-estimate mode, replaced by the *upper* product of ``ball_size_bounds``,
-which needs the radius to satisfy ``sandwich_applies``.  On the
+estimate mode (``exact=False``), replaced by the *upper* product of
+``ball_size_bounds``, which needs the radius to satisfy ``sandwich_applies``.  On the
 sphere-packing side that estimate is (n-t-1)!, a floor of the true
 sphere-packing value and the conventional way these tables are quoted.
 
@@ -22,7 +22,7 @@ rounded up, upper bounds down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .enumeration import ball_size_bounds, ball_size_exact, sandwich_applies
@@ -55,31 +55,26 @@ def _odd_radius(d: int) -> int:
     return (d - 1) // 2
 
 
-def _group_over_ball(n: int, r: int, mode: str) -> tuple[int, int]:
-    """divmod(n!, |ball(n, r)|), the ball counted exactly ("exact") or
-    replaced by its upper product ("estimate")."""
-    if mode == "exact":
-        ball = ball_size_exact(n, min(r, n - 1)).size
-    elif mode == "estimate":
-        ball = ball_size_bounds(n, r)[1]
-    else:
-        raise ValueError(f"mode must be 'exact' or 'estimate', got {mode!r}")
+def _group_over_ball(n: int, r: int, *, exact: bool) -> tuple[int, int]:
+    """divmod(n!, |ball(n, r)|), the ball counted exactly or, in estimate
+    mode, replaced by its upper product."""
+    ball = ball_size_exact(n, min(r, n - 1)).size if exact else ball_size_bounds(n, r)[1]
     return divmod(math.factorial(n), ball)
 
 
-def gv_lower(n: int, d: int, mode: str = "exact") -> int:
+def gv_lower(n: int, d: int, *, exact: bool = True) -> int:
     """Existence lower bound ceil(n! / |ball(n, d-1)|) for odd d."""
-    quotient, remainder = _group_over_ball(n, 2 * _odd_radius(d), mode)
+    quotient, remainder = _group_over_ball(n, 2 * _odd_radius(d), exact=exact)
     return quotient + (remainder > 0)
 
 
-def sp_upper(n: int, d: int, mode: str = "exact") -> int:
+def sp_upper(n: int, d: int, *, exact: bool = True) -> int:
     """Packing upper bound floor(n! / |ball(n, t)|) for odd d = 2t+1.
 
-    In "estimate" mode the ball is replaced by its upper product, giving
+    In estimate mode the ball is replaced by its upper product, giving
     (n-t-1)!, an optimistic floor of the true sphere-packing value.
     """
-    return _group_over_ball(n, _odd_radius(d), mode)[0]
+    return _group_over_ball(n, _odd_radius(d), exact=exact)[0]
 
 
 def new_upper(n: int, d: int) -> tuple[Fraction, int]:
@@ -145,12 +140,11 @@ class BoundReport:
 def bound_report(n: int, d: int, exact: bool = False) -> BoundReport:
     bd = d if d % 2 else d + 1
     t = (bd - 1) // 2
-    mode = "exact" if exact else "estimate"
     gv = sp = None
     if exact or sandwich_applies(n, 2 * t):
-        gv = gv_lower(n, bd, mode)
+        gv = gv_lower(n, bd, exact=exact)
     if exact or sandwich_applies(n, t):
-        sp = sp_upper(n, bd, mode)
+        sp = sp_upper(n, bd, exact=exact)
     exact_frac, floor = new_upper(n, d)
     return BoundReport(
         n=n,
@@ -165,15 +159,14 @@ def bound_report(n: int, d: int, exact: bool = False) -> BoundReport:
     )
 
 
-def table1(rows=None) -> list[BoundReport]:
-    """Estimate-mode reports for the published comparison rows (or any rows)."""
-    rows = list(rows) if rows is not None else sorted(TABLE1_PUBLISHED)
-    return [bound_report(n, d, exact=False) for n, d in rows]
+def table1() -> list[BoundReport]:
+    """Estimate-mode reports for the published comparison rows."""
+    return [bound_report(n, d) for n, d in sorted(TABLE1_PUBLISHED)]
 
 
-def table1_deviations(reports, tolerance: int = TABLE1_TOLERANCE) -> list[str]:
+def table1_deviations(reports) -> list[str]:
     """Mismatches of reports against the published rows, empty when all agree
-    (sphere-packing exactly, new bound within the tolerance)."""
+    (sphere-packing exactly, new bound within ``TABLE1_TOLERANCE``)."""
     problems = []
     for rep in reports:
         published = TABLE1_PUBLISHED.get((rep.n, rep.d))
@@ -182,37 +175,20 @@ def table1_deviations(reports, tolerance: int = TABLE1_TOLERANCE) -> list[str]:
         sp, new = published
         if rep.sp_upper != sp:
             problems.append(f"({rep.n},{rep.d}): sphere-packing {rep.sp_upper} != published {sp}")
-        if abs(rep.new_upper - new) > tolerance:
+        if abs(rep.new_upper - new) > TABLE1_TOLERANCE:
             problems.append(f"({rep.n},{rep.d}): new bound {rep.new_upper} "
-                            f"off published {new} by more than {tolerance}")
+                            f"off published {new} by more than {TABLE1_TOLERANCE}")
     return problems
 
 
 def bound_report_payload(report: BoundReport) -> dict:
-    return {
-        "n": report.n,
-        "d": report.d,
-        "bound_distance": report.bound_distance,
-        "gv_lower": report.gv_lower,
-        "sp_upper": report.sp_upper,
-        "new_upper": report.new_upper,
-        "new_upper_exact": f"{report.new_upper_exact.numerator}/{report.new_upper_exact.denominator}",
-        "exact_mode": report.exact_mode,
-        "corollary_applies": report.corollary_applies,
-    }
+    """The report's fields as JSON values; the exact new bound as "num/den"."""
+    payload = asdict(report)
+    frac = report.new_upper_exact
+    payload["new_upper_exact"] = f"{frac.numerator}/{frac.denominator}"
+    return payload
 
 
 def bound_report_from_payload(payload: dict) -> BoundReport:
-    num, den = payload["new_upper_exact"].split("/")
-    gv, sp = payload["gv_lower"], payload["sp_upper"]
-    return BoundReport(
-        n=int(payload["n"]),
-        d=int(payload["d"]),
-        bound_distance=int(payload["bound_distance"]),
-        gv_lower=None if gv is None else int(gv),
-        sp_upper=None if sp is None else int(sp),
-        new_upper=int(payload["new_upper"]),
-        new_upper_exact=Fraction(int(num), int(den)),
-        exact_mode=bool(payload["exact_mode"]),
-        corollary_applies=bool(payload["corollary_applies"]),
-    )
+    """Inverse of ``bound_report_payload``; a missing or unknown key raises."""
+    return BoundReport(**{**payload, "new_upper_exact": Fraction(payload["new_upper_exact"])})

@@ -23,7 +23,6 @@ from .constructions import (
     HAM_SEARCH_MAX_N,
     PAIRWISE_MAX_WORDS,
     CodeBook,
-    PairEncoder,
     codebook_from_text,
     codebook_payload,
     codebook_to_text,
@@ -119,11 +118,20 @@ def cmd_ball(args) -> int:
     return 0
 
 
+def _reject_unused(args, names, mode: str) -> None:
+    """Options the chosen mode would ignore exit 1 rather than succeed silently."""
+    given = [f"--{name}" for name in names  # 0 == False, so `not in (None, False)` misses --d 0
+             if getattr(args, name) is not None and getattr(args, name) is not False]
+    if given:
+        raise ValueError(f"{', '.join(given)} not used by {mode}")
+
+
 def _print_code(code: CodeBook, args) -> int:
-    """Print a code as text or JSON, verified when it has at most --max-words words."""
-    if len(code.words) <= args.max_words:
-        code = with_verified_min_distance(code, max_words=args.max_words)
+    """Print a code as text, or as JSON that carries its minimum distance when
+    it has at most --max-words words (the text format has no place for it)."""
     if args.format == "json":
+        if len(code.words) <= args.max_words:
+            code = with_verified_min_distance(code, max_words=args.max_words)
         _emit_json(codebook_payload(code))
     else:
         sys.stdout.write(codebook_to_text(code))
@@ -140,11 +148,11 @@ def _construct(args, max_n: int) -> CodeBook | None:
     if method == "syndrome":
         if args.d is None:
             raise ValueError("--method syndrome needs --d")
-        enc = PairEncoder.for_n(n)
         if args.f is not None:
             f = tuple(int(tok) for tok in args.f.split(","))
-            return syndrome_class(n, args.d, f, enc, max_n=max_n)
-        return largest_syndrome_class(n, args.d, enc, max_n=max_n)
+            return syndrome_class(n, args.d, f, max_n=max_n)
+        return largest_syndrome_class(n, args.d, max_n=max_n)
+    _reject_unused(args, ("d", "f"), f"--method {method}")
     if method == "cyclic":
         return cyclic_class_code(n)
     if method == "even":
@@ -200,6 +208,7 @@ def _print_report_text(rep) -> None:
 
 def cmd_bounds(args) -> int:
     if args.table1:
+        _reject_unused(args, ("exact", "n", "d"), "--table1")
         reports = bounds_mod.table1()
         if args.format == "csv":
             print("n,d,sp_upper,new_upper")

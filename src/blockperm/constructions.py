@@ -5,8 +5,8 @@ design distance d.  This module builds them four ways:
 
 * syndrome classes: adjacent pairs are labelled with prime-field elements and
   each permutation is mapped to the first d-1 elementary symmetric values of
-  its labels; permutations sharing that syndrome are at distance >= d, so each
-  fiber is a code and the fibers partition S_n,
+  its labels; for 2 <= d <= n-1, permutations sharing that syndrome are at
+  distance >= d, so each fiber is a code and the fibers partition S_n,
 * cyclic-class representatives: one permutation per rotation class gives a
   distance-2 code of size (n-1)!,
 * maximum-distance families for d = n-1: an arithmetic construction for even
@@ -85,7 +85,8 @@ def select_prime(n: int) -> int:
 
 @dataclass(frozen=True)
 class PairEncoder:
-    """Orientation-insensitive labels for pairs of [n] as elements of F_q.
+    """Orientation-insensitive labels for pairs of [n] as elements of F_q,
+    q a prime at least n(n-1)/2.
 
     {x, y} maps to its lexicographic rank among the n(n-1)/2 unordered pairs,
     so two ordered pairs collide exactly when they are the same pair or each
@@ -99,6 +100,8 @@ class PairEncoder:
     def __post_init__(self):
         if self.q < self.n * (self.n - 1) // 2:
             raise ValueError(f"field size {self.q} below pair count {self.n * (self.n - 1) // 2}")
+        if not _is_prime(self.q):  # the fiber distance proof needs a field
+            raise ValueError(f"field size {self.q} is not prime")
 
     @classmethod
     def for_n(cls, n: int) -> "PairEncoder":
@@ -131,11 +134,20 @@ def syndrome(p: Perm, d: int, enc: PairEncoder) -> tuple[int, ...]:
     return tuple(es[1:])
 
 
-def syndrome_classes(n: int, d: int, enc: PairEncoder | None = None,
-                     max_n: int = DEFAULT_MAX_N) -> dict[tuple[int, ...], list[Perm]]:
-    """Partition of all of S_n into syndrome fibers (exhaustive scan)."""
+def _check_scan(n: int, d: int, max_n: int) -> None:
+    """Fibers are codes of distance d only for 2 <= d <= n-1: a word and its
+    reverse share every syndrome and lie at distance n-1."""
+    if not 2 <= d <= n - 1:
+        raise ValueError(f"syndrome codes need 2 <= d <= n-1, got (n, d) = ({n}, {d})")
     if n > max_n:
         raise ValueError(f"n={n} exceeds enumeration guard {max_n}")
+
+
+def syndrome_classes(n: int, d: int, enc: PairEncoder | None = None,
+                     max_n: int = DEFAULT_MAX_N) -> dict[tuple[int, ...], list[Perm]]:
+    """Partition of all of S_n into syndrome fibers (exhaustive scan), each a
+    code of distance >= d, for 2 <= d <= n-1."""
+    _check_scan(n, d, max_n)
     enc = enc or PairEncoder.for_n(n)
     buckets: dict[tuple[int, ...], list[Perm]] = {}
     for p in itertools.permutations(range(1, n + 1)):
@@ -150,13 +162,13 @@ def in_syndrome_class(p: Perm, d: int, f, enc: PairEncoder) -> bool:
 
 def syndrome_class(n: int, d: int, f, enc: PairEncoder | None = None,
                    max_n: int = DEFAULT_MAX_N) -> CodeBook:
-    """The code {p in S_n : syndrome(p) = f}; empty when f is missed.
+    """The code {p in S_n : syndrome(p) = f} of distance >= d, for
+    2 <= d <= n-1; empty when f is missed.
 
     For n beyond the scan guard, test individual permutations with
     ``in_syndrome_class`` instead.
     """
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds enumeration guard {max_n}")
+    _check_scan(n, d, max_n)
     enc = enc or PairEncoder.for_n(n)
     target = tuple(int(v) % enc.q for v in f)
     if len(target) != d - 1:
@@ -168,8 +180,9 @@ def syndrome_class(n: int, d: int, f, enc: PairEncoder | None = None,
 
 def largest_syndrome_class(n: int, d: int, enc: PairEncoder | None = None,
                            max_n: int = DEFAULT_MAX_N) -> CodeBook:
-    """A maximum-cardinality syndrome fiber; at least n!/q^(d-1) words by
-    pigeonhole.  Ties break toward the smallest syndrome vector."""
+    """A maximum-cardinality syndrome fiber, for 2 <= d <= n-1; at least
+    n!/q^(d-1) words by pigeonhole.  Ties break toward the smallest syndrome
+    vector."""
     buckets = syndrome_classes(n, d, enc, max_n=max_n)
     best = min(buckets, key=lambda f: (-len(buckets[f]), f))
     return CodeBook(n, d, tuple(buckets[best]), "syndrome")

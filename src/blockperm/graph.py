@@ -143,14 +143,13 @@ def neighborhood_stats(n: int, d: int, max_n: int = GRAPH_MAX_N) -> Neighborhood
     return NeighborhoodStats(n, d, delta, p_edges, triangles, zero_x)
 
 
-def jv_lower_formula(n: int, d: int, stats: NeighborhoodStats) -> float:
+def jv_lower_formula(stats: NeighborhoodStats) -> float:
     """Independence lower bound for locally sparse graphs, evaluated with the
-    measured degree and neighborhood edge count of the full (n, d) graph."""
-    if stats.n != n or stats.d != d:
-        raise ValueError(f"stats are for ({stats.n}, {stats.d}), not ({n}, {d})")
+    measured degree and neighborhood edge count of the full (n, d) graph
+    that ``stats`` describes."""
     if stats.delta < 2 or stats.p_edges < 1:
         raise ValueError("formula needs degree >= 2 and at least one neighborhood edge")
-    vertices = math.factorial(n)
+    vertices = math.factorial(stats.n)
     return vertices / (10 * stats.delta) * (
         math.log2(stats.delta) - 0.5 * math.log2(stats.p_edges / 3))
 

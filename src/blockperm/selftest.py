@@ -250,7 +250,7 @@ def criterion_10_asymptotics_substitute() -> CriterionResult:
     the finite stand-in plugs measured graph parameters into the independence
     formula and checks it does not exceed the measured optimum on (4, 3)."""
     stats = neighborhood_stats(4, 3)
-    value = jv_lower_formula(4, 3, stats)
+    value = jv_lower_formula(stats)
     alpha = len(exact_independent_set(build_graph(4, 3)).words)
     ok = value <= alpha
     detail = (f"formula {value:.3f} <= measured maximum {alpha} on (4,3); "

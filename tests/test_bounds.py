@@ -23,16 +23,16 @@ from blockperm.enumeration import ball_size_bounds, ball_size_exact
 
 
 def test_gv_lower_exact_frozen():
-    assert gv_lower(5, 3, "exact") == 6  # ceil(120 / 23)
-    assert gv_lower(5, 1, "exact") == 120  # radius-0 ball is a single point
-    assert gv_lower(4, 1, "exact") == 24
+    assert gv_lower(5, 3) == 6  # ceil(120 / 23)
+    assert gv_lower(5, 1) == 120  # radius-0 ball is a single point
+    assert gv_lower(4, 1) == 24
 
 
 def test_gv_lower_estimate_frozen():
     # ceil(13! / prod_{i=0..8}(13-i)) = ceil(13! / (13!/4!)) = 24
-    assert gv_lower(13, 9, "estimate") == 24
+    assert gv_lower(13, 9, exact=False) == 24
     with pytest.raises(ValueError):
-        gv_lower(13, 11, "estimate")  # radius 10 fails the product hypothesis
+        gv_lower(13, 11, exact=False)  # radius 10 fails the product hypothesis
 
 
 def test_bounds_reject_even_distance():
@@ -43,17 +43,10 @@ def test_bounds_reject_even_distance():
         corollary_applies(6, 4)
 
 
-def test_bounds_reject_unknown_mode():
-    with pytest.raises(ValueError):
-        gv_lower(5, 3, "guess")
-    with pytest.raises(ValueError):
-        sp_upper(5, 3, "guess")
-
-
 def test_sp_upper_frozen():
-    assert sp_upper(13, 9, "estimate") == 40320  # 8!
-    assert sp_upper(15, 11, "estimate") == 362880  # 9!
-    assert sp_upper(5, 3, "exact") == 24  # 120 / 5
+    assert sp_upper(13, 9, exact=False) == 40320  # 8!
+    assert sp_upper(15, 11, exact=False) == 362880  # 9!
+    assert sp_upper(5, 3) == 24  # 120 / 5
 
 
 def test_new_upper_frozen():
@@ -163,13 +156,13 @@ def test_known_sizes_sit_between_exact_bounds(n, d):
     # even d falls back to the next odd distance, as in bound_report
     bd = d if d % 2 else d + 1
     known = special_exact(n, d)
-    assert gv_lower(n, bd, "exact") <= known <= sp_upper(n, bd, "exact")
+    assert gv_lower(n, bd) <= known <= sp_upper(n, bd)
 
 
 def test_gv_never_exceeds_sp_exact_mode():
     for n in range(3, 8):
         for d in range(1, n, 2):
-            assert gv_lower(n, d, "exact") <= sp_upper(n, d, "exact")
+            assert gv_lower(n, d) <= sp_upper(n, d)
 
 
 def test_estimate_report_marks_unavailable_radii():
@@ -183,10 +176,26 @@ def test_bound_report_payload_round_trip():
         assert bound_report_from_payload(bound_report_payload(rep)) == rep
 
 
+def test_bound_report_payload_rejects_missing_or_unknown_keys():
+    payload = bound_report_payload(bound_report(13, 9))
+    assert payload["new_upper_exact"] == "74360/3"
+    missing = {k: v for k, v in payload.items() if k != "corollary_applies"}
+    with pytest.raises(TypeError):
+        bound_report_from_payload(missing)
+    with pytest.raises(TypeError):
+        bound_report_from_payload({**payload, "mode": "estimate"})
+
+
+def test_exact_is_keyword_only():
+    for fn in (gv_lower, sp_upper):
+        with pytest.raises(TypeError):
+            fn(5, 3, "estimate")  # a truthy string must not silently mean exact
+
+
 def test_exact_ball_backs_the_exact_bounds():
     ball = ball_size_exact(5, 2).size
     assert ball == 23
-    assert gv_lower(5, 3, "exact") == -(-math.factorial(5) // ball)
+    assert gv_lower(5, 3) == -(-math.factorial(5) // ball)
 
 
 @pytest.mark.parametrize("n,d", sorted(TABLE1_PUBLISHED))
@@ -196,12 +205,12 @@ def test_exact_bounds_on_table_rows_lie_in_the_product_brackets(n, d):
     t = (d - 1) // 2
     fact = math.factorial(n)
     lower, upper = ball_size_bounds(n, t)
-    assert fact // upper <= sp_upper(n, d, "exact") <= fact // lower
+    assert fact // upper <= sp_upper(n, d) <= fact // lower
     try:
         lower, upper = ball_size_bounds(n, 2 * t)
     except ValueError:
         return  # the GV radius fails the hypothesis on this row
-    assert -(-fact // upper) <= gv_lower(n, d, "exact") <= -(-fact // lower)
+    assert -(-fact // upper) <= gv_lower(n, d) <= -(-fact // lower)
 
 
 def test_exact_bounds_at_13_9():

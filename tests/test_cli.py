@@ -135,8 +135,9 @@ def test_bounds_print_integers_past_the_digit_limit(capsys, argv, mode):
     n, d = int(argv[2]), int(argv[4])
     with unlimited_int_digits():
         values = dict(line.split(maxsplit=1) for line in out.splitlines()[1:])
-        assert int(values["gv_lower"].split()[0]) == gv_lower(n, d, mode)
-        assert int(values["sp_upper"].split()[0]) == sp_upper(n, d, mode)
+        exact = mode == "exact"
+        assert int(values["gv_lower"].split()[0]) == gv_lower(n, d, exact=exact)
+        assert int(values["sp_upper"].split()[0]) == sp_upper(n, d, exact=exact)
         assert len(values["sp_upper"]) > 4300  # past the interpreter's default limit
 
 
@@ -201,6 +202,50 @@ def test_construct_syndrome_defaults_to_largest_class(capsys):
                        "--d", "3", "--format", "json")
     assert code == 0
     assert len(json.loads(out)["words"]) >= 1
+
+
+def test_construct_syndrome_rejects_d_past_n_minus_1(capsys):
+    code, out, err = run(capsys, "construct", "--method", "syndrome", "--n", "5", "--d", "5",
+                         "--format", "json")
+    assert (code, out) == (1, "")
+    assert err == "error: syndrome codes need 2 <= d <= n-1, got (n, d) = (5, 5)\n"
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["construct", "--method", "even", "--n", "4", "--d", "3"],
+                 "--d not used by --method even", id="construct-even-d"),
+    pytest.param(["construct", "--method", "even", "--n", "4", "--d", "3", "--f", "1,1"],
+                 "--d, --f not used by --method even", id="construct-even-d-f"),
+    pytest.param(["construct", "--method", "zn1", "--n", "4", "--f", "1"],
+                 "--f not used by --method zn1", id="construct-zn1-f"),
+    pytest.param(["construct", "--method", "cyclic", "--n", "4", "--d", "0"],
+                 "--d not used by --method cyclic", id="construct-cyclic-d-0"),
+    pytest.param(["bounds", "--table1", "--n", "0"], "--n not used by --table1",
+                 id="bounds-table1-n-0"),
+    pytest.param(["bounds", "--table1", "--exact"], "--exact not used by --table1",
+                 id="bounds-table1-exact"),
+    pytest.param(["bounds", "--table1", "--exact", "--n", "5", "--d", "3"],
+                 "--exact, --n, --d not used by --table1", id="bounds-table1-exact-n-d"),
+])
+def test_options_the_mode_ignores_exit_1(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {named}\n"
+
+
+def test_text_output_does_not_verify(capsys, monkeypatch):
+    argv = ["construct", "--method", "cyclic", "--n", "5"]
+    _, expected, _ = run(capsys, *argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("text output verified the code")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("blockperm.cli.with_verified_min_distance", refuse)
+        assert run(capsys, *argv) == (0, expected, "")
+        assert run(capsys, "graph", "--n", "4", "--d", "3", "--exact")[0] == 0
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["verified_min_distance"] == 2
 
 
 def test_construct_hamdecomp_not_found_exits_2(capsys):
@@ -381,16 +426,26 @@ def test_graph_rejects_n_0(capsys):
 
 
 @pytest.mark.parametrize("argv, field, guard", [
-    (["dist", "1 2", "2 1"], "max_n", perm.DEFINITION_SEARCH_MAX_N),
-    (["dist", "1 2", "2 1", "--check-definition"], "max_n", perm.DEFINITION_SEARCH_MAX_N),
-    (["construct", "--method", "syndrome", "--n", "4", "--d", "3"], "max_n", enumeration.DEFAULT_MAX_N),
-    (["construct", "--method", "even", "--n", "4"], "max_n", enumeration.DEFAULT_MAX_N),
-    (["construct", "--method", "even", "--n", "4"], "max_words", constructions.PAIRWISE_MAX_WORDS),
-    (["verify", "--d", "2", "x"], "max_words", constructions.PAIRWISE_MAX_WORDS),
-    (["construct", "--method", "hamdecomp", "--n", "9"], "max_n", constructions.HAM_SEARCH_MAX_N),
-    (["graph", "--n", "3", "--d", "2", "--stats"], "max_n", graph.GRAPH_MAX_N),
-    (["graph", "--n", "3", "--d", "2", "--stats"], "max_vertices", graph.EXACT_MAX_VERTICES),
-    (["graph", "--n", "3", "--d", "2", "--stats"], "max_words", constructions.PAIRWISE_MAX_WORDS),
+    pytest.param(["dist", "1 2", "2 1"], "max_n", perm.DEFINITION_SEARCH_MAX_N,
+                 id="dist-max_n"),
+    pytest.param(["dist", "1 2", "2 1", "--check-definition"], "max_n",
+                 perm.DEFINITION_SEARCH_MAX_N, id="dist-check-definition-max_n"),
+    pytest.param(["construct", "--method", "syndrome", "--n", "4", "--d", "3"], "max_n",
+                 enumeration.DEFAULT_MAX_N, id="construct-syndrome-max_n"),
+    pytest.param(["construct", "--method", "even", "--n", "4"], "max_n",
+                 enumeration.DEFAULT_MAX_N, id="construct-even-max_n"),
+    pytest.param(["construct", "--method", "even", "--n", "4"], "max_words",
+                 constructions.PAIRWISE_MAX_WORDS, id="construct-even-max_words"),
+    pytest.param(["verify", "--d", "2", "x"], "max_words", constructions.PAIRWISE_MAX_WORDS,
+                 id="verify-max_words"),
+    pytest.param(["construct", "--method", "hamdecomp", "--n", "9"], "max_n",
+                 constructions.HAM_SEARCH_MAX_N, id="construct-hamdecomp-max_n"),
+    pytest.param(["graph", "--n", "3", "--d", "2", "--stats"], "max_n", graph.GRAPH_MAX_N,
+                 id="graph-max_n"),
+    pytest.param(["graph", "--n", "3", "--d", "2", "--stats"], "max_vertices",
+                 graph.EXACT_MAX_VERTICES, id="graph-max_vertices"),
+    pytest.param(["graph", "--n", "3", "--d", "2", "--stats"], "max_words",
+                 constructions.PAIRWISE_MAX_WORDS, id="graph-max_words"),
 ])
 def test_guard_defaults_come_from_the_library(argv, field, guard):
     args = build_parser().parse_args(argv)

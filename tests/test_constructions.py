@@ -71,6 +71,12 @@ def test_pair_encoder_validation():
         enc.value(0, 3)
 
 
+@pytest.mark.parametrize("q", [10, 12, 15, 16])
+def test_pair_encoder_rejects_a_composite_field_size(q):
+    with pytest.raises(ValueError, match="not prime"):
+        PairEncoder(5, q)
+
+
 def test_pair_encoder_minimal_field():
     enc = PairEncoder(3, 3)  # image fills the whole field
     assert sorted(enc.value(a, b) for a in (1, 2, 3) for b in range(a + 1, 4)) == [0, 1, 2]
@@ -153,6 +159,22 @@ def test_syndrome_fibers_partition_and_separate(d):
     for words in buckets.values():
         for a, b in itertools.combinations(words, 2):
             assert block_distance(a, b) >= d
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_syndrome_fibers_are_codes_over_the_whole_range(n):
+    enc = PairEncoder.for_n(n)
+    for d in range(2, n):
+        for words in syndrome_classes(n, d, enc).values():
+            assert verify_min_distance(CodeBook(n, d, tuple(words), "syndrome")) >= d
+    # a word and its reverse share every syndrome at distance n-1
+    for d in (n, n + 1):
+        with pytest.raises(ValueError, match="2 <= d <= n-1"):
+            syndrome_classes(n, d, enc)
+        with pytest.raises(ValueError, match="2 <= d <= n-1"):
+            syndrome_class(n, d, (0,) * (d - 1), enc)
+        with pytest.raises(ValueError, match="2 <= d <= n-1"):
+            largest_syndrome_class(n, d, enc)
 
 
 def test_largest_syndrome_class_pigeonhole():

@@ -125,7 +125,7 @@ def test_zero_x_edges_only_at_distance_2(n):
 
 def test_jv_formula_plugin():
     stats = neighborhood_stats(4, 3)
-    value = jv_lower_formula(4, 3, stats)
+    value = jv_lower_formula(stats)
     expected = 24 / (10 * stats.delta) * (
         math.log2(stats.delta) - 0.5 * math.log2(stats.p_edges / 3))
     assert value == pytest.approx(expected)
@@ -139,15 +139,12 @@ def test_jv_formula_low_neighborhood_edges_floor():
     for p_edges in (1, 2, 3):  # log2(P/3) <= 0, so the degree term is a floor
         stats = NeighborhoodStats(4, 3, delta=12, p_edges=p_edges,
                                   triangle_count=0, zero_x_edge_count=0)
-        assert jv_lower_formula(4, 3, stats) >= 24 * math.log2(12) / 120
+        assert jv_lower_formula(stats) >= 24 * math.log2(12) / 120
 
 
 def test_jv_formula_validation():
-    stats = neighborhood_stats(4, 3)
     with pytest.raises(ValueError):
-        jv_lower_formula(5, 3, stats)
-    with pytest.raises(ValueError):
-        jv_lower_formula(4, 1, neighborhood_stats(4, 1))  # degree 0: logs undefined
+        jv_lower_formula(neighborhood_stats(4, 1))  # degree 0: logs undefined
 
 
 @pytest.mark.parametrize("order", ["lexicographic", "degree"])
@@ -185,7 +182,7 @@ def test_exact_at_least_greedy_at_least_gv():
     g = build_graph(5, 3)
     exact = len(exact_independent_set(g).words)
     greedy = len(greedy_independent_set(g).words)
-    assert exact >= greedy >= gv_lower(5, 3, "exact")
+    assert exact >= greedy >= gv_lower(5, 3)
 
 
 STAR = [(1, 2, 3, 4, 5), (2, 1, 3, 4, 5), (1, 2, 3, 5, 4)]
