@@ -120,18 +120,25 @@ def cmd_ball(args) -> int:
 
 def _reject_unused(args, names, mode: str) -> None:
     """Options the chosen mode would ignore exit 1 rather than succeed silently."""
-    given = [f"--{name}" for name in names  # 0 == False, so `not in (None, False)` misses --d 0
+    # 0 == False, so `not in (None, False)` misses --d 0
+    given = [f"--{name.replace('_', '-')}" for name in names
              if getattr(args, name) is not None and getattr(args, name) is not False]
     if given:
         raise ValueError(f"{', '.join(given)} not used by {mode}")
+
+
+def _code_max_words(args) -> int:
+    """--max-words of construct and graph, read only by their JSON output."""
+    return PAIRWISE_MAX_WORDS if args.max_words is None else args.max_words
 
 
 def _print_code(code: CodeBook, args) -> int:
     """Print a code as text, or as JSON that carries its minimum distance when
     it has at most --max-words words (the text format has no place for it)."""
     if args.format == "json":
-        if len(code.words) <= args.max_words:
-            code = with_verified_min_distance(code, max_words=args.max_words)
+        max_words = _code_max_words(args)
+        if len(code.words) <= max_words:
+            code = with_verified_min_distance(code, max_words=max_words)
         _emit_json(codebook_payload(code))
     else:
         sys.stdout.write(codebook_to_text(code))
@@ -165,6 +172,8 @@ def _construct(args, max_n: int) -> CodeBook | None:
 
 
 def cmd_construct(args) -> int:
+    if args.format == "text":
+        _reject_unused(args, ("max_words",), "--format text")
     default = _construct_max_n(args.method)
     max_n = default if args.max_n is None else args.max_n
     if args.method in ("syndrome", "hamdecomp"):  # the other methods read no guard
@@ -214,6 +223,8 @@ def cmd_bounds(args) -> int:
             print("n,d,sp_upper,new_upper")
             for rep in reports:
                 print(f"{rep.n},{rep.d},{rep.sp_upper},{rep.new_upper}")
+        elif args.format == "json":
+            _emit_json([bounds_mod.bound_report_payload(rep) for rep in reports])
         else:
             print(f"{'n':>3} {'d':>3} {'sphere-packing':>16} {'new-upper':>12}")
             for rep in reports:
@@ -235,6 +246,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    if args.stats or args.format == "text":  # stats print no code to verify
+        _reject_unused(args, ("max_words",), "--stats" if args.stats else "--format text")
     _warn_guard("graph n", args.max_n, GRAPH_MAX_N)
     if args.stats:
         stats = neighborhood_stats(args.n, args.d, max_n=args.max_n)
@@ -297,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", default=None, help="comma-separated syndrome, e.g. 1,1")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--max-n", type=int, default=None)  # per method: _construct_max_n
-    p.add_argument("--max-words", type=int, default=PAIRWISE_MAX_WORDS)
+    p.add_argument("--max-words", type=int, default=None)  # JSON only: _code_max_words
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="check a code file against a required distance")
@@ -324,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--max-n", type=int, default=GRAPH_MAX_N)
     p.add_argument("--max-vertices", type=int, default=EXACT_MAX_VERTICES)
-    p.add_argument("--max-words", type=int, default=PAIRWISE_MAX_WORDS)
+    p.add_argument("--max-words", type=int, default=None)  # JSON only: _code_max_words
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("selftest", help="run the acceptance checks")

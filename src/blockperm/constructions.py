@@ -134,25 +134,79 @@ def syndrome(p: Perm, d: int, enc: PairEncoder) -> tuple[int, ...]:
     return tuple(es[1:])
 
 
-def _check_scan(n: int, d: int, max_n: int) -> None:
-    """Fibers are codes of distance d only for 2 <= d <= n-1: a word and its
-    reverse share every syndrome and lie at distance n-1."""
+def _scan_fibers(n: int, d: int, enc: PairEncoder | None, max_n: int, target=None):
+    """The syndrome fibers of S_n, or only target's fiber (if hit) when a
+    target is given, keyed in the order of each fiber's first word, every
+    fiber's words in lexicographic order.
+
+    One depth-first walk over prefixes stands in for a syndrome per
+    permutation.  Each prefix carries its exact elementary symmetric values
+    e_0 = 1, e_1, ..., e_{d-1} (the product of 1 + g x over its pair labels
+    g, cut at degree d-1) packed `width` bits apart in one integer, so a
+    label enters by one shift, multiply, mask and add, once per prefix:
+    sum_{j=2..n} n!/(n-j)! updates, about e·n!, against (n-1)·n!.  `width`
+    holds the largest exact value, C(n-1, k)·(q-1)^k, so the packed values
+    never carry into each other; each permutation reduces its own mod q.
+    """
+    # Fibers are codes of distance d only for 2 <= d <= n-1: a word and its
+    # reverse share every syndrome and lie at distance n-1.
     if not 2 <= d <= n - 1:
         raise ValueError(f"syndrome codes need 2 <= d <= n-1, got (n, d) = ({n}, {d})")
     if n > max_n:
         raise ValueError(f"n={n} exceeds enumeration guard {max_n}")
+    enc = enc or PairEncoder.for_n(n)
+    if enc.n != n:
+        raise ValueError(f"permutation size {n} does not match encoder n={enc.n}")
+    q = enc.q
+    if target is not None:
+        target = tuple(int(v) % q for v in target)
+        if len(target) != d - 1:
+            raise ValueError(f"syndrome must have d-1 = {d - 1} coordinates, got {len(target)}")
+    labels = tuple(range(1, n + 1))
+    label = {a: {b: enc.value(a, b) for b in labels if b != a} for a in labels}
+    width = max(math.comb(n - 1, k) * (q - 1) ** k for k in range(d)).bit_length()
+    scan = (label, width, (1 << width * d) - 1, (1 << width) - 1,
+            range(width, width * d, width), q, target)
+    buckets: dict[tuple[int, ...], list[Perm]] = {}
+    for i, first in enumerate(labels):
+        _walk_fibers((first,), labels[:i] + labels[i + 1:], 1, scan, buckets)
+    return buckets
+
+
+def _walk_fibers(prefix, rest, poly, scan, buckets) -> None:
+    """File each completion of prefix by the increasing labels rest, in
+    lexicographic order, under its syndrome; poly packs prefix's exact
+    elementary symmetric values (see ``_scan_fibers``).
+
+    Not a closure: one that calls itself is a reference cycle, which keeps
+    each scan's buckets alive until a full collection.
+    """
+    label, width, mask, lane, shifts, q, target = scan
+    row = label[prefix[-1]]
+    if len(rest) == 2:  # both completions here, saving a call per permutation
+        a, b = rest
+        for x, y in ((a, b), (b, a)):
+            packed = poly + (row[x] * (poly << width) & mask)
+            packed += label[x][y] * (packed << width) & mask
+            key = tuple([(packed >> shift & lane) % q for shift in shifts])
+            if target is None or key == target:
+                buckets.setdefault(key, []).append(prefix + (x, y))
+        return
+    for i, v in enumerate(rest):
+        _walk_fibers(prefix + (v,), rest[:i] + rest[i + 1:],
+                     poly + (row[v] * (poly << width) & mask), scan, buckets)
 
 
 def syndrome_classes(n: int, d: int, enc: PairEncoder | None = None,
                      max_n: int = DEFAULT_MAX_N) -> dict[tuple[int, ...], list[Perm]]:
-    """Partition of all of S_n into syndrome fibers (exhaustive scan), each a
-    code of distance >= d, for 2 <= d <= n-1."""
-    _check_scan(n, d, max_n)
-    enc = enc or PairEncoder.for_n(n)
-    buckets: dict[tuple[int, ...], list[Perm]] = {}
-    for p in itertools.permutations(range(1, n + 1)):
-        buckets.setdefault(syndrome(p, d, enc), []).append(p)
-    return buckets
+    """Partition of all of S_n into syndrome fibers, each a code of distance
+    >= d, for 2 <= d <= n-1.
+
+    Keys come in the order of their fiber's first word and words in
+    lexicographic order, as bucketing ``itertools.permutations`` by
+    ``syndrome`` gives; one prefix-sharing walk computes them.
+    """
+    return _scan_fibers(n, d, enc, max_n)
 
 
 def in_syndrome_class(p: Perm, d: int, f, enc: PairEncoder) -> bool:
@@ -163,19 +217,14 @@ def in_syndrome_class(p: Perm, d: int, f, enc: PairEncoder) -> bool:
 def syndrome_class(n: int, d: int, f, enc: PairEncoder | None = None,
                    max_n: int = DEFAULT_MAX_N) -> CodeBook:
     """The code {p in S_n : syndrome(p) = f} of distance >= d, for
-    2 <= d <= n-1; empty when f is missed.
+    2 <= d <= n-1, words in lexicographic order; empty when f is missed.
 
-    For n beyond the scan guard, test individual permutations with
+    The same walk as ``syndrome_classes``, filing only f's fiber.  For n
+    beyond the scan guard, test individual permutations with
     ``in_syndrome_class`` instead.
     """
-    _check_scan(n, d, max_n)
-    enc = enc or PairEncoder.for_n(n)
-    target = tuple(int(v) % enc.q for v in f)
-    if len(target) != d - 1:
-        raise ValueError(f"syndrome must have d-1 = {d - 1} coordinates, got {len(target)}")
-    words = tuple(p for p in itertools.permutations(range(1, n + 1))
-                  if syndrome(p, d, enc) == target)
-    return CodeBook(n, d, words, "syndrome")
+    fiber = _scan_fibers(n, d, enc, max_n, target=f)  # f's fiber, or nothing
+    return CodeBook(n, d, tuple(w for words in fiber.values() for w in words), "syndrome")
 
 
 def largest_syndrome_class(n: int, d: int, enc: PairEncoder | None = None,

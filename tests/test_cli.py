@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockperm import constructions, enumeration, graph, perm, selftest
-from blockperm.bounds import bound_report_from_payload, gv_lower, sp_upper
-from blockperm.cli import _construct_max_n, _read_codebook, build_parser, main
+from blockperm.bounds import bound_report_from_payload, gv_lower, sp_upper, table1
+from blockperm.cli import _code_max_words, _construct_max_n, _read_codebook, build_parser, main
 from blockperm.constructions import codebook_from_payload, codebook_from_text, even_n_code, codebook_to_text
 from blockperm.enumeration import sphere_profile_from_payload, enumerate_spheres
 
@@ -226,6 +226,15 @@ def test_construct_syndrome_rejects_d_past_n_minus_1(capsys):
                  id="bounds-table1-exact"),
     pytest.param(["bounds", "--table1", "--exact", "--n", "5", "--d", "3"],
                  "--exact, --n, --d not used by --table1", id="bounds-table1-exact-n-d"),
+    pytest.param(["construct", "--method", "cyclic", "--n", "8", "--max-words", "3"],
+                 "--max-words not used by --format text", id="construct-text-max-words"),
+    pytest.param(["construct", "--method", "syndrome", "--n", "5", "--d", "3", "--max-words",
+                  "0"], "--max-words not used by --format text", id="construct-text-max-words-0"),
+    pytest.param(["graph", "--n", "4", "--d", "3", "--greedy", "--max-words", "3"],
+                 "--max-words not used by --format text", id="graph-text-max-words"),
+    pytest.param(["graph", "--n", "4", "--d", "3", "--stats", "--format", "json",
+                  "--max-words", "3"], "--max-words not used by --stats",
+                 id="graph-stats-max-words"),
 ])
 def test_options_the_mode_ignores_exit_1(capsys, argv, named):
     code, out, err = run(capsys, *argv)
@@ -396,6 +405,22 @@ def test_bounds_table_reports_known_reference_deviation(capsys):
     assert "deviation" in err and "(18,11)" in err
 
 
+def test_bounds_table_json_rows_read_back(capsys):
+    code, out, err = run(capsys, "bounds", "--table1", "--format", "json")
+    assert code == 2  # the (18, 11) deviation, as for text and CSV
+    assert err == run(capsys, "bounds", "--table1")[2]
+    rows = [bound_report_from_payload(row) for row in json.loads(out)]
+    assert rows == table1()
+
+
+def test_code_json_reads_max_words(capsys):
+    argv = ["construct", "--method", "cyclic", "--n", "4", "--format", "json"]
+    assert json.loads(run(capsys, *argv)[1])["verified_min_distance"] == 2
+    assert json.loads(run(capsys, *argv, "--max-words", "5")[1])["verified_min_distance"] is None
+    argv = ["graph", "--n", "4", "--d", "3", "--greedy", "--format", "json", "--max-words", "1"]
+    assert json.loads(run(capsys, *argv)[1])["verified_min_distance"] is None
+
+
 def test_bounds_table_csv_deterministic(capsys):
     _, first, _ = run(capsys, "bounds", "--table1", "--format", "csv")
     _, second, _ = run(capsys, "bounds", "--table1", "--format", "csv")
@@ -453,6 +478,9 @@ def test_guard_defaults_come_from_the_library(argv, field, guard):
     if args.subcommand == "construct" and field == "max_n":
         assert value is None  # resolved per method when the command runs
         value = _construct_max_n(args.method)
+    if args.subcommand in ("construct", "graph") and field == "max_words":
+        assert value is None  # resolved when JSON output verifies the code
+        value = _code_max_words(args)
     assert value == guard
 
 

@@ -1,5 +1,6 @@
 """Syndrome codes, the explicit families, and code verification."""
 
+import gc
 import itertools
 import math
 import random
@@ -183,6 +184,50 @@ def test_largest_syndrome_class_pigeonhole():
         code = largest_syndrome_class(n, d, enc)
         assert len(code.words) >= -(-math.factorial(n) // enc.q ** (d - 1))
     assert len(largest_syndrome_class(6, 3).words) >= 3
+
+
+def _fibers_by_syndrome(n, d, enc):
+    """The per-permutation route: bucket every permutation by ``syndrome``."""
+    buckets = {}
+    for p in itertools.permutations(range(1, n + 1)):
+        buckets.setdefault(syndrome(p, d, enc), []).append(p)
+    return buckets
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(3, 8) for d in range(2, n)] + [(8, 3)])
+def test_fiber_walk_matches_per_permutation_syndromes(n, d):
+    enc = PairEncoder.for_n(n)
+    expected = _fibers_by_syndrome(n, d, enc)
+    # same keys in the same order, each fiber's words in the same order
+    assert list(syndrome_classes(n, d, enc).items()) == list(expected.items())
+    if n > 6:
+        return
+    for f, words in expected.items():
+        assert syndrome_class(n, d, f, enc).words == tuple(words)
+    assert syndrome_class(n, d, [v + enc.q for v in f], enc).words == tuple(words)
+    missed = (f for f in itertools.product(range(enc.q), repeat=d - 1) if f not in expected)
+    for f in itertools.islice(missed, 5):
+        assert syndrome_class(n, d, f, enc).words == ()
+
+
+def test_fiber_scans_reject_an_encoder_of_another_size():
+    for scan in (lambda: syndrome_classes(5, 3, PairEncoder.for_n(6)),
+                 lambda: syndrome_class(5, 3, (0, 0), PairEncoder.for_n(4))):
+        with pytest.raises(ValueError, match="does not match encoder"):
+            scan()
+
+
+def test_fiber_scans_leave_no_reference_cycles():
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        syndrome_classes(6, 3)
+        syndrome_class(6, 3, (1, 1))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_cyclic_class_code():
