@@ -5,9 +5,10 @@ files hold one permutation per line, with code files carrying a
 "n d provenance" header: a first line that is a permutation starts a bare
 file, any other first line is the header.  Exit codes: 0 success,
 1 validation error, 2 verification failure.  Size guards (``--max-n``,
-``--max-words``, ``--max-vertices``) default to the library's constants and
-stop the full-group scans and searches; spheres, balls and bounds are closed
-forms and need none, and ``selftest`` runs fixed sizes within the defaults.
+``--max-words``, ``--max-vertices``) default to the library's constants in
+the modes that read them, and stop the full-group scans and searches;
+spheres, balls and bounds are closed forms and need none, and ``selftest``
+runs fixed sizes within the defaults.
 Integers print in full, however many digits they have.
 """
 
@@ -74,11 +75,14 @@ def cmd_dist(args) -> int:
     p2 = parse_permutation(args.perm2)
     dist = block_distance(p1, p2)
     if args.check_definition:
-        _warn_guard("cut-search n", args.max_n, DEFINITION_SEARCH_MAX_N)
-        slow = distance_by_definition(p1, p2, max_n=args.max_n)
+        max_n = DEFINITION_SEARCH_MAX_N if args.max_n is None else args.max_n
+        _warn_guard("cut-search n", max_n, DEFINITION_SEARCH_MAX_N)
+        slow = distance_by_definition(p1, p2, max_n=max_n)
         if slow != dist:
             print(f"mismatch: pair-count {dist} vs cut-search {slow}", file=sys.stderr)
             return 2
+    else:
+        _reject_unused(args, ("max_n",), "dist without --check-definition")
     if args.format == "json":
         _emit_json({"distance": dist, "n": len(p1)})
     else:
@@ -248,6 +252,8 @@ def cmd_bounds(args) -> int:
 def cmd_graph(args) -> int:
     if args.stats or args.format == "text":  # stats print no code to verify
         _reject_unused(args, ("max_words",), "--stats" if args.stats else "--format text")
+    if not args.exact:
+        _reject_unused(args, ("max_vertices",), "--stats" if args.stats else "--greedy")
     _warn_guard("graph n", args.max_n, GRAPH_MAX_N)
     if args.stats:
         stats = neighborhood_stats(args.n, args.d, max_n=args.max_n)
@@ -255,7 +261,8 @@ def cmd_graph(args) -> int:
         return 0
     g = build_graph(args.n, args.d, max_n=args.max_n)
     if args.exact:
-        code = exact_independent_set(g, max_vertices=args.max_vertices)
+        max_vertices = EXACT_MAX_VERTICES if args.max_vertices is None else args.max_vertices
+        code = exact_independent_set(g, max_vertices=max_vertices)
     else:  # the full graph is regular, so a degree-first sweep would visit the same order
         code = greedy_independent_set(g)
     return _print_code(code, args)
@@ -283,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-definition", action="store_true",
                    help="cross-check with the cut-and-reorder search")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-n", type=int, default=DEFINITION_SEARCH_MAX_N)
+    p.add_argument("--max-n", type=int, default=None)  # --check-definition only
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("charset", help="characteristic set of a permutation as JSON")
@@ -336,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exact", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--max-n", type=int, default=GRAPH_MAX_N)
-    p.add_argument("--max-vertices", type=int, default=EXACT_MAX_VERTICES)
+    p.add_argument("--max-vertices", type=int, default=None)  # --exact only
     p.add_argument("--max-words", type=int, default=None)  # JSON only: _code_max_words
     p.set_defaults(func=cmd_graph)
 

@@ -17,7 +17,7 @@ from operator import itemgetter
 
 from .constructions import CodeBook
 from .enumeration import identity_sphere
-from .perm import Perm, char_set, identity
+from .perm import Perm, identity
 
 GRAPH_MAX_N = 7
 EXACT_MAX_VERTICES = 1000
@@ -67,27 +67,54 @@ def _identity_ball(n: int, radius: int) -> list[tuple[Perm, int]]:
     return [(s, k) for k in range(1, min(radius, n - 1) + 1) for s in identity_sphere(n, k)]
 
 
-def graph_on(vertices, d: int) -> BlockGraph:
-    """Explicit graph on the given permutations; edge iff 0 < distance < d.
+def _pair_masks(perms, n: int) -> list[int]:
+    """Each characteristic set as an int: bit (a-1)·n + (b-1) marks the pair
+    (a, b), so popcount(mask_p & mask_q) counts the pairs p and q share."""
+    return [sum(1 << (a - 1) * n + b - 1 for a, b in zip(p, p[1:])) for p in perms]
 
-    Compares every pair, so it serves any vertex subset; it is also the
-    reference that ``build_graph`` is tested against.
+
+def _later_neighbors(masks: list[int], n: int, d: int) -> list[list[int]]:
+    """Row i lists, in increasing order, the j > i with 0 < distance < d.
+
+    Both characteristic sets hold n-1 pairs, so the distance is n-1 minus
+    the shared count, and 0 < distance < d exactly when
+    n-d <= popcount(mi & mj) <= n-2.
+    """
+    lo, hi = n - d, n - 2
+    return [[j for j in range(i + 1, len(masks)) if lo <= (mi & masks[j]).bit_count() <= hi]
+            for i, mi in enumerate(masks)]
+
+
+def _bitsets(rows, size: int) -> list[int]:
+    """Each row of indices below size as one int with those bits set."""
+    bits = [1 << j for j in range(size)]
+    return [sum(map(bits.__getitem__, row)) for row in rows]
+
+
+def graph_on(vertices, d: int) -> BlockGraph:
+    """Explicit graph on the given permutations of 1..n; edge iff
+    0 < distance < d.
+
+    Compares every pair by the popcount of their pair masks, so it serves
+    any vertex subset; it is also the reference that ``build_graph`` is
+    tested against.
     """
     verts = tuple(vertices)
     if not verts:
         raise ValueError("graph needs at least one vertex")
     n = len(verts[0])
     _check_n(n)
-    if any(len(v) != n for v in verts):
-        raise ValueError("vertices must share one n")
-    sets = [char_set(v) for v in verts]
+    labels = set(range(1, n + 1))
+    if any(len(v) != n or set(v) != labels for v in verts):
+        raise ValueError("vertices must be permutations of 1..n with one n")
     neighbors: list[list[int]] = [[] for _ in verts]
-    for i, si in enumerate(sets):
-        for j in range(i + 1, len(verts)):
-            if 0 < len(si - sets[j]) < d:
-                neighbors[i].append(j)
-                neighbors[j].append(i)
-    return BlockGraph(n, d, verts, tuple(tuple(sorted(ns)) for ns in neighbors))
+    # Row i reaches every k < i before its own later neighbors are added, so
+    # each list comes out sorted.
+    for i, row in enumerate(_later_neighbors(_pair_masks(verts, n), n, d)):
+        neighbors[i] += row
+        for j in row:
+            neighbors[j].append(i)
+    return BlockGraph(n, d, verts, tuple(map(tuple, neighbors)))
 
 
 def build_graph(n: int, d: int, max_n: int = GRAPH_MAX_N) -> BlockGraph:
@@ -119,27 +146,21 @@ def neighborhood_stats(n: int, d: int, max_n: int = GRAPH_MAX_N) -> Neighborhood
     """
     if n > max_n:
         raise ValueError(f"n={n} exceeds graph guard {max_n}")
-    aid = char_set(identity(n))
     ball = _identity_ball(n, d - 1)
-    members = [char_set(s) for s, _ in ball]
-    ring = [i for i, (_, k) in enumerate(ball) if k == d - 1]  # exactly at distance d-1
-    delta = len(members)
+    masks = _pair_masks([s for s, _ in ball], n)
+    delta = len(masks)
+    rows = _later_neighbors(masks, n, d)
+    p_edges = sum(map(len, rows))
     # later[i] is the bitset of neighbors j > i, so each triangle i < j < k
     # is counted once, as a bit of later[i] & later[j] on its edge (i, j).
-    later = [0] * delta
-    edges: list[tuple[int, int]] = []
-    for i, si in enumerate(members):
-        for j in range(i + 1, delta):
-            if 0 < len(si - members[j]) < d:
-                later[i] |= 1 << j
-                edges.append((i, j))
-    p_edges = len(edges)
-    triangles = sum((later[i] & later[j]).bit_count() for i, j in edges)
-    zero_x = 0
-    for a, b in itertools.combinations(ring, 2):
-        sa, sb = members[a], members[b]
-        if len(sa - sb) < d and len((aid - sa) & (aid - sb)) == 0:
-            zero_x += 1
+    later = _bitsets(rows, delta)
+    triangles = sum((later[i] & later[j]).bit_count() for i, row in enumerate(rows) for j in row)
+    # Edges on the sphere at distance d-1 whose two sets together hold every
+    # identity pair, so that no identity pair is missing from both.
+    aid = _pair_masks([identity(n)], n)[0]
+    ring = {i for i, (_, k) in enumerate(ball) if k == d - 1}
+    zero_x = sum(1 for i in ring for j in rows[i]
+                 if j in ring and not aid & ~(masks[i] | masks[j]))
     return NeighborhoodStats(n, d, delta, p_edges, triangles, zero_x)
 
 
@@ -177,6 +198,41 @@ def greedy_independent_set(g: BlockGraph, order: str = "lexicographic") -> CodeB
     return CodeBook(g.n, g.d, words, f"greedy-{order}")
 
 
+def _grow(adj: list[int], chosen: list[int], cand: int, best: list[int]) -> None:
+    """Search every independent extension of chosen by vertices of the
+    bitset cand, replacing best's contents whenever chosen outgrows it.
+
+    Not a closure: one that calls itself is a reference cycle, which keeps
+    each search's bitsets alive until a full collection.
+    """
+    if len(chosen) > len(best):
+        best[:] = chosen
+    room = len(best) - len(chosen)
+    if cand.bit_count() <= room:
+        return
+    # Cover cand by `room` cliques, one at a time (see exact_independent_set).
+    # An independent set takes at most one vertex per clique, so only the
+    # vertices still left can push past the incumbent; those are the branch
+    # vertices, taken highest index first.
+    left = cand
+    for _ in range(room):
+        q = left
+        while q:
+            low = q & -q
+            left ^= low
+            q &= adj[low.bit_length() - 1]
+        if not left:
+            return
+    while left:
+        v = left.bit_length() - 1
+        bit = 1 << v
+        left ^= bit
+        chosen.append(v)
+        _grow(adj, chosen, cand & ~(adj[v] | bit), best)
+        chosen.pop()
+        cand ^= bit
+
+
 def exact_independent_set(g: BlockGraph, max_vertices: int = EXACT_MAX_VERTICES) -> CodeBook:
     """A maximum independent set by branch and bound over vertex bitsets.
 
@@ -187,6 +243,15 @@ def exact_independent_set(g: BlockGraph, max_vertices: int = EXACT_MAX_VERTICES)
     branching.  Deterministic.  On the full S_n graph the result size is the
     maximum code size for that (n, d).
 
+    The cover is built one clique at a time, as in San Segundo's BBMC: a
+    clique starts from the lowest candidate left and keeps intersecting its
+    pool with the neighbors of the lowest vertex in it.  That is the
+    partition that first fit in index order builds, because first fit puts a
+    vertex in clique k exactly when it is in no earlier clique and adjacent
+    to every lower vertex already in clique k.  After as many cliques as the
+    incumbent leaves room for, the vertices still uncovered are the branch
+    set.
+
     When the vertices are exactly the lexicographic S_n of ``build_graph``,
     the graph is a Cayley graph, so vertex-transitive: some maximum
     independent set contains vertex 0 (the identity), and the search fixes
@@ -195,61 +260,16 @@ def exact_independent_set(g: BlockGraph, max_vertices: int = EXACT_MAX_VERTICES)
     count = len(g.vertices)
     if count > max_vertices:
         raise ValueError(f"{count} vertices exceed exact-solver guard {max_vertices}")
-    adj = [0] * count
-    for i, nbrs in enumerate(g.adjacency):
-        for j in nbrs:
-            adj[i] |= 1 << j
-
+    adj = _bitsets(g.adjacency, count)
     index = {v: i for i, v in enumerate(g.vertices)}
     seed = max((greedy_independent_set(g, order) for order in ("lexicographic", "degree")),
                key=lambda code: len(code.words))
     best = [index[w] for w in seed.words]
-    best_size = len(best)
-
-    def grow(chosen: list[int], cand: int):
-        nonlocal best, best_size
-        if len(chosen) > best_size:
-            best, best_size = list(chosen), len(chosen)
-        if not cand:
-            return
-        room = best_size - len(chosen)
-        if cand.bit_count() <= room:
-            return
-        # Greedy clique cover of the candidates, first fit in index order.
-        # An independent set takes at most one vertex per clique, so only
-        # vertices landing in cliques beyond `room` can push past the
-        # incumbent; those are the branch vertices, taken last-clique first.
-        masks: list[int] = []  # running intersection of adj[] over each clique
-        assigned: list[int] = []  # vertices in cover order
-        clique_of: list[int] = []
-        m = cand
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            for idx, shared in enumerate(masks):
-                if shared & low:
-                    masks[idx] = shared & adj[v]
-                    break
-            else:
-                idx = len(masks)
-                masks.append(adj[v])
-            assigned.append(v)
-            clique_of.append(idx)
-        if len(masks) <= room:
-            return
-        branchable = [v for v, idx in zip(assigned, clique_of) if idx >= room]
-        for v in reversed(branchable):
-            chosen.append(v)
-            grow(chosen, cand & ~(adj[v] | (1 << v)))
-            chosen.pop()
-            cand &= ~(1 << v)
-
     everything = (1 << count) - 1
     if g.vertices == tuple(itertools.permutations(range(1, g.n + 1))):
-        grow([0], everything & ~(adj[0] | 1))
+        _grow(adj, [0], everything & ~(adj[0] | 1), best)
     else:
-        grow([], everything)
+        _grow(adj, [], everything, best)
     words = tuple(sorted(g.vertices[v] for v in best))
     return CodeBook(g.n, g.d, words, "exact-independent")
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockperm import constructions, enumeration, graph, perm, selftest
+from blockperm import cli, constructions, enumeration, graph, perm, selftest
 from blockperm.bounds import bound_report_from_payload, gv_lower, sp_upper, table1
 from blockperm.cli import _code_max_words, _construct_max_n, _read_codebook, build_parser, main
 from blockperm.constructions import codebook_from_payload, codebook_from_text, even_n_code, codebook_to_text
@@ -235,6 +235,14 @@ def test_construct_syndrome_rejects_d_past_n_minus_1(capsys):
     pytest.param(["graph", "--n", "4", "--d", "3", "--stats", "--format", "json",
                   "--max-words", "3"], "--max-words not used by --stats",
                  id="graph-stats-max-words"),
+    pytest.param(["graph", "--n", "4", "--d", "3", "--greedy", "--max-vertices", "3"],
+                 "--max-vertices not used by --greedy", id="graph-greedy-max-vertices"),
+    pytest.param(["graph", "--n", "4", "--d", "3", "--stats", "--max-vertices", "3"],
+                 "--max-vertices not used by --stats", id="graph-stats-max-vertices"),
+    pytest.param(["dist", "1 2 3", "2 3 1", "--max-n", "2"],
+                 "--max-n not used by dist without --check-definition", id="dist-max-n"),
+    pytest.param(["dist", "1 2 3", "2 3 1", "--format", "json", "--max-n", "16"],
+                 "--max-n not used by dist without --check-definition", id="dist-json-max-n"),
 ])
 def test_options_the_mode_ignores_exit_1(capsys, argv, named):
     code, out, err = run(capsys, *argv)
@@ -444,6 +452,39 @@ def test_graph_exact_independent_set(capsys):
     assert len(book.words) == 2
 
 
+# Pinned as the solver printed them when this test was written, so that a
+# change to the search order, not only to the set size, fails here.
+EXACT_5_3 = """5 3 exact-independent
+1 2 3 4 5
+1 3 5 2 4
+1 4 2 5 3
+2 1 5 3 4
+2 3 5 1 4
+3 1 4 5 2
+3 2 4 5 1
+3 5 4 1 2
+4 1 3 2 5
+4 1 5 2 3
+5 1 3 4 2
+5 3 1 2 4
+5 4 2 3 1
+5 4 3 2 1
+"""
+EXACT_6_5 = """6 5 exact-independent
+1 2 3 4 5 6
+2 4 6 1 3 5
+3 6 2 5 1 4
+4 1 5 2 6 3
+5 3 1 6 4 2
+6 5 4 3 2 1
+"""
+
+
+@pytest.mark.parametrize("n, d, expected", [(5, 3, EXACT_5_3), (6, 5, EXACT_6_5)])
+def test_graph_exact_output_is_pinned(capsys, n, d, expected):
+    assert run(capsys, "graph", "--n", str(n), "--d", str(d), "--exact") == (0, expected, "")
+
+
 def test_graph_rejects_n_0(capsys):
     code, out, err = run(capsys, "graph", "--n", "0", "--d", "2", "--greedy")
     assert (code, out) == (1, "")
@@ -451,8 +492,8 @@ def test_graph_rejects_n_0(capsys):
 
 
 @pytest.mark.parametrize("argv, field, guard", [
-    pytest.param(["dist", "1 2", "2 1"], "max_n", perm.DEFINITION_SEARCH_MAX_N,
-                 id="dist-max_n"),
+    pytest.param(["dist", "1 2", "2 1", "--check-definition", "--format", "json"], "max_n",
+                 perm.DEFINITION_SEARCH_MAX_N, id="dist-max_n"),
     pytest.param(["dist", "1 2", "2 1", "--check-definition"], "max_n",
                  perm.DEFINITION_SEARCH_MAX_N, id="dist-check-definition-max_n"),
     pytest.param(["construct", "--method", "syndrome", "--n", "4", "--d", "3"], "max_n",
@@ -467,14 +508,28 @@ def test_graph_rejects_n_0(capsys):
                  constructions.HAM_SEARCH_MAX_N, id="construct-hamdecomp-max_n"),
     pytest.param(["graph", "--n", "3", "--d", "2", "--stats"], "max_n", graph.GRAPH_MAX_N,
                  id="graph-max_n"),
-    pytest.param(["graph", "--n", "3", "--d", "2", "--stats"], "max_vertices",
+    pytest.param(["graph", "--n", "3", "--d", "2", "--exact"], "max_vertices",
                  graph.EXACT_MAX_VERTICES, id="graph-max_vertices"),
     pytest.param(["graph", "--n", "3", "--d", "2", "--stats"], "max_words",
                  constructions.PAIRWISE_MAX_WORDS, id="graph-max_words"),
 ])
-def test_guard_defaults_come_from_the_library(argv, field, guard):
+def test_guard_defaults_come_from_the_library(monkeypatch, argv, field, guard):
     args = build_parser().parse_args(argv)
     value = getattr(args, field)
+    reader = {("dist", "max_n"): "distance_by_definition",
+              ("graph", "max_vertices"): "exact_independent_set"}.get((args.subcommand, field))
+    if reader is not None:
+        assert value is None  # resolved by the one mode that reads it: see what the library gets
+        seen = {}
+        real = getattr(cli, reader)
+
+        def spy(*a, **kw):
+            seen.update(kw)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(cli, reader, spy)
+        assert main(argv) == 0
+        value = seen[field]
     if args.subcommand == "construct" and field == "max_n":
         assert value is None  # resolved per method when the command runs
         value = _construct_max_n(args.method)

@@ -1,5 +1,6 @@
 """Distance graphs, neighborhood statistics, and independent-set solvers."""
 
+import gc
 import itertools
 import math
 import random
@@ -204,6 +205,73 @@ def test_exact_does_not_fix_vertex_0_off_the_full_group(vertices, d, expected):
 def test_exact_guard():
     with pytest.raises(ValueError):
         exact_independent_set(build_graph(5, 3), max_vertices=10)
+
+
+def _seeded_subset(rng, n, size):
+    """size distinct permutations of 1..n (all of S_n when size >= n!)."""
+    group = list(itertools.permutations(range(1, n + 1)))
+    return rng.sample(group, min(size, len(group)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_graph_on_matches_block_distance_on_every_pair(n):
+    rng = random.Random(100 + n)
+    verts = _seeded_subset(rng, n, 40)
+    verts.append(verts[0])  # a repeated vertex is at distance 0: never an edge
+    for d in range(0, n + 2):  # d <= 1 is edge-free and d >= n complete
+        g = graph_on(verts, d)
+        for i, p in enumerate(verts):
+            expected = tuple(j for j, q in enumerate(verts) if 0 < block_distance(p, q) < d)
+            assert g.adjacency[i] == expected, (n, d, i)
+
+
+@pytest.mark.parametrize("vertices", [[(1, 2, 2)], [(0, 1, 2)], [(1, 2, 3), (1, 2)]])
+def test_graph_on_rejects_non_permutations(vertices):
+    with pytest.raises(ValueError, match="permutations of 1..n"):
+        graph_on(vertices, 2)
+
+
+def _alpha_by_exhaustion(vertices, d):
+    """Largest independent set size, found by testing every vertex subset."""
+    m = len(vertices)
+    adj = [sum(1 << j for j, q in enumerate(vertices) if 0 < block_distance(p, q) < d)
+           for p in vertices]
+    independent = [True] * (1 << m)
+    alpha = 0
+    for mask in range(1, 1 << m):
+        low = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        independent[mask] = independent[rest] and not adj[low] & rest
+        if independent[mask]:
+            alpha = max(alpha, mask.bit_count())
+    return alpha
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_exact_matches_exhaustive_search_off_the_full_group(n, d):
+    rng = random.Random(10 * n + d)
+    for _ in range(6):
+        verts = _seeded_subset(rng, n, rng.randint(6, 14))
+        code = exact_independent_set(graph_on(verts, d))
+        assert len(code.words) == _alpha_by_exhaustion(verts, d)
+        assert all(block_distance(p, q) >= d for p, q in itertools.combinations(code.words, 2))
+
+
+def test_graph_layer_leaves_no_reference_cycles():
+    g = build_graph(5, 3)
+    subset = g.vertices[::3]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        exact_independent_set(g)
+        graph_on(subset, 3)
+        neighborhood_stats(5, 3)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_graph_on_subset():
