@@ -150,11 +150,12 @@ def _print_code(code: CodeBook, args) -> int:
 
 
 def _construct_max_n(method: str) -> int:
-    """construct's --max-n default: the hub-cycle search has its own guard."""
-    return HAM_SEARCH_MAX_N if method == "hamdecomp" else DEFAULT_MAX_N
+    """construct's --max-n default for the two methods that read it: the
+    syndrome fibers scan S_n, and the hub-cycle search has its own guard."""
+    return {"syndrome": DEFAULT_MAX_N, "hamdecomp": HAM_SEARCH_MAX_N}[method]
 
 
-def _construct(args, max_n: int) -> CodeBook | None:
+def _construct(args, max_n: int | None) -> CodeBook | None:
     method, n = args.method, args.n
     if method == "syndrome":
         if args.d is None:
@@ -163,24 +164,26 @@ def _construct(args, max_n: int) -> CodeBook | None:
             f = tuple(int(tok) for tok in args.f.split(","))
             return syndrome_class(n, args.d, f, max_n=max_n)
         return largest_syndrome_class(n, args.d, max_n=max_n)
-    _reject_unused(args, ("d", "f"), f"--method {method}")
+    if method == "hamdecomp":
+        _reject_unused(args, ("d", "f"), f"--method {method}")
+        return ham_decomp_code(n, max_n=max_n)
+    _reject_unused(args, ("d", "f", "max_n"), f"--method {method}")
     if method == "cyclic":
         return cyclic_class_code(n)
     if method == "even":
         return even_n_code(n)
     if method == "zn1":
         return zn1_code(n)
-    if method == "hamdecomp":
-        return ham_decomp_code(n, max_n=max_n)
     raise ValueError(f"unknown method {method!r}")
 
 
 def cmd_construct(args) -> int:
     if args.format == "text":
         _reject_unused(args, ("max_words",), "--format text")
-    default = _construct_max_n(args.method)
-    max_n = default if args.max_n is None else args.max_n
+    max_n = None
     if args.method in ("syndrome", "hamdecomp"):  # the other methods read no guard
+        default = _construct_max_n(args.method)
+        max_n = default if args.max_n is None else args.max_n
         _warn_guard("enumeration n", max_n, default)
     code = _construct(args, max_n)
     if code is None:
@@ -316,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--f", default=None, help="comma-separated syndrome, e.g. 1,1")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-n", type=int, default=None)  # per method: _construct_max_n
+    p.add_argument("--max-n", type=int, default=None)  # syndrome, hamdecomp: _construct_max_n
     p.add_argument("--max-words", type=int, default=None)  # JSON only: _code_max_words
     p.set_defaults(func=cmd_construct)
 

@@ -243,6 +243,14 @@ def test_construct_syndrome_rejects_d_past_n_minus_1(capsys):
                  "--max-n not used by dist without --check-definition", id="dist-max-n"),
     pytest.param(["dist", "1 2 3", "2 3 1", "--format", "json", "--max-n", "16"],
                  "--max-n not used by dist without --check-definition", id="dist-json-max-n"),
+    pytest.param(["construct", "--method", "even", "--n", "4", "--max-n", "3"],
+                 "--max-n not used by --method even", id="construct-even-max-n"),
+    pytest.param(["construct", "--method", "cyclic", "--n", "6", "--max-n", "10"],
+                 "--max-n not used by --method cyclic", id="construct-cyclic-max-n"),
+    pytest.param(["construct", "--method", "zn1", "--n", "6", "--max-n", "10"],
+                 "--max-n not used by --method zn1", id="construct-zn1-max-n"),
+    pytest.param(["construct", "--method", "even", "--n", "4", "--d", "3", "--max-n", "8"],
+                 "--d, --max-n not used by --method even", id="construct-even-d-max-n"),
 ])
 def test_options_the_mode_ignores_exit_1(capsys, argv, named):
     code, out, err = run(capsys, *argv)
@@ -286,7 +294,7 @@ def test_construct_hamdecomp_respects_a_lower_guard(capsys):
 
 @pytest.mark.parametrize("method", ["even", "cyclic", "zn1"])
 def test_construct_without_a_guard_does_not_warn(capsys, method):
-    code, out, err = run(capsys, "construct", "--method", method, "--n", "6", "--max-n", "10")
+    code, out, err = run(capsys, "construct", "--method", method, "--n", "6")
     assert (code, err) == (0, "")
     assert codebook_from_text(out).provenance == method
 
@@ -485,6 +493,14 @@ def test_graph_exact_output_is_pinned(capsys, n, d, expected):
     assert run(capsys, "graph", "--n", str(n), "--d", str(d), "--exact") == (0, expected, "")
 
 
+@pytest.mark.parametrize("mode", ["--stats", "--greedy", "--exact"])
+@pytest.mark.parametrize("d", [0, -1])
+def test_graph_rejects_d_below_1(capsys, mode, d):
+    code, out, err = run(capsys, "graph", "--n", "4", "--d", str(d), mode)
+    assert (code, out) == (1, "")
+    assert err == f"error: design distance must be positive, got {d}\n"
+
+
 def test_graph_rejects_n_0(capsys):
     code, out, err = run(capsys, "graph", "--n", "0", "--d", "2", "--greedy")
     assert (code, out) == (1, "")
@@ -498,8 +514,6 @@ def test_graph_rejects_n_0(capsys):
                  perm.DEFINITION_SEARCH_MAX_N, id="dist-check-definition-max_n"),
     pytest.param(["construct", "--method", "syndrome", "--n", "4", "--d", "3"], "max_n",
                  enumeration.DEFAULT_MAX_N, id="construct-syndrome-max_n"),
-    pytest.param(["construct", "--method", "even", "--n", "4"], "max_n",
-                 enumeration.DEFAULT_MAX_N, id="construct-even-max_n"),
     pytest.param(["construct", "--method", "even", "--n", "4"], "max_words",
                  constructions.PAIRWISE_MAX_WORDS, id="construct-even-max_words"),
     pytest.param(["verify", "--d", "2", "x"], "max_words", constructions.PAIRWISE_MAX_WORDS,

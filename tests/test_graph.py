@@ -4,13 +4,17 @@ import gc
 import itertools
 import math
 import random
+from operator import itemgetter
 
 import pytest
 
+from blockperm import graph
 from blockperm.bounds import gv_lower
 from blockperm.constructions import verify_min_distance
 from blockperm.enumeration import enumerate_spheres, myers_count
 from blockperm.graph import (
+    _identity_ball,
+    _neighbor_columns,
     build_graph,
     exact_independent_set,
     graph_on,
@@ -58,6 +62,55 @@ def test_build_graph_matches_pair_loop(n, d):
     assert build_graph(n, d) == graph_on(itertools.permutations(range(1, n + 1)), d)
 
 
+def _lookup_columns(verts, ball):
+    """col_s[i] = index of verts[i]∘s, by building each tuple and hashing it
+    into the vertex index: the reference for the composed columns."""
+    index = {v: i for i, v in enumerate(verts)}
+    return [list(map(index.__getitem__, map(itemgetter(*(j - 1 for j in s)), verts)))
+            for s, _ in ball]
+
+
+@pytest.fixture
+def looked_up(monkeypatch):
+    """The s whose column build_graph looks up tuple by tuple, in order."""
+    seen = []
+
+    def getter(*items):
+        seen.append(tuple(j + 1 for j in items))
+        return itemgetter(*items)
+
+    monkeypatch.setattr(graph, "itemgetter", getter)
+    return seen
+
+
+def _two_lookups(n, d):
+    """The columns that no two built columns compose to, within radius d-1."""
+    cycle, fixed_1 = (*range(2, n + 1), 1), (1, *range(3, n + 1), 2)
+    return [cycle, fixed_1][:max(0, min(d - 1, n - 1, 2))]
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_build_graph_7_matches_tuple_lookup(looked_up, d):
+    verts = tuple(itertools.permutations(range(1, 8)))
+    rows = zip(*_lookup_columns(verts, _identity_ball(7, d - 1)))
+    assert build_graph(7, d) == graph.BlockGraph(7, d, verts, tuple(map(tuple, map(sorted, rows))))
+    assert looked_up == _two_lookups(7, d)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_composed_columns_match_tuple_lookup_on_all_of_s_n(looked_up, n):
+    verts = tuple(itertools.permutations(range(1, n + 1)))
+    ball = _identity_ball(n, n - 1)  # every s but the identity
+    assert _neighbor_columns(verts, ball) == _lookup_columns(verts, ball)
+    assert looked_up == _two_lookups(n, n)
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 7) for d in range(1, n + 2)])
+def test_build_graph_looks_up_at_most_two_columns(looked_up, n, d):
+    build_graph(n, d)
+    assert looked_up == _two_lookups(n, d)
+
+
 def test_build_graph_7_3_against_distance():
     g = build_graph(7, 3)
     assert set(g.degrees()) == {myers_count(7, 1) + myers_count(7, 2)}
@@ -90,6 +143,12 @@ def test_neighborhood_stats_4_3():
     assert stats.delta == 12  # ball(4, 2) - 1
     assert stats.zero_x_edge_count == 0
     assert stats.p_edges >= 1
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_neighborhood_stats_rejects_d_below_1(d):
+    with pytest.raises(ValueError, match=f"design distance must be positive, got {d}"):
+        neighborhood_stats(4, d)
 
 
 def test_neighborhood_stats_trivial_distance():
@@ -259,12 +318,12 @@ def test_exact_matches_exhaustive_search_off_the_full_group(n, d):
 
 
 def test_graph_layer_leaves_no_reference_cycles():
-    g = build_graph(5, 3)
-    subset = g.vertices[::3]
+    subset = tuple(itertools.permutations(range(1, 6)))[::3]
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
+        g = build_graph(5, 3)
         exact_independent_set(g)
         graph_on(subset, 3)
         neighborhood_stats(5, 3)
