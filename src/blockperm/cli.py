@@ -65,9 +65,14 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _warn_guard(name: str, value: int, default: int) -> None:
+def _guard(name: str, value: int | None, default: int) -> int:
+    """A guard option's value: the library's default when not given, and a
+    warning on stderr when it is raised above that default."""
+    if value is None:
+        return default
     if value > default:
         print(f"warning: raising {name} guard to {value} (default {default})", file=sys.stderr)
+    return value
 
 
 def cmd_dist(args) -> int:
@@ -75,8 +80,7 @@ def cmd_dist(args) -> int:
     p2 = parse_permutation(args.perm2)
     dist = block_distance(p1, p2)
     if args.check_definition:
-        max_n = DEFINITION_SEARCH_MAX_N if args.max_n is None else args.max_n
-        _warn_guard("cut-search n", max_n, DEFINITION_SEARCH_MAX_N)
+        max_n = _guard("cut-search n", args.max_n, DEFINITION_SEARCH_MAX_N)
         slow = distance_by_definition(p1, p2, max_n=max_n)
         if slow != dist:
             print(f"mismatch: pair-count {dist} vs cut-search {slow}", file=sys.stderr)
@@ -182,9 +186,7 @@ def cmd_construct(args) -> int:
         _reject_unused(args, ("max_words",), "--format text")
     max_n = None
     if args.method in ("syndrome", "hamdecomp"):  # the other methods read no guard
-        default = _construct_max_n(args.method)
-        max_n = default if args.max_n is None else args.max_n
-        _warn_guard("enumeration n", max_n, default)
+        max_n = _guard("enumeration n", args.max_n, _construct_max_n(args.method))
     code = _construct(args, max_n)
     if code is None:
         print(f"no code found: the search space for n={args.n} is exhausted", file=sys.stderr)
@@ -206,8 +208,8 @@ def _read_codebook(path: str, d: int) -> CodeBook:
 
 def cmd_verify(args) -> int:
     code = _read_codebook(args.path, args.d)
-    _warn_guard("pairwise words", args.max_words, PAIRWISE_MAX_WORDS)
-    dist = verify_min_distance(code, max_words=args.max_words)
+    max_words = _guard("pairwise words", args.max_words, PAIRWISE_MAX_WORDS)
+    dist = verify_min_distance(code, max_words=max_words)
     print(f"{len(code.words)} words, minimum distance {dist}, required {args.d}")
     return 0 if dist >= args.d else 2
 
@@ -257,12 +259,12 @@ def cmd_graph(args) -> int:
         _reject_unused(args, ("max_words",), "--stats" if args.stats else "--format text")
     if not args.exact:
         _reject_unused(args, ("max_vertices",), "--stats" if args.stats else "--greedy")
-    _warn_guard("graph n", args.max_n, GRAPH_MAX_N)
+    max_n = _guard("graph n", args.max_n, GRAPH_MAX_N)
     if args.stats:
-        stats = neighborhood_stats(args.n, args.d, max_n=args.max_n)
+        stats = neighborhood_stats(args.n, args.d, max_n=max_n)
         _emit_json(neighborhood_stats_payload(stats))
         return 0
-    g = build_graph(args.n, args.d, max_n=args.max_n)
+    g = build_graph(args.n, args.d, max_n=max_n)
     if args.exact:
         max_vertices = EXACT_MAX_VERTICES if args.max_vertices is None else args.max_vertices
         code = exact_independent_set(g, max_vertices=max_vertices)
@@ -326,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a code file against a required distance")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("path")
-    p.add_argument("--max-words", type=int, default=PAIRWISE_MAX_WORDS)
+    p.add_argument("--max-words", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bounds", help="bound report for one (n, d), or the table")
@@ -345,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--greedy", action="store_true")
     mode.add_argument("--exact", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-n", type=int, default=GRAPH_MAX_N)
+    p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--max-vertices", type=int, default=None)  # --exact only
     p.add_argument("--max-words", type=int, default=None)  # JSON only: _code_max_words
     p.set_defaults(func=cmd_graph)

@@ -17,6 +17,7 @@ import pytest
 
 from blockperm import selftest
 from blockperm.bounds import TABLE1_PUBLISHED
+from blockperm.perm import block_distance, compose
 
 
 @pytest.fixture(scope="module")
@@ -43,3 +44,46 @@ def test_criterion(results, number):
     assert parsed, f"unexpected criterion 4 detail: {result.detail}"
     assert float(parsed.group(1)) < 1.0, f"table took {parsed.group(1)}s, gate is 1s"
     assert ast.literal_eval(parsed.group(2)) == [_expected_table_erratum()]
+
+
+def test_criterion_9_detail(results):
+    assert re.fullmatch(r"exhaustive on S_4, S_5; 100000 random S_7 triples; 0 violations, \d+\.\d\ds",
+                        results[9].detail), results[9].detail
+
+
+def _skewed_distance(p, q):
+    """Symmetric, but not left-invariant: one extra unit when exactly one of
+    p and q starts with 1."""
+    return block_distance(p, q) + ((p[0] == 1) != (q[0] == 1))
+
+
+@pytest.mark.parametrize("name, broken", [
+    ("compose", lambda outer, inner: compose(inner, outer)),
+    ("block_distance", _skewed_distance),
+], ids=["right-composition", "not-left-invariant"])
+def test_criterion_9_catches_broken_invariance(monkeypatch, name, broken):
+    monkeypatch.setattr(selftest, name, broken)
+    result = selftest.criterion_9_metric_axioms()
+    violations = int(re.search(r"; (\d+) violations", result.detail).group(1))
+    assert result.status == "fail" and violations > 0, result.detail
+
+
+def test_criterion_9_draws_cover_s7(monkeypatch):
+    firsts, outers, inners = [], set(), set()
+
+    def distance_spy(p, q):
+        firsts.append(p)
+        return block_distance(p, q)
+
+    def compose_spy(outer, inner):
+        if len(outer) == 7:  # the S_4 and S_5 tables compose too
+            outers.add(outer)
+            inners.add(inner)
+        return compose(outer, inner)
+
+    monkeypatch.setattr(selftest, "block_distance", distance_spy)
+    monkeypatch.setattr(selftest, "compose", compose_spy)
+    assert selftest.criterion_9_metric_axioms().status == "pass"
+    assert len(firsts) == 100_000  # one left-invariance check per triple
+    # c∘a covers S_7 even if some index is never drawn; c, a and b do only if each can be
+    assert len(set(firsts)) == len(outers) == len(inners) == math.factorial(7)

@@ -516,7 +516,7 @@ def test_graph_rejects_n_0(capsys):
                  enumeration.DEFAULT_MAX_N, id="construct-syndrome-max_n"),
     pytest.param(["construct", "--method", "even", "--n", "4"], "max_words",
                  constructions.PAIRWISE_MAX_WORDS, id="construct-even-max_words"),
-    pytest.param(["verify", "--d", "2", "x"], "max_words", constructions.PAIRWISE_MAX_WORDS,
+    pytest.param(["verify", "--d", "2", "code.txt"], "max_words", constructions.PAIRWISE_MAX_WORDS,
                  id="verify-max_words"),
     pytest.param(["construct", "--method", "hamdecomp", "--n", "9"], "max_n",
                  constructions.HAM_SEARCH_MAX_N, id="construct-hamdecomp-max_n"),
@@ -527,10 +527,14 @@ def test_graph_rejects_n_0(capsys):
     pytest.param(["graph", "--n", "3", "--d", "2", "--stats"], "max_words",
                  constructions.PAIRWISE_MAX_WORDS, id="graph-max_words"),
 ])
-def test_guard_defaults_come_from_the_library(monkeypatch, argv, field, guard):
+def test_guard_defaults_come_from_the_library(monkeypatch, tmp_path, argv, field, guard):
+    monkeypatch.chdir(tmp_path)  # the verify row reads its code from here
+    (tmp_path / "code.txt").write_text(codebook_to_text(even_n_code(4)))
     args = build_parser().parse_args(argv)
     value = getattr(args, field)
     reader = {("dist", "max_n"): "distance_by_definition",
+              ("verify", "max_words"): "verify_min_distance",
+              ("graph", "max_n"): "neighborhood_stats",
               ("graph", "max_vertices"): "exact_independent_set"}.get((args.subcommand, field))
     if reader is not None:
         assert value is None  # resolved by the one mode that reads it: see what the library gets
