@@ -5,10 +5,10 @@ files hold one permutation per line, with code files carrying a
 "n d provenance" header: a first line that is a permutation starts a bare
 file, any other first line is the header.  Exit codes: 0 success,
 1 validation error, 2 verification failure.  Size guards (``--max-n``,
-``--max-words``, ``--max-vertices``) default to the library's constants in
-the modes that read them, and stop the full-group scans and searches;
-spheres, balls and bounds are closed forms and need none, and ``selftest``
-runs fixed sizes within the defaults.
+``--max-words``, ``--max-vertices``) stop the full-group scans and searches;
+``_guard`` resolves each in the mode that reads it, right before the library
+call that takes it.  Spheres, balls and bounds are closed forms and need
+none, and ``selftest`` runs fixed sizes within the defaults.
 Integers print in full, however many digits they have.
 """
 
@@ -66,10 +66,12 @@ def _emit_json(payload) -> None:
 
 
 def _guard(name: str, value: int | None, default: int) -> int:
-    """A guard option's value: the library's default when not given, and a
-    warning on stderr when it is raised above that default."""
+    """A guard option's value: the library's default when not given, a
+    warning on stderr when it is raised above that default, an error below 0."""
     if value is None:
         return default
+    if value < 0:
+        raise ValueError(f"{name} guard must be nonnegative, got {value}")
     if value > default:
         print(f"warning: raising {name} guard to {value} (default {default})", file=sys.stderr)
     return value
@@ -135,16 +137,11 @@ def _reject_unused(args, names, mode: str) -> None:
         raise ValueError(f"{', '.join(given)} not used by {mode}")
 
 
-def _code_max_words(args) -> int:
-    """--max-words of construct and graph, read only by their JSON output."""
-    return PAIRWISE_MAX_WORDS if args.max_words is None else args.max_words
-
-
 def _print_code(code: CodeBook, args) -> int:
     """Print a code as text, or as JSON that carries its minimum distance when
     it has at most --max-words words (the text format has no place for it)."""
     if args.format == "json":
-        max_words = _code_max_words(args)
+        max_words = _guard("pairwise words", args.max_words, PAIRWISE_MAX_WORDS)
         if len(code.words) <= max_words:
             code = with_verified_min_distance(code, max_words=max_words)
         _emit_json(codebook_payload(code))
@@ -153,41 +150,31 @@ def _print_code(code: CodeBook, args) -> int:
     return 0
 
 
-def _construct_max_n(method: str) -> int:
-    """construct's --max-n default for the two methods that read it: the
-    syndrome fibers scan S_n, and the hub-cycle search has its own guard."""
-    return {"syndrome": DEFAULT_MAX_N, "hamdecomp": HAM_SEARCH_MAX_N}[method]
-
-
-def _construct(args, max_n: int | None) -> CodeBook | None:
+def _construct(args) -> CodeBook | None:
     method, n = args.method, args.n
     if method == "syndrome":
         if args.d is None:
             raise ValueError("--method syndrome needs --d")
+        max_n = _guard("enumeration n", args.max_n, DEFAULT_MAX_N)
         if args.f is not None:
             f = tuple(int(tok) for tok in args.f.split(","))
             return syndrome_class(n, args.d, f, max_n=max_n)
         return largest_syndrome_class(n, args.d, max_n=max_n)
     if method == "hamdecomp":
         _reject_unused(args, ("d", "f"), f"--method {method}")
-        return ham_decomp_code(n, max_n=max_n)
+        return ham_decomp_code(n, max_n=_guard("enumeration n", args.max_n, HAM_SEARCH_MAX_N))
     _reject_unused(args, ("d", "f", "max_n"), f"--method {method}")
     if method == "cyclic":
         return cyclic_class_code(n)
     if method == "even":
         return even_n_code(n)
-    if method == "zn1":
-        return zn1_code(n)
-    raise ValueError(f"unknown method {method!r}")
+    return zn1_code(n)
 
 
 def cmd_construct(args) -> int:
     if args.format == "text":
         _reject_unused(args, ("max_words",), "--format text")
-    max_n = None
-    if args.method in ("syndrome", "hamdecomp"):  # the other methods read no guard
-        max_n = _guard("enumeration n", args.max_n, _construct_max_n(args.method))
-    code = _construct(args, max_n)
+    code = _construct(args)
     if code is None:
         print(f"no code found: the search space for n={args.n} is exhausted", file=sys.stderr)
         return 2
@@ -266,7 +253,7 @@ def cmd_graph(args) -> int:
         return 0
     g = build_graph(args.n, args.d, max_n=max_n)
     if args.exact:
-        max_vertices = EXACT_MAX_VERTICES if args.max_vertices is None else args.max_vertices
+        max_vertices = _guard("exact-solver vertices", args.max_vertices, EXACT_MAX_VERTICES)
         code = exact_independent_set(g, max_vertices=max_vertices)
     else:  # the full graph is regular, so a degree-first sweep would visit the same order
         code = greedy_independent_set(g)
@@ -321,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--f", default=None, help="comma-separated syndrome, e.g. 1,1")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-n", type=int, default=None)  # syndrome, hamdecomp: _construct_max_n
-    p.add_argument("--max-words", type=int, default=None)  # JSON only: _code_max_words
+    p.add_argument("--max-n", type=int, default=None)  # syndrome, hamdecomp
+    p.add_argument("--max-words", type=int, default=None)  # JSON only
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="check a code file against a required distance")
@@ -349,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--max-vertices", type=int, default=None)  # --exact only
-    p.add_argument("--max-words", type=int, default=None)  # JSON only: _code_max_words
+    p.add_argument("--max-words", type=int, default=None)  # JSON only
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("selftest", help="run the acceptance checks")

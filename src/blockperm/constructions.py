@@ -296,43 +296,46 @@ def _hub_cycle_decomposition(n: int) -> list[tuple[int, ...]] | None:
     the cycles are unordered, so forcing cycle i to leave the hub toward i is
     a pure symmetry reduction; the search is otherwise exhaustive.
     """
-    size = n + 1
-    used = [[False] * size for _ in range(size)]
+    used = [[False] * (n + 1) for _ in range(n + 1)]
     cycles: list[tuple[int, ...]] = []
+    return cycles if _start_cycle(n, 1, used, cycles) else None
 
-    def extend(path: list[int], mask: int) -> bool:
-        u = path[-1]
-        if len(path) == size:
-            if used[u][0]:
-                return False
-            used[u][0] = True
-            cycles.append(tuple(path))
-            if start_cycle(len(cycles) + 1):
-                return True
-            cycles.pop()
-            used[u][0] = False
+
+def _start_cycle(n: int, i: int, used: list[list[bool]], cycles: list[tuple[int, ...]]) -> bool:
+    """Find cycles i..n on unused arcs; not a closure, which would leave a reference cycle."""
+    if i > n:
+        return True
+    used[0][i] = True
+    if _extend_cycle(n, [0, i], 1 << i, used, cycles):
+        return True
+    used[0][i] = False
+    return False
+
+
+def _extend_cycle(n: int, path: list[int], mask: int, used: list[list[bool]],
+                  cycles: list[tuple[int, ...]]) -> bool:
+    """Close path into a cycle on unused arcs, then find the rest; not a closure, as above."""
+    u = path[-1]
+    if len(path) == n + 1:
+        if used[u][0]:
             return False
-        for v in range(1, size):
-            if mask & (1 << v) or used[u][v]:
-                continue
-            used[u][v] = True
-            path.append(v)
-            if extend(path, mask | (1 << v)):
-                return True
-            path.pop()
-            used[u][v] = False
-        return False
-
-    def start_cycle(i: int) -> bool:
-        if i > n:
+        used[u][0] = True
+        cycles.append(tuple(path))
+        if _start_cycle(n, len(cycles) + 1, used, cycles):
             return True
-        used[0][i] = True
-        if extend([0, i], 1 << i):
-            return True
-        used[0][i] = False
+        cycles.pop()
+        used[u][0] = False
         return False
-
-    return cycles if start_cycle(1) else None
+    for v in range(1, n + 1):
+        if mask & (1 << v) or used[u][v]:
+            continue
+        used[u][v] = True
+        path.append(v)
+        if _extend_cycle(n, path, mask | (1 << v), used, cycles):
+            return True
+        path.pop()
+        used[u][v] = False
+    return False
 
 
 def ham_decomp_code(n: int, max_n: int = HAM_SEARCH_MAX_N) -> CodeBook | None:

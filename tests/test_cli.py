@@ -4,6 +4,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from blockperm import cli, constructions, enumeration, graph, perm, selftest
 from blockperm.bounds import bound_report_from_payload, gv_lower, sp_upper, table1
-from blockperm.cli import _code_max_words, _construct_max_n, _read_codebook, build_parser, main
+from blockperm.cli import _read_codebook, main
 from blockperm.constructions import codebook_from_payload, codebook_from_text, even_n_code, codebook_to_text
 from blockperm.enumeration import sphere_profile_from_payload, enumerate_spheres
 
@@ -507,54 +508,80 @@ def test_graph_rejects_n_0(capsys):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("argv, field, guard", [
-    pytest.param(["dist", "1 2", "2 1", "--check-definition", "--format", "json"], "max_n",
-                 perm.DEFINITION_SEARCH_MAX_N, id="dist-max_n"),
-    pytest.param(["dist", "1 2", "2 1", "--check-definition"], "max_n",
-                 perm.DEFINITION_SEARCH_MAX_N, id="dist-check-definition-max_n"),
-    pytest.param(["construct", "--method", "syndrome", "--n", "4", "--d", "3"], "max_n",
-                 enumeration.DEFAULT_MAX_N, id="construct-syndrome-max_n"),
-    pytest.param(["construct", "--method", "even", "--n", "4"], "max_words",
-                 constructions.PAIRWISE_MAX_WORDS, id="construct-even-max_words"),
-    pytest.param(["verify", "--d", "2", "code.txt"], "max_words", constructions.PAIRWISE_MAX_WORDS,
-                 id="verify-max_words"),
-    pytest.param(["construct", "--method", "hamdecomp", "--n", "9"], "max_n",
-                 constructions.HAM_SEARCH_MAX_N, id="construct-hamdecomp-max_n"),
-    pytest.param(["graph", "--n", "3", "--d", "2", "--stats"], "max_n", graph.GRAPH_MAX_N,
-                 id="graph-max_n"),
-    pytest.param(["graph", "--n", "3", "--d", "2", "--exact"], "max_vertices",
-                 graph.EXACT_MAX_VERTICES, id="graph-max_vertices"),
-    pytest.param(["graph", "--n", "3", "--d", "2", "--stats"], "max_words",
-                 constructions.PAIRWISE_MAX_WORDS, id="graph-max_words"),
-])
-def test_guard_defaults_come_from_the_library(monkeypatch, tmp_path, argv, field, guard):
-    monkeypatch.chdir(tmp_path)  # the verify row reads its code from here
+# What each mode does with each guard option of its subcommand: a pair
+# (library default, the cli-imported library function that receives it) when
+# the mode reads the option, else the mode its rejection names.
+DIST_N = (perm.DEFINITION_SEARCH_MAX_N, "distance_by_definition")
+SYNDROME_N = (enumeration.DEFAULT_MAX_N, "largest_syndrome_class")
+HAMDECOMP_N = (constructions.HAM_SEARCH_MAX_N, "ham_decomp_code")
+STATS_N = (graph.GRAPH_MAX_N, "neighborhood_stats")
+GRAPH_N = (graph.GRAPH_MAX_N, "build_graph")
+VERTICES = (graph.EXACT_MAX_VERTICES, "exact_independent_set")
+CODE_WORDS = (constructions.PAIRWISE_MAX_WORDS, "with_verified_min_distance")
+VERIFY_WORDS = (constructions.PAIRWISE_MAX_WORDS, "verify_min_distance")
+DIST = ["dist", "1 2", "2 1"]
+JSON = ["--format", "json"]
+GRAPH = ["graph", "--n", "3", "--d", "2"]
+GUARD_MODES = {
+    "dist": (DIST, {"max_n": "dist without --check-definition"}),
+    "dist-json": (DIST + JSON, {"max_n": "dist without --check-definition"}),
+    "dist-check-definition": (DIST + ["--check-definition"], {"max_n": DIST_N}),
+    "dist-check-definition-json": (DIST + ["--check-definition"] + JSON, {"max_n": DIST_N}),
+    "verify": (["verify", "--d", "2", "code.txt"], {"max_words": VERIFY_WORDS}),
+    "graph-stats": (GRAPH + ["--stats"],
+                    {"max_n": STATS_N, "max_vertices": "--stats", "max_words": "--stats"}),
+    "graph-stats-json": (GRAPH + ["--stats"] + JSON,
+                         {"max_n": STATS_N, "max_vertices": "--stats", "max_words": "--stats"}),
+    "graph-greedy": (GRAPH + ["--greedy"],
+                     {"max_n": GRAPH_N, "max_vertices": "--greedy", "max_words": "--format text"}),
+    "graph-greedy-json": (GRAPH + ["--greedy"] + JSON,
+                          {"max_n": GRAPH_N, "max_vertices": "--greedy", "max_words": CODE_WORDS}),
+    "graph-exact": (GRAPH + ["--exact"],
+                    {"max_n": GRAPH_N, "max_vertices": VERTICES, "max_words": "--format text"}),
+    "graph-exact-json": (GRAPH + ["--exact"] + JSON,
+                         {"max_n": GRAPH_N, "max_vertices": VERTICES, "max_words": CODE_WORDS}),
+}
+for method, sizes, max_n in [("syndrome", ["--n", "4", "--d", "3"], SYNDROME_N),
+                             ("hamdecomp", ["--n", "9"], HAMDECOMP_N),
+                             ("even", ["--n", "4"], "--method even"),
+                             ("cyclic", ["--n", "4"], "--method cyclic"),
+                             ("zn1", ["--n", "4"], "--method zn1")]:
+    argv = ["construct", "--method", method, *sizes]
+    GUARD_MODES[f"construct-{method}"] = (argv, {"max_n": max_n, "max_words": "--format text"})
+    GUARD_MODES[f"construct-{method}-json"] = (argv + JSON,
+                                               {"max_n": max_n, "max_words": CODE_WORDS})
+
+
+@pytest.mark.parametrize("mode, option", [
+    pytest.param(mode, option, id=f"{mode}-{option}")
+    for mode, (_, options) in GUARD_MODES.items() for option in options])
+def test_guard_defaults_come_from_the_library(capsys, monkeypatch, tmp_path, mode, option):
+    monkeypatch.chdir(tmp_path)  # verify reads its code from here
     (tmp_path / "code.txt").write_text(codebook_to_text(even_n_code(4)))
-    args = build_parser().parse_args(argv)
-    value = getattr(args, field)
-    reader = {("dist", "max_n"): "distance_by_definition",
-              ("verify", "max_words"): "verify_min_distance",
-              ("graph", "max_n"): "neighborhood_stats",
-              ("graph", "max_vertices"): "exact_independent_set"}.get((args.subcommand, field))
-    if reader is not None:
-        assert value is None  # resolved by the one mode that reads it: see what the library gets
-        seen = {}
-        real = getattr(cli, reader)
+    argv, options = GUARD_MODES[mode]
+    flag = f"--{option.replace('_', '-')}"
+    if isinstance(options[option], str):
+        assert run(capsys, *argv, flag, "1") == (
+            1, "", f"error: {flag} not used by {options[option]}\n")
+        return
+    default, reader = options[option]
+    seen = []
+    real = getattr(cli, reader)
 
-        def spy(*a, **kw):
-            seen.update(kw)
-            return real(*a, **kw)
+    def spy(*a, **kw):
+        seen.append(kw[option])
+        return real(*a, **kw)
 
-        monkeypatch.setattr(cli, reader, spy)
-        assert main(argv) == 0
-        value = seen[field]
-    if args.subcommand == "construct" and field == "max_n":
-        assert value is None  # resolved per method when the command runs
-        value = _construct_max_n(args.method)
-    if args.subcommand in ("construct", "graph") and field == "max_words":
-        assert value is None  # resolved when JSON output verifies the code
-        value = _code_max_words(args)
-    assert value == guard
+    monkeypatch.setattr(cli, reader, spy)
+    code, out, err = run(capsys, *argv)
+    assert (code, seen, err) == (0, [default], "")
+    raised = run(capsys, *argv, flag, str(default + 1))
+    assert raised[:2] == (0, out) and seen[-1] == default + 1
+    warning = rf"warning: raising [a-z -]+ guard to {default + 1} \(default {default}\)\n"
+    assert re.fullmatch(warning, raised[2])
+    code, out, err = run(capsys, *argv, flag, "-1")
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: [a-z -]+ guard must be nonnegative, got -1\n", err)
 
 
 def test_selftest_summary_counts_and_exit_code(capsys, monkeypatch):

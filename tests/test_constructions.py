@@ -230,6 +230,26 @@ def test_fiber_scans_leave_no_reference_cycles():
             gc.enable()
 
 
+# Pinned as the hub-cycle search printed them before its helpers left their
+# closures, so a change to the search order fails here.
+HAM_DECOMP_7 = ((1, 2, 3, 4, 5, 6, 7), (2, 1, 3, 5, 4, 7, 6), (3, 1, 4, 6, 2, 7, 5),
+                (4, 1, 5, 7, 2, 6, 3), (5, 3, 6, 1, 7, 4, 2), (6, 5, 2, 4, 3, 7, 1),
+                (7, 3, 2, 5, 1, 6, 4))
+
+
+def test_hub_cycle_search_leaves_no_reference_cycles():
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert ham_decomp_code(5) is None
+        assert ham_decomp_code(7).words == HAM_DECOMP_7
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_cyclic_class_code():
     assert set(cyclic_class_code(3).words) == {(1, 2, 3), (2, 1, 3)}
     code4 = cyclic_class_code(4)
