@@ -4,11 +4,11 @@ Permutations on the command line are quoted, space-separated label lists;
 files hold one permutation per line, with code files carrying a
 "n d provenance" header: a first line that is a permutation starts a bare
 file, any other first line is the header.  Exit codes: 0 success,
-1 validation error, 2 verification failure.  Size guards (``--max-n``,
-``--max-words``, ``--max-vertices``) stop the full-group scans and searches;
-``_guard`` resolves each in the mode that reads it, right before the library
-call that takes it.  Spheres, balls and bounds are closed forms and need
-none, and ``selftest`` runs fixed sizes within the defaults.
+1 validation error, 2 verification failure.  Every command calls the
+library at its default size guards, and a guard's error exits 1 with the
+library's message; a caller who needs more calls the library with its
+``max_*`` parameter.  Spheres, balls and bounds are closed forms and need
+no guard, and ``selftest`` runs fixed sizes within the defaults.
 Integers print in full, however many digits they have.
 """
 
@@ -21,7 +21,6 @@ import sys
 from . import bounds as bounds_mod
 from . import selftest as selftest_mod
 from .constructions import (
-    HAM_SEARCH_MAX_N,
     PAIRWISE_MAX_WORDS,
     CodeBook,
     codebook_from_text,
@@ -37,15 +36,12 @@ from .constructions import (
     zn1_code,
 )
 from .enumeration import (
-    DEFAULT_MAX_N,
     ball_size_bounds,
     ball_size_exact,
     sphere_profile,
     sphere_profile_payload,
 )
 from .graph import (
-    EXACT_MAX_VERTICES,
-    GRAPH_MAX_N,
     build_graph,
     exact_independent_set,
     greedy_independent_set,
@@ -53,7 +49,6 @@ from .graph import (
     neighborhood_stats_payload,
 )
 from .perm import (
-    DEFINITION_SEARCH_MAX_N,
     block_distance,
     char_set_payload,
     distance_by_definition,
@@ -65,30 +60,15 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _guard(name: str, value: int | None, default: int) -> int:
-    """A guard option's value: the library's default when not given, a
-    warning on stderr when it is raised above that default, an error below 0."""
-    if value is None:
-        return default
-    if value < 0:
-        raise ValueError(f"{name} guard must be nonnegative, got {value}")
-    if value > default:
-        print(f"warning: raising {name} guard to {value} (default {default})", file=sys.stderr)
-    return value
-
-
 def cmd_dist(args) -> int:
     p1 = parse_permutation(args.perm1)
     p2 = parse_permutation(args.perm2)
     dist = block_distance(p1, p2)
     if args.check_definition:
-        max_n = _guard("cut-search n", args.max_n, DEFINITION_SEARCH_MAX_N)
-        slow = distance_by_definition(p1, p2, max_n=max_n)
+        slow = distance_by_definition(p1, p2)
         if slow != dist:
             print(f"mismatch: pair-count {dist} vs cut-search {slow}", file=sys.stderr)
             return 2
-    else:
-        _reject_unused(args, ("max_n",), "dist without --check-definition")
     if args.format == "json":
         _emit_json({"distance": dist, "n": len(p1)})
     else:
@@ -139,11 +119,10 @@ def _reject_unused(args, names, mode: str) -> None:
 
 def _print_code(code: CodeBook, args) -> int:
     """Print a code as text, or as JSON that carries its minimum distance when
-    it has at most --max-words words (the text format has no place for it)."""
+    it is within the pairwise guard (the text format has no place for it)."""
     if args.format == "json":
-        max_words = _guard("pairwise words", args.max_words, PAIRWISE_MAX_WORDS)
-        if len(code.words) <= max_words:
-            code = with_verified_min_distance(code, max_words=max_words)
+        if len(code.words) <= PAIRWISE_MAX_WORDS:
+            code = with_verified_min_distance(code)
         _emit_json(codebook_payload(code))
     else:
         sys.stdout.write(codebook_to_text(code))
@@ -155,15 +134,13 @@ def _construct(args) -> CodeBook | None:
     if method == "syndrome":
         if args.d is None:
             raise ValueError("--method syndrome needs --d")
-        max_n = _guard("enumeration n", args.max_n, DEFAULT_MAX_N)
         if args.f is not None:
             f = tuple(int(tok) for tok in args.f.split(","))
-            return syndrome_class(n, args.d, f, max_n=max_n)
-        return largest_syndrome_class(n, args.d, max_n=max_n)
+            return syndrome_class(n, args.d, f)
+        return largest_syndrome_class(n, args.d)
+    _reject_unused(args, ("d", "f"), f"--method {method}")
     if method == "hamdecomp":
-        _reject_unused(args, ("d", "f"), f"--method {method}")
-        return ham_decomp_code(n, max_n=_guard("enumeration n", args.max_n, HAM_SEARCH_MAX_N))
-    _reject_unused(args, ("d", "f", "max_n"), f"--method {method}")
+        return ham_decomp_code(n)
     if method == "cyclic":
         return cyclic_class_code(n)
     if method == "even":
@@ -172,8 +149,6 @@ def _construct(args) -> CodeBook | None:
 
 
 def cmd_construct(args) -> int:
-    if args.format == "text":
-        _reject_unused(args, ("max_words",), "--format text")
     code = _construct(args)
     if code is None:
         print(f"no code found: the search space for n={args.n} is exhausted", file=sys.stderr)
@@ -194,9 +169,10 @@ def _read_codebook(path: str, d: int) -> CodeBook:
 
 
 def cmd_verify(args) -> int:
+    if args.d < 1:  # every code would pass; a headed file carries its own d
+        raise ValueError(f"design distance must be positive, got {args.d}")
     code = _read_codebook(args.path, args.d)
-    max_words = _guard("pairwise words", args.max_words, PAIRWISE_MAX_WORDS)
-    dist = verify_min_distance(code, max_words=max_words)
+    dist = verify_min_distance(code)
     print(f"{len(code.words)} words, minimum distance {dist}, required {args.d}")
     return 0 if dist >= args.d else 2
 
@@ -242,22 +218,12 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    if args.stats or args.format == "text":  # stats print no code to verify
-        _reject_unused(args, ("max_words",), "--stats" if args.stats else "--format text")
-    if not args.exact:
-        _reject_unused(args, ("max_vertices",), "--stats" if args.stats else "--greedy")
-    max_n = _guard("graph n", args.max_n, GRAPH_MAX_N)
     if args.stats:
-        stats = neighborhood_stats(args.n, args.d, max_n=max_n)
-        _emit_json(neighborhood_stats_payload(stats))
+        _emit_json(neighborhood_stats_payload(neighborhood_stats(args.n, args.d)))
         return 0
-    g = build_graph(args.n, args.d, max_n=max_n)
-    if args.exact:
-        max_vertices = _guard("exact-solver vertices", args.max_vertices, EXACT_MAX_VERTICES)
-        code = exact_independent_set(g, max_vertices=max_vertices)
-    else:  # the full graph is regular, so a degree-first sweep would visit the same order
-        code = greedy_independent_set(g)
-    return _print_code(code, args)
+    # the full graph is regular, so a degree-first greedy sweep would visit the same order
+    solve = exact_independent_set if args.exact else greedy_independent_set
+    return _print_code(solve(build_graph(args.n, args.d)), args)
 
 
 def cmd_selftest(args) -> int:
@@ -282,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-definition", action="store_true",
                    help="cross-check with the cut-and-reorder search")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-n", type=int, default=None)  # --check-definition only
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("charset", help="characteristic set of a permutation as JSON")
@@ -308,14 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--f", default=None, help="comma-separated syndrome, e.g. 1,1")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-n", type=int, default=None)  # syndrome, hamdecomp
-    p.add_argument("--max-words", type=int, default=None)  # JSON only
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="check a code file against a required distance")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("path")
-    p.add_argument("--max-words", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bounds", help="bound report for one (n, d), or the table")
@@ -334,9 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--greedy", action="store_true")
     mode.add_argument("--exact", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--max-vertices", type=int, default=None)  # --exact only
-    p.add_argument("--max-words", type=int, default=None)  # JSON only
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("selftest", help="run the acceptance checks")

@@ -28,7 +28,7 @@ from .enumeration import DEFAULT_MAX_N, identity_sphere, myers_count
 from .perm import Perm, char_set, format_permutation, from_one_line, parse_permutation
 
 PAIRWISE_MAX_WORDS = 10_000
-HAM_SEARCH_MAX_N = 9
+HAM_SEARCH_MAX_N = 17
 
 
 @dataclass(frozen=True)
@@ -159,9 +159,7 @@ def _scan_fibers(n: int, d: int, enc: PairEncoder | None, max_n: int, target=Non
         raise ValueError(f"permutation size {n} does not match encoder n={enc.n}")
     q = enc.q
     if target is not None:
-        target = tuple(int(v) % q for v in target)
-        if len(target) != d - 1:
-            raise ValueError(f"syndrome must have d-1 = {d - 1} coordinates, got {len(target)}")
+        target = _syndrome_vector(d, target, q)
     labels = tuple(range(1, n + 1))
     label = {a: {b: enc.value(a, b) for b in labels if b != a} for a in labels}
     width = max(math.comb(n - 1, k) * (q - 1) ** k for k in range(d)).bit_length()
@@ -209,9 +207,16 @@ def syndrome_classes(n: int, d: int, enc: PairEncoder | None = None,
     return _scan_fibers(n, d, enc, max_n)
 
 
+def _syndrome_vector(d: int, f, q: int) -> tuple[int, ...]:
+    """f reduced mod q, checked to have the d-1 coordinates of a syndrome."""
+    if len(f) != d - 1:
+        raise ValueError(f"syndrome must have d-1 = {d - 1} coordinates, got {len(f)}")
+    return tuple(int(v) % q for v in f)
+
+
 def in_syndrome_class(p: Perm, d: int, f, enc: PairEncoder) -> bool:
     """Membership test for the fiber of f, usable at any n (no group scan)."""
-    return syndrome(p, d, enc) == tuple(int(v) % enc.q for v in f)
+    return syndrome(p, d, enc) == _syndrome_vector(d, f, enc.q)
 
 
 def syndrome_class(n: int, d: int, f, enc: PairEncoder | None = None,

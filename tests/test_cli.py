@@ -1,10 +1,11 @@
 """Command-line behavior: outputs, formats, exit codes."""
 
 import contextlib
+import inspect
+import itertools
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +175,13 @@ def test_exact_balls_and_bounds_need_no_guard(capsys):
     ["spheres", "--n", "4", "--max-n", "8"],
     ["selftest", "--max-n", "7"],
     ["graph", "--n", "4", "--d", "3", "--greedy", "--order", "degree"],
+    ["dist", "1 2 3", "2 3 1", "--check-definition", "--max-n", "16"],
+    ["construct", "--method", "syndrome", "--n", "4", "--d", "3", "--max-n", "8"],
+    ["construct", "--method", "cyclic", "--n", "4", "--format", "json", "--max-words", "5"],
+    ["verify", "--d", "2", "code.txt", "--max-words", "5"],
+    ["graph", "--n", "4", "--d", "3", "--stats", "--max-n", "7"],
+    ["graph", "--n", "4", "--d", "3", "--exact", "--max-vertices", "5000"],
+    ["graph", "--n", "4", "--d", "3", "--greedy", "--format", "json", "--max-words", "1"],
 ])
 def test_removed_options_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -227,31 +235,8 @@ def test_construct_syndrome_rejects_d_past_n_minus_1(capsys):
                  id="bounds-table1-exact"),
     pytest.param(["bounds", "--table1", "--exact", "--n", "5", "--d", "3"],
                  "--exact, --n, --d not used by --table1", id="bounds-table1-exact-n-d"),
-    pytest.param(["construct", "--method", "cyclic", "--n", "8", "--max-words", "3"],
-                 "--max-words not used by --format text", id="construct-text-max-words"),
-    pytest.param(["construct", "--method", "syndrome", "--n", "5", "--d", "3", "--max-words",
-                  "0"], "--max-words not used by --format text", id="construct-text-max-words-0"),
-    pytest.param(["graph", "--n", "4", "--d", "3", "--greedy", "--max-words", "3"],
-                 "--max-words not used by --format text", id="graph-text-max-words"),
-    pytest.param(["graph", "--n", "4", "--d", "3", "--stats", "--format", "json",
-                  "--max-words", "3"], "--max-words not used by --stats",
-                 id="graph-stats-max-words"),
-    pytest.param(["graph", "--n", "4", "--d", "3", "--greedy", "--max-vertices", "3"],
-                 "--max-vertices not used by --greedy", id="graph-greedy-max-vertices"),
-    pytest.param(["graph", "--n", "4", "--d", "3", "--stats", "--max-vertices", "3"],
-                 "--max-vertices not used by --stats", id="graph-stats-max-vertices"),
-    pytest.param(["dist", "1 2 3", "2 3 1", "--max-n", "2"],
-                 "--max-n not used by dist without --check-definition", id="dist-max-n"),
-    pytest.param(["dist", "1 2 3", "2 3 1", "--format", "json", "--max-n", "16"],
-                 "--max-n not used by dist without --check-definition", id="dist-json-max-n"),
-    pytest.param(["construct", "--method", "even", "--n", "4", "--max-n", "3"],
-                 "--max-n not used by --method even", id="construct-even-max-n"),
-    pytest.param(["construct", "--method", "cyclic", "--n", "6", "--max-n", "10"],
-                 "--max-n not used by --method cyclic", id="construct-cyclic-max-n"),
-    pytest.param(["construct", "--method", "zn1", "--n", "6", "--max-n", "10"],
-                 "--max-n not used by --method zn1", id="construct-zn1-max-n"),
-    pytest.param(["construct", "--method", "even", "--n", "4", "--d", "3", "--max-n", "8"],
-                 "--d, --max-n not used by --method even", id="construct-even-d-max-n"),
+    pytest.param(["construct", "--method", "hamdecomp", "--n", "7", "--d", "6"],
+                 "--d not used by --method hamdecomp", id="construct-hamdecomp-d"),
 ])
 def test_options_the_mode_ignores_exit_1(capsys, argv, named):
     code, out, err = run(capsys, *argv)
@@ -287,10 +272,13 @@ def test_construct_hamdecomp_default_guard_reaches_9(capsys):
     assert len(book.words) == 9 and constructions.verify_min_distance(book) == 8
 
 
-def test_construct_hamdecomp_respects_a_lower_guard(capsys):
-    code, out, err = run(capsys, "construct", "--method", "hamdecomp", "--n", "9", "--max-n", "5")
-    assert (code, out) == (1, "")
-    assert err == "error: n=9 exceeds search guard 5\n"
+def test_construct_hamdecomp_reaches_17(capsys):
+    code, out, err = run(capsys, "construct", "--method", "hamdecomp", "--n", "17")
+    assert (code, err) == (0, "")
+    book = codebook_from_text(out)
+    assert len(book.words) == 17 and constructions.verify_min_distance(book) == 16
+    pairs = [pair for w in book.words for pair in perm.char_set(w)]
+    assert len(set(pairs)) == len(pairs) == 17 * 16  # every ordered pair exactly once
 
 
 @pytest.mark.parametrize("method", ["even", "cyclic", "zn1"])
@@ -298,16 +286,6 @@ def test_construct_without_a_guard_does_not_warn(capsys, method):
     code, out, err = run(capsys, "construct", "--method", method, "--n", "6")
     assert (code, err) == (0, "")
     assert codebook_from_text(out).provenance == method
-
-
-@pytest.mark.parametrize("argv, default", [
-    (["construct", "--method", "syndrome", "--n", "4", "--d", "3"], 8),
-    (["construct", "--method", "hamdecomp", "--n", "7"], 9),
-])
-def test_construct_warns_when_raising_a_guard(capsys, argv, default):
-    code, _, err = run(capsys, *argv, "--max-n", "10")
-    assert code == 0
-    assert err == f"warning: raising enumeration n guard to 10 (default {default})\n"
 
 
 def test_construct_needs_d_for_syndrome(capsys):
@@ -384,6 +362,16 @@ def test_verify_rejects_header_with_n_0(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("headed", [True, False], ids=["headed", "bare"])
+@pytest.mark.parametrize("d", [0, -3])
+def test_verify_rejects_d_below_1(tmp_path, capsys, headed, d):
+    path = tmp_path / "code.txt"
+    path.write_text(codebook_to_text(even_n_code(4)) if headed else "1 2 3\n3 2 1\n")
+    code, out, err = run(capsys, "verify", "--d", str(d), str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: design distance must be positive, got {d}\n"
+
+
 def test_verify_missing_file(capsys):
     assert run(capsys, "verify", "--d", "2", "/nonexistent/code.txt")[0] == 1
 
@@ -430,12 +418,15 @@ def test_bounds_table_json_rows_read_back(capsys):
     assert rows == table1()
 
 
-def test_code_json_reads_max_words(capsys):
+def test_code_json_past_the_pairwise_guard_is_unverified(capsys):
     argv = ["construct", "--method", "cyclic", "--n", "4", "--format", "json"]
     assert json.loads(run(capsys, *argv)[1])["verified_min_distance"] == 2
-    assert json.loads(run(capsys, *argv, "--max-words", "5")[1])["verified_min_distance"] is None
-    argv = ["graph", "--n", "4", "--d", "3", "--greedy", "--format", "json", "--max-words", "1"]
-    assert json.loads(run(capsys, *argv)[1])["verified_min_distance"] is None
+    argv[4] = "9"  # 8! words, past the guard: printed without a distance
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert len(payload["words"]) > constructions.PAIRWISE_MAX_WORDS
+    assert payload["verified_min_distance"] is None
 
 
 def test_bounds_table_csv_deterministic(capsys):
@@ -508,80 +499,119 @@ def test_graph_rejects_n_0(capsys):
     assert err.startswith("error:")
 
 
-# What each mode does with each guard option of its subcommand: a pair
-# (library default, the cli-imported library function that receives it) when
-# the mode reads the option, else the mode its rejection names.
-DIST_N = (perm.DEFINITION_SEARCH_MAX_N, "distance_by_definition")
-SYNDROME_N = (enumeration.DEFAULT_MAX_N, "largest_syndrome_class")
-HAMDECOMP_N = (constructions.HAM_SEARCH_MAX_N, "ham_decomp_code")
-STATS_N = (graph.GRAPH_MAX_N, "neighborhood_stats")
-GRAPH_N = (graph.GRAPH_MAX_N, "build_graph")
-VERTICES = (graph.EXACT_MAX_VERTICES, "exact_independent_set")
-CODE_WORDS = (constructions.PAIRWISE_MAX_WORDS, "with_verified_min_distance")
-VERIFY_WORDS = (constructions.PAIRWISE_MAX_WORDS, "verify_min_distance")
+# Each mode of a subcommand that had guard options, with each option it had,
+# and the cli-imported library function that holds that guard in the mode
+# (None where the mode reads no guard).
 DIST = ["dist", "1 2", "2 1"]
 JSON = ["--format", "json"]
 GRAPH = ["graph", "--n", "3", "--d", "2"]
+CODE_WORDS = "with_verified_min_distance"
 GUARD_MODES = {
-    "dist": (DIST, {"max_n": "dist without --check-definition"}),
-    "dist-json": (DIST + JSON, {"max_n": "dist without --check-definition"}),
-    "dist-check-definition": (DIST + ["--check-definition"], {"max_n": DIST_N}),
-    "dist-check-definition-json": (DIST + ["--check-definition"] + JSON, {"max_n": DIST_N}),
-    "verify": (["verify", "--d", "2", "code.txt"], {"max_words": VERIFY_WORDS}),
+    "dist": (DIST, {"max_n": None}),
+    "dist-json": (DIST + JSON, {"max_n": None}),
+    "dist-check-definition": (DIST + ["--check-definition"], {"max_n": "distance_by_definition"}),
+    "dist-check-definition-json": (DIST + ["--check-definition"] + JSON,
+                                   {"max_n": "distance_by_definition"}),
+    "verify": (["verify", "--d", "2", "code.txt"], {"max_words": "verify_min_distance"}),
     "graph-stats": (GRAPH + ["--stats"],
-                    {"max_n": STATS_N, "max_vertices": "--stats", "max_words": "--stats"}),
+                    {"max_n": "neighborhood_stats", "max_vertices": None, "max_words": None}),
     "graph-stats-json": (GRAPH + ["--stats"] + JSON,
-                         {"max_n": STATS_N, "max_vertices": "--stats", "max_words": "--stats"}),
+                         {"max_n": "neighborhood_stats", "max_vertices": None, "max_words": None}),
     "graph-greedy": (GRAPH + ["--greedy"],
-                     {"max_n": GRAPH_N, "max_vertices": "--greedy", "max_words": "--format text"}),
+                     {"max_n": "build_graph", "max_vertices": None, "max_words": None}),
     "graph-greedy-json": (GRAPH + ["--greedy"] + JSON,
-                          {"max_n": GRAPH_N, "max_vertices": "--greedy", "max_words": CODE_WORDS}),
-    "graph-exact": (GRAPH + ["--exact"],
-                    {"max_n": GRAPH_N, "max_vertices": VERTICES, "max_words": "--format text"}),
-    "graph-exact-json": (GRAPH + ["--exact"] + JSON,
-                         {"max_n": GRAPH_N, "max_vertices": VERTICES, "max_words": CODE_WORDS}),
+                          {"max_n": "build_graph", "max_vertices": None, "max_words": CODE_WORDS}),
+    "graph-exact": (GRAPH + ["--exact"], {"max_n": "build_graph",
+                                         "max_vertices": "exact_independent_set",
+                                         "max_words": None}),
+    "graph-exact-json": (GRAPH + ["--exact"] + JSON, {"max_n": "build_graph",
+                                                     "max_vertices": "exact_independent_set",
+                                                     "max_words": CODE_WORDS}),
 }
-for method, sizes, max_n in [("syndrome", ["--n", "4", "--d", "3"], SYNDROME_N),
-                             ("hamdecomp", ["--n", "9"], HAMDECOMP_N),
-                             ("even", ["--n", "4"], "--method even"),
-                             ("cyclic", ["--n", "4"], "--method cyclic"),
-                             ("zn1", ["--n", "4"], "--method zn1")]:
+for method, sizes, max_n in [("syndrome", ["--n", "4", "--d", "3"], "largest_syndrome_class"),
+                             ("hamdecomp", ["--n", "9"], "ham_decomp_code"),
+                             ("even", ["--n", "4"], None),
+                             ("cyclic", ["--n", "4"], None),
+                             ("zn1", ["--n", "4"], None)]:
     argv = ["construct", "--method", method, *sizes]
-    GUARD_MODES[f"construct-{method}"] = (argv, {"max_n": max_n, "max_words": "--format text"})
-    GUARD_MODES[f"construct-{method}-json"] = (argv + JSON,
-                                               {"max_n": max_n, "max_words": CODE_WORDS})
+    GUARD_MODES[f"construct-{method}"] = (argv, {"max_n": max_n, "max_words": None})
+    GUARD_MODES[f"construct-{method}-json"] = (argv + JSON, {"max_n": max_n, "max_words": CODE_WORDS})
 
 
 @pytest.mark.parametrize("mode, option", [
     pytest.param(mode, option, id=f"{mode}-{option}")
     for mode, (_, options) in GUARD_MODES.items() for option in options])
 def test_guard_defaults_come_from_the_library(capsys, monkeypatch, tmp_path, mode, option):
+    """The mode takes no guard option, and the library function holding the
+    guard gets no value for it, so the library's own default applies."""
     monkeypatch.chdir(tmp_path)  # verify reads its code from here
     (tmp_path / "code.txt").write_text(codebook_to_text(even_n_code(4)))
     argv, options = GUARD_MODES[mode]
     flag = f"--{option.replace('_', '-')}"
-    if isinstance(options[option], str):
-        assert run(capsys, *argv, flag, "1") == (
-            1, "", f"error: {flag} not used by {options[option]}\n")
-        return
-    default, reader = options[option]
+    code, out, err = run(capsys, *argv, flag, "1")
+    assert (code, out) == (1, "") and f"unrecognized arguments: {flag} 1" in err
     seen = []
-    real = getattr(cli, reader)
+    if options[option] is not None:
+        real = getattr(cli, options[option])
 
-    def spy(*a, **kw):
-        seen.append(kw[option])
-        return real(*a, **kw)
+        def spy(*a, **kw):
+            seen.append(inspect.signature(real).bind(*a, **kw).arguments)
+            return real(*a, **kw)
 
-    monkeypatch.setattr(cli, reader, spy)
-    code, out, err = run(capsys, *argv)
-    assert (code, seen, err) == (0, [default], "")
-    raised = run(capsys, *argv, flag, str(default + 1))
-    assert raised[:2] == (0, out) and seen[-1] == default + 1
-    warning = rf"warning: raising [a-z -]+ guard to {default + 1} \(default {default}\)\n"
-    assert re.fullmatch(warning, raised[2])
-    code, out, err = run(capsys, *argv, flag, "-1")
-    assert (code, out) == (1, "")
-    assert re.fullmatch(r"error: [a-z -]+ guard must be nonnegative, got -1\n", err)
+        monkeypatch.setattr(cli, options[option], spy)
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert [option in arguments for arguments in seen] == ([False] if options[option] else [])
+
+
+def _guard_edge(mode, argv, at, past, message):
+    """A row of the table below: the mode's argv at the largest size within
+    its guard, its argv just past it, and the library's message there."""
+    return pytest.param(argv(at), argv(past), message.format(at=at, past=past), id=mode)
+
+
+def _identity(n):
+    return " ".join(map(str, range(1, n + 1)))
+
+
+@pytest.mark.parametrize("at, past, message", [
+    _guard_edge("dist-check-definition",
+                lambda n: ["dist", _identity(n), _identity(n), "--check-definition"],
+                perm.DEFINITION_SEARCH_MAX_N, perm.DEFINITION_SEARCH_MAX_N + 1,
+                "n={past} exceeds search guard {at}"),
+    _guard_edge("construct-syndrome",
+                lambda n: ["construct", "--method", "syndrome", "--n", str(n), "--d", "3",
+                           "--f", "0,0"],
+                enumeration.DEFAULT_MAX_N, enumeration.DEFAULT_MAX_N + 1,
+                "n={past} exceeds enumeration guard {at}"),
+    _guard_edge("construct-hamdecomp",  # the search takes odd n only
+                lambda n: ["construct", "--method", "hamdecomp", "--n", str(n)],
+                constructions.HAM_SEARCH_MAX_N, constructions.HAM_SEARCH_MAX_N + 2,
+                "n={past} exceeds search guard {at}"),
+    _guard_edge("verify", lambda words: ["verify", "--d", "1", f"{words}.txt"],
+                constructions.PAIRWISE_MAX_WORDS, constructions.PAIRWISE_MAX_WORDS + 1,
+                "{past} words exceed pairwise guard {at}"),
+    _guard_edge("graph-stats", lambda n: ["graph", "--n", str(n), "--d", "3", "--stats"],
+                graph.GRAPH_MAX_N, graph.GRAPH_MAX_N + 1, "n={past} exceeds graph guard {at}"),
+    _guard_edge("graph-greedy", lambda n: ["graph", "--n", str(n), "--d", "3", "--greedy"],
+                graph.GRAPH_MAX_N, graph.GRAPH_MAX_N + 1,
+                "n={past} exceeds graph guard {at} (n! vertices)"),
+    # 6! vertices are within the solver's guard and 7! past it; d = 3 keeps
+    # the graph at n = 7 quick to build, and d = 5 the search at n = 6 quick
+    pytest.param(["graph", "--n", "6", "--d", "5", "--exact"],
+                 ["graph", "--n", "7", "--d", "3", "--exact"],
+                 f"5040 vertices exceed exact-solver guard {graph.EXACT_MAX_VERTICES}",
+                 id="graph-exact"),
+])
+def test_each_mode_stops_just_past_its_guard(capsys, monkeypatch, tmp_path, at, past, message):
+    monkeypatch.chdir(tmp_path)  # verify reads its codes from here
+    words = [" ".join(map(str, p)) for p in itertools.islice(
+        itertools.permutations(range(1, 9)), constructions.PAIRWISE_MAX_WORDS + 1)]
+    for count in (len(words) - 1, len(words)):
+        (tmp_path / f"{count}.txt").write_text("\n".join(words[:count]) + "\n")
+    code, out, err = run(capsys, *at)
+    assert (code, err) == (0, "") and out
+    assert run(capsys, *past) == (1, "", f"error: {message}\n")
 
 
 def test_selftest_summary_counts_and_exit_code(capsys, monkeypatch):

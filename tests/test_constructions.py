@@ -8,6 +8,7 @@ import random
 import pytest
 
 from blockperm.constructions import (
+    HAM_SEARCH_MAX_N,
     CodeBook,
     PairEncoder,
     codebook_from_payload,
@@ -137,6 +138,12 @@ def test_in_syndrome_class_matches_scan():
     # usable beyond the scan guard
     big = PairEncoder.for_n(12)
     assert isinstance(in_syndrome_class(tuple(range(1, 13)), 4, (0, 0, 0), big), bool)
+
+
+@pytest.mark.parametrize("f", [(1,), (1, 1, 1)], ids=["too-few", "too-many"])
+def test_in_syndrome_class_needs_d_minus_1_coordinates(f):
+    with pytest.raises(ValueError, match=f"d-1 = 2 coordinates, got {len(f)}"):
+        in_syndrome_class((1, 2, 3, 4, 5), 3, f, PairEncoder.for_n(5))
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -323,7 +330,7 @@ def test_ham_decomp_code_validation():
     with pytest.raises(ValueError):
         ham_decomp_code(6)
     with pytest.raises(ValueError):
-        ham_decomp_code(11)  # beyond the default search guard
+        ham_decomp_code(HAM_SEARCH_MAX_N + 2)  # beyond the default search guard
 
 
 def test_verify_min_distance_conventions():
