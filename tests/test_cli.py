@@ -220,6 +220,14 @@ def test_construct_syndrome_rejects_d_past_n_minus_1(capsys):
     assert err == "error: syndrome codes need 2 <= d <= n-1, got (n, d) = (5, 5)\n"
 
 
+UNRECOGNIZED = "unrecognized arguments: "
+
+
+def _removed(argv, option, id):
+    """A row of the table below for an option the subcommand does not have."""
+    return pytest.param(argv, UNRECOGNIZED + option, id=id)
+
+
 @pytest.mark.parametrize("argv, named", [
     pytest.param(["construct", "--method", "even", "--n", "4", "--d", "3"],
                  "--d not used by --method even", id="construct-even-d"),
@@ -237,11 +245,38 @@ def test_construct_syndrome_rejects_d_past_n_minus_1(capsys):
                  "--exact, --n, --d not used by --table1", id="bounds-table1-exact-n-d"),
     pytest.param(["construct", "--method", "hamdecomp", "--n", "7", "--d", "6"],
                  "--d not used by --method hamdecomp", id="construct-hamdecomp-d"),
+    # Guard options these modes once rejected themselves; the subcommands no
+    # longer have them, so argparse rejects them before any mode is chosen.
+    _removed(["construct", "--method", "cyclic", "--n", "8", "--max-words", "3"],
+             "--max-words 3", "construct-text-max-words"),
+    _removed(["construct", "--method", "syndrome", "--n", "5", "--d", "3", "--max-words", "0"],
+             "--max-words 0", "construct-text-max-words-0"),
+    _removed(["graph", "--n", "4", "--d", "3", "--greedy", "--max-words", "3"],
+             "--max-words 3", "graph-text-max-words"),
+    _removed(["graph", "--n", "4", "--d", "3", "--stats", "--format", "json", "--max-words", "3"],
+             "--max-words 3", "graph-stats-max-words"),
+    _removed(["graph", "--n", "4", "--d", "3", "--greedy", "--max-vertices", "3"],
+             "--max-vertices 3", "graph-greedy-max-vertices"),
+    _removed(["graph", "--n", "4", "--d", "3", "--stats", "--max-vertices", "3"],
+             "--max-vertices 3", "graph-stats-max-vertices"),
+    _removed(["dist", "1 2 3", "2 3 1", "--max-n", "2"], "--max-n 2", "dist-max-n"),
+    _removed(["dist", "1 2 3", "2 3 1", "--format", "json", "--max-n", "16"], "--max-n 16",
+             "dist-json-max-n"),
+    _removed(["construct", "--method", "even", "--n", "4", "--max-n", "3"], "--max-n 3",
+             "construct-even-max-n"),
+    _removed(["construct", "--method", "cyclic", "--n", "6", "--max-n", "10"], "--max-n 10",
+             "construct-cyclic-max-n"),
+    _removed(["construct", "--method", "zn1", "--n", "6", "--max-n", "10"], "--max-n 10",
+             "construct-zn1-max-n"),
+    _removed(["construct", "--method", "even", "--n", "4", "--d", "3", "--max-n", "8"],
+             "--max-n 8", "construct-even-d-max-n"),
 ])
 def test_options_the_mode_ignores_exit_1(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == f"error: {named}\n"
+    # argparse prints the usage and the program name before its own errors
+    usage = cli.build_parser().format_usage() + "blockperm: "
+    assert err == f"{usage if named.startswith(UNRECOGNIZED) else ''}error: {named}\n"
 
 
 def test_text_output_does_not_verify(capsys, monkeypatch):
