@@ -17,43 +17,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import bounds as bounds_mod
-from . import selftest as selftest_mod
-from .constructions import (
-    PAIRWISE_MAX_WORDS,
-    CodeBook,
-    codebook_from_text,
-    codebook_payload,
-    codebook_to_text,
-    cyclic_class_code,
-    even_n_code,
-    ham_decomp_code,
-    largest_syndrome_class,
-    syndrome_class,
-    verify_min_distance,
-    with_verified_min_distance,
-    zn1_code,
-)
+# Every command loads these (and perm, which enumeration imports), and the
+# benchmark's tracing tests read them here.  Each command imports the rest of
+# the library it calls when it runs, so a process loads only the modules its
+# subcommand needs.
 from .enumeration import (
     ball_size_bounds,
     ball_size_exact,
     sphere_profile,
     sphere_profile_payload,
 )
-from .graph import (
-    build_graph,
-    exact_independent_set,
-    greedy_independent_set,
-    neighborhood_stats,
-    neighborhood_stats_payload,
-)
-from .perm import (
-    block_distance,
-    char_set_payload,
-    distance_by_definition,
-    parse_permutation,
-)
+
+if TYPE_CHECKING:
+    from .constructions import CodeBook
 
 
 def _emit_json(payload) -> None:
@@ -61,6 +39,7 @@ def _emit_json(payload) -> None:
 
 
 def cmd_dist(args) -> int:
+    from .perm import block_distance, distance_by_definition, parse_permutation
     p1 = parse_permutation(args.perm1)
     p2 = parse_permutation(args.perm2)
     dist = block_distance(p1, p2)
@@ -77,6 +56,7 @@ def cmd_dist(args) -> int:
 
 
 def cmd_charset(args) -> int:
+    from .perm import char_set_payload, parse_permutation
     _emit_json(char_set_payload(parse_permutation(args.perm)))
     return 0
 
@@ -120,6 +100,8 @@ def _reject_unused(args, names, mode: str) -> None:
 def _print_code(code: CodeBook, args) -> int:
     """Print a code as text, or as JSON that carries its minimum distance when
     it is within the pairwise guard (the text format has no place for it)."""
+    from .constructions import (PAIRWISE_MAX_WORDS, codebook_payload, codebook_to_text,
+                                with_verified_min_distance)
     if args.format == "json":
         if len(code.words) <= PAIRWISE_MAX_WORDS:
             code = with_verified_min_distance(code)
@@ -130,6 +112,8 @@ def _print_code(code: CodeBook, args) -> int:
 
 
 def _construct(args) -> CodeBook | None:
+    from .constructions import (cyclic_class_code, even_n_code, ham_decomp_code,
+                                largest_syndrome_class, syndrome_class, zn1_code)
     method, n = args.method, args.n
     if method == "syndrome":
         if args.d is None:
@@ -157,6 +141,8 @@ def cmd_construct(args) -> int:
 
 
 def _read_codebook(path: str, d: int) -> CodeBook:
+    from .constructions import CodeBook, codebook_from_text
+    from .perm import parse_permutation
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -169,6 +155,7 @@ def _read_codebook(path: str, d: int) -> CodeBook:
 
 
 def cmd_verify(args) -> int:
+    from .constructions import verify_min_distance
     if args.d < 1:  # every code would pass; a headed file carries its own d
         raise ValueError(f"design distance must be positive, got {args.d}")
     code = _read_codebook(args.path, args.d)
@@ -188,6 +175,7 @@ def _print_report_text(rep) -> None:
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds as bounds_mod
     if args.table1:
         _reject_unused(args, ("exact", "n", "d"), "--table1")
         reports = bounds_mod.table1()
@@ -218,15 +206,20 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from .graph import (build_graph, check_exact_full_graph, exact_independent_set,
+                        greedy_independent_set, neighborhood_stats, neighborhood_stats_payload)
     if args.stats:
         _emit_json(neighborhood_stats_payload(neighborhood_stats(args.n, args.d)))
         return 0
+    if args.exact:  # the solver's guard on the n! vertices, before they are built
+        check_exact_full_graph(args.n)
     # the full graph is regular, so a degree-first greedy sweep would visit the same order
     solve = exact_independent_set if args.exact else greedy_independent_set
     return _print_code(solve(build_graph(args.n, args.d)), args)
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest as selftest_mod
     results = selftest_mod.run_all()
     for result in results:
         print(selftest_mod.format_result(result))

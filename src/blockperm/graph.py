@@ -61,6 +61,25 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be at least 1, got {n}")
 
 
+def _check_graph_n(n: int, max_n: int) -> None:
+    _check_n(n)
+    if n > max_n:
+        raise ValueError(f"n={n} exceeds graph guard {max_n} (n! vertices)")
+
+
+def _check_exact_size(count: int, max_vertices: int) -> None:
+    if count > max_vertices:
+        raise ValueError(f"{count} vertices exceed exact-solver guard {max_vertices}")
+
+
+def _check_design_distance(g: BlockGraph) -> None:
+    """Distinct permutations of 1..n are at most n-1 apart, so past d = n
+    a solver could only return one word, whose distance n by convention
+    is below d."""
+    if g.d > g.n:
+        raise ValueError(f"design distance {g.d} exceeds n={g.n}, the distance of a one-word code")
+
+
 def _identity_ball(n: int, radius: int) -> list[tuple[Perm, int]]:
     """Every s with 0 < d(identity, s) <= radius, with its distance, sphere by
     sphere."""
@@ -158,9 +177,7 @@ def build_graph(n: int, d: int, max_n: int = GRAPH_MAX_N) -> BlockGraph:
     every p is one column, composed from two earlier columns (see
     ``_neighbor_columns``); each vertex's row is then sorted.
     """
-    _check_n(n)
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds graph guard {max_n} (n! vertices)")
+    _check_graph_n(n, max_n)
     verts = tuple(itertools.permutations(range(1, n + 1)))
     cols = _neighbor_columns(verts, _identity_ball(n, d - 1))
     rows = zip(*cols) if cols else [()] * len(verts)
@@ -208,11 +225,12 @@ def jv_lower_formula(stats: NeighborhoodStats) -> float:
 
 
 def greedy_independent_set(g: BlockGraph, order: str = "lexicographic") -> CodeBook:
-    """Maximal independent set by greedy insertion.
+    """Maximal independent set by greedy insertion, for d <= n.
 
     Order "lexicographic" sweeps vertices as indexed; "degree" tries
     low-degree vertices first (ties by index).
     """
+    _check_design_distance(g)
     if order == "lexicographic":
         sweep = range(len(g.vertices))
     elif order == "degree":
@@ -265,8 +283,17 @@ def _grow(adj: list[int], chosen: list[int], cand: int, best: list[int]) -> None
         cand ^= bit
 
 
+def check_exact_full_graph(n: int) -> None:
+    """Raise where ``exact_independent_set(build_graph(n, d))`` would stop at
+    a default guard, before anything is built: the graph guard on n, then the
+    solver's vertex guard on the n! vertices, with the messages those give."""
+    _check_graph_n(n, GRAPH_MAX_N)
+    _check_exact_size(math.factorial(n), EXACT_MAX_VERTICES)
+
+
 def exact_independent_set(g: BlockGraph, max_vertices: int = EXACT_MAX_VERTICES) -> CodeBook:
-    """A maximum independent set by branch and bound over vertex bitsets.
+    """A maximum independent set by branch and bound over vertex bitsets, for
+    d <= n.
 
     Seeded with the better of the two greedy solutions, then pruned and
     guided by a greedy clique cover of the candidate set: an independent set
@@ -290,8 +317,8 @@ def exact_independent_set(g: BlockGraph, max_vertices: int = EXACT_MAX_VERTICES)
     it there.  Any other vertex set is searched from the empty set.
     """
     count = len(g.vertices)
-    if count > max_vertices:
-        raise ValueError(f"{count} vertices exceed exact-solver guard {max_vertices}")
+    _check_exact_size(count, max_vertices)
+    _check_design_distance(g)
     adj = _bitsets(g.adjacency, count)
     index = {v: i for i, v in enumerate(g.vertices)}
     seed = max((greedy_independent_set(g, order) for order in ("lexicographic", "degree")),

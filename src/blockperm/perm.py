@@ -52,7 +52,7 @@ def compose(outer: Perm, inner: Perm) -> Perm:
     """Composition outer∘inner, mapping i to outer(inner(i))."""
     if len(outer) != len(inner):
         raise ValueError(f"mismatched sizes {len(outer)} and {len(inner)}")
-    return tuple(outer[j - 1] for j in inner)
+    return tuple([outer[j - 1] for j in inner])
 
 
 def inverse(p: Perm) -> Perm:
@@ -80,7 +80,7 @@ def block_distance(p1: Perm, p2: Perm) -> int:
     """
     if len(p1) != len(p2):
         raise ValueError(f"mismatched sizes {len(p1)} and {len(p2)}")
-    return len(char_set(p1) - char_set(p2))
+    return len(set(zip(p1, p1[1:])).difference(zip(p2, p2[1:])))
 
 
 def is_minimal(p: Perm) -> bool:

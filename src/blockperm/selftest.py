@@ -13,6 +13,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from operator import itemgetter, ne
 
 from . import bounds as bounds_mod
 from .constructions import (
@@ -201,7 +202,10 @@ def criterion_9_metric_axioms() -> CriterionResult:
     The S_7 triples are indices into the 5040 permutations drawn by
     ``rng.choices``, each uniform on S_7 to within about 2^-40.  Symmetry and
     the triangle inequality are checked on pair masks, left-invariance with
-    the library's ``compose`` and ``block_distance``.
+    the library's ``compose`` and ``block_distance``.  On S_4 and S_5 the
+    distance table is checked a row at a time: left-invariance by reading
+    rows through ``itemgetter``, the triangle inequality on rows packed one
+    byte per entry.
     """
     start = time.perf_counter()
     violations = 0
@@ -216,22 +220,28 @@ def criterion_9_metric_axioms() -> CriterionResult:
                 if dij != len(sets[j] - sets[i]):
                     violations += 1
                 table[i][j] = table[j][i] = dij
+        # Left-invariance: row c∘a of the table, read at the columns c∘b,
+        # is row a.  Only a row that differs is compared entry by entry.
         index = {p: i for i, p in enumerate(perms)}
-        comp = [[index[compose(c, a)] for a in perms] for c in perms]
-        for c in range(size):
-            rowc = comp[c]
-            for a in range(size):
-                da, dca = table[a], table[rowc[a]]
-                for b in range(size):
-                    if dca[rowc[b]] != da[b]:
-                        violations += 1
+        rows = [tuple(row) for row in table]
+        for c in perms:
+            comp = [index[compose(c, a)] for a in perms]
+            pick = itemgetter(*comp)
+            for a, ca in enumerate(comp):
+                got = pick(rows[ca])
+                if got != rows[a]:
+                    violations += sum(map(ne, got, rows[a]))
+        # Triangle inequality, one byte per c: 128 + d(a,b) + d(b,c) - d(a,c)
+        # lies in [128-(n-1), 128+2(n-1)], so no byte borrows from the next,
+        # and a violation is a byte whose high bit is clear.
+        ones = int.from_bytes(b"\x01" * size, "little")
+        high = 0x80 * ones
+        packed = [int.from_bytes(bytes(row), "little") for row in table]
         for a in range(size):
-            ta = table[a]
+            ta, pa = table[a], packed[a]
             for b in range(size):
-                tab, tb = ta[b], table[b]
-                for c in range(size):
-                    if ta[c] > tab + tb[c]:
-                        violations += 1
+                x = high + ta[b] * ones + packed[b] - pa
+                violations += (high & ~x).bit_count()
         for i in range(size):
             for j in range(size):
                 if (table[i][j] == 0) != (i == j):

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, formats, exit codes."""
 
 import contextlib
+import importlib
 import inspect
 import itertools
 import json
@@ -8,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -77,6 +79,28 @@ def test_cli_import_starts_no_process_machinery():
     done = run_python("-c", "import sys, blockperm.cli; "
                             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
     assert (done.returncode, done.stdout) == (0, "[]\n")
+
+
+ALWAYS = ["cli", "enumeration", "perm"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["dist", "1 2 3", "2 3 1", "--check-definition"], ALWAYS),
+    (["spheres", "--n", "4"], ALWAYS),
+    (["construct", "--method", "syndrome", "--n", "4", "--d", "3"], ALWAYS + ["constructions"]),
+    (["bounds", "--n", "5", "--d", "3", "--exact"], ALWAYS + ["bounds"]),
+    (["graph", "--n", "4", "--d", "3", "--greedy"], ALWAYS + ["constructions", "graph"]),
+    (["selftest"], ALWAYS + ["bounds", "constructions", "graph", "selftest"]),
+], ids=["dist", "spheres", "construct", "bounds", "graph", "selftest"])
+def test_each_subcommand_loads_only_the_modules_it_calls(argv, loaded):
+    done = run_python("-c", "import sys\n"
+                            "from blockperm import cli\n"
+                            "code = cli.main(sys.argv[1:])\n"
+                            "print(sorted(m for m in sys.modules if m.startswith('blockperm.')),"
+                            " file=sys.stderr)\n"
+                            "sys.exit(code)\n", *argv)
+    assert done.returncode == (2 if argv == ["selftest"] else 0)  # criterion 4 fails by design
+    assert done.stderr.splitlines()[-1] == str(sorted(f"blockperm.{m}" for m in loaded))
 
 
 def test_unknown_subcommand_exits_1(capsys):
@@ -287,7 +311,7 @@ def test_text_output_does_not_verify(capsys, monkeypatch):
         raise AssertionError("text output verified the code")
 
     with monkeypatch.context() as patch:
-        patch.setattr("blockperm.cli.with_verified_min_distance", refuse)
+        patch.setattr("blockperm.constructions.with_verified_min_distance", refuse)
         assert run(capsys, *argv) == (0, expected, "")
         assert run(capsys, "graph", "--n", "4", "--d", "3", "--exact")[0] == 0
     code, out, _ = run(capsys, *argv, "--format", "json")
@@ -528,6 +552,29 @@ def test_graph_rejects_d_below_1(capsys, mode, d):
     assert err == f"error: design distance must be positive, got {d}\n"
 
 
+@pytest.mark.parametrize("mode", ["--greedy", "--exact"])
+def test_graph_rejects_d_past_n(capsys, tmp_path, mode):
+    code, out, err = run(capsys, "graph", "--n", "3", "--d", "9", mode, "--format", "json")
+    assert (code, out) == (1, "")
+    assert err == "error: design distance 9 exceeds n=3, the distance of a one-word code\n"
+    code, out, err = run(capsys, "graph", "--n", "3", "--d", "3", mode)  # d = n: one word
+    assert (code, err) == (0, "") and len(codebook_from_text(out).words) == 1
+    (tmp_path / "code.txt").write_text(out)
+    assert run(capsys, "verify", "--d", "3", str(tmp_path / "code.txt"))[0] == 0
+
+
+@pytest.mark.parametrize("n, d, message", [
+    (7, 6, f"5040 vertices exceed exact-solver guard {graph.EXACT_MAX_VERTICES}"),
+    (8, 3, f"n=8 exceeds graph guard {graph.GRAPH_MAX_N} (n! vertices)"),
+    (0, 2, "n must be at least 1, got 0"),
+])
+def test_graph_exact_stops_at_its_guards_before_building(capsys, n, d, message):
+    start = time.perf_counter()
+    result = run(capsys, "graph", "--n", str(n), "--d", str(d), "--exact")
+    assert time.perf_counter() - start < 1.0  # the 5040-vertex build alone takes seconds
+    assert result == (1, "", f"error: {message}\n")
+
+
 def test_graph_rejects_n_0(capsys):
     code, out, err = run(capsys, "graph", "--n", "0", "--d", "2", "--greedy")
     assert (code, out) == (1, "")
@@ -535,36 +582,40 @@ def test_graph_rejects_n_0(capsys):
 
 
 # Each mode of a subcommand that had guard options, with each option it had,
-# and the cli-imported library function that holds that guard in the mode
-# (None where the mode reads no guard).
+# and the library function that holds that guard in the mode, as
+# "module.function" for the module the CLI looks it up in when the command
+# runs (None where the mode reads no guard).
 DIST = ["dist", "1 2", "2 1"]
 JSON = ["--format", "json"]
 GRAPH = ["graph", "--n", "3", "--d", "2"]
-CODE_WORDS = "with_verified_min_distance"
+CODE_WORDS = "constructions.with_verified_min_distance"
+CUT_SEARCH = "perm.distance_by_definition"
 GUARD_MODES = {
     "dist": (DIST, {"max_n": None}),
     "dist-json": (DIST + JSON, {"max_n": None}),
-    "dist-check-definition": (DIST + ["--check-definition"], {"max_n": "distance_by_definition"}),
-    "dist-check-definition-json": (DIST + ["--check-definition"] + JSON,
-                                   {"max_n": "distance_by_definition"}),
-    "verify": (["verify", "--d", "2", "code.txt"], {"max_words": "verify_min_distance"}),
-    "graph-stats": (GRAPH + ["--stats"],
-                    {"max_n": "neighborhood_stats", "max_vertices": None, "max_words": None}),
-    "graph-stats-json": (GRAPH + ["--stats"] + JSON,
-                         {"max_n": "neighborhood_stats", "max_vertices": None, "max_words": None}),
-    "graph-greedy": (GRAPH + ["--greedy"],
-                     {"max_n": "build_graph", "max_vertices": None, "max_words": None}),
-    "graph-greedy-json": (GRAPH + ["--greedy"] + JSON,
-                          {"max_n": "build_graph", "max_vertices": None, "max_words": CODE_WORDS}),
-    "graph-exact": (GRAPH + ["--exact"], {"max_n": "build_graph",
-                                         "max_vertices": "exact_independent_set",
+    "dist-check-definition": (DIST + ["--check-definition"], {"max_n": CUT_SEARCH}),
+    "dist-check-definition-json": (DIST + ["--check-definition"] + JSON, {"max_n": CUT_SEARCH}),
+    "verify": (["verify", "--d", "2", "code.txt"],
+               {"max_words": "constructions.verify_min_distance"}),
+    "graph-stats": (GRAPH + ["--stats"], {"max_n": "graph.neighborhood_stats",
+                                          "max_vertices": None, "max_words": None}),
+    "graph-stats-json": (GRAPH + ["--stats"] + JSON, {"max_n": "graph.neighborhood_stats",
+                                                      "max_vertices": None, "max_words": None}),
+    "graph-greedy": (GRAPH + ["--greedy"], {"max_n": "graph.build_graph",
+                                            "max_vertices": None, "max_words": None}),
+    "graph-greedy-json": (GRAPH + ["--greedy"] + JSON, {"max_n": "graph.build_graph",
+                                                        "max_vertices": None,
+                                                        "max_words": CODE_WORDS}),
+    "graph-exact": (GRAPH + ["--exact"], {"max_n": "graph.build_graph",
+                                         "max_vertices": "graph.exact_independent_set",
                                          "max_words": None}),
-    "graph-exact-json": (GRAPH + ["--exact"] + JSON, {"max_n": "build_graph",
-                                                     "max_vertices": "exact_independent_set",
+    "graph-exact-json": (GRAPH + ["--exact"] + JSON, {"max_n": "graph.build_graph",
+                                                     "max_vertices": "graph.exact_independent_set",
                                                      "max_words": CODE_WORDS}),
 }
-for method, sizes, max_n in [("syndrome", ["--n", "4", "--d", "3"], "largest_syndrome_class"),
-                             ("hamdecomp", ["--n", "9"], "ham_decomp_code"),
+for method, sizes, max_n in [("syndrome", ["--n", "4", "--d", "3"],
+                              "constructions.largest_syndrome_class"),
+                             ("hamdecomp", ["--n", "9"], "constructions.ham_decomp_code"),
                              ("even", ["--n", "4"], None),
                              ("cyclic", ["--n", "4"], None),
                              ("zn1", ["--n", "4"], None)]:
@@ -587,13 +638,15 @@ def test_guard_defaults_come_from_the_library(capsys, monkeypatch, tmp_path, mod
     assert (code, out) == (1, "") and f"unrecognized arguments: {flag} 1" in err
     seen = []
     if options[option] is not None:
-        real = getattr(cli, options[option])
+        module, name = options[option].split(".")
+        home = importlib.import_module(f"blockperm.{module}")
+        real = getattr(home, name)
 
         def spy(*a, **kw):
             seen.append(inspect.signature(real).bind(*a, **kw).arguments)
             return real(*a, **kw)
 
-        monkeypatch.setattr(cli, options[option], spy)
+        monkeypatch.setattr(home, name, spy)
     code, _, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert [option in arguments for arguments in seen] == ([False] if options[option] else [])

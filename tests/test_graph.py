@@ -261,6 +261,16 @@ def test_exact_does_not_fix_vertex_0_off_the_full_group(vertices, d, expected):
     assert vertices[0] not in code.words
 
 
+@pytest.mark.parametrize("solve", [greedy_independent_set, exact_independent_set])
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_solvers_reject_d_past_n(solve, n):
+    g = build_graph(n, n + 1)  # the graph itself is still defined there
+    with pytest.raises(ValueError, match=f"design distance {n + 1} exceeds n={n},"):
+        solve(g)
+    code = solve(build_graph(n, n))  # complete graph: one word, at distance n by convention
+    assert len(code.words) == 1 and verify_min_distance(code) == n
+
+
 def test_exact_guard():
     with pytest.raises(ValueError):
         exact_independent_set(build_graph(5, 3), max_vertices=10)
