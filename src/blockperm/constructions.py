@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from operator import itemgetter
+from operator import add, itemgetter, mul, neg, sub
 
 from .enumeration import DEFAULT_MAX_N, identity_sphere, myers_count
 from .perm import Perm, char_set, format_permutation, from_one_line, parse_permutation
@@ -111,7 +111,12 @@ class PairEncoder:
         a, b = (x, y) if x < y else (y, x)
         if a < 1 or b > self.n or a == b:
             raise ValueError(f"not a pair of distinct labels in [1, {self.n}]: ({x}, {y})")
-        return (a - 1) * self.n - (a - 1) * a // 2 + (b - a - 1)
+        return _pair_rank(self.n, a, b)
+
+
+def _pair_rank(n: int, a: int, b: int) -> int:
+    """Lexicographic rank of the pair a < b among the pairs of [n]."""
+    return (a - 1) * n - (a - 1) * a // 2 + (b - a - 1)
 
 
 def syndrome(p: Perm, d: int, enc: PairEncoder) -> tuple[int, ...]:
@@ -119,34 +124,84 @@ def syndrome(p: Perm, d: int, enc: PairEncoder) -> tuple[int, ...]:
 
     Computed mod q by the incremental product expansion of prod_i (x + g_i),
     which needs no division.  If d-1 exceeds n-1 the surplus coordinates are
-    zero (there are only n-1 pair labels to multiply).
+    zero (there are only n-1 pair labels to multiply).  p must be a
+    rearrangement of 1..n, checked once for the whole word.
     """
-    if len(p) != enc.n:
-        raise ValueError(f"permutation size {len(p)} does not match encoder n={enc.n}")
+    n = enc.n
+    if len(p) != n:
+        raise ValueError(f"permutation size {len(p)} does not match encoder n={n}")
     if d < 2:
         raise ValueError(f"design distance must be at least 2, got {d}")
+    if set(p) != set(range(1, n + 1)):
+        raise ValueError(f"not a rearrangement of 1..{n}: {list(p)!r}")
     q = enc.q
     es = [1] + [0] * (d - 1)
     for a, b in zip(p, p[1:]):
-        g = enc.value(a, b)
+        g = _pair_rank(n, a, b) if a < b else _pair_rank(n, b, a)
         for k in range(d - 1, 0, -1):
             es[k] = (es[k] + g * es[k - 1]) % q
     return tuple(es[1:])
 
 
+# -- syndrome fibers on packed power sums -------------------------------------
+#
+# A multiset of labels in F_q is walked by its power sums p_k = sum g^k mod q,
+# k = 1..m, one lane of q.bit_length() + 1 bits each in one integer: a value
+# below q plus a guard bit, so two lanes add without carrying into the next.
+# Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i turn power
+# sums into elementary symmetric values and back; k <= m < q is invertible
+# mod q, so the map is a bijection and a fiber keyed by its packed power sums
+# is the same fiber as the one keyed by its syndrome.
+
+
+def _lanes(m: int, q: int) -> range:
+    """Bit offsets of m power-sum lanes mod q; the step is the lane width."""
+    width = q.bit_length() + 1
+    return range(0, width * m, width)
+
+
+def _encode(f, q: int) -> int:
+    """The packed power sums of the labels whose elementary symmetric values
+    mod q are f, by Newton's identities solved for p_k."""
+    e = (1, *f)
+    p: list[int] = []
+    for k in range(1, len(e)):
+        t = k * e[k] - sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k))
+        p.append((-1) ** (k - 1) * t % q)
+    return sum(v << s for v, s in zip(p, _lanes(len(p), q)))
+
+
+def _decode(keys, m: int, q: int) -> list[tuple[int, ...]]:
+    """The syndromes (e_1..e_m mod q) of packed power-sum keys, inverting
+    ``_encode`` column-wise: each Newton term is one pass over all keys."""
+    shifts = _lanes(m, q)
+    lane = (1 << shifts.step) - 1
+    p = [[key >> s & lane for key in keys] for s in shifts]
+    e: dict[int, list[int]] = {}
+    for k in range(1, m + 1):
+        terms = p[k - 1] if k % 2 else map(neg, p[k - 1])  # i = k, times e_0 = 1
+        for i in range(1, k):
+            terms = map(add if i % 2 else sub, terms, map(mul, e[k - i], p[i - 1]))
+        inverse = pow(k, -1, q)
+        e[k] = [t * inverse % q for t in terms]
+    return list(zip(*e.values()))
+
+
 def _scan_fibers(n: int, d: int, enc: PairEncoder | None, max_n: int, target=None):
-    """The syndrome fibers of S_n, or only target's fiber (if hit) when a
-    target is given, keyed in the order of each fiber's first word, every
-    fiber's words in lexicographic order.
+    """The syndrome fibers of S_n keyed by packed power sums (see
+    ``_decode``), with the field size q; only target's fiber (if hit) when
+    a target syndrome is given.  Keys come in the order of each fiber's first
+    word, every fiber's words in lexicographic order.
 
     One depth-first walk over prefixes stands in for a syndrome per
-    permutation.  Each prefix carries its exact elementary symmetric values
-    e_0 = 1, e_1, ..., e_{d-1} (the product of 1 + g x over its pair labels
-    g, cut at degree d-1) packed `width` bits apart in one integer, so a
-    label enters by one shift, multiply, mask and add, once per prefix:
-    sum_{j=2..n} n!/(n-j)! updates, about e·n!, against (n-1)·n!.  `width`
-    holds the largest exact value, C(n-1, k)·(q-1)^k, so the packed values
-    never carry into each other; each permutation reduces its own mod q.
+    permutation.  Each prefix carries the packed power sums of its pair
+    labels, every lane below q, so the packed integer is canonical and is
+    itself the key.  A label enters by one add of its packed powers
+    (g, g^2, ..., g^(d-1)) and one lane-wise conditional subtract of q:
+    adding 2^(w-1) - q to every lane of width w sets its guard bit exactly
+    when the lane reached q.  The last three labels of each permutation
+    enter as one tabulated sum, so each of the n! leaves costs one add and
+    one subtract and reduces nothing mod q.
     """
     # Fibers are codes of distance d only for 2 <= d <= n-1: a word and its
     # reverse share every syndrome and lie at distance n-1.
@@ -159,40 +214,55 @@ def _scan_fibers(n: int, d: int, enc: PairEncoder | None, max_n: int, target=Non
         raise ValueError(f"permutation size {n} does not match encoder n={enc.n}")
     q = enc.q
     if target is not None:
-        target = _syndrome_vector(d, target, q)
+        target = _encode(_syndrome_vector(d, target, q), q)
+    shifts = _lanes(d - 1, q)
+    top = shifts.step - 1
+    guards = sum(1 << s + top for s in shifts)
+    bias = sum((1 << top) - q << s for s in shifts)
     labels = tuple(range(1, n + 1))
-    label = {a: {b: enc.value(a, b) for b in labels if b != a} for a in labels}
-    width = max(math.comb(n - 1, k) * (q - 1) ** k for k in range(d)).bit_length()
-    scan = (label, width, (1 << width * d) - 1, (1 << width) - 1,
-            range(width, width * d, width), q, target)
-    buckets: dict[tuple[int, ...], list[Perm]] = {}
+    powers = {a: {b: sum(pow(enc.value(a, b), k, q) << s for k, s in enumerate(shifts, 1))
+                  for b in labels if b != a} for a in labels}
+    # tails[u][rest]: each ordering of the labels rest, in lexicographic order,
+    # with the reduced power sums of its pair labels after a prefix ending u.
+    # Tails of three labels measured fastest at n = 7 and 8: two leave more
+    # calls, four cost more to tabulate.
+    tails: dict[int, dict[tuple[int, ...], list]] = {u: {} for u in labels}
+    for path in itertools.permutations(labels, min(4, n)):
+        t = 0
+        for v, w in zip(path, path[1:]):
+            t += powers[v][w]
+            t -= ((t + bias & guards) >> top) * q
+        tails[path[0]].setdefault(tuple(sorted(path[1:])), []).append((path[1:], t))
+    scan = (powers, tails, bias, guards, top, q, target)
+    buckets: dict[int, list[Perm]] = {}
     for i, first in enumerate(labels):
-        _walk_fibers((first,), labels[:i] + labels[i + 1:], 1, scan, buckets)
-    return buckets
+        _walk_fibers((first,), labels[:i] + labels[i + 1:], 0, scan, buckets)
+    return buckets, q
 
 
-def _walk_fibers(prefix, rest, poly, scan, buckets) -> None:
+def _walk_fibers(prefix, rest, sums, scan, buckets) -> None:
     """File each completion of prefix by the increasing labels rest, in
-    lexicographic order, under its syndrome; poly packs prefix's exact
-    elementary symmetric values (see ``_scan_fibers``).
+    lexicographic order, under its packed power sums; sums packs prefix's
+    (see ``_scan_fibers``).
 
     Not a closure: one that calls itself is a reference cycle, which keeps
     each scan's buckets alive until a full collection.
     """
-    label, width, mask, lane, shifts, q, target = scan
-    row = label[prefix[-1]]
-    if len(rest) == 2:  # both completions here, saving a call per permutation
-        a, b = rest
-        for x, y in ((a, b), (b, a)):
-            packed = poly + (row[x] * (poly << width) & mask)
-            packed += label[x][y] * (packed << width) & mask
-            key = tuple([(packed >> shift & lane) % q for shift in shifts])
+    powers, tails, bias, guards, top, q, target = scan
+    u = prefix[-1]
+    tail = tails[u].get(rest)
+    if tail is not None:  # every completion here, saving the calls below
+        for order, t in tail:
+            key = sums + t
+            key -= ((key + bias & guards) >> top) * q
             if target is None or key == target:
-                buckets.setdefault(key, []).append(prefix + (x, y))
+                buckets.setdefault(key, []).append(prefix + order)
         return
+    row = powers[u]
     for i, v in enumerate(rest):
+        s = sums + row[v]
         _walk_fibers(prefix + (v,), rest[:i] + rest[i + 1:],
-                     poly + (row[v] * (poly << width) & mask), scan, buckets)
+                     s - ((s + bias & guards) >> top) * q, scan, buckets)
 
 
 def syndrome_classes(n: int, d: int, enc: PairEncoder | None = None,
@@ -202,9 +272,12 @@ def syndrome_classes(n: int, d: int, enc: PairEncoder | None = None,
 
     Keys come in the order of their fiber's first word and words in
     lexicographic order, as bucketing ``itertools.permutations`` by
-    ``syndrome`` gives; one prefix-sharing walk computes them.
+    ``syndrome`` gives.  One prefix-sharing walk files the words under their
+    packed power sums; the keys then become syndromes by Newton's
+    identities, one pass over all fibers per term.
     """
-    return _scan_fibers(n, d, enc, max_n)
+    buckets, q = _scan_fibers(n, d, enc, max_n)
+    return dict(zip(_decode(buckets, d - 1, q), buckets.values()))
 
 
 def _syndrome_vector(d: int, f, q: int) -> tuple[int, ...]:
@@ -224,11 +297,11 @@ def syndrome_class(n: int, d: int, f, enc: PairEncoder | None = None,
     """The code {p in S_n : syndrome(p) = f} of distance >= d, for
     2 <= d <= n-1, words in lexicographic order; empty when f is missed.
 
-    The same walk as ``syndrome_classes``, filing only f's fiber.  For n
-    beyond the scan guard, test individual permutations with
-    ``in_syndrome_class`` instead.
+    The same walk as ``syndrome_classes``, filing only f's fiber, with f
+    turned into packed power sums once.  For n beyond the scan guard, test
+    individual permutations with ``in_syndrome_class`` instead.
     """
-    fiber = _scan_fibers(n, d, enc, max_n, target=f)  # f's fiber, or nothing
+    fiber, _ = _scan_fibers(n, d, enc, max_n, target=f)  # f's fiber, or nothing
     return CodeBook(n, d, tuple(w for words in fiber.values() for w in words), "syndrome")
 
 
@@ -236,9 +309,11 @@ def largest_syndrome_class(n: int, d: int, enc: PairEncoder | None = None,
                            max_n: int = DEFAULT_MAX_N) -> CodeBook:
     """A maximum-cardinality syndrome fiber, for 2 <= d <= n-1; at least
     n!/q^(d-1) words by pigeonhole.  Ties break toward the smallest syndrome
-    vector."""
-    buckets = syndrome_classes(n, d, enc, max_n=max_n)
-    best = min(buckets, key=lambda f: (-len(buckets[f]), f))
+    vector; only the tied fibers' keys are turned into syndromes."""
+    buckets, q = _scan_fibers(n, d, enc, max_n)
+    size = max(map(len, buckets.values()))
+    tied = [key for key, words in buckets.items() if len(words) == size]
+    best = min(zip(_decode(tied, d - 1, q), tied))[1]
     return CodeBook(n, d, tuple(buckets[best]), "syndrome")
 
 

@@ -4,10 +4,13 @@ import gc
 import itertools
 import math
 import random
+import re
 
 import pytest
 
 from blockperm.constructions import (
+    _decode,
+    _encode,
     HAM_SEARCH_MAX_N,
     CodeBook,
     PairEncoder,
@@ -113,6 +116,17 @@ def test_syndrome_validation():
         syndrome((1, 2, 3, 4), 1, enc)
 
 
+@pytest.mark.parametrize("word", [(1, 2, 1, 3), (1, 2, 3, 5), (0, 1, 2, 3)],
+                         ids=["repeated", "past-n", "zero"])
+def test_syndrome_rejects_a_word_that_is_not_a_permutation(word):
+    enc = PairEncoder.for_n(4)
+    message = re.escape(f"not a rearrangement of 1..4: {list(word)!r}")
+    with pytest.raises(ValueError, match=message):
+        syndrome(word, 3, enc)
+    with pytest.raises(ValueError, match=message):
+        in_syndrome_class(word, 3, (1, 0), enc)
+
+
 def test_syndrome_class_frozen():
     enc = PairEncoder(4, 7)
     code = syndrome_class(4, 3, (1, 1), enc)
@@ -201,20 +215,53 @@ def _fibers_by_syndrome(n, d, enc):
     return buckets
 
 
-@pytest.mark.parametrize("n, d", [(n, d) for n in range(3, 8) for d in range(2, n)] + [(8, 3)])
-def test_fiber_walk_matches_per_permutation_syndromes(n, d):
-    enc = PairEncoder.for_n(n)
+def _assert_walk_matches(n, d, enc, every=1):
+    """The walk's scans against the per-permutation route; syndrome_class is
+    checked at every ``every``-th fiber, and at the last as f and as f + q."""
     expected = _fibers_by_syndrome(n, d, enc)
     # same keys in the same order, each fiber's words in the same order
     assert list(syndrome_classes(n, d, enc).items()) == list(expected.items())
-    if n > 6:
+    # ties break toward the smallest syndrome vector
+    best = min(expected, key=lambda f: (-len(expected[f]), f))
+    assert largest_syndrome_class(n, d, enc).words == tuple(expected[best])
+    if every is None:
         return
-    for f, words in expected.items():
+    fibers = list(expected.items())
+    for f, words in fibers[::every] + fibers[-1:]:
         assert syndrome_class(n, d, f, enc).words == tuple(words)
     assert syndrome_class(n, d, [v + enc.q for v in f], enc).words == tuple(words)
     missed = (f for f in itertools.product(range(enc.q), repeat=d - 1) if f not in expected)
     for f in itertools.islice(missed, 5):
         assert syndrome_class(n, d, f, enc).words == ()
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(3, 8) for d in range(2, n)] + [(8, 3)])
+def test_fiber_walk_matches_per_permutation_syndromes(n, d):
+    _assert_walk_matches(n, d, PairEncoder.for_n(n), every=1 if n <= 6 else None)
+
+
+# Lanes hold a value below q and one guard bit, so a q just past a power of
+# two (17) or just below one (31, 127) leaves no slack; 101 is a large field.
+@pytest.mark.parametrize("n, q, d", [(n, q, d) for n, q in [(6, 17), (6, 101), (7, 31), (7, 127)]
+                                     for d in range(2, n)])
+def test_fiber_walk_matches_at_other_primes(n, q, d):
+    _assert_walk_matches(n, d, PairEncoder(n, q), every=1 if n == 6 else 251)
+
+
+@pytest.mark.parametrize("q, m", [(7, 2), (11, 3), (13, 4)])
+def test_power_sums_and_syndromes_convert_both_ways(q, m):
+    everything = list(itertools.product(range(q), repeat=m))
+    assert _decode([_encode(f, q) for f in everything], m, q) == everything
+    # and the packed values are the labels' power sums
+    rng = random.Random(q)
+    for _ in range(50):
+        labels = [rng.randrange(q) for _ in range(rng.randrange(1, 2 * m))]
+        e = [1] + [0] * m
+        for g in labels:
+            e = [1] + [(e[k] + g * e[k - 1]) % q for k in range(1, m + 1)]
+        shifts = range(0, (q.bit_length() + 1) * m, q.bit_length() + 1)
+        sums = sum(sum(g ** k for g in labels) % q << s for k, s in enumerate(shifts, 1))
+        assert _encode(e[1:], q) == sums
 
 
 def test_fiber_scans_reject_an_encoder_of_another_size():
