@@ -309,10 +309,14 @@ def largest_syndrome_class(n: int, d: int, enc: PairEncoder | None = None,
                            max_n: int = DEFAULT_MAX_N) -> CodeBook:
     """A maximum-cardinality syndrome fiber, for 2 <= d <= n-1; at least
     n!/q^(d-1) words by pigeonhole.  Ties break toward the smallest syndrome
-    vector; only the tied fibers' keys are turned into syndromes."""
+    vector.  Its first coordinate e_1 = p_1 is the key's low lane, so only
+    the tied keys with the least e_1 are turned into syndromes."""
     buckets, q = _scan_fibers(n, d, enc, max_n)
     size = max(map(len, buckets.values()))
+    lane = (1 << _lanes(d - 1, q).step) - 1
     tied = [key for key, words in buckets.items() if len(words) == size]
+    least = min(key & lane for key in tied)
+    tied = [key for key in tied if key & lane == least]
     best = min(zip(_decode(tied, d - 1, q), tied))[1]
     return CodeBook(n, d, tuple(buckets[best]), "syndrome")
 

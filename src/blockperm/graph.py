@@ -6,35 +6,53 @@ the independent sets of this graph, so the module carries a greedy and an
 exact (branch-and-bound) independent-set solver, plus the neighborhood
 statistics that feed the locally-sparse independence lower bound
 |V|/(10 D) (log2 D - 1/2 log2(P/3)).
+
+Every graph is one neighbor bitset per vertex, and every vertex set gets its
+bitsets from one word-parallel kernel, ``_neighbor_bits``, which counts the
+adjacent pairs one vertex shares with all the others at once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .constructions import CodeBook
 from .enumeration import identity_sphere
-from .perm import Perm, compose, identity, inverse
+from .perm import Perm, identity
 
 GRAPH_MAX_N = 7
 EXACT_MAX_VERTICES = 1000
+_DIGITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to bit values
+
+
+def _indices(bitset: int):
+    """The positions of the set bits of bitset, lowest first."""
+    return itertools.compress(itertools.count(), bin(bitset)[:1:-1].encode().translate(_DIGITS))
 
 
 @dataclass(frozen=True)
 class BlockGraph:
+    """Bit j of ``bits[i]`` is set when vertices i and j are adjacent, so
+    the bitsets of N vertices take N²/8 bytes."""
+
     n: int
     d: int
     vertices: tuple[Perm, ...]
-    adjacency: tuple[tuple[int, ...], ...]  # sorted neighbor indices per vertex
+    bits: tuple[int, ...]
+
+    @functools.cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbor indices per vertex, derived from ``bits`` on first read."""
+        return tuple(tuple(_indices(b)) for b in self.bits)
 
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return sum(map(int.bit_count, self.bits)) // 2
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.adjacency)
+        return tuple(map(int.bit_count, self.bits))
 
 
 @dataclass(frozen=True)
@@ -92,32 +110,58 @@ def _pair_masks(perms, n: int) -> list[int]:
     return [sum(1 << (a - 1) * n + b - 1 for a, b in zip(p, p[1:])) for p in perms]
 
 
-def _later_neighbors(masks: list[int], n: int, d: int) -> list[list[int]]:
-    """Row i lists, in increasing order, the j > i with 0 < distance < d.
-
-    Both characteristic sets hold n-1 pairs, so the distance is n-1 minus
-    the shared count, and 0 < distance < d exactly when
-    n-d <= popcount(mi & mj) <= n-2.
+def _neighbor_bits(verts: tuple[Perm, ...], n: int, d: int) -> list[int]:
+    """Bit j of entry i is set exactly when 0 < distance(verts[i], verts[j]) < d,
+    that is, when the two share at least n-d of their n-1 pairs but are not
+    equal (the pairs determine the permutation).  holders[(a-1)·n + b-1] is
+    the bitset of the vertices holding the pair (a, b).  Adding vertex i's
+    n-1 holder bitsets into bit planes, each carry rippling up until it is
+    0, leaves in plane k bit k of every vertex's shared count with i; a
+    comparator from the top plane down keeps the counts of at least n-d.  A
+    vertex takes at most n·⌈log2 n⌉ ripple and comparator steps of two or
+    three operations on N-bit integers each, whatever d is.
     """
-    lo, hi = n - d, n - 2
-    return [[j for j in range(i + 1, len(masks)) if lo <= (mi & masks[j]).bit_count() <= hi]
-            for i, mi in enumerate(masks)]
-
-
-def _bitsets(rows, size: int) -> list[int]:
-    """Each row of indices below size as one int with those bits set."""
-    bits = [1 << j for j in range(size)]
-    return [sum(map(bits.__getitem__, row)) for row in rows]
+    if d <= 1:  # no two distinct permutations share all n-1 pairs
+        return [0] * len(verts)
+    copies: dict[Perm, int] = {}
+    for i, p in enumerate(verts):
+        copies[p] = copies.get(p, 0) | 1 << i
+    everything = (1 << len(verts)) - 1
+    if d >= n:  # nor are any two n or more apart
+        return [everything ^ copies[p] for p in verts]
+    pairs = [[(a - 1) * n + b - 1 for a, b in zip(p, p[1:])] for p in verts]
+    holders = [0] * (n * n)
+    for i, row in enumerate(pairs):
+        for x in row:
+            holders[x] |= 1 << i
+    need = n - d  # 1 <= need <= n-2 here
+    width = (n - 1).bit_length()
+    top_down = range(width - 1, (need & -need).bit_length() - 2, -1)  # to need's lowest 1
+    bits = []
+    for p, row in zip(verts, pairs):
+        planes = [0] * width
+        for carry in map(holders.__getitem__, row):
+            k = 0
+            while carry:
+                x = planes[k]
+                planes[k] = x ^ carry
+                carry &= x
+                k += 1
+        more, same = 0, everything  # shared count above / equal to need so far
+        for k in top_down:
+            if need >> k & 1:
+                same &= planes[k]
+            else:
+                more |= same & planes[k]
+                same &= ~planes[k]
+        bits.append((more | same) ^ copies[p])
+    return bits
 
 
 def graph_on(vertices, d: int) -> BlockGraph:
-    """Explicit graph on the given permutations of 1..n; edge iff
-    0 < distance < d.
-
-    Compares every pair by the popcount of their pair masks, so it serves
-    any vertex subset; it is also the reference that ``build_graph`` is
-    tested against.
-    """
+    """Explicit graph on the given permutations of 1..n, repeats allowed;
+    edge iff 0 < distance < d.  Built by ``_neighbor_bits``, about
+    N·n·log2(n) operations on N-bit integers for N vertices."""
     verts = tuple(vertices)
     if not verts:
         raise ValueError("graph needs at least one vertex")
@@ -126,62 +170,15 @@ def graph_on(vertices, d: int) -> BlockGraph:
     labels = set(range(1, n + 1))
     if any(len(v) != n or set(v) != labels for v in verts):
         raise ValueError("vertices must be permutations of 1..n with one n")
-    neighbors: list[list[int]] = [[] for _ in verts]
-    # Row i reaches every k < i before its own later neighbors are added, so
-    # each list comes out sorted.
-    for i, row in enumerate(_later_neighbors(_pair_masks(verts, n), n, d)):
-        neighbors[i] += row
-        for j in row:
-            neighbors[j].append(i)
-    return BlockGraph(n, d, verts, tuple(map(tuple, neighbors)))
-
-
-def _neighbor_columns(verts: tuple[Perm, ...], ball) -> list[list[int]]:
-    """One column per s of the ball, in its order: col_s[i] is the index of
-    verts[i]∘s.
-
-    Columns compose by the group law: if s = t∘u then v∘s = (v∘t)∘u, so
-    col_s[i] = col_u[col_t[i]], one list index per entry.  Each s tries the
-    t already built in spheres 1-2 until u = t⁻¹∘s is built too.  Only when
-    none works is the column looked up tuple by tuple, by hashing each
-    verts[i]∘s into the vertex index.  Walking all of S_n in sphere order,
-    that happens for exactly two columns when 3 <= n <= 6 (tested): the
-    n-cycle (2, 3, ..., n, 1) on sphere 1 and (1, 3, 4, ..., n, 2) on
-    sphere 2.
-    """
-    index = {v: i for i, v in enumerate(verts)}
-    built: dict[Perm, list[int]] = {}
-    factors: list[tuple[Perm, list[int]]] = []  # (t⁻¹, col_t) for t in spheres 1-2
-    cols = []
-    for s, k in ball:
-        for t_inv, col_t in factors:
-            col_u = built.get(compose(t_inv, s))
-            if col_u is not None:
-                col = list(map(col_u.__getitem__, col_t))
-                break
-        else:  # s has at least two entries, so itemgetter returns tuples
-            col = list(map(index.__getitem__, map(itemgetter(*(j - 1 for j in s)), verts)))
-        built[s] = col
-        if k <= 2:
-            factors.append((inverse(s), col))
-        cols.append(col)
-    return cols
+    return BlockGraph(n, d, verts, tuple(_neighbor_bits(verts, n, d)))
 
 
 def build_graph(n: int, d: int, max_n: int = GRAPH_MAX_N) -> BlockGraph:
-    """The full graph on S_n in lexicographic vertex order.
-
-    The metric is left-invariant, d(p∘s, p∘t) = d(s, t), so the neighbors of
-    p are p∘s for s in the identity's ball of radius d-1: O(n!·Δ) work
-    instead of the O(n!²) pair loop of ``graph_on``.  The index of p∘s for
-    every p is one column, composed from two earlier columns (see
-    ``_neighbor_columns``); each vertex's row is then sorted.
-    """
+    """The full graph on S_n in lexicographic vertex order, built by the
+    kernel of ``graph_on``; its bitsets take n!²/8 bytes, 3.2 MB at n = 7."""
     _check_graph_n(n, max_n)
     verts = tuple(itertools.permutations(range(1, n + 1)))
-    cols = _neighbor_columns(verts, _identity_ball(n, d - 1))
-    rows = zip(*cols) if cols else [()] * len(verts)
-    return BlockGraph(n, d, verts, tuple(tuple(sorted(row)) for row in rows))
+    return BlockGraph(n, d, verts, tuple(_neighbor_bits(verts, n, d)))
 
 
 def neighborhood_stats(n: int, d: int, max_n: int = GRAPH_MAX_N) -> NeighborhoodStats:
@@ -196,21 +193,22 @@ def neighborhood_stats(n: int, d: int, max_n: int = GRAPH_MAX_N) -> Neighborhood
     if n > max_n:
         raise ValueError(f"n={n} exceeds graph guard {max_n}")
     ball = _identity_ball(n, d - 1)
-    masks = _pair_masks([s for s, _ in ball], n)
-    delta = len(masks)
-    rows = _later_neighbors(masks, n, d)
-    p_edges = sum(map(len, rows))
-    # later[i] is the bitset of neighbors j > i, so each triangle i < j < k
-    # is counted once, as a bit of later[i] & later[j] on its edge (i, j).
-    later = _bitsets(rows, delta)
-    triangles = sum((later[i] & later[j]).bit_count() for i, row in enumerate(rows) for j in row)
+    verts = tuple(s for s, _ in ball)
+    bits = _neighbor_bits(verts, n, d)
+    p_edges = sum(map(int.bit_count, bits)) // 2
+    # later[i] keeps the neighbors j > i, so each triangle i < j < k is
+    # counted once, as a bit of later[i] & later[j] on its edge (i, j).
+    later = [b >> i + 1 << i + 1 for i, b in enumerate(bits)]
+    triangles = sum((row & later[j]).bit_count() for row in later for j in _indices(row))
     # Edges on the sphere at distance d-1 whose two sets together hold every
-    # identity pair, so that no identity pair is missing from both.
+    # identity pair, so that no identity pair is missing from both.  The ball
+    # runs sphere by sphere, so that sphere is its tail, and the later
+    # neighbors of its vertices lie in it too.
+    masks = _pair_masks(verts, n)
     aid = _pair_masks([identity(n)], n)[0]
-    ring = {i for i, (_, k) in enumerate(ball) if k == d - 1}
-    zero_x = sum(1 for i in ring for j in rows[i]
-                 if j in ring and not aid & ~(masks[i] | masks[j]))
-    return NeighborhoodStats(n, d, delta, p_edges, triangles, zero_x)
+    ring = range(sum(k < d - 1 for _, k in ball), len(verts))
+    zero_x = sum(1 for i in ring for j in _indices(later[i]) if not aid & ~(masks[i] | masks[j]))
+    return NeighborhoodStats(n, d, len(verts), p_edges, triangles, zero_x)
 
 
 def jv_lower_formula(stats: NeighborhoodStats) -> float:
@@ -233,22 +231,21 @@ def greedy_independent_set(g: BlockGraph, order: str = "lexicographic") -> CodeB
     _check_design_distance(g)
     if order == "lexicographic":
         sweep = range(len(g.vertices))
-    elif order == "degree":
-        sweep = sorted(range(len(g.vertices)), key=lambda i: (len(g.adjacency[i]), i))
+    elif order == "degree":  # sorting is stable, so ties stay in index order
+        sweep = sorted(range(len(g.vertices)), key=g.degrees().__getitem__)
     else:
         raise ValueError(f"order must be 'lexicographic' or 'degree', got {order!r}")
-    blocked = set()
+    blocked = 0
     chosen = []
     for v in sweep:
-        if v not in blocked:
+        if not blocked >> v & 1:
             chosen.append(v)
-            blocked.add(v)
-            blocked.update(g.adjacency[v])
+            blocked |= g.bits[v] | 1 << v
     words = tuple(sorted(g.vertices[v] for v in chosen))
     return CodeBook(g.n, g.d, words, f"greedy-{order}")
 
 
-def _grow(adj: list[int], chosen: list[int], cand: int, best: list[int]) -> None:
+def _grow(adj: tuple[int, ...], chosen: list[int], cand: int, best: list[int]) -> None:
     """Search every independent extension of chosen by vertices of the
     bitset cand, replacing best's contents whenever chosen outgrows it.
 
@@ -319,9 +316,11 @@ def exact_independent_set(g: BlockGraph, max_vertices: int = EXACT_MAX_VERTICES)
     count = len(g.vertices)
     _check_exact_size(count, max_vertices)
     _check_design_distance(g)
-    adj = _bitsets(g.adjacency, count)
+    adj = g.bits
     index = {v: i for i, v in enumerate(g.vertices)}
-    seed = max((greedy_independent_set(g, order) for order in ("lexicographic", "degree")),
+    # On a regular graph the degree order is the index order: seed once there.
+    orders = ("lexicographic", "degree") if len(set(g.degrees())) > 1 else ("lexicographic",)
+    seed = max((greedy_independent_set(g, order) for order in orders),
                key=lambda code: len(code.words))
     best = [index[w] for w in seed.words]
     everything = (1 << count) - 1

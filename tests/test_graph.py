@@ -1,5 +1,6 @@
 """Distance graphs, neighborhood statistics, and independent-set solvers."""
 
+import functools
 import gc
 import itertools
 import math
@@ -14,7 +15,6 @@ from blockperm.constructions import verify_min_distance
 from blockperm.enumeration import enumerate_spheres, myers_count
 from blockperm.graph import (
     _identity_ball,
-    _neighbor_columns,
     build_graph,
     exact_independent_set,
     graph_on,
@@ -57,58 +57,48 @@ def test_graph_on_rejects_empty_permutations():
         graph_on([()], 2)
 
 
+@functools.lru_cache(maxsize=None)
+def _distances(n):
+    """S_n in lexicographic order and block_distance on every pair of it."""
+    verts = tuple(itertools.permutations(range(1, n + 1)))
+    return verts, tuple(tuple(block_distance(p, q) for q in verts) for p in verts)
+
+
+def _lookup_bits(n, d, rows):
+    """Row i of the full (n, d) graph for each i in rows, by left-invariance:
+    the neighbors of p are p∘s for s in the identity's ball, each found by
+    building the tuple and hashing it into the vertex index."""
+    verts = tuple(itertools.permutations(range(1, n + 1)))
+    index = {v: i for i, v in enumerate(verts)}
+    picked = [verts[i] for i in rows]
+    bits = [0] * len(picked)
+    for s, _ in _identity_ball(n, d - 1):  # s has at least two entries
+        for k, v in enumerate(map(itemgetter(*(j - 1 for j in s)), picked)):
+            bits[k] |= 1 << index[v]
+    return bits
+
+
 @pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 7) for d in range(1, n + 2)])
 def test_build_graph_matches_pair_loop(n, d):
-    assert build_graph(n, d) == graph_on(itertools.permutations(range(1, n + 1)), d)
+    """Against block_distance on every pair for n <= 5, and against the
+    left-invariance lookup at n = 6, where that pair loop would be slow."""
+    g = build_graph(n, d)
+    if n <= 5:
+        verts, dist = _distances(n)
+        expected = [sum(1 << j for j, r in enumerate(row) if 0 < r < d) for row in dist]
+    else:
+        verts, expected = g.vertices, _lookup_bits(n, d, range(math.factorial(n)))
+    assert g.vertices == verts
+    assert list(g.bits) == expected
 
 
-def _lookup_columns(verts, ball):
-    """col_s[i] = index of verts[i]∘s, by building each tuple and hashing it
-    into the vertex index: the reference for the composed columns."""
-    index = {v: i for i, v in enumerate(verts)}
-    return [list(map(index.__getitem__, map(itemgetter(*(j - 1 for j in s)), verts)))
-            for s, _ in ball]
-
-
-@pytest.fixture
-def looked_up(monkeypatch):
-    """The s whose column build_graph looks up tuple by tuple, in order."""
-    seen = []
-
-    def getter(*items):
-        seen.append(tuple(j + 1 for j in items))
-        return itemgetter(*items)
-
-    monkeypatch.setattr(graph, "itemgetter", getter)
-    return seen
-
-
-def _two_lookups(n, d):
-    """The columns that no two built columns compose to, within radius d-1."""
-    cycle, fixed_1 = (*range(2, n + 1), 1), (1, *range(3, n + 1), 2)
-    return [cycle, fixed_1][:max(0, min(d - 1, n - 1, 2))]
-
-
-@pytest.mark.parametrize("d", [3, 4])
-def test_build_graph_7_matches_tuple_lookup(looked_up, d):
-    verts = tuple(itertools.permutations(range(1, 8)))
-    rows = zip(*_lookup_columns(verts, _identity_ball(7, d - 1)))
-    assert build_graph(7, d) == graph.BlockGraph(7, d, verts, tuple(map(tuple, map(sorted, rows))))
-    assert looked_up == _two_lookups(7, d)
-
-
-@pytest.mark.parametrize("n", range(2, 7))
-def test_composed_columns_match_tuple_lookup_on_all_of_s_n(looked_up, n):
-    verts = tuple(itertools.permutations(range(1, n + 1)))
-    ball = _identity_ball(n, n - 1)  # every s but the identity
-    assert _neighbor_columns(verts, ball) == _lookup_columns(verts, ball)
-    assert looked_up == _two_lookups(n, n)
-
-
-@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 7) for d in range(1, n + 2)])
-def test_build_graph_looks_up_at_most_two_columns(looked_up, n, d):
-    build_graph(n, d)
-    assert looked_up == _two_lookups(n, d)
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_build_graph_7_matches_tuple_lookup(d):
+    g = build_graph(7, d)
+    assert g.vertices == tuple(itertools.permutations(range(1, 8)))
+    # At d = 6 each row has 2,920 neighbors, so every 10th row is looked up.
+    rows = range(0, 5040, 10 if d == 6 else 1)
+    assert [g.bits[i] for i in rows] == _lookup_bits(7, d, rows)
 
 
 def test_build_graph_7_3_against_distance():
@@ -118,7 +108,7 @@ def test_build_graph_7_3_against_distance():
     for _ in range(2000):
         i, j = rng.sample(range(5040), 2)
         dist = block_distance(g.vertices[i], g.vertices[j])
-        assert (j in g.adjacency[i]) == (0 < dist < 3)
+        assert g.bits[i] >> j & 1 == (0 < dist < 3)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -278,20 +268,64 @@ def test_exact_guard():
 
 def _seeded_subset(rng, n, size):
     """size distinct permutations of 1..n (all of S_n when size >= n!)."""
+    if n > 8:  # draw them without listing S_n
+        words = {}
+        while len(words) < size:
+            words[tuple(rng.sample(range(1, n + 1), n))] = None
+        return list(words)
     group = list(itertools.permutations(range(1, n + 1)))
     return rng.sample(group, min(size, len(group)))
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_graph_on_matches_block_distance_on_every_pair(n):
+    """Every threshold, on more vertices than one machine word holds: the
+    shared counts take 3 bit planes at n = 5..8 and 4 at n = 9."""
     rng = random.Random(100 + n)
-    verts = _seeded_subset(rng, n, 40)
-    verts.append(verts[0])  # a repeated vertex is at distance 0: never an edge
+    verts = _seeded_subset(rng, n, 100)
+    verts += verts[:2]  # a repeated vertex is at distance 0: never an edge
+    dist = [[block_distance(p, q) for q in verts] for p in verts]
     for d in range(0, n + 2):  # d <= 1 is edge-free and d >= n complete
-        g = graph_on(verts, d)
-        for i, p in enumerate(verts):
-            expected = tuple(j for j, q in enumerate(verts) if 0 < block_distance(p, q) < d)
-            assert g.adjacency[i] == expected, (n, d, i)
+        expected = tuple(sum(1 << j for j, r in enumerate(row) if 0 < r < d) for row in dist)
+        assert graph_on(verts, d).bits == expected, (n, d)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_one_vertex_graph_has_no_edges(n):
+    for d in range(0, n + 2):
+        g = graph_on([tuple(range(n, 0, -1))], d)
+        assert (g.bits, g.adjacency, g.degrees(), g.edge_count()) == ((0,), ((),), (0,), 0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_graph(5, 3),
+    lambda: build_graph(6, 4),
+    lambda: graph_on(_seeded_subset(random.Random(8), 8, 300), 4),
+], ids=["G(5,3)", "G(6,4)", "S_8 subset"])
+def test_adjacency_degrees_and_edge_count_read_the_bits(make):
+    g = make()
+    count = len(g.vertices)
+    assert g.adjacency == tuple(tuple(j for j in range(count) if b >> j & 1) for b in g.bits)
+    assert g.degrees() == tuple(map(len, g.adjacency))
+    assert g.edge_count() * 2 == sum(g.degrees()) > 0
+    for i, row in enumerate(g.adjacency):  # symmetric, without loops
+        assert i not in row and all(g.bits[j] >> i & 1 for j in row)
+
+
+def test_exact_seeds_once_on_a_regular_graph(monkeypatch):
+    orders = []
+    greedy = graph.greedy_independent_set
+
+    def spy(g, order):
+        orders.append(order)
+        return greedy(g, order)
+
+    monkeypatch.setattr(graph, "greedy_independent_set", spy)
+    exact_independent_set(build_graph(5, 4))  # regular: degree order is index order
+    assert orders == ["lexicographic"]
+    orders.clear()
+    exact_independent_set(graph_on(STAR, 3))  # degrees 2, 1, 1
+    assert orders == ["lexicographic", "degree"]
 
 
 @pytest.mark.parametrize("vertices", [[(1, 2, 2)], [(0, 1, 2)], [(1, 2, 3), (1, 2)]])
