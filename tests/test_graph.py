@@ -23,7 +23,7 @@ from blockperm.graph import (
     neighborhood_stats,
     neighborhood_stats_payload,
 )
-from blockperm.perm import block_distance
+from blockperm.perm import block_distance, compose, inverse
 
 
 def test_build_graph_4_3_shape():
@@ -99,6 +99,76 @@ def test_build_graph_7_matches_tuple_lookup(d):
     # At d = 6 each row has 2,920 neighbors, so every 10th row is looked up.
     rows = range(0, 5040, 10 if d == 6 else 1)
     assert [g.bits[i] for i in rows] == _lookup_bits(7, d, rows)
+
+
+def _lookup_columns(verts, ball):
+    """col_s[i] = index of verts[i]∘s, by building each tuple and hashing it
+    into the vertex index."""
+    index = {v: i for i, v in enumerate(verts)}
+    return [list(map(index.__getitem__, map(itemgetter(*(j - 1 for j in s)), verts)))
+            for s, _ in ball]
+
+
+def _composed_columns(verts, ball, looked_up):
+    """The same columns by the group law: if s = t∘u then v∘s = (v∘t)∘u, so
+    col_s[i] = col_u[col_t[i]], one list index per entry.  Each s tries the t
+    of spheres 1-2 built so far; only when none works is its column looked up
+    tuple by tuple, and s appended to looked_up."""
+    built = {}
+    factors = []  # (t⁻¹, col_t) for t in spheres 1-2
+    cols = []
+    for s, k in ball:
+        for t_inv, col_t in factors:
+            col_u = built.get(compose(t_inv, s))
+            if col_u is not None:
+                col = list(map(col_u.__getitem__, col_t))
+                break
+        else:
+            looked_up.append(s)
+            [col] = _lookup_columns(verts, [(s, k)])
+        built[s] = col
+        if k <= 2:
+            factors.append((inverse(s), col))
+        cols.append(col)
+    return cols
+
+
+def _two_lookups(n, d):
+    """The columns that no two earlier columns compose to, within radius d-1."""
+    cycle, fixed_1 = (*range(2, n + 1), 1), (1, *range(3, n + 1), 2)
+    return [cycle, fixed_1][:max(0, min(d - 1, n - 1, 2))]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_composed_columns_match_tuple_lookup_on_all_of_s_n(n):
+    """On every s but the identity the group law agrees with the tuple
+    lookup, and the kernel puts each p∘s in p's row exactly from the
+    threshold d = distance(identity, s) + 1 on."""
+    verts = tuple(itertools.permutations(range(1, n + 1)))
+    ball = _identity_ball(n, n - 1)
+    looked_up = []
+    cols = _composed_columns(verts, ball, looked_up)
+    assert cols == _lookup_columns(verts, ball)
+    assert looked_up == _two_lookups(n, n)
+    expected = [0] * len(verts)
+    for d in range(1, n + 2):
+        for (_, k), col in zip(ball, cols):
+            if k == d - 1:  # sphere d-1 joins the rows from d on
+                for i, j in enumerate(col):
+                    expected[i] |= 1 << j
+        assert list(build_graph(n, d).bits) == expected, d
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 7) for d in range(1, n + 2)])
+def test_build_graph_looks_up_at_most_two_columns(n, d):
+    """The former build, columns of the (n, d) ball composed from at most two
+    looked-up ones and each row sorted, gives the kernel's ``adjacency``."""
+    verts = tuple(itertools.permutations(range(1, n + 1)))
+    looked_up = []
+    cols = _composed_columns(verts, _identity_ball(n, d - 1), looked_up)
+    assert looked_up == _two_lookups(n, d)
+    rows = zip(*cols) if cols else [()] * len(verts)
+    assert build_graph(n, d).adjacency == tuple(tuple(sorted(row)) for row in rows)
 
 
 def test_build_graph_7_3_against_distance():
