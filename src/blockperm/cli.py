@@ -206,13 +206,11 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    from .graph import (build_graph, check_exact_full_graph, exact_independent_set,
-                        greedy_independent_set, neighborhood_stats, neighborhood_stats_payload)
+    from .graph import (build_graph, exact_independent_set, greedy_independent_set,
+                        neighborhood_stats, neighborhood_stats_payload)
     if args.stats:
         _emit_json(neighborhood_stats_payload(neighborhood_stats(args.n, args.d)))
         return 0
-    if args.exact:  # the solver's guard on the n! vertices, before they are built
-        check_exact_full_graph(args.n)
     # the full graph is regular, so a degree-first greedy sweep would visit the same order
     solve = exact_independent_set if args.exact else greedy_independent_set
     return _print_code(solve(build_graph(args.n, args.d)), args)

@@ -20,12 +20,11 @@ design distance d.  This module builds them four ways:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, mul, neg, sub
 
-from .enumeration import DEFAULT_MAX_N, identity_sphere, myers_count
-from .perm import Perm, char_set, format_permutation, from_one_line, parse_permutation
+from .enumeration import DEFAULT_MAX_N
+from .perm import Perm, _shared_planes, format_permutation, from_one_line, parse_permutation
 
 PAIRWISE_MAX_WORDS = 10_000
 HAM_SEARCH_MAX_N = 17
@@ -447,13 +446,13 @@ def ham_decomp_code(n: int, max_n: int = HAM_SEARCH_MAX_N) -> CodeBook | None:
 def verify_min_distance(code: CodeBook, max_words: int = PAIRWISE_MAX_WORDS) -> int:
     """Exact minimum pairwise block distance; n by convention for <= 1 word.
 
-    The metric is left-invariant, so d(w, v) = r exactly when v = w∘s for some
-    s on the identity's sphere of radius r.  Spheres r = 1, 2, ... are walked,
-    looking up w∘s among the words, while the total lookups N·Σ|sphere| stay
-    within the C(N, 2) pairs of a pairwise scan; the first radius with a hit
-    is the minimum.  Past that point the pairwise scan finishes the job,
-    stopping as soon as it meets the first radius not walked.  Both costs come
-    from closed-form sphere sizes, so the choice is made before any work.
+    Words sharing s adjacent pairs are n-1-s apart, so the minimum is n-1
+    less the most pairs two words share.  For each word, the pair-count
+    kernel ``perm._shared_planes`` gives its counts with every word as bit
+    planes, and the largest among the other words is read from the top
+    plane down.  The words are distinct, so clearing the word's own bit
+    removes the only count of n-1.  The scan stops at a count of n-2, since
+    no two distinct words are closer than 1.
     """
     words = code.words
     count = len(words)
@@ -462,28 +461,18 @@ def verify_min_distance(code: CodeBook, max_words: int = PAIRWISE_MAX_WORDS) -> 
     if count <= 1:
         return code.n
     n = code.n
-    lookups, walked = 0, 0
-    while walked < n - 1:
-        lookups += count * myers_count(n, walked + 1)
-        if lookups > math.comb(count, 2):
-            break
-        walked += 1
-    members = set(words)
-    for r in range(1, walked + 1):
-        for s in identity_sphere(n, r):
-            if not members.isdisjoint(map(itemgetter(*(j - 1 for j in s)), words)):
-                return r
-    floor = walked + 1
-    sets = [char_set(w) for w in words]
-    best = n
-    for i, si in enumerate(sets):
-        for sj in sets[i + 1 :]:
-            dist = len(si - sj)
-            if dist < best:
-                best = dist
-                if best == floor:
-                    return best
-    return best
+    most = 0  # the most pairs two words share so far
+    for i, planes in enumerate(_shared_planes(words, n)):
+        rest, shared = ~(1 << i), 0  # others tied on the bits read so far, and those bits
+        for k in reversed(range(len(planes))):
+            if rest & planes[k]:
+                rest &= planes[k]
+                shared |= 1 << k
+        if shared > most:
+            most = shared
+            if most == n - 2:
+                break
+    return n - 1 - most
 
 
 def with_verified_min_distance(code: CodeBook, max_words: int = PAIRWISE_MAX_WORDS) -> CodeBook:

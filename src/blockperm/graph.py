@@ -8,8 +8,8 @@ statistics that feed the locally-sparse independence lower bound
 |V|/(10 D) (log2 D - 1/2 log2(P/3)).
 
 Every graph is one neighbor bitset per vertex, and every vertex set gets its
-bitsets from one word-parallel kernel, ``_neighbor_bits``, which counts the
-adjacent pairs one vertex shares with all the others at once.
+bitsets from ``_neighbor_bits``, which thresholds the shared-pair counts of
+the pair-count kernel in ``perm``, the one that also verifies codes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .constructions import CodeBook
 from .enumeration import identity_sphere
-from .perm import Perm, identity
+from .perm import Perm, _pair_masks, _shared_planes, identity
 
 GRAPH_MAX_N = 7
 EXACT_MAX_VERTICES = 1000
@@ -104,22 +104,14 @@ def _identity_ball(n: int, radius: int) -> list[tuple[Perm, int]]:
     return [(s, k) for k in range(1, min(radius, n - 1) + 1) for s in identity_sphere(n, k)]
 
 
-def _pair_masks(perms, n: int) -> list[int]:
-    """Each characteristic set as an int: bit (a-1)·n + (b-1) marks the pair
-    (a, b), so popcount(mask_p & mask_q) counts the pairs p and q share."""
-    return [sum(1 << (a - 1) * n + b - 1 for a, b in zip(p, p[1:])) for p in perms]
-
-
 def _neighbor_bits(verts: tuple[Perm, ...], n: int, d: int) -> list[int]:
     """Bit j of entry i is set exactly when 0 < distance(verts[i], verts[j]) < d,
     that is, when the two share at least n-d of their n-1 pairs but are not
-    equal (the pairs determine the permutation).  holders[(a-1)·n + b-1] is
-    the bitset of the vertices holding the pair (a, b).  Adding vertex i's
-    n-1 holder bitsets into bit planes, each carry rippling up until it is
-    0, leaves in plane k bit k of every vertex's shared count with i; a
-    comparator from the top plane down keeps the counts of at least n-d.  A
-    vertex takes at most n·⌈log2 n⌉ ripple and comparator steps of two or
-    three operations on N-bit integers each, whatever d is.
+    equal (the pairs determine the permutation).  Vertex i's shared-pair
+    counts come from ``perm._shared_planes`` as bit planes; a comparator
+    from the top plane down keeps the counts of at least n-d.  A vertex
+    takes at most n·⌈log2 n⌉ kernel and comparator steps of two or three
+    operations on N-bit integers each, whatever d is.
     """
     if d <= 1:  # no two distinct permutations share all n-1 pairs
         return [0] * len(verts)
@@ -129,24 +121,11 @@ def _neighbor_bits(verts: tuple[Perm, ...], n: int, d: int) -> list[int]:
     everything = (1 << len(verts)) - 1
     if d >= n:  # nor are any two n or more apart
         return [everything ^ copies[p] for p in verts]
-    pairs = [[(a - 1) * n + b - 1 for a, b in zip(p, p[1:])] for p in verts]
-    holders = [0] * (n * n)
-    for i, row in enumerate(pairs):
-        for x in row:
-            holders[x] |= 1 << i
     need = n - d  # 1 <= need <= n-2 here
-    width = (n - 1).bit_length()
+    width = (n - 1).bit_length()  # the number of planes
     top_down = range(width - 1, (need & -need).bit_length() - 2, -1)  # to need's lowest 1
     bits = []
-    for p, row in zip(verts, pairs):
-        planes = [0] * width
-        for carry in map(holders.__getitem__, row):
-            k = 0
-            while carry:
-                x = planes[k]
-                planes[k] = x ^ carry
-                carry &= x
-                k += 1
+    for p, planes in zip(verts, _shared_planes(verts, n)):
         more, same = 0, everything  # shared count above / equal to need so far
         for k in top_down:
             if need >> k & 1:
@@ -278,14 +257,6 @@ def _grow(adj: tuple[int, ...], chosen: list[int], cand: int, best: list[int]) -
         _grow(adj, chosen, cand & ~(adj[v] | bit), best)
         chosen.pop()
         cand ^= bit
-
-
-def check_exact_full_graph(n: int) -> None:
-    """Raise where ``exact_independent_set(build_graph(n, d))`` would stop at
-    a default guard, before anything is built: the graph guard on n, then the
-    solver's vertex guard on the n! vertices, with the messages those give."""
-    _check_graph_n(n, GRAPH_MAX_N)
-    _check_exact_size(math.factorial(n), EXACT_MAX_VERTICES)
 
 
 def exact_independent_set(g: BlockGraph, max_vertices: int = EXACT_MAX_VERTICES) -> CodeBook:

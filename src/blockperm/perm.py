@@ -12,6 +12,9 @@ adjacent pairs of the first that are not adjacent pairs of the second.
 ``block_distance`` computes the pair-count form; ``distance_by_definition``
 performs the literal cut-and-reorder search, so the two routes can be checked
 against each other.
+
+``_shared_planes`` counts the pairs each of N permutations shares with all N at
+once, as bit planes; the distance graphs and code verification both read it.
 """
 
 from __future__ import annotations
@@ -81,6 +84,44 @@ def block_distance(p1: Perm, p2: Perm) -> int:
     if len(p1) != len(p2):
         raise ValueError(f"mismatched sizes {len(p1)} and {len(p2)}")
     return len(set(zip(p1, p1[1:])).difference(zip(p2, p2[1:])))
+
+
+def _pair_codes(p: Perm, n: int) -> list[int]:
+    """Each adjacent pair (a, b) of p as the code (a-1)·n + (b-1)."""
+    return [(a - 1) * n + b - 1 for a, b in zip(p, p[1:])]
+
+
+def _pair_masks(perms, n: int) -> list[int]:
+    """Each characteristic set as an int: bit (a-1)·n + (b-1) marks the pair
+    (a, b), so popcount(mask_p & mask_q) counts the pairs p and q share."""
+    return [sum(1 << x for x in _pair_codes(p, n)) for p in perms]
+
+
+def _shared_planes(perms: Sequence[Perm], n: int):
+    """For each permutation in turn, the (n-1).bit_length() planes of its
+    shared-pair counts: bit j of plane k is bit k of the number of adjacent
+    pairs it shares with perms[j], which is n-1 less their distance, so n-1
+    only for a copy.  For each of its n-1 pairs, a permutation adds the
+    bitset of the permutations holding that pair into the planes, each carry
+    rippling up while it is non-zero: about n·⌈log2 n⌉ operations on N-bit
+    integers.
+    """
+    pairs = [_pair_codes(p, n) for p in perms]
+    holders = [0] * (n * n)
+    for i, row in enumerate(pairs):
+        for x in row:
+            holders[x] |= 1 << i
+    width = (n - 1).bit_length()
+    for row in pairs:
+        planes = [0] * width
+        for carry in map(holders.__getitem__, row):
+            k = 0
+            while carry:
+                x = planes[k]
+                planes[k] = x ^ carry
+                carry &= x
+                k += 1
+        yield planes
 
 
 def is_minimal(p: Perm) -> bool:

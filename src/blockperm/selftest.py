@@ -17,6 +17,7 @@ from operator import itemgetter, ne
 
 from . import bounds as bounds_mod
 from .constructions import (
+    CodeBook,
     PairEncoder,
     even_n_code,
     ham_decomp_code,
@@ -25,14 +26,9 @@ from .constructions import (
     zn1_code,
 )
 from .enumeration import ball_size_bounds, enumerate_spheres, myers_count, sandwich_applies
-from .graph import (
-    _pair_masks,
-    build_graph,
-    exact_independent_set,
-    jv_lower_formula,
-    neighborhood_stats,
-)
-from .perm import block_distance, char_set, compose, distance_by_definition, from_one_line
+from .graph import build_graph, exact_independent_set, jv_lower_formula, neighborhood_stats
+from .perm import (_pair_masks, block_distance, char_set, compose, distance_by_definition,
+                   from_one_line)
 
 
 @dataclass(frozen=True)
@@ -115,15 +111,10 @@ def criterion_5_syndrome_partition() -> CriterionResult:
         buckets = syndrome_classes(n, d, enc)
         if sum(len(ws) for ws in buckets.values()) != math.factorial(n):
             bad.append(f"(n={n}, d={d}): fiber sizes do not sum to n!")
-        checked = 0
         for words in buckets.values():
-            sets = [char_set(w) for w in words]
-            for i, si in enumerate(sets):
-                for sj in sets[i + 1 :]:
-                    checked += 1
-                    if len(si - sj) < d:
-                        bad.append(f"(n={n}, d={d}): fiber pair below distance {d}")
-        pairs[n, d] = checked
+            if verify_min_distance(CodeBook(n, d, tuple(words), "syndrome")) < d:
+                bad.append(f"(n={n}, d={d}): fiber pair below distance {d}")
+        pairs[n, d] = sum(math.comb(len(ws), 2) for ws in buckets.values())
         floor = -(-math.factorial(n) // enc.q ** (d - 1))
         if max(len(ws) for ws in buckets.values()) < floor:
             bad.append(f"(n={n}, d={d}): largest fiber below pigeonhole floor {floor}")

@@ -31,8 +31,7 @@ from blockperm.constructions import (
     with_verified_min_distance,
     zn1_code,
 )
-from blockperm.enumeration import myers_count
-from blockperm.perm import block_distance, char_set
+from blockperm.perm import block_distance, char_set, compose, identity
 
 
 def test_select_prime_frozen():
@@ -402,17 +401,6 @@ def _pairwise_min(code):
     return min(block_distance(a, b) for a, b in itertools.combinations(code.words, 2))
 
 
-def _walked_radius(n, count):
-    """Spheres walked before the switch: while N·Σ myers_count(n, r) <= C(N, 2)."""
-    lookups, r = 0, 0
-    while r < n - 1:
-        lookups += count * myers_count(n, r + 1)
-        if lookups > math.comb(count, 2):
-            break
-        r += 1
-    return r
-
-
 DIFFERENTIAL_SEEDS = range(40)
 
 
@@ -420,18 +408,6 @@ DIFFERENTIAL_SEEDS = range(40)
 def test_verify_min_distance_matches_pairwise_on_random_codes(seed):
     code = _random_code(seed)
     assert verify_min_distance(code) == _pairwise_min(code)
-
-
-def test_random_codes_reach_every_route():
-    """The seeded codes finish inside the walk, on its last sphere, exactly at
-    the first radius left to the pairwise scan, and beyond it."""
-    routes = set()
-    for seed in DIFFERENTIAL_SEEDS:
-        code = _random_code(seed)
-        walked, found = _walked_radius(code.n, len(code.words)), _pairwise_min(code)
-        routes.add("inside" if found < walked else "last sphere" if found == walked
-                   else "switch" if found == walked + 1 else "pairwise")
-    assert routes == {"inside", "last sphere", "switch", "pairwise"}
 
 
 @pytest.mark.parametrize("make, args", [(cyclic_class_code, (6,)), (largest_syndrome_class, (7, 3)),
@@ -444,6 +420,53 @@ def test_verify_min_distance_matches_pairwise_on_constructions(make, args):
 
 def test_verify_min_distance_of_the_5040_word_cyclic_code():
     assert verify_min_distance(cyclic_class_code(8)) == 2
+
+
+def _blocks_reversed(n, r):
+    """The identity cut into the blocks 1, 2, ..., r and r+1..n, put back in
+    reverse order, so r+1..n, r, ..., 1: at distance r from the identity."""
+    return tuple(range(r + 1, n + 1)) + tuple(range(r, 0, -1))
+
+
+# The kernel keeps (n-1).bit_length() planes, one more from n = 2, 3, 5, 9, 17 on.
+@pytest.mark.parametrize("n", [2, 5, 9, 17])
+def test_verify_min_distance_at_every_distance_where_the_plane_count_changes(n):
+    """For each r, a pair r apart among words at least r from each other, in
+    random order, so the most shared pairs n-1-r takes every plane pattern."""
+    rng = random.Random(n)
+    for r in range(1, n):
+        g = tuple(rng.sample(range(1, n + 1), n))  # relabelling keeps distances
+        words = [compose(g, identity(n)), compose(g, _blocks_reversed(n, r))]
+        for _ in range(200):
+            w = tuple(rng.sample(range(1, n + 1), n))
+            if len(words) < 8 and all(block_distance(w, v) >= r for v in words):
+                words.append(w)
+        rng.shuffle(words)
+        code = CodeBook(n, 1, tuple(words), "random")
+        assert verify_min_distance(code) == _pairwise_min(code) == r
+
+
+@pytest.mark.parametrize("n", [4, 6, 17])
+def test_verify_min_distance_finds_the_close_pair_after_a_far_word(n):
+    """The first word is 2 from the others, which are 1 apart: the scan goes
+    on past the first word that lowers the minimum, to the stop at 1."""
+    code = CodeBook(n, 1, (_blocks_reversed(n, 2), identity(n), _blocks_reversed(n, 1)), "file")
+    assert verify_min_distance(code) == _pairwise_min(code) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 33])
+def test_verify_min_distance_of_a_word_and_its_reverse(n):
+    w = tuple(random.Random(n).sample(range(1, n + 1), n))
+    assert verify_min_distance(CodeBook(n, 1, (w, w[::-1]), "file")) == n - 1
+
+
+def test_verify_min_distance_of_the_distance_n_minus_1_families_to_60():
+    for n in range(2, 61):
+        codes = [even_n_code(n)] if n % 2 == 0 else []
+        if all((n + 1) % f for f in range(2, n + 1)):
+            codes.append(zn1_code(n))
+        for code in codes:
+            assert verify_min_distance(code) == _pairwise_min(code) == n - 1, code.provenance
 
 
 def test_with_verified_min_distance():

@@ -1,5 +1,7 @@
-"""The package namespace: every public name resolves to its module's object."""
+"""The package namespace: every public name resolves to its module's object, and
+no module imports a name it never reads."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -68,3 +70,22 @@ def test_fresh_import_loads_no_module_until_a_name_is_used():
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines() == [
         "[]", "10 1", "['blockperm.bounds', 'blockperm.enumeration', 'blockperm.perm']"]
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module's top-level imports bind that nothing in it reads."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    src = Path(blockperm.__file__).resolve().parent
+    unused = {path.name: names for path in sorted(src.glob("*.py"))
+              if (names := _unused_imports(ast.parse(path.read_text())))}
+    assert unused == {}
