@@ -86,12 +86,15 @@ def new_upper(n: int, d: int) -> tuple[Fraction, int]:
 
 
 def special_exact(n: int, d: int) -> int | None:
-    """Known exact maximum code sizes, where the distance pins them down.
+    """Known exact maximum code sizes, where the distance pins them down, for
+    n >= 1 and d >= 1; None where they do not.
 
     d=1 admits everything (n!), d=2 admits one permutation per rotation class
     ((n-1)!), d > n-1 exceeds the diameter (singletons only), and d = n-1
     gives n except for the two small failures (3,2) -> 2 and (5,4) -> 4.
     """
+    if n < 1 or d < 1:
+        raise ValueError(f"need n >= 1 and d >= 1, got (n, d) = ({n}, {d})")
     if d > n - 1:
         return 1
     if d == 1:

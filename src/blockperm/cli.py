@@ -4,11 +4,10 @@ Permutations on the command line are quoted, space-separated label lists;
 files hold one permutation per line, with code files carrying a
 "n d provenance" header: a first line that is a permutation starts a bare
 file, any other first line is the header.  Exit codes: 0 success,
-1 validation error, 2 verification failure.  Every command calls the
-library at its default size guards, and a guard's error exits 1 with the
-library's message; a caller who needs more calls the library with its
-``max_*`` parameter.  Spheres, balls and bounds are closed forms and need
-no guard, and ``selftest`` runs fixed sizes within the defaults.
+1 validation error, 2 verification failure.  Every command runs under the
+library's size guards, and a guard's error exits 1 with the library's
+message.  Spheres, balls and bounds are closed forms and need no guard, and
+``selftest`` runs fixed sizes within the guards.
 Integers print in full, however many digits they have.
 """
 

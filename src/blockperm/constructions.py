@@ -186,7 +186,7 @@ def _decode(keys, m: int, q: int) -> list[tuple[int, ...]]:
     return list(zip(*e.values()))
 
 
-def _scan_fibers(n: int, d: int, enc: PairEncoder | None, max_n: int, target=None):
+def _scan_fibers(n: int, d: int, enc: PairEncoder | None, target=None):
     """The syndrome fibers of S_n keyed by packed power sums (see
     ``_decode``), with the field size q; only target's fiber (if hit) when
     a target syndrome is given.  Keys come in the order of each fiber's first
@@ -206,8 +206,8 @@ def _scan_fibers(n: int, d: int, enc: PairEncoder | None, max_n: int, target=Non
     # reverse share every syndrome and lie at distance n-1.
     if not 2 <= d <= n - 1:
         raise ValueError(f"syndrome codes need 2 <= d <= n-1, got (n, d) = ({n}, {d})")
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds enumeration guard {max_n}")
+    if n > DEFAULT_MAX_N:
+        raise ValueError(f"n={n} exceeds enumeration guard {DEFAULT_MAX_N}")
     enc = enc or PairEncoder.for_n(n)
     if enc.n != n:
         raise ValueError(f"permutation size {n} does not match encoder n={enc.n}")
@@ -264,8 +264,8 @@ def _walk_fibers(prefix, rest, sums, scan, buckets) -> None:
                      s - ((s + bias & guards) >> top) * q, scan, buckets)
 
 
-def syndrome_classes(n: int, d: int, enc: PairEncoder | None = None,
-                     max_n: int = DEFAULT_MAX_N) -> dict[tuple[int, ...], list[Perm]]:
+def syndrome_classes(n: int, d: int,
+                     enc: PairEncoder | None = None) -> dict[tuple[int, ...], list[Perm]]:
     """Partition of all of S_n into syndrome fibers, each a code of distance
     >= d, for 2 <= d <= n-1.
 
@@ -275,7 +275,7 @@ def syndrome_classes(n: int, d: int, enc: PairEncoder | None = None,
     packed power sums; the keys then become syndromes by Newton's
     identities, one pass over all fibers per term.
     """
-    buckets, q = _scan_fibers(n, d, enc, max_n)
+    buckets, q = _scan_fibers(n, d, enc)
     return dict(zip(_decode(buckets, d - 1, q), buckets.values()))
 
 
@@ -291,8 +291,7 @@ def in_syndrome_class(p: Perm, d: int, f, enc: PairEncoder) -> bool:
     return syndrome(p, d, enc) == _syndrome_vector(d, f, enc.q)
 
 
-def syndrome_class(n: int, d: int, f, enc: PairEncoder | None = None,
-                   max_n: int = DEFAULT_MAX_N) -> CodeBook:
+def syndrome_class(n: int, d: int, f, enc: PairEncoder | None = None) -> CodeBook:
     """The code {p in S_n : syndrome(p) = f} of distance >= d, for
     2 <= d <= n-1, words in lexicographic order; empty when f is missed.
 
@@ -300,17 +299,16 @@ def syndrome_class(n: int, d: int, f, enc: PairEncoder | None = None,
     turned into packed power sums once.  For n beyond the scan guard, test
     individual permutations with ``in_syndrome_class`` instead.
     """
-    fiber, _ = _scan_fibers(n, d, enc, max_n, target=f)  # f's fiber, or nothing
+    fiber, _ = _scan_fibers(n, d, enc, target=f)  # f's fiber, or nothing
     return CodeBook(n, d, tuple(w for words in fiber.values() for w in words), "syndrome")
 
 
-def largest_syndrome_class(n: int, d: int, enc: PairEncoder | None = None,
-                           max_n: int = DEFAULT_MAX_N) -> CodeBook:
+def largest_syndrome_class(n: int, d: int, enc: PairEncoder | None = None) -> CodeBook:
     """A maximum-cardinality syndrome fiber, for 2 <= d <= n-1; at least
     n!/q^(d-1) words by pigeonhole.  Ties break toward the smallest syndrome
     vector.  Its first coordinate e_1 = p_1 is the key's low lane, so only
     the tied keys with the least e_1 are turned into syndromes."""
-    buckets, q = _scan_fibers(n, d, enc, max_n)
+    buckets, q = _scan_fibers(n, d, enc)
     size = max(map(len, buckets.values()))
     lane = (1 << _lanes(d - 1, q).step) - 1
     tied = [key for key, words in buckets.items() if len(words) == size]
@@ -364,6 +362,8 @@ def zn1_code(n: int) -> CodeBook:
     The i-th word is (i, 2i, ..., ni) mod n+1; each ordered pair (a, b)
     appears in exactly one word, the one with i = b - a mod n+1.
     """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
     if not _is_prime(n + 1):
         raise ValueError(f"need n+1 prime, got n+1 = {n + 1}")
     m = n + 1
@@ -421,7 +421,7 @@ def _extend_cycle(n: int, path: list[int], mask: int, used: list[list[bool]],
     return False
 
 
-def ham_decomp_code(n: int, max_n: int = HAM_SEARCH_MAX_N) -> CodeBook | None:
+def ham_decomp_code(n: int) -> CodeBook | None:
     """Hamiltonian-decomposition code for odd n, or None when none exists.
 
     Dropping the hub from each cycle of a decomposition found by
@@ -431,8 +431,8 @@ def ham_decomp_code(n: int, max_n: int = HAM_SEARCH_MAX_N) -> CodeBook | None:
     """
     if n % 2 == 0:
         raise ValueError(f"hub-cycle search applies to odd n, got {n}")
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds search guard {max_n}")
+    if n > HAM_SEARCH_MAX_N:
+        raise ValueError(f"n={n} exceeds search guard {HAM_SEARCH_MAX_N}")
     cycles = _hub_cycle_decomposition(n)
     if cycles is None:
         return None
@@ -443,7 +443,7 @@ def ham_decomp_code(n: int, max_n: int = HAM_SEARCH_MAX_N) -> CodeBook | None:
 # -- verification -------------------------------------------------------------
 
 
-def verify_min_distance(code: CodeBook, max_words: int = PAIRWISE_MAX_WORDS) -> int:
+def verify_min_distance(code: CodeBook) -> int:
     """Exact minimum pairwise block distance; n by convention for <= 1 word.
 
     Words sharing s adjacent pairs are n-1-s apart, so the minimum is n-1
@@ -456,8 +456,8 @@ def verify_min_distance(code: CodeBook, max_words: int = PAIRWISE_MAX_WORDS) -> 
     """
     words = code.words
     count = len(words)
-    if count > max_words:
-        raise ValueError(f"{count} words exceed pairwise guard {max_words}")
+    if count > PAIRWISE_MAX_WORDS:
+        raise ValueError(f"{count} words exceed pairwise guard {PAIRWISE_MAX_WORDS}")
     if count <= 1:
         return code.n
     n = code.n
@@ -475,8 +475,8 @@ def verify_min_distance(code: CodeBook, max_words: int = PAIRWISE_MAX_WORDS) -> 
     return n - 1 - most
 
 
-def with_verified_min_distance(code: CodeBook, max_words: int = PAIRWISE_MAX_WORDS) -> CodeBook:
-    return replace(code, verified_min_distance=verify_min_distance(code, max_words))
+def with_verified_min_distance(code: CodeBook) -> CodeBook:
+    return replace(code, verified_min_distance=verify_min_distance(code))
 
 
 # -- file and JSON formats ----------------------------------------------------

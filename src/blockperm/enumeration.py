@@ -39,7 +39,7 @@ class BallSize:
     size: int
 
 
-def enumerate_spheres(n: int, max_n: int = DEFAULT_MAX_N) -> SphereProfile:
+def enumerate_spheres(n: int) -> SphereProfile:
     """Scan all of S_n and histogram block distances to the identity.
 
     A pair (a, b) is an identity adjacency exactly when b = a + 1, so the
@@ -47,8 +47,8 @@ def enumerate_spheres(n: int, max_n: int = DEFAULT_MAX_N) -> SphereProfile:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds enumeration guard {max_n}")
+    if n > DEFAULT_MAX_N:
+        raise ValueError(f"n={n} exceeds enumeration guard {DEFAULT_MAX_N}")
     counts = [0] * n
     for p in itertools.permutations(range(1, n + 1)):
         k = 0

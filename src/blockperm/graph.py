@@ -79,17 +79,6 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be at least 1, got {n}")
 
 
-def _check_graph_n(n: int, max_n: int) -> None:
-    _check_n(n)
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds graph guard {max_n} (n! vertices)")
-
-
-def _check_exact_size(count: int, max_vertices: int) -> None:
-    if count > max_vertices:
-        raise ValueError(f"{count} vertices exceed exact-solver guard {max_vertices}")
-
-
 def _check_design_distance(g: BlockGraph) -> None:
     """Distinct permutations of 1..n are at most n-1 apart, so past d = n
     a solver could only return one word, whose distance n by convention
@@ -152,15 +141,17 @@ def graph_on(vertices, d: int) -> BlockGraph:
     return BlockGraph(n, d, verts, tuple(_neighbor_bits(verts, n, d)))
 
 
-def build_graph(n: int, d: int, max_n: int = GRAPH_MAX_N) -> BlockGraph:
+def build_graph(n: int, d: int) -> BlockGraph:
     """The full graph on S_n in lexicographic vertex order, built by the
     kernel of ``graph_on``; its bitsets take n!²/8 bytes, 3.2 MB at n = 7."""
-    _check_graph_n(n, max_n)
+    _check_n(n)
+    if n > GRAPH_MAX_N:
+        raise ValueError(f"n={n} exceeds graph guard {GRAPH_MAX_N} (n! vertices)")
     verts = tuple(itertools.permutations(range(1, n + 1)))
     return BlockGraph(n, d, verts, tuple(_neighbor_bits(verts, n, d)))
 
 
-def neighborhood_stats(n: int, d: int, max_n: int = GRAPH_MAX_N) -> NeighborhoodStats:
+def neighborhood_stats(n: int, d: int) -> NeighborhoodStats:
     """Measure the identity's neighborhood in the full (n, d) graph.
 
     Only permutations within distance d-1 of the identity are touched, so this
@@ -169,8 +160,8 @@ def neighborhood_stats(n: int, d: int, max_n: int = GRAPH_MAX_N) -> Neighborhood
     """
     if d < 1:
         raise ValueError(f"design distance must be positive, got {d}")
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds graph guard {max_n}")
+    if n > GRAPH_MAX_N:
+        raise ValueError(f"n={n} exceeds graph guard {GRAPH_MAX_N}")
     ball = _identity_ball(n, d - 1)
     verts = tuple(s for s, _ in ball)
     bits = _neighbor_bits(verts, n, d)
@@ -259,7 +250,7 @@ def _grow(adj: tuple[int, ...], chosen: list[int], cand: int, best: list[int]) -
         cand ^= bit
 
 
-def exact_independent_set(g: BlockGraph, max_vertices: int = EXACT_MAX_VERTICES) -> CodeBook:
+def exact_independent_set(g: BlockGraph) -> CodeBook:
     """A maximum independent set by branch and bound over vertex bitsets, for
     d <= n.
 
@@ -285,7 +276,8 @@ def exact_independent_set(g: BlockGraph, max_vertices: int = EXACT_MAX_VERTICES)
     it there.  Any other vertex set is searched from the empty set.
     """
     count = len(g.vertices)
-    _check_exact_size(count, max_vertices)
+    if count > EXACT_MAX_VERTICES:
+        raise ValueError(f"{count} vertices exceed exact-solver guard {EXACT_MAX_VERTICES}")
     _check_design_distance(g)
     adj = g.bits
     index = {v: i for i, v in enumerate(g.vertices)}

@@ -165,7 +165,7 @@ def _block_order(blocks: list[Perm], target: Perm) -> Perm | None:
     return tuple(order)
 
 
-def distance_by_definition(p1: Perm, p2: Perm, max_n: int = DEFINITION_SEARCH_MAX_N) -> int:
+def distance_by_definition(p1: Perm, p2: Perm) -> int:
     """Block permutation distance via the literal cut-and-reorder search.
 
     Tries d = 0, 1, ... in turn; for each choice of d cut points the block
@@ -176,8 +176,8 @@ def distance_by_definition(p1: Perm, p2: Perm, max_n: int = DEFINITION_SEARCH_MA
     if len(p1) != len(p2):
         raise ValueError(f"mismatched sizes {len(p1)} and {len(p2)}")
     n = len(p1)
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds search guard {max_n}")
+    if n > DEFINITION_SEARCH_MAX_N:
+        raise ValueError(f"n={n} exceeds search guard {DEFINITION_SEARCH_MAX_N}")
     for d in range(n):
         for cuts in itertools.combinations(range(1, n), d):
             order = _block_order(_blocks(p1, cuts), p2)

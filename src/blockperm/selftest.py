@@ -1,9 +1,9 @@
 """End-to-end acceptance checks for the whole library.
 
 Each criterion is a self-contained verification at desk scale, on fixed
-sizes that the library's default guards admit (S_n is scanned for n <= 7
-only); ``run_all`` executes them in order and reports one line each, "pass"
-or "fail".
+sizes that the library's guards admit (S_n is scanned for n <= 7 only);
+``run_all`` executes them in order and reports one line each, "pass" or
+"fail".
 """
 
 from __future__ import annotations

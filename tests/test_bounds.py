@@ -75,6 +75,13 @@ def test_special_exact_values():
     assert special_exact(6, 6) == 1
     assert special_exact(6, 4) is None
     assert special_exact(7, 6) == 7
+    assert special_exact(1, 1) == 1  # the least n and d: S_1 is one word
+
+
+@pytest.mark.parametrize("n, d", [(0, 3), (-2, 1), (5, 0), (1, 0), (0, 1)])
+def test_special_exact_range(n, d):
+    with pytest.raises(ValueError, match=fr"^need n >= 1 and d >= 1, got \(n, d\) = \({n}, {d}\)$"):
+        special_exact(n, d)
 
 
 def test_corollary_applies_frozen():

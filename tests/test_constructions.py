@@ -351,6 +351,13 @@ def test_zn1_code_frozen():
         zn1_code(5)  # 6 is composite
 
 
+@pytest.mark.parametrize("n", [1, 0, -1])
+def test_zn1_code_needs_two_labels(n):
+    # n = 1 passes the primality test (2 is prime) but has no distance n-1 = 0
+    with pytest.raises(ValueError, match=f"^need n >= 2, got {n}$"):
+        zn1_code(n)
+
+
 @pytest.mark.parametrize("n", [4, 6, 10])
 def test_zn1_code_properties(n):
     code = zn1_code(n)
@@ -382,8 +389,6 @@ def test_ham_decomp_code_validation():
 def test_verify_min_distance_conventions():
     assert verify_min_distance(CodeBook(5, 4, ((1, 2, 3, 4, 5),), "file")) == 5
     assert verify_min_distance(CodeBook(3, 1, (), "file")) == 3
-    with pytest.raises(ValueError):
-        verify_min_distance(cyclic_class_code(5), max_words=5)
 
 
 def _random_code(seed):

@@ -4,11 +4,13 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from blockperm.enumeration import (
+    DEFAULT_MAX_N,
     ball_size_bounds,
     ball_size_exact,
     enumerate_spheres,
@@ -111,7 +113,12 @@ def test_identity_sphere_range(n, k):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_sphere_profile_matches_the_scan(n):
-    assert sphere_profile(n) == enumerate_spheres(n, max_n=9)
+    if n <= DEFAULT_MAX_N:
+        assert sphere_profile(n) == enumerate_spheres(n)
+    else:  # past the scan's guard, S_n is scanned here by the pair count
+        e = identity(n)
+        counts = Counter(block_distance(e, p) for p in itertools.permutations(e))
+        assert sphere_profile(n).counts == tuple(counts[k] for k in range(n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 13, 100, 500])
@@ -125,12 +132,6 @@ def test_sphere_profile_mass(n):
 def test_sphere_profile_range(n):
     with pytest.raises(ValueError):
         sphere_profile(n)
-
-
-def test_enumerate_spheres_guard():
-    with pytest.raises(ValueError):
-        enumerate_spheres(9)
-    assert enumerate_spheres(9, max_n=9).counts[0] == 1  # override allowed
 
 
 def test_ball_size_exact_frozen():

@@ -331,11 +331,6 @@ def test_solvers_reject_d_past_n(solve, n):
     assert len(code.words) == 1 and verify_min_distance(code) == n
 
 
-def test_exact_guard():
-    with pytest.raises(ValueError):
-        exact_independent_set(build_graph(5, 3), max_vertices=10)
-
-
 def _seeded_subset(rng, n, size):
     """size distinct permutations of 1..n (all of S_n when size >= n!)."""
     if n > 8:  # draw them without listing S_n

@@ -1,8 +1,9 @@
-"""The package namespace: every public name resolves to its module's object, and
-no module imports a name it never reads."""
+"""The package namespace: every public name resolves to its module's object, no
+module imports a name it never reads, and no public callable takes a size guard."""
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -47,6 +48,15 @@ def test_dir_lists_every_name_and_module():
     assert set(EXPORTED) | {name for _, name in ROWS} <= set(listed)
     assert listed == sorted(listed)
     assert sorted(blockperm.__all__) == sorted(name for _, name in ROWS)
+
+
+def test_no_public_callable_takes_a_guard_value():
+    """Size guards are module constants: no public function or class lets a
+    caller pass a ``max_*`` value past one."""
+    settable = [f"{name}({param})" for name in blockperm.__all__
+                if callable(obj := getattr(blockperm, name))
+                for param in inspect.signature(obj).parameters if param.startswith("max_")]
+    assert settable == []
 
 
 def test_unknown_name_raises_attribute_error():

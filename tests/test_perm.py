@@ -112,7 +112,6 @@ def test_distance_by_definition_guards():
     assert distance_by_definition(top, top[::-1]) == 15
     with pytest.raises(ValueError, match="exceeds search guard 16"):
         distance_by_definition(identity(17), identity(17))
-    assert distance_by_definition(identity(17), identity(17), max_n=17) == 0
     with pytest.raises(ValueError):
         distance_by_definition((1, 2), (1, 2, 3))
 
