@@ -1,13 +1,13 @@
 """Command-line front end.
 
 Permutations on the command line are quoted, space-separated label lists;
-files hold one permutation per line, with code files carrying a
-"n d provenance" header: a first line that is a permutation starts a bare
-file, any other first line is the header.  Exit codes: 0 success,
-1 validation error, 2 verification failure.  Every command runs under the
-library's size guards, and a guard's error exits 1 with the library's
-message.  Spheres, balls and bounds are closed forms and need no guard, and
-``selftest`` runs fixed sizes within the guards.
+files hold one permutation per line.  ``verify`` reads every code file form
+(JSON, headed text, bare words) with ``constructions.codebook_from_text``
+and computes the distance, never trusting a stored one.  Exit codes:
+0 success, 1 validation error, 2 verification failure.  Every command runs
+under the library's size guards, and a guard's error exits 1 with the
+library's message.  Spheres, balls and bounds are closed forms and need no
+guard, and ``selftest`` runs fixed sizes within the guards.
 Integers print in full, however many digits they have.
 """
 
@@ -97,13 +97,9 @@ def _reject_unused(args, names, mode: str) -> None:
 
 
 def _print_code(code: CodeBook, args) -> int:
-    """Print a code as text, or as JSON that carries its minimum distance when
-    it is within the pairwise guard (the text format has no place for it)."""
-    from .constructions import (PAIRWISE_MAX_WORDS, codebook_payload, codebook_to_text,
-                                with_verified_min_distance)
+    """Print a code as text, or as JSON with its minimum distance."""
+    from .constructions import codebook_payload, codebook_to_text
     if args.format == "json":
-        if len(code.words) <= PAIRWISE_MAX_WORDS:
-            code = with_verified_min_distance(code)
         _emit_json(codebook_payload(code))
     else:
         sys.stdout.write(codebook_to_text(code))
@@ -139,25 +135,12 @@ def cmd_construct(args) -> int:
     return _print_code(code, args)
 
 
-def _read_codebook(path: str, d: int) -> CodeBook:
-    from .constructions import CodeBook, codebook_from_text
-    from .perm import parse_permutation
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    try:  # a first line that is a permutation starts a bare file
-        first = parse_permutation(lines[0])
-    except (IndexError, ValueError):
-        return codebook_from_text(text)
-    words = (first, *(parse_permutation(ln) for ln in lines[1:]))
-    return CodeBook(len(first), d, words, "file")
-
-
 def cmd_verify(args) -> int:
-    from .constructions import verify_min_distance
+    from .constructions import codebook_from_text, verify_min_distance
     if args.d < 1:  # every code would pass; a headed file carries its own d
         raise ValueError(f"design distance must be positive, got {args.d}")
-    code = _read_codebook(args.path, args.d)
+    with open(args.path, "r", encoding="utf-8") as fh:
+        code = codebook_from_text(fh.read(), args.d)
     dist = verify_min_distance(code)
     print(f"{len(code.words)} words, minimum distance {dist}, required {args.d}")
     return 0 if dist >= args.d else 2

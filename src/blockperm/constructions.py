@@ -20,7 +20,8 @@ design distance d.  This module builds them four ways:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+import json
+from dataclasses import dataclass
 from operator import add, mul, neg, sub
 
 from .enumeration import DEFAULT_MAX_N
@@ -38,7 +39,6 @@ class CodeBook:
     design_distance: int
     words: tuple[Perm, ...]
     provenance: str
-    verified_min_distance: int | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -422,7 +422,7 @@ def _extend_cycle(n: int, path: list[int], mask: int, used: list[list[bool]],
 
 
 def ham_decomp_code(n: int) -> CodeBook | None:
-    """Hamiltonian-decomposition code for odd n, or None when none exists.
+    """Hamiltonian-decomposition code for odd n >= 1, or None when none exists.
 
     Dropping the hub from each cycle of a decomposition found by
     ``_hub_cycle_decomposition`` leaves n codewords at pairwise distance n-1.
@@ -431,6 +431,8 @@ def ham_decomp_code(n: int) -> CodeBook | None:
     """
     if n % 2 == 0:
         raise ValueError(f"hub-cycle search applies to odd n, got {n}")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if n > HAM_SEARCH_MAX_N:
         raise ValueError(f"n={n} exceeds search guard {HAM_SEARCH_MAX_N}")
     cycles = _hub_cycle_decomposition(n)
@@ -475,49 +477,60 @@ def verify_min_distance(code: CodeBook) -> int:
     return n - 1 - most
 
 
-def with_verified_min_distance(code: CodeBook) -> CodeBook:
-    return replace(code, verified_min_distance=verify_min_distance(code))
-
-
 # -- file and JSON formats ----------------------------------------------------
 #
 # Text format: header line "n d provenance", then one permutation per line.
-# JSON payload carries the verified minimum distance as well.
+# The JSON payload adds the minimum distance, computed and never read back.
 
 
 def codebook_to_text(code: CodeBook) -> str:
-    lines = [f"{code.n} {code.design_distance} {code.provenance}"]
-    lines += [format_permutation(w) for w in code.words]
-    return "\n".join(lines) + "\n"
+    header = f"{code.n} {code.design_distance} {code.provenance}"
+    return "\n".join([header, *map(format_permutation, code.words)]) + "\n"
 
 
-def codebook_from_text(text: str) -> CodeBook:
+def codebook_from_text(text: str, d: int | None = None) -> CodeBook:
+    """A code file: JSON if it starts with ``{``; given d, bare words at distance
+    d if the first line is a permutation; else a header, then the words."""
+    if text.lstrip().startswith("{"):
+        return codebook_from_payload(json.loads(text))
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty code file")
+    if d is not None:
+        try:
+            first = parse_permutation(lines[0])
+        except ValueError:
+            pass
+        else:
+            return CodeBook(len(first), d, tuple(map(parse_permutation, lines)), "file")
     head = lines[0].split(maxsplit=2)
     if len(head) != 3:
         raise ValueError(f"malformed header {lines[0]!r}; expected 'n d provenance'")
-    n, d = int(head[0]), int(head[1])
+    n = int(head[0])
     words = tuple(parse_permutation(ln) for ln in lines[1:])
     for w in words:
         if len(w) != n:
             raise ValueError(f"word {w} does not match header n={n}")
-    return CodeBook(n, d, words, head[2])
+    return CodeBook(n, int(head[1]), words, head[2])
 
 
 def codebook_payload(code: CodeBook) -> dict:
+    verified = verify_min_distance(code) if len(code) <= PAIRWISE_MAX_WORDS else None
     return {
         "n": code.n,
         "d": code.design_distance,
         "provenance": code.provenance,
-        "verified_min_distance": code.verified_min_distance,
+        "verified_min_distance": verified,  # null past the pairwise guard
         "words": [list(w) for w in code.words],
     }
 
 
 def codebook_from_payload(payload: dict) -> CodeBook:
-    words = tuple(from_one_line(w) for w in payload["words"])
-    vmd = payload.get("verified_min_distance")
-    return CodeBook(int(payload["n"]), int(payload["d"]), words, str(payload["provenance"]),
-                    None if vmd is None else int(vmd))
+    """The code of a ``codebook_payload``; its stored distance is ignored."""
+    try:
+        return CodeBook(int(payload["n"]), int(payload["d"]),
+                        tuple(map(from_one_line, payload["words"])), str(payload["provenance"]))
+    except KeyError as key:
+        raise ValueError(f"code payload lacks {key}") from None
+    except TypeError as exc:  # a value of the wrong JSON type, such as "words": 5
+        raise ValueError(f"malformed code payload: {exc}") from None

@@ -147,7 +147,3 @@ def ball_size_bounds(n: int, t: int) -> tuple[int, int]:
 
 def sphere_profile_payload(profile: SphereProfile) -> dict:
     return {"n": profile.n, "counts": list(profile.counts)}
-
-
-def sphere_profile_from_payload(payload: dict) -> SphereProfile:
-    return SphereProfile(int(payload["n"]), tuple(int(c) for c in payload["counts"]))

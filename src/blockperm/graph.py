@@ -128,7 +128,7 @@ def _neighbor_bits(verts: tuple[Perm, ...], n: int, d: int) -> list[int]:
 
 def graph_on(vertices, d: int) -> BlockGraph:
     """Explicit graph on the given permutations of 1..n, repeats allowed;
-    edge iff 0 < distance < d.  Built by ``_neighbor_bits``, about
+    edge iff 0 < distance < d, for d >= 1.  Built by ``_neighbor_bits``, about
     N·n·log2(n) operations on N-bit integers for N vertices."""
     verts = tuple(vertices)
     if not verts:
@@ -138,15 +138,19 @@ def graph_on(vertices, d: int) -> BlockGraph:
     labels = set(range(1, n + 1))
     if any(len(v) != n or set(v) != labels for v in verts):
         raise ValueError("vertices must be permutations of 1..n with one n")
+    if d < 1:
+        raise ValueError(f"design distance must be positive, got {d}")
     return BlockGraph(n, d, verts, tuple(_neighbor_bits(verts, n, d)))
 
 
 def build_graph(n: int, d: int) -> BlockGraph:
-    """The full graph on S_n in lexicographic vertex order, built by the
+    """The full graph on S_n, d >= 1, in lexicographic vertex order, built by the
     kernel of ``graph_on``; its bitsets take n!²/8 bytes, 3.2 MB at n = 7."""
     _check_n(n)
     if n > GRAPH_MAX_N:
         raise ValueError(f"n={n} exceeds graph guard {GRAPH_MAX_N} (n! vertices)")
+    if d < 1:
+        raise ValueError(f"design distance must be positive, got {d}")
     verts = tuple(itertools.permutations(range(1, n + 1)))
     return BlockGraph(n, d, verts, tuple(_neighbor_bits(verts, n, d)))
 
@@ -160,6 +164,8 @@ def neighborhood_stats(n: int, d: int) -> NeighborhoodStats:
     """
     if d < 1:
         raise ValueError(f"design distance must be positive, got {d}")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if n > GRAPH_MAX_N:
         raise ValueError(f"n={n} exceeds graph guard {GRAPH_MAX_N}")
     ball = _identity_ball(n, d - 1)

@@ -32,7 +32,7 @@ DEFINITION_SEARCH_MAX_N = 16
 
 
 def from_one_line(values: Sequence[int]) -> Perm:
-    """Validate a 1-based one-line permutation and return it as a tuple.
+    """Validate a 1-based one-line permutation of ints and return it as a tuple.
 
     >>> from_one_line([4, 8, 3, 2, 6, 7, 5, 1, 9])[:3]
     (4, 8, 3)
@@ -40,7 +40,7 @@ def from_one_line(values: Sequence[int]) -> Perm:
     p = tuple(values)
     if not p:
         raise ValueError("empty input: a permutation has length at least 1")
-    if sorted(p) != list(range(1, len(p) + 1)):
+    if any(type(v) is not int for v in p) or sorted(p) != list(range(1, len(p) + 1)):
         raise ValueError(f"not a rearrangement of 1..{len(p)}: {list(values)!r}")
     return p
 
@@ -173,6 +173,7 @@ def distance_by_definition(p1: Perm, p2: Perm) -> int:
     that ordering is minimal.  At most 2^(n-1) cut sets, so exponential in n;
     serves as an independent cross-check for ``block_distance``.
     """
+    p1, p2 = from_one_line(p1), from_one_line(p2)
     if len(p1) != len(p2):
         raise ValueError(f"mismatched sizes {len(p1)} and {len(p2)}")
     n = len(p1)

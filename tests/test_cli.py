@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 from blockperm import cli, constructions, enumeration, graph, perm, selftest
 from blockperm.bounds import bound_report_from_payload, gv_lower, sp_upper, table1
-from blockperm.cli import _read_codebook, main
-from blockperm.constructions import codebook_from_payload, codebook_from_text, even_n_code, codebook_to_text
-from blockperm.enumeration import enumerate_spheres, sphere_profile, sphere_profile_from_payload
+from blockperm.cli import main
+from blockperm.constructions import (codebook_from_payload, codebook_from_text, codebook_payload,
+                                     codebook_to_text, even_n_code)
+from blockperm.enumeration import enumerate_spheres, sphere_profile, sphere_profile_payload
 
 WORKED = ["4 8 3 2 6 7 5 1 9", "6 7 8 3 2 5 1 9 4"]
 
@@ -120,7 +121,7 @@ def test_spheres_csv(capsys):
 def test_spheres_json_round_trip(capsys):
     code, out, _ = run(capsys, "spheres", "--n", "5", "--format", "json")
     assert code == 0
-    assert sphere_profile_from_payload(json.loads(out)) == enumerate_spheres(5)
+    assert json.loads(out) == sphere_profile_payload(enumerate_spheres(5))
 
 
 @pytest.mark.parametrize("n", range(9, 13))
@@ -168,9 +169,9 @@ def test_spheres_json_past_the_digit_limit(capsys):
     code, out, err = run(capsys, "spheres", "--n", "2000", "--format", "json")
     assert (code, err) == (0, "")
     with unlimited_int_digits():
-        profile = sphere_profile_from_payload(json.loads(out))
-        assert profile.n == 2000 and len(profile.counts) == 2000
-        assert sum(profile.counts) == math.factorial(2000)
+        payload = json.loads(out)
+        assert payload["n"] == 2000 and len(payload["counts"]) == 2000
+        assert sum(payload["counts"]) == math.factorial(2000)
 
 
 def test_ball_exact_and_bounds(capsys):
@@ -222,9 +223,8 @@ def test_construct_syndrome_with_vector(capsys):
     code, out, _ = run(capsys, "construct", "--method", "syndrome", "--n", "4",
                        "--d", "3", "--f", "1,1", "--format", "json")
     assert code == 0
-    book = codebook_from_payload(json.loads(out))
-    assert (1, 2, 3, 4) in book.words
-    assert book.verified_min_distance >= 3
+    assert (1, 2, 3, 4) in codebook_from_payload(json.loads(out)).words
+    assert json.loads(out)["verified_min_distance"] >= 3
 
 
 def test_construct_syndrome_defaults_to_largest_class(capsys):
@@ -308,7 +308,7 @@ def test_text_output_does_not_verify(capsys, monkeypatch):
         raise AssertionError("text output verified the code")
 
     with monkeypatch.context() as patch:
-        patch.setattr("blockperm.constructions.with_verified_min_distance", refuse)
+        patch.setattr("blockperm.constructions.verify_min_distance", refuse)
         assert run(capsys, *argv) == (0, expected, "")
         assert run(capsys, "graph", "--n", "4", "--d", "3", "--exact")[0] == 0
     code, out, _ = run(capsys, *argv, "--format", "json")
@@ -402,10 +402,73 @@ def test_code_files_read_back_to_the_same_words(tmp_path_factory, words, d, prov
     lines = ([header] if headed else []) + [" ".join(map(str, w)) for w in words]
     path = tmp_path_factory.mktemp("codes") / "code.txt"
     path.write_text("\n".join(lines) + "\n")
-    book = _read_codebook(str(path), d)
+    book = codebook_from_text(path.read_text(), d)
     assert book.words == words
     assert book.provenance == (provenance if headed else "file")
     assert main(["verify", "--d", str(d), str(path)]) in (0, 2)  # read, not rejected
+
+
+CONSTRUCT_METHODS = [["syndrome", "--n", "5", "--d", "3"], ["cyclic", "--n", "5"],
+                     ["even", "--n", "6"], ["zn1", "--n", "6"], ["hamdecomp", "--n", "7"]]
+
+
+@pytest.mark.parametrize("method", CONSTRUCT_METHODS, ids=[m[0] for m in CONSTRUCT_METHODS])
+def test_verify_reads_construct_output_in_both_formats(capsys, tmp_path, method):
+    argv = ["construct", "--method", *method]
+    lines = set()
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        path = tmp_path / f"code.{fmt}"
+        path.write_text(out)
+        d = str(codebook_from_text(out).design_distance)
+        code, out, err = run(capsys, "verify", "--d", d, str(path))
+        assert (code, err) == (0, "")
+        lines.add(out)
+    assert len(lines) == 1
+
+
+def test_verify_a_json_code_from_construct(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(run(capsys, "construct", "--method", "even", "--n", "6", "--format", "json")[1])
+    assert run(capsys, "verify", "--d", "5", str(path)) == (
+        0, "6 words, minimum distance 5, required 5\n", "")
+
+
+def test_verify_computes_the_distance_a_json_file_states(capsys, tmp_path):
+    path = tmp_path / "lying.json"
+    path.write_text(json.dumps(dict(codebook_payload(even_n_code(4)), verified_min_distance=99)))
+    assert run(capsys, "verify", "--d", "3", str(path)) == (
+        0, "4 words, minimum distance 3, required 3\n", "")
+    assert run(capsys, "verify", "--d", "4", str(path)) == (
+        2, "4 words, minimum distance 3, required 4\n", "")
+
+
+GOOD_JSON = codebook_payload(even_n_code(4))
+CUT_JSON = json.dumps(GOOD_JSON)[:30]
+
+
+def _json_error(text):
+    """The message the json module gives for text, in this Python version."""
+    try:
+        json.loads(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{text!r} is valid JSON")
+
+
+@pytest.mark.parametrize("text, message", [
+    (CUT_JSON, _json_error(CUT_JSON)),
+    (json.dumps({k: v for k, v in GOOD_JSON.items() if k != "words"}),
+     "code payload lacks 'words'"),
+    (json.dumps(dict(GOOD_JSON, words=5)), "malformed code payload: 'int' object is not iterable"),
+    (json.dumps(dict(GOOD_JSON, words=[[1.0, 2.0, 3.0, 4.0]])),
+     "not a rearrangement of 1..4: [1.0, 2.0, 3.0, 4.0]"),
+], ids=["invalid-json", "no-words", "words-5", "float-labels"])
+def test_verify_rejects_a_malformed_json_file(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(capsys, "verify", "--d", "3", str(path)) == (1, "", f"error: {message}\n")
 
 
 def test_verify_duplicate_words_is_validation_error(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import json
 import math
 import random
 import re
@@ -12,6 +13,7 @@ from blockperm.constructions import (
     _decode,
     _encode,
     HAM_SEARCH_MAX_N,
+    PAIRWISE_MAX_WORDS,
     CodeBook,
     PairEncoder,
     codebook_from_payload,
@@ -28,7 +30,6 @@ from blockperm.constructions import (
     syndrome_class,
     syndrome_classes,
     verify_min_distance,
-    with_verified_min_distance,
     zn1_code,
 )
 from blockperm.perm import block_distance, char_set, compose, identity
@@ -474,9 +475,15 @@ def test_verify_min_distance_of_the_distance_n_minus_1_families_to_60():
             assert verify_min_distance(code) == _pairwise_min(code) == n - 1, code.provenance
 
 
-def test_with_verified_min_distance():
-    code = with_verified_min_distance(even_n_code(6))
-    assert code.verified_min_distance == 5
+def test_codebook_payload_computes_the_distance():
+    assert codebook_payload(even_n_code(6))["verified_min_distance"] == 5
+    assert codebook_payload(cyclic_class_code(5))["verified_min_distance"] == 2
+    words = tuple(itertools.islice(itertools.permutations(range(1, 9)), PAIRWISE_MAX_WORDS + 1))
+    assert codebook_payload(CodeBook(8, 1, words, "file"))["verified_min_distance"] is None
+
+
+def test_codebook_has_no_stored_distance():
+    assert list(CodeBook.__dataclass_fields__) == ["n", "design_distance", "words", "provenance"]
 
 
 def test_codebook_rejects_bad_words():
@@ -504,5 +511,40 @@ def test_codebook_text_round_trip():
 
 
 def test_codebook_payload_round_trip():
-    code = with_verified_min_distance(zn1_code(4))
+    code = zn1_code(4)
     assert codebook_from_payload(codebook_payload(code)) == code
+
+
+def test_codebook_from_payload_ignores_the_stored_distance():
+    payload = dict(codebook_payload(even_n_code(4)), verified_min_distance=99)
+    code = codebook_from_payload(payload)
+    assert code == even_n_code(4) and verify_min_distance(code) == 3
+
+
+EVEN_4 = codebook_payload(even_n_code(4))
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({k: v for k, v in EVEN_4.items() if k != "words"}, "code payload lacks 'words'"),
+    ({k: v for k, v in EVEN_4.items() if k != "n"}, "code payload lacks 'n'"),
+    (dict(EVEN_4, words=5), "malformed code payload: 'int' object is not iterable"),
+    (dict(EVEN_4, words=[5]), "malformed code payload: 'int' object is not iterable"),
+], ids=["no-words", "no-n", "words-5", "word-5"])
+def test_codebook_from_payload_rejects_a_malformed_payload(payload, message):
+    with pytest.raises(ValueError) as raised:
+        codebook_from_payload(payload)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("code", [even_n_code(4), CodeBook(3, 2, ((1, 2, 3), (3, 2, 1)), "1"),
+                                  CodeBook(4, 3, ((1, 2, 3, 4),), "2 1"), cyclic_class_code(3)],
+                         ids=["even", "header-3-2-1", "header-4-3-2-1", "cyclic"])
+def test_codebook_from_text_reads_every_form(code):
+    """Headed text reads back whatever its provenance when no d is given,
+    JSON with or without d, and bare words at the d given."""
+    text = codebook_to_text(code)
+    assert codebook_from_text(text) == code
+    as_json = json.dumps(codebook_payload(code))
+    assert codebook_from_text(as_json) == codebook_from_text(" \n" + as_json, 9) == code
+    bare = "".join(text.splitlines(keepends=True)[1:])
+    assert codebook_from_text(bare, 5) == CodeBook(code.n, 5, code.words, "file")

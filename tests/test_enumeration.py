@@ -1,6 +1,7 @@
 """Sphere profiles, the closed-form count, and ball sizes."""
 
 import itertools
+import json
 import math
 import random
 import time
@@ -18,7 +19,6 @@ from blockperm.enumeration import (
     myers_count,
     sandwich_applies,
     sphere_profile,
-    sphere_profile_from_payload,
     sphere_profile_payload,
 )
 from blockperm.perm import block_distance, identity, is_minimal
@@ -216,5 +216,6 @@ def test_sandwich_contains_exact_ball(n):
 
 
 def test_sphere_profile_payload_round_trip():
-    profile = enumerate_spheres(5)
-    assert sphere_profile_from_payload(sphere_profile_payload(profile)) == profile
+    payload = sphere_profile_payload(enumerate_spheres(5))
+    assert payload == {"n": 5, "counts": [1, 4, 18, 44, 53]}
+    assert json.loads(json.dumps(payload)) == payload

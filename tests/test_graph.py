@@ -350,14 +350,14 @@ def test_graph_on_matches_block_distance_on_every_pair(n):
     verts = _seeded_subset(rng, n, 100)
     verts += verts[:2]  # a repeated vertex is at distance 0: never an edge
     dist = [[block_distance(p, q) for q in verts] for p in verts]
-    for d in range(0, n + 2):  # d <= 1 is edge-free and d >= n complete
+    for d in range(1, n + 2):  # d = 1 is edge-free and d >= n complete
         expected = tuple(sum(1 << j for j, r in enumerate(row) if 0 < r < d) for row in dist)
         assert graph_on(verts, d).bits == expected, (n, d)
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_one_vertex_graph_has_no_edges(n):
-    for d in range(0, n + 2):
+    for d in range(1, n + 2):
         g = graph_on([tuple(range(n, 0, -1))], d)
         assert (g.bits, g.adjacency, g.degrees(), g.edge_count()) == ((0,), ((),), (0,), 0)
 

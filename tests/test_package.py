@@ -21,7 +21,7 @@ EXPORTED = {
     "constructions": ["CodeBook", "PairEncoder", "cyclic_class_code", "even_n_code",
                       "ham_decomp_code", "in_syndrome_class", "largest_syndrome_class",
                       "select_prime", "syndrome", "syndrome_class", "syndrome_classes",
-                      "verify_min_distance", "with_verified_min_distance", "zn1_code"],
+                      "verify_min_distance", "zn1_code"],
     "enumeration": ["BallSize", "SphereProfile", "ball_size_bounds", "ball_size_exact",
                     "enumerate_spheres", "identity_sphere", "myers_count", "sandwich_applies",
                     "sphere_profile"],

@@ -31,7 +31,8 @@ def test_from_one_line_accepts_valid_input():
     assert from_one_line([1]) == (1,)
 
 
-@pytest.mark.parametrize("bad", [[1, 1, 2], [0, 1, 2], [2, 3, 4], [], [1, 3]])
+@pytest.mark.parametrize("bad", [[1, 1, 2], [0, 1, 2], [2, 3, 4], [], [1, 3], [1.0, 2.0],
+                                 [True, 2], [1, "2"], ["1"]])
 def test_from_one_line_rejects_bad_input(bad):
     with pytest.raises(ValueError):
         from_one_line(bad)
