@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .enumeration import ball_size_bounds, ball_size_exact, sandwich_applies
+from .perm import _positive
 
 #: the published comparison rows: (n, d) -> (sphere-packing estimate, new bound)
 TABLE1_PUBLISHED = {
@@ -45,9 +46,9 @@ TABLE1_PUBLISHED = {
 TABLE1_TOLERANCE = 1
 
 
-def _odd_radius(d: int) -> int:
-    if d < 1:
-        raise ValueError(f"distance must be positive, got {d}")
+def _odd_radius(n: int, d: int) -> int:
+    _positive("n", n)
+    _positive("distance", d)
     if d % 2 == 0:
         raise ValueError(
             f"ball bounds are stated for odd d = 2t+1 only, got d={d}; "
@@ -64,7 +65,7 @@ def _group_over_ball(n: int, r: int, *, exact: bool) -> tuple[int, int]:
 
 def gv_lower(n: int, d: int, *, exact: bool = True) -> int:
     """Existence lower bound ceil(n! / |ball(n, d-1)|) for odd d."""
-    quotient, remainder = _group_over_ball(n, 2 * _odd_radius(d), exact=exact)
+    quotient, remainder = _group_over_ball(n, 2 * _odd_radius(n, d), exact=exact)
     return quotient + (remainder > 0)
 
 
@@ -74,7 +75,7 @@ def sp_upper(n: int, d: int, *, exact: bool = True) -> int:
     In estimate mode the ball is replaced by its upper product, giving
     (n-t-1)!, an optimistic floor of the true sphere-packing value.
     """
-    return _group_over_ball(n, _odd_radius(d), exact=exact)[0]
+    return _group_over_ball(n, _odd_radius(n, d), exact=exact)[0]
 
 
 def new_upper(n: int, d: int) -> tuple[Fraction, int]:
@@ -112,7 +113,7 @@ def corollary_applies(n: int, d: int) -> bool:
     """True when the new bound provably does not exceed the packing estimate:
     odd d = 2t+1 where the product sandwich applies to radius t,
     n * prod_{i=0..t}(n-i) <= d * d!, and d <= n-1."""
-    t = _odd_radius(d)
+    t = _odd_radius(n, d)
     if d > n - 1 or not sandwich_applies(n, t):
         return False
     return n * ball_size_bounds(n, t)[1] <= d * math.factorial(d)
@@ -141,8 +142,9 @@ class BoundReport:
 
 
 def bound_report(n: int, d: int, exact: bool = False) -> BoundReport:
+    _positive("distance", d)
     bd = d if d % 2 else d + 1
-    t = (bd - 1) // 2
+    t = _odd_radius(n, bd)
     gv = sp = None
     if exact or sandwich_applies(n, 2 * t):
         gv = gv_lower(n, bd, exact=exact)

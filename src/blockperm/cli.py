@@ -137,8 +137,8 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     from .constructions import codebook_from_text, verify_min_distance
-    if args.d < 1:  # every code would pass; a headed file carries its own d
-        raise ValueError(f"design distance must be positive, got {args.d}")
+    from .perm import _positive
+    _positive("design distance", args.d)  # every code would pass; a headed file carries its own d
     with open(args.path, "r", encoding="utf-8") as fh:
         code = codebook_from_text(fh.read(), args.d)
     dist = verify_min_distance(code)

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from operator import add, mul, neg, sub
 
 from .enumeration import DEFAULT_MAX_N
-from .perm import Perm, _shared_planes, format_permutation, from_one_line, parse_permutation
+from .perm import (Perm, _check_words, _positive, _shared_planes, format_permutation,
+                   parse_permutation)
 
 PAIRWISE_MAX_WORDS = 10_000
 HAM_SEARCH_MAX_N = 17
@@ -41,13 +42,8 @@ class CodeBook:
     provenance: str
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-        if self.design_distance < 1:
-            raise ValueError(f"design distance must be positive, got {self.design_distance}")
-        for w in self.words:
-            if len(w) != self.n or sorted(w) != list(range(1, self.n + 1)):
-                raise ValueError(f"word {w} is not a permutation of 1..{self.n}")
+        _check_words(self.words, self.n)
+        _positive("design distance", self.design_distance)
         if len(set(self.words)) != len(self.words):
             raise ValueError("duplicate words in code")
 
@@ -97,6 +93,7 @@ class PairEncoder:
     q: int
 
     def __post_init__(self):
+        _positive("n", self.n)
         if self.q < self.n * (self.n - 1) // 2:
             raise ValueError(f"field size {self.q} below pair count {self.n * (self.n - 1) // 2}")
         if not _is_prime(self.q):  # the fiber distance proof needs a field
@@ -123,16 +120,15 @@ def syndrome(p: Perm, d: int, enc: PairEncoder) -> tuple[int, ...]:
 
     Computed mod q by the incremental product expansion of prod_i (x + g_i),
     which needs no division.  If d-1 exceeds n-1 the surplus coordinates are
-    zero (there are only n-1 pair labels to multiply).  p must be a
-    rearrangement of 1..n, checked once for the whole word.
+    zero (there are only n-1 pair labels to multiply).
     """
     n = enc.n
     if len(p) != n:
         raise ValueError(f"permutation size {len(p)} does not match encoder n={n}")
+    _positive("design distance", d)
     if d < 2:
         raise ValueError(f"design distance must be at least 2, got {d}")
-    if set(p) != set(range(1, n + 1)):
-        raise ValueError(f"not a rearrangement of 1..{n}: {list(p)!r}")
+    _check_words((p,), n)
     q = enc.q
     es = [1] + [0] * (d - 1)
     for a, b in zip(p, p[1:]):
@@ -429,10 +425,9 @@ def ham_decomp_code(n: int) -> CodeBook | None:
     The search is exhaustive, so None is a proof of nonexistence at this n
     (the n = 3 and n = 5 cases are the known failures).
     """
+    _positive("n", n)
     if n % 2 == 0:
         raise ValueError(f"hub-cycle search applies to odd n, got {n}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
     if n > HAM_SEARCH_MAX_N:
         raise ValueError(f"n={n} exceeds search guard {HAM_SEARCH_MAX_N}")
     cycles = _hub_cycle_decomposition(n)
@@ -506,12 +501,7 @@ def codebook_from_text(text: str, d: int | None = None) -> CodeBook:
     head = lines[0].split(maxsplit=2)
     if len(head) != 3:
         raise ValueError(f"malformed header {lines[0]!r}; expected 'n d provenance'")
-    n = int(head[0])
-    words = tuple(parse_permutation(ln) for ln in lines[1:])
-    for w in words:
-        if len(w) != n:
-            raise ValueError(f"word {w} does not match header n={n}")
-    return CodeBook(n, int(head[1]), words, head[2])
+    return CodeBook(int(head[0]), int(head[1]), tuple(map(parse_permutation, lines[1:])), head[2])
 
 
 def codebook_payload(code: CodeBook) -> dict:
@@ -528,8 +518,8 @@ def codebook_payload(code: CodeBook) -> dict:
 def codebook_from_payload(payload: dict) -> CodeBook:
     """The code of a ``codebook_payload``; its stored distance is ignored."""
     try:
-        return CodeBook(int(payload["n"]), int(payload["d"]),
-                        tuple(map(from_one_line, payload["words"])), str(payload["provenance"]))
+        return CodeBook(payload["n"], payload["d"], tuple(map(tuple, payload["words"])),
+                        str(payload["provenance"]))
     except KeyError as key:
         raise ValueError(f"code payload lacks {key}") from None
     except TypeError as exc:  # a value of the wrong JSON type, such as "words": 5

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
 
-from .perm import Perm, is_minimal
+from .perm import Perm, _positive, is_minimal
 
 DEFAULT_MAX_N = 8
 
@@ -45,8 +45,7 @@ def enumerate_spheres(n: int) -> SphereProfile:
     A pair (a, b) is an identity adjacency exactly when b = a + 1, so the
     distance to the identity is the number of adjacent pairs failing that.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _positive("n", n)
     if n > DEFAULT_MAX_N:
         raise ValueError(f"n={n} exceeds enumeration guard {DEFAULT_MAX_N}")
     counts = [0] * n
@@ -88,8 +87,7 @@ def myers_count(n: int, k: int) -> int:
 
 def sphere_profile(n: int) -> SphereProfile:
     """Every sphere size around the identity in closed form, at any n."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _positive("n", n)
     return SphereProfile(n, tuple(_sphere_sizes(n, n - 1)))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .constructions import CodeBook
 from .enumeration import identity_sphere
-from .perm import Perm, _pair_masks, _shared_planes, identity
+from .perm import Perm, _check_words, _pair_masks, _positive, _shared_planes, identity
 
 GRAPH_MAX_N = 7
 EXACT_MAX_VERTICES = 1000
@@ -72,11 +72,6 @@ class NeighborhoodStats:
     p_edges: int
     triangle_count: int
     zero_x_edge_count: int
-
-
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
 
 
 def _check_design_distance(g: BlockGraph) -> None:
@@ -134,23 +129,18 @@ def graph_on(vertices, d: int) -> BlockGraph:
     if not verts:
         raise ValueError("graph needs at least one vertex")
     n = len(verts[0])
-    _check_n(n)
-    labels = set(range(1, n + 1))
-    if any(len(v) != n or set(v) != labels for v in verts):
-        raise ValueError("vertices must be permutations of 1..n with one n")
-    if d < 1:
-        raise ValueError(f"design distance must be positive, got {d}")
+    _check_words(verts, n)
+    _positive("design distance", d)
     return BlockGraph(n, d, verts, tuple(_neighbor_bits(verts, n, d)))
 
 
 def build_graph(n: int, d: int) -> BlockGraph:
     """The full graph on S_n, d >= 1, in lexicographic vertex order, built by the
     kernel of ``graph_on``; its bitsets take n!²/8 bytes, 3.2 MB at n = 7."""
-    _check_n(n)
+    _positive("n", n)
     if n > GRAPH_MAX_N:
         raise ValueError(f"n={n} exceeds graph guard {GRAPH_MAX_N} (n! vertices)")
-    if d < 1:
-        raise ValueError(f"design distance must be positive, got {d}")
+    _positive("design distance", d)
     verts = tuple(itertools.permutations(range(1, n + 1)))
     return BlockGraph(n, d, verts, tuple(_neighbor_bits(verts, n, d)))
 
@@ -159,13 +149,10 @@ def neighborhood_stats(n: int, d: int) -> NeighborhoodStats:
     """Measure the identity's neighborhood in the full (n, d) graph.
 
     Only permutations within distance d-1 of the identity are touched, so this
-    stays cheap even where building the whole graph would not.  The design
-    distance d must be positive, as for a code.
+    stays cheap even where building the whole graph would not; d >= 1, as for a code.
     """
-    if d < 1:
-        raise ValueError(f"design distance must be positive, got {d}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _positive("design distance", d)
+    _positive("n", n)
     if n > GRAPH_MAX_N:
         raise ValueError(f"n={n} exceeds graph guard {GRAPH_MAX_N}")
     ball = _identity_ball(n, d - 1)

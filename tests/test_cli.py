@@ -464,7 +464,10 @@ def _json_error(text):
     (json.dumps(dict(GOOD_JSON, words=5)), "malformed code payload: 'int' object is not iterable"),
     (json.dumps(dict(GOOD_JSON, words=[[1.0, 2.0, 3.0, 4.0]])),
      "not a rearrangement of 1..4: [1.0, 2.0, 3.0, 4.0]"),
-], ids=["invalid-json", "no-words", "words-5", "float-labels"])
+    (json.dumps(dict(GOOD_JSON, n=2.5)), "n must be positive, got 2.5"),
+    (json.dumps(dict(GOOD_JSON, d=True)), "design distance must be positive, got True"),
+    (json.dumps(dict(GOOD_JSON, n="2")), "n must be positive, got '2'"),
+], ids=["invalid-json", "no-words", "words-5", "float-labels", "n-2.5", "d-true", "n-string"])
 def test_verify_rejects_a_malformed_json_file(capsys, tmp_path, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -632,7 +635,7 @@ def test_graph_rejects_d_past_n(capsys, tmp_path, mode):
 @pytest.mark.parametrize("n, d, message", [
     (7, 6, f"5040 vertices exceed exact-solver guard {graph.EXACT_MAX_VERTICES}"),
     (8, 3, f"n=8 exceeds graph guard {graph.GRAPH_MAX_N} (n! vertices)"),
-    (0, 2, "n must be at least 1, got 0"),
+    (0, 2, "n must be positive, got 0"),
 ])
 def test_graph_exact_stops_at_its_guards_before_building(capsys, n, d, message):
     start = time.perf_counter()

@@ -48,12 +48,12 @@ def test_build_graph_guard():
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_build_graph_rejects_n_below_1(n):
-    with pytest.raises(ValueError, match="at least 1"):
+    with pytest.raises(ValueError, match=f"^n must be positive, got {n}$"):
         build_graph(n, 2)
 
 
 def test_graph_on_rejects_empty_permutations():
-    with pytest.raises(ValueError, match="at least 1"):
+    with pytest.raises(ValueError, match="^n must be positive, got 0$"):
         graph_on([()], 2)
 
 
@@ -395,7 +395,7 @@ def test_exact_seeds_once_on_a_regular_graph(monkeypatch):
 
 @pytest.mark.parametrize("vertices", [[(1, 2, 2)], [(0, 1, 2)], [(1, 2, 3), (1, 2)]])
 def test_graph_on_rejects_non_permutations(vertices):
-    with pytest.raises(ValueError, match="permutations of 1..n"):
+    with pytest.raises(ValueError, match=r"^not a rearrangement of 1\.\.3: \["):
         graph_on(vertices, 2)
 
 

@@ -3,12 +3,13 @@ guards, which admits the input at the constant and raises its message just
 past it.  Input outside a function's domain is rejected before its work
 starts, too."""
 
+import argparse
 import itertools
 
 import pytest
 
-from blockperm import constructions, enumeration, graph, perm
-from blockperm.constructions import CodeBook
+from blockperm import bounds, cli, constructions, enumeration, graph, perm
+from blockperm.constructions import CodeBook, PairEncoder
 from blockperm.perm import identity
 
 SCAN = enumeration.DEFAULT_MAX_N
@@ -98,6 +99,20 @@ def _refuse(*args, **kwargs):
     pytest.param(lambda: perm.distance_by_definition((), ()), "perm._blocks",
                  "empty input: a permutation has length at least 1",
                  id="distance_by_definition-empty"),
+    pytest.param(lambda: bounds.gv_lower(0, 3), "bounds._group_over_ball",
+                 "n must be positive, got 0", id="gv_lower-n-0"),
+    pytest.param(lambda: bounds.sp_upper(-1, 3, exact=False), "bounds._group_over_ball",
+                 "n must be positive, got -1", id="sp_upper-n-minus-1"),
+    pytest.param(lambda: bounds.bound_report(0, 3), "bounds.new_upper",
+                 "n must be positive, got 0", id="bound_report-n-0"),
+    pytest.param(lambda: bounds.bound_report(0, 4, exact=True), "bounds.gv_lower",
+                 "n must be positive, got 0", id="bound_report-exact-n-0"),
+    pytest.param(lambda: bounds.bound_report(5, 0), "bounds.new_upper",
+                 "distance must be positive, got 0", id="bound_report-d-0"),
+    pytest.param(lambda: bounds.corollary_applies(0, 3), "bounds.sandwich_applies",
+                 "n must be positive, got 0", id="corollary_applies-n-0"),
+    pytest.param(lambda: PairEncoder(0, 2), "constructions._is_prime",
+                 "n must be positive, got 0", id="PairEncoder-n-0"),
 ])
 def test_out_of_domain_input_stops_before_the_work(monkeypatch, call, work, message):
     module, name = work.split(".")
@@ -105,3 +120,76 @@ def test_out_of_domain_input_stops_before_the_work(monkeypatch, call, work, mess
     with pytest.raises(ValueError) as raised:
         call()
     assert str(raised.value) == message
+
+
+# One rule for a word, one for n and d: every entry point answers alike.
+ENC_2 = PairEncoder.for_n(2)
+WORD_ENTRY_POINTS = {  # each called on one word meant to lie in S_2
+    "from_one_line": perm.from_one_line,
+    "CodeBook": lambda w: CodeBook(2, 1, (w,), "file"),
+    "graph_on": lambda w: graph.graph_on([(1, 2), w], 1),
+    "syndrome": lambda w: constructions.syndrome(w, 2, ENC_2),
+    "in_syndrome_class": lambda w: constructions.in_syndrome_class(w, 2, (0,), ENC_2),
+    "codebook_from_payload": lambda w: constructions.codebook_from_payload(
+        {"n": 2, "d": 1, "provenance": "file", "words": [list(w)]}),
+    "distance_by_definition": lambda w: perm.distance_by_definition((1, 2), w),
+}
+
+
+@pytest.mark.parametrize("entry", WORD_ENTRY_POINTS)
+@pytest.mark.parametrize("word", [(True, 2), (1.0, 2), (1, "2"), (1, 1), (0, 1)],
+                         ids=["bool", "float", "string", "repeat", "zero"])
+def test_every_word_entry_point_rejects_a_non_permutation_alike(entry, word):
+    with pytest.raises(ValueError) as raised:
+        WORD_ENTRY_POINTS[entry](word)
+    assert str(raised.value) == f"not a rearrangement of 1..2: {list(word)!r}"
+
+
+@pytest.mark.parametrize("entry", [name for name in WORD_ENTRY_POINTS if name != "from_one_line"])
+def test_every_word_entry_point_rejects_a_word_of_the_wrong_length(entry):
+    """from_one_line takes a word of any length as its own n; the syndrome
+    functions check a word's size against their encoder's n first."""
+    with pytest.raises(ValueError) as raised:
+        WORD_ENTRY_POINTS[entry]((1, 2, 3))
+    assert str(raised.value) == ("permutation size 3 does not match encoder n=2"
+                                 if "syndrome" in entry else "not a rearrangement of 1..2: [1, 2, 3]")
+
+
+SIZE_ENTRY_POINTS = [  # (id, call on the value, the name its message gives)
+    ("identity", identity, "n"),
+    ("CodeBook-n", lambda v: CodeBook(v, 1, (), "file"), "n"),
+    ("CodeBook-d", lambda v: CodeBook(2, v, ((1, 2),), "file"), "design distance"),
+    ("codebook_from_payload-n", lambda v: constructions.codebook_from_payload(
+        {"n": v, "d": 1, "provenance": "file", "words": []}), "n"),
+    ("codebook_from_payload-d", lambda v: constructions.codebook_from_payload(
+        {"n": 2, "d": v, "provenance": "file", "words": [[1, 2]]}), "design distance"),
+    ("PairEncoder", lambda v: PairEncoder(v, 2), "n"),
+    ("syndrome-d", lambda v: constructions.syndrome((1, 2), v, ENC_2), "design distance"),
+    ("ham_decomp_code", constructions.ham_decomp_code, "n"),
+    ("graph_on-d", lambda v: graph.graph_on([(1, 2)], v), "design distance"),
+    ("build_graph-n", lambda v: graph.build_graph(v, 2), "n"),
+    ("build_graph-d", lambda v: graph.build_graph(3, v), "design distance"),
+    ("neighborhood_stats-n", lambda v: graph.neighborhood_stats(v, 3), "n"),
+    ("neighborhood_stats-d", lambda v: graph.neighborhood_stats(4, v), "design distance"),
+    ("enumerate_spheres", enumeration.enumerate_spheres, "n"),
+    ("sphere_profile", enumeration.sphere_profile, "n"),
+    ("gv_lower-n", lambda v: bounds.gv_lower(v, 3), "n"),
+    ("gv_lower-d", lambda v: bounds.gv_lower(5, v), "distance"),
+    ("sp_upper-n", lambda v: bounds.sp_upper(v, 3), "n"),
+    ("sp_upper-d", lambda v: bounds.sp_upper(5, v), "distance"),
+    ("corollary_applies-n", lambda v: bounds.corollary_applies(v, 3), "n"),
+    ("corollary_applies-d", lambda v: bounds.corollary_applies(5, v), "distance"),
+    ("bound_report-n", lambda v: bounds.bound_report(v, 3), "n"),
+    ("bound_report-d", lambda v: bounds.bound_report(5, v), "distance"),
+    ("cli-verify-d", lambda v: cli.cmd_verify(argparse.Namespace(d=v, path="code.txt")),
+     "design distance"),
+]
+
+
+@pytest.mark.parametrize("value", [0, -1, True, 2.5], ids=["0", "minus-1", "true", "2.5"])
+@pytest.mark.parametrize("call, name", [pytest.param(call, name, id=key)
+                                        for key, call, name in SIZE_ENTRY_POINTS])
+def test_every_size_entry_point_rejects_a_value_that_is_not_a_positive_int(call, name, value):
+    with pytest.raises(ValueError) as raised:
+        call(value)
+    assert str(raised.value) == f"{name} must be positive, got {value!r}"

@@ -1,10 +1,12 @@
 """Core permutation operations and the two distance routes."""
 
+import doctest
 import itertools
 import random
 
 import pytest
 
+from blockperm import perm
 from blockperm.perm import (
     DEFINITION_SEARCH_MAX_N,
     block_distance,
@@ -196,3 +198,9 @@ def test_char_set_payload_sorted_pairs():
     payload = char_set_payload((2, 1, 3))
     assert payload == {"n": 3, "pairs": [[1, 3], [2, 1]]}
     assert payload["pairs"] == sorted(payload["pairs"])
+
+
+def test_the_doctests_of_perm_pass():
+    failed, attempted = doctest.testmod(perm)
+    assert failed == 0
+    assert attempted >= 3
