@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .enumeration import ball_size_bounds, ball_size_exact, sandwich_applies
-from .perm import _positive
+from .perm import _int_in
 
 #: the published comparison rows: (n, d) -> (sphere-packing estimate, new bound)
 TABLE1_PUBLISHED = {
@@ -47,8 +47,8 @@ TABLE1_TOLERANCE = 1
 
 
 def _odd_radius(n: int, d: int) -> int:
-    _positive("n", n)
-    _positive("distance", d)
+    _int_in("n", n)
+    _int_in("distance", d)
     if d % 2 == 0:
         raise ValueError(
             f"ball bounds are stated for odd d = 2t+1 only, got d={d}; "
@@ -79,9 +79,9 @@ def sp_upper(n: int, d: int, *, exact: bool = True) -> int:
 
 
 def new_upper(n: int, d: int) -> tuple[Fraction, int]:
-    """Exact rational C(n,d)^2 (n-d)! / C(n-1, n-d) and its floor."""
-    if not 1 <= d <= n - 1:
-        raise ValueError(f"need 1 <= d <= n-1, got (n, d) = ({n}, {d})")
+    """Exact rational C(n,d)^2 (n-d)! / C(n-1, n-d) and its floor, 1 <= d <= n-1."""
+    _int_in("n", n)
+    _int_in("distance", d, 1, n - 1)
     exact = Fraction(math.comb(n, d) ** 2 * math.factorial(n - d), math.comb(n - 1, n - d))
     return exact, exact.numerator // exact.denominator
 
@@ -94,8 +94,8 @@ def special_exact(n: int, d: int) -> int | None:
     ((n-1)!), d > n-1 exceeds the diameter (singletons only), and d = n-1
     gives n except for the two small failures (3,2) -> 2 and (5,4) -> 4.
     """
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got (n, d) = ({n}, {d})")
+    _int_in("n", n)
+    _int_in("distance", d)
     if d > n - 1:
         return 1
     if d == 1:
@@ -142,7 +142,7 @@ class BoundReport:
 
 
 def bound_report(n: int, d: int, exact: bool = False) -> BoundReport:
-    _positive("distance", d)
+    _int_in("distance", d)
     bd = d if d % 2 else d + 1
     t = _odd_radius(n, bd)
     gv = sp = None

@@ -137,8 +137,8 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     from .constructions import codebook_from_text, verify_min_distance
-    from .perm import _positive
-    _positive("design distance", args.d)  # every code would pass; a headed file carries its own d
+    from .perm import _int_in
+    _int_in("design distance", args.d)  # every code would pass; a headed file carries its own d
     with open(args.path, "r", encoding="utf-8") as fh:
         code = codebook_from_text(fh.read(), args.d)
     dist = verify_min_distance(code)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from operator import add, mul, neg, sub
 
 from .enumeration import DEFAULT_MAX_N
-from .perm import (Perm, _check_words, _positive, _shared_planes, format_permutation,
-                   parse_permutation)
+from .perm import (Perm, _check_words, _int_in, _parse_labels, _shared_planes,
+                   format_permutation, parse_permutation)
 
 PAIRWISE_MAX_WORDS = 10_000
 HAM_SEARCH_MAX_N = 17
@@ -43,7 +43,7 @@ class CodeBook:
 
     def __post_init__(self):
         _check_words(self.words, self.n)
-        _positive("design distance", self.design_distance)
+        _int_in("design distance", self.design_distance)
         if len(set(self.words)) != len(self.words):
             raise ValueError("duplicate words in code")
 
@@ -68,10 +68,9 @@ def _is_prime(m: int) -> bool:
 
 
 def select_prime(n: int) -> int:
-    """Smallest prime q >= n(n-1)/2, so every unordered pair of labels gets a
-    distinct field element.  Bertrand's postulate keeps q <= n(n-1)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    """Smallest prime q >= n(n-1)/2, for n >= 2, so every unordered pair of
+    labels gets a distinct field element.  Bertrand's postulate keeps q <= n(n-1)."""
+    _int_in("n", n, 2)
     q = max(n * (n - 1) // 2, 2)
     while not _is_prime(q):
         q += 1
@@ -81,7 +80,7 @@ def select_prime(n: int) -> int:
 @dataclass(frozen=True)
 class PairEncoder:
     """Orientation-insensitive labels for pairs of [n] as elements of F_q,
-    q a prime at least n(n-1)/2.
+    n >= 1 and q a prime at least n(n-1)/2.
 
     {x, y} maps to its lexicographic rank among the n(n-1)/2 unordered pairs,
     so two ordered pairs collide exactly when they are the same pair or each
@@ -93,9 +92,8 @@ class PairEncoder:
     q: int
 
     def __post_init__(self):
-        _positive("n", self.n)
-        if self.q < self.n * (self.n - 1) // 2:
-            raise ValueError(f"field size {self.q} below pair count {self.n * (self.n - 1) // 2}")
+        _int_in("n", self.n)
+        _int_in("field size", self.q, self.n * (self.n - 1) // 2)
         if not _is_prime(self.q):  # the fiber distance proof needs a field
             raise ValueError(f"field size {self.q} is not prime")
 
@@ -116,7 +114,7 @@ def _pair_rank(n: int, a: int, b: int) -> int:
 
 
 def syndrome(p: Perm, d: int, enc: PairEncoder) -> tuple[int, ...]:
-    """First d-1 elementary symmetric values of p's encoded adjacent pairs.
+    """First d-1 elementary symmetric values of p's encoded adjacent pairs, d >= 2.
 
     Computed mod q by the incremental product expansion of prod_i (x + g_i),
     which needs no division.  If d-1 exceeds n-1 the surplus coordinates are
@@ -125,9 +123,7 @@ def syndrome(p: Perm, d: int, enc: PairEncoder) -> tuple[int, ...]:
     n = enc.n
     if len(p) != n:
         raise ValueError(f"permutation size {len(p)} does not match encoder n={n}")
-    _positive("design distance", d)
-    if d < 2:
-        raise ValueError(f"design distance must be at least 2, got {d}")
+    _int_in("design distance", d, 2)
     _check_words((p,), n)
     q = enc.q
     es = [1] + [0] * (d - 1)
@@ -198,10 +194,10 @@ def _scan_fibers(n: int, d: int, enc: PairEncoder | None, target=None):
     enter as one tabulated sum, so each of the n! leaves costs one add and
     one subtract and reduces nothing mod q.
     """
+    _int_in("n", n)
     # Fibers are codes of distance d only for 2 <= d <= n-1: a word and its
     # reverse share every syndrome and lie at distance n-1.
-    if not 2 <= d <= n - 1:
-        raise ValueError(f"syndrome codes need 2 <= d <= n-1, got (n, d) = ({n}, {d})")
+    _int_in("design distance", d, 2, n - 1)
     if n > DEFAULT_MAX_N:
         raise ValueError(f"n={n} exceeds enumeration guard {DEFAULT_MAX_N}")
     enc = enc or PairEncoder.for_n(n)
@@ -276,10 +272,12 @@ def syndrome_classes(n: int, d: int,
 
 
 def _syndrome_vector(d: int, f, q: int) -> tuple[int, ...]:
-    """f reduced mod q, checked to have the d-1 coordinates of a syndrome."""
+    """f reduced mod q, checked to have the d-1 int coordinates of a syndrome."""
     if len(f) != d - 1:
         raise ValueError(f"syndrome must have d-1 = {d - 1} coordinates, got {len(f)}")
-    return tuple(int(v) % q for v in f)
+    if not {int}.issuperset(map(type, f)):
+        raise ValueError(f"syndrome coordinates must be ints, got {f!r}")
+    return tuple(v % q for v in f)
 
 
 def in_syndrome_class(p: Perm, d: int, f, enc: PairEncoder) -> bool:
@@ -318,19 +316,18 @@ def largest_syndrome_class(n: int, d: int, enc: PairEncoder | None = None) -> Co
 
 
 def cyclic_class_code(n: int) -> CodeBook:
-    """One representative per rotation class: all permutations ending in n.
+    """One representative per rotation class, n >= 2: all permutations ending in n.
 
     Two permutations are at distance 1 exactly when one is a rotation of the
     other, so distinct representatives are at distance >= 2.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _int_in("n", n, 2)
     words = tuple(p + (n,) for p in itertools.permutations(range(1, n)))
     return CodeBook(n, 2, words, "cyclic")
 
 
 def even_n_code(n: int) -> CodeBook:
-    """n codewords at pairwise distance n-1, for even n.
+    """n codewords at pairwise distance n-1, for even n >= 2.
 
     The i-th word starts at i and advances by the fixed gap sequence
     a_j = j for odd j and a_j = n - j for even j, all mod n (residue 0 is
@@ -338,8 +335,9 @@ def even_n_code(n: int) -> CodeBook:
     is a permutation, and each difference arises from exactly one gap, so the
     adjacency pairs of the n words partition all n(n-1) ordered pairs.
     """
-    if n < 2 or n % 2:
-        raise ValueError(f"need even n >= 2, got {n}")
+    _int_in("n", n, 2)
+    if n % 2:
+        raise ValueError(f"n must be even, got {n}")
     gaps = [j if j % 2 else n - j for j in range(1, n)]
     words = []
     for i in range(1, n + 1):
@@ -353,13 +351,12 @@ def even_n_code(n: int) -> CodeBook:
 
 
 def zn1_code(n: int) -> CodeBook:
-    """n codewords at pairwise distance n-1 when n+1 is prime.
+    """n codewords at pairwise distance n-1, for n >= 2 with n+1 prime.
 
     The i-th word is (i, 2i, ..., ni) mod n+1; each ordered pair (a, b)
     appears in exactly one word, the one with i = b - a mod n+1.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _int_in("n", n, 2)
     if not _is_prime(n + 1):
         raise ValueError(f"need n+1 prime, got n+1 = {n + 1}")
     m = n + 1
@@ -425,7 +422,7 @@ def ham_decomp_code(n: int) -> CodeBook | None:
     The search is exhaustive, so None is a proof of nonexistence at this n
     (the n = 3 and n = 5 cases are the known failures).
     """
-    _positive("n", n)
+    _int_in("n", n)
     if n % 2 == 0:
         raise ValueError(f"hub-cycle search applies to odd n, got {n}")
     if n > HAM_SEARCH_MAX_N:
@@ -497,11 +494,13 @@ def codebook_from_text(text: str, d: int | None = None) -> CodeBook:
         except ValueError:
             pass
         else:
-            return CodeBook(len(first), d, tuple(map(parse_permutation, lines)), "file")
-    head = lines[0].split(maxsplit=2)
-    if len(head) != 3:
-        raise ValueError(f"malformed header {lines[0]!r}; expected 'n d provenance'")
-    return CodeBook(int(head[0]), int(head[1]), tuple(map(parse_permutation, lines[1:])), head[2])
+            return CodeBook(len(first), d, (first, *map(_parse_labels, lines[1:])), "file")
+    try:
+        n, dist, provenance = lines[0].split(maxsplit=2)
+        n, dist = int(n), int(dist)
+    except ValueError:
+        raise ValueError(f"malformed header {lines[0]!r}; expected 'n d provenance'") from None
+    return CodeBook(n, dist, tuple(map(_parse_labels, lines[1:])), provenance)
 
 
 def codebook_payload(code: CodeBook) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
 
-from .perm import Perm, _positive, is_minimal
+from .perm import Perm, _int_in, is_minimal
 
 DEFAULT_MAX_N = 8
 
@@ -45,7 +45,7 @@ def enumerate_spheres(n: int) -> SphereProfile:
     A pair (a, b) is an identity adjacency exactly when b = a + 1, so the
     distance to the identity is the number of adjacent pairs failing that.
     """
-    _positive("n", n)
+    _int_in("n", n)
     if n > DEFAULT_MAX_N:
         raise ValueError(f"n={n} exceeds enumeration guard {DEFAULT_MAX_N}")
     counts = [0] * n
@@ -78,22 +78,22 @@ def _sphere_sizes(n: int, t: int) -> Iterator[int]:
 
 
 def myers_count(n: int, k: int) -> int:
-    """Closed-form size of the distance-k sphere, 1 <= k <= n-1, at any n."""
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must lie in [1, n-1], got k={k} with n={n}")
+    """Closed-form size of the distance-k sphere, n >= 1 and 1 <= k <= n-1."""
+    _int_in("n", n)
+    _int_in("k", k, 1, n - 1)
     *_, size = _sphere_sizes(n, k)
     return size
 
 
 def sphere_profile(n: int) -> SphereProfile:
-    """Every sphere size around the identity in closed form, at any n."""
-    _positive("n", n)
+    """Every sphere size around the identity in closed form, at any n >= 1."""
+    _int_in("n", n)
     return SphereProfile(n, tuple(_sphere_sizes(n, n - 1)))
 
 
 def identity_sphere(n: int, k: int) -> Iterator[Perm]:
     """Every permutation at block distance exactly k from the identity,
-    1 <= k <= n-1, at any n, as an iterator.
+    n >= 1 and 1 <= k <= n-1, as an iterator.
 
     By the metric's definition: cut the identity at k of its n-1 gaps and
     reorder the k+1 blocks by a minimal order (block j never directly before
@@ -102,8 +102,8 @@ def identity_sphere(n: int, k: int) -> Iterator[Perm]:
     them.  The minimal orders are listed up front, by filtering all (k+1)!
     orders; the members follow lazily, one cut set at a time.
     """
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must lie in [1, n-1], got k={k} with n={n}")
+    _int_in("n", n)
+    _int_in("k", k, 1, n - 1)
     orders = [itemgetter(*o) for o in itertools.permutations(range(k + 1)) if is_minimal(o)]
     blockings = ([tuple(range(a, b)) for a, b in zip((1, *cuts), (*cuts, n + 1))]
                  for cuts in itertools.combinations(range(2, n + 1), k))
@@ -113,29 +113,30 @@ def identity_sphere(n: int, k: int) -> Iterator[Perm]:
 
 def ball_size_exact(n: int, t: int) -> BallSize:
     """Exact number of permutations within block distance t of any center,
-    at any n.
+    for n >= 1 and 0 <= t <= n-1.
 
     Left-invariance of the metric makes the size center-independent, so the
     count is taken around the identity: the sphere sizes for k = 0..t.
     """
-    if not 0 <= t <= n - 1:
-        raise ValueError(f"radius t must lie in [0, n-1], got t={t} with n={n}")
+    _int_in("n", n)
+    _int_in("t", t, 0, n - 1)
     return BallSize(n, t, sum(_sphere_sizes(n, t)))
 
 
 def sandwich_applies(n: int, t: int) -> bool:
-    """The product sandwich's hypothesis t <= n - sqrt(n) - 1, tested in
-    exact integers, so no floating-point boundary doubt."""
+    """The product sandwich's hypothesis t <= n - sqrt(n) - 1, for n >= 1 and
+    t >= 0, tested in exact integers, so no floating-point boundary doubt."""
+    _int_in("n", n)
+    _int_in("t", t, 0)
     return n - t - 1 >= 0 and (n - t - 1) ** 2 >= n
 
 
 def ball_size_bounds(n: int, t: int) -> tuple[int, int]:
-    """Product sandwich for the t-ball size, valid where ``sandwich_applies``.
+    """Product sandwich for the t-ball size, where ``sandwich_applies`` (which
+    checks n >= 1 and t >= 0, and so needs t <= n-1).
 
     Returns (prod_{i=1..t} (n-i), prod_{i=0..t} (n-i)); empty products are 1.
     """
-    if t < 0:
-        raise ValueError(f"radius t must be nonnegative, got {t}")
     if not sandwich_applies(n, t):
         raise ValueError(f"sandwich bounds need t <= n - sqrt(n) - 1; (n, t) = ({n}, {t}) fails")
     lower = math.prod(range(n - t, n))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .constructions import CodeBook
 from .enumeration import identity_sphere
-from .perm import Perm, _check_words, _pair_masks, _positive, _shared_planes, identity
+from .perm import Perm, _check_words, _int_in, _pair_masks, _shared_planes, identity
 
 GRAPH_MAX_N = 7
 EXACT_MAX_VERTICES = 1000
@@ -74,14 +74,6 @@ class NeighborhoodStats:
     zero_x_edge_count: int
 
 
-def _check_design_distance(g: BlockGraph) -> None:
-    """Distinct permutations of 1..n are at most n-1 apart, so past d = n
-    a solver could only return one word, whose distance n by convention
-    is below d."""
-    if g.d > g.n:
-        raise ValueError(f"design distance {g.d} exceeds n={g.n}, the distance of a one-word code")
-
-
 def _identity_ball(n: int, radius: int) -> list[tuple[Perm, int]]:
     """Every s with 0 < d(identity, s) <= radius, with its distance, sphere by
     sphere."""
@@ -130,17 +122,17 @@ def graph_on(vertices, d: int) -> BlockGraph:
         raise ValueError("graph needs at least one vertex")
     n = len(verts[0])
     _check_words(verts, n)
-    _positive("design distance", d)
+    _int_in("design distance", d)
     return BlockGraph(n, d, verts, tuple(_neighbor_bits(verts, n, d)))
 
 
 def build_graph(n: int, d: int) -> BlockGraph:
     """The full graph on S_n, d >= 1, in lexicographic vertex order, built by the
     kernel of ``graph_on``; its bitsets take n!²/8 bytes, 3.2 MB at n = 7."""
-    _positive("n", n)
+    _int_in("n", n)
     if n > GRAPH_MAX_N:
         raise ValueError(f"n={n} exceeds graph guard {GRAPH_MAX_N} (n! vertices)")
-    _positive("design distance", d)
+    _int_in("design distance", d)
     verts = tuple(itertools.permutations(range(1, n + 1)))
     return BlockGraph(n, d, verts, tuple(_neighbor_bits(verts, n, d)))
 
@@ -151,8 +143,8 @@ def neighborhood_stats(n: int, d: int) -> NeighborhoodStats:
     Only permutations within distance d-1 of the identity are touched, so this
     stays cheap even where building the whole graph would not; d >= 1, as for a code.
     """
-    _positive("design distance", d)
-    _positive("n", n)
+    _int_in("design distance", d)
+    _int_in("n", n)
     if n > GRAPH_MAX_N:
         raise ValueError(f"n={n} exceeds graph guard {GRAPH_MAX_N}")
     ball = _identity_ball(n, d - 1)
@@ -186,12 +178,14 @@ def jv_lower_formula(stats: NeighborhoodStats) -> float:
 
 
 def greedy_independent_set(g: BlockGraph, order: str = "lexicographic") -> CodeBook:
-    """Maximal independent set by greedy insertion, for d <= n.
+    """Maximal independent set by greedy insertion, for 1 <= d <= n.
 
     Order "lexicographic" sweeps vertices as indexed; "degree" tries
     low-degree vertices first (ties by index).
     """
-    _check_design_distance(g)
+    _int_in("n", g.n)
+    # past d = n only one word is left, and n, the distance of a one-word code, is below d
+    _int_in("design distance", g.d, 1, g.n)
     if order == "lexicographic":
         sweep = range(len(g.vertices))
     elif order == "degree":  # sorting is stable, so ties stay in index order
@@ -245,7 +239,7 @@ def _grow(adj: tuple[int, ...], chosen: list[int], cand: int, best: list[int]) -
 
 def exact_independent_set(g: BlockGraph) -> CodeBook:
     """A maximum independent set by branch and bound over vertex bitsets, for
-    d <= n.
+    1 <= d <= n, which the greedy seed checks before the search.
 
     Seeded with the better of the two greedy solutions, then pruned and
     guided by a greedy clique cover of the candidate set: an independent set
@@ -271,7 +265,6 @@ def exact_independent_set(g: BlockGraph) -> CodeBook:
     count = len(g.vertices)
     if count > EXACT_MAX_VERTICES:
         raise ValueError(f"{count} vertices exceed exact-solver guard {EXACT_MAX_VERTICES}")
-    _check_design_distance(g)
     adj = g.bits
     index = {v: i for i, v in enumerate(g.vertices)}
     # On a regular graph the degree order is the index order: seed once there.

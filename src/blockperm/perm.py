@@ -16,11 +16,12 @@ against each other.
 ``_shared_planes`` counts the pairs each of N permutations shares with all N at
 once, as bit planes; the distance graphs and code verification both read it.
 
-Input policy: entry points check n and d with ``_positive`` (ints, not bools,
-of at least 1) and words with ``_check_words`` (int labels rearranging 1..n).
-Metric primitives (``block_distance``, ``char_set``, ``compose``, ``inverse``,
-``cyclic_shifts``, ``is_minimal``, ``_shared_planes``) trust their input: on a
-2-core Xeon, 1000 S_8 pairs take ``block_distance`` 2.5 ms, 7.5 checking both.
+Input policy: entry points check integers with ``_int_in`` (ints, not bools, in
+the range each docstring states) and words with ``_check_words`` (int labels
+rearranging 1..n).  Metric primitives (``block_distance``, ``char_set``,
+``compose``, ``inverse``, ``cyclic_shifts``, ``is_minimal``,
+``_shared_planes``) trust their input: on a 2-core Xeon, 1000 S_8 pairs take
+``block_distance`` 2.5 ms, 7.5 checking both.
 """
 
 from __future__ import annotations
@@ -37,15 +38,17 @@ CharSet = frozenset[Pair]
 DEFINITION_SEARCH_MAX_N = 16
 
 
-def _positive(name: str, value) -> None:
-    """Raise unless value is an int of at least 1; a bool is not an int here."""
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{name} must be positive, got {value!r}")
+def _int_in(name: str, value, low: int = 1, high: int | None = None) -> None:
+    """Raise unless value is an int, not a bool, in [low, high]; high None: no top end."""
+    if type(value) is not int or value < low or high is not None and value > high:
+        span = (("positive" if low == 1 else f"an int >= {low}") if high is None
+                else f"an int in [{low}, {high}]")
+        raise ValueError(f"{name} must be {span}, got {value!r}")
 
 
 def _check_words(words: Sequence[Sequence[int]], n: int) -> None:
     """Raise unless n is positive and every word rearranges 1..n in int labels."""
-    _positive("n", n)
+    _int_in("n", n)
     labels = list(range(1, n + 1))
     typed = {int}.issuperset(map(type, itertools.chain.from_iterable(words)))
     for w in words:  # types again only to find the bad word, before sorting [1, "2"] raises
@@ -70,7 +73,7 @@ def from_one_line(values: Sequence[int]) -> Perm:
 
 
 def identity(n: int) -> Perm:
-    _positive("n", n)
+    _int_in("n", n)
     return tuple(range(1, n + 1))
 
 
@@ -216,12 +219,16 @@ def distance_by_definition(p1: Perm, p2: Perm) -> int:
 # pairs sorted lexicographically.
 
 
-def parse_permutation(text: str) -> Perm:
+def _parse_labels(text: str) -> Perm:
+    """The integer tokens of one line, not yet checked to be a permutation."""
     try:
-        labels = [int(tok) for tok in text.split()]
+        return tuple(int(tok) for tok in text.split())
     except ValueError:
         raise ValueError(f"permutation tokens must be integers: {text!r}") from None
-    return from_one_line(labels)
+
+
+def parse_permutation(text: str) -> Perm:
+    return from_one_line(_parse_labels(text))
 
 
 def format_permutation(p: Iterable[int]) -> str:

@@ -80,7 +80,8 @@ def test_special_exact_values():
 
 @pytest.mark.parametrize("n, d", [(0, 3), (-2, 1), (5, 0), (1, 0), (0, 1)])
 def test_special_exact_range(n, d):
-    with pytest.raises(ValueError, match=fr"^need n >= 1 and d >= 1, got \(n, d\) = \({n}, {d}\)$"):
+    name, value = ("n", n) if n < 1 else ("distance", d)  # n is checked first
+    with pytest.raises(ValueError, match=f"^{name} must be positive, got {value}$"):
         special_exact(n, d)
 
 

@@ -238,7 +238,7 @@ def test_construct_syndrome_rejects_d_past_n_minus_1(capsys):
     code, out, err = run(capsys, "construct", "--method", "syndrome", "--n", "5", "--d", "5",
                          "--format", "json")
     assert (code, out) == (1, "")
-    assert err == "error: syndrome codes need 2 <= d <= n-1, got (n, d) = (5, 5)\n"
+    assert err == "error: design distance must be an int in [2, 4], got 5\n"
 
 
 UNRECOGNIZED = "unrecognized arguments: "
@@ -347,7 +347,7 @@ def test_construct_without_a_guard_does_not_warn(capsys, method):
 def test_construct_zn1_names_its_n_range(capsys):
     # 2 = 1 + 1 is prime, so n = 1 used to reach the code's d = n-1 = 0
     assert run(capsys, "construct", "--method", "zn1", "--n", "1") == (
-        1, "", "error: need n >= 2, got 1\n")
+        1, "", "error: n must be an int >= 2, got 1\n")
 
 
 def test_construct_needs_d_for_syndrome(capsys):
@@ -470,6 +470,22 @@ def _json_error(text):
 ], ids=["invalid-json", "no-words", "words-5", "float-labels", "n-2.5", "d-true", "n-string"])
 def test_verify_rejects_a_malformed_json_file(capsys, tmp_path, text, message):
     path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(capsys, "verify", "--d", "3", str(path)) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x 2 foo\n1 2 3\n", "malformed header 'x 2 foo'; expected 'n d provenance'"),
+    ("3 2.0 foo\n1 2 3\n", "malformed header '3 2.0 foo'; expected 'n d provenance'"),
+    ("3 2\n1 2 3\n", "malformed header '3 2'; expected 'n d provenance'"),
+    ("3 2 foo\n1 2 x\n", "permutation tokens must be integers: '1 2 x'"),
+    ("4 3 foo\n1 2 5\n", "not a rearrangement of 1..4: [1, 2, 5]"),
+    # every line is read before CodeBook checks the words
+    ("4 3 foo\n1 1 1 1\nx\n", "permutation tokens must be integers: 'x'"),
+    ("1 2 3\n1 3\n", "not a rearrangement of 1..3: [1, 3]"),
+], ids=["n-x", "d-2.0", "no-provenance", "token-x", "word-short", "tokens-first", "bare-short"])
+def test_verify_rejects_a_malformed_text_file(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.txt"
     path.write_text(text)
     assert run(capsys, "verify", "--d", "3", str(path)) == (1, "", f"error: {message}\n")
 
@@ -625,7 +641,7 @@ def test_graph_rejects_d_below_1(capsys, mode, d):
 def test_graph_rejects_d_past_n(capsys, tmp_path, mode):
     code, out, err = run(capsys, "graph", "--n", "3", "--d", "9", mode, "--format", "json")
     assert (code, out) == (1, "")
-    assert err == "error: design distance 9 exceeds n=3, the distance of a one-word code\n"
+    assert err == "error: design distance must be an int in [1, 3], got 9\n"
     code, out, err = run(capsys, "graph", "--n", "3", "--d", "3", mode)  # d = n: one word
     assert (code, err) == (0, "") and len(codebook_from_text(out).words) == 1
     (tmp_path / "code.txt").write_text(out)

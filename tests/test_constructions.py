@@ -160,6 +160,16 @@ def test_in_syndrome_class_needs_d_minus_1_coordinates(f):
         in_syndrome_class((1, 2, 3, 4, 5), 3, f, PairEncoder.for_n(5))
 
 
+def test_syndrome_coordinates_are_reduced_mod_q():
+    enc = PairEncoder.for_n(5)
+    word = (3, 1, 5, 2, 4)
+    f = syndrome(word, 3, enc)
+    shifted = (f[0] - enc.q, f[1] + 2 * enc.q)
+    assert in_syndrome_class(word, 3, shifted, enc)
+    code = syndrome_class(5, 3, shifted, enc)
+    assert word in code.words and code == syndrome_class(5, 3, f, enc)
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_syndrome_fibers_separate_at_n7(d):
     enc = PairEncoder.for_n(7)
@@ -191,11 +201,12 @@ def test_syndrome_fibers_are_codes_over_the_whole_range(n):
             assert verify_min_distance(CodeBook(n, d, tuple(words), "syndrome")) >= d
     # a word and its reverse share every syndrome at distance n-1
     for d in (n, n + 1):
-        with pytest.raises(ValueError, match="2 <= d <= n-1"):
+        message = re.escape(f"design distance must be an int in [2, {n - 1}], got {d}")
+        with pytest.raises(ValueError, match=message):
             syndrome_classes(n, d, enc)
-        with pytest.raises(ValueError, match="2 <= d <= n-1"):
+        with pytest.raises(ValueError, match=message):
             syndrome_class(n, d, (0,) * (d - 1), enc)
-        with pytest.raises(ValueError, match="2 <= d <= n-1"):
+        with pytest.raises(ValueError, match=message):
             largest_syndrome_class(n, d, enc)
 
 
@@ -355,7 +366,7 @@ def test_zn1_code_frozen():
 @pytest.mark.parametrize("n", [1, 0, -1])
 def test_zn1_code_needs_two_labels(n):
     # n = 1 passes the primality test (2 is prime) but has no distance n-1 = 0
-    with pytest.raises(ValueError, match=f"^need n >= 2, got {n}$"):
+    with pytest.raises(ValueError, match=f"^n must be an int >= 2, got {n}$"):
         zn1_code(n)
 
 

@@ -325,7 +325,8 @@ def test_exact_does_not_fix_vertex_0_off_the_full_group(vertices, d, expected):
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_solvers_reject_d_past_n(solve, n):
     g = build_graph(n, n + 1)  # the graph itself is still defined there
-    with pytest.raises(ValueError, match=f"design distance {n + 1} exceeds n={n},"):
+    message = fr"^design distance must be an int in \[1, {n}\], got {n + 1}$"
+    with pytest.raises(ValueError, match=message):
         solve(g)
     code = solve(build_graph(n, n))  # complete graph: one word, at distance n by convention
     assert len(code.words) == 1 and verify_min_distance(code) == n

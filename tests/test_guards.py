@@ -1,7 +1,7 @@
 """Size guards: each is a constant of its module, checked by the function it
 guards, which admits the input at the constant and raises its message just
 past it.  Input outside a function's domain is rejected before its work
-starts, too."""
+starts, too, by the one range rule of ``perm``."""
 
 import argparse
 import itertools
@@ -164,7 +164,6 @@ SIZE_ENTRY_POINTS = [  # (id, call on the value, the name its message gives)
     ("codebook_from_payload-d", lambda v: constructions.codebook_from_payload(
         {"n": 2, "d": v, "provenance": "file", "words": [[1, 2]]}), "design distance"),
     ("PairEncoder", lambda v: PairEncoder(v, 2), "n"),
-    ("syndrome-d", lambda v: constructions.syndrome((1, 2), v, ENC_2), "design distance"),
     ("ham_decomp_code", constructions.ham_decomp_code, "n"),
     ("graph_on-d", lambda v: graph.graph_on([(1, 2)], v), "design distance"),
     ("build_graph-n", lambda v: graph.build_graph(v, 2), "n"),
@@ -193,3 +192,90 @@ def test_every_size_entry_point_rejects_a_value_that_is_not_a_positive_int(call,
     with pytest.raises(ValueError) as raised:
         call(value)
     assert str(raised.value) == f"{name} must be positive, got {value!r}"
+
+
+def _graph(n, d):
+    """A one-vertex graph record with the given n and d, which only the
+    solvers reading it check."""
+    return graph.BlockGraph(n, d, ((1, 2, 3),), (0,))
+
+
+def _edges(key, call, work, n, param, low, high=None, name=None, also=()):
+    """Rows rejecting call's argument param (name in its message) just below
+    low, just above high, at 2.5, at True and at each value of also; when n is
+    given, call takes (n, value), and three more rows reject n at 2.5, at True,
+    and at 0 with value below low too, each naming n."""
+    span = f"an int in [{low}, {high}]" if high is not None else f"an int >= {low}"
+    span = "positive" if span == "an int >= 1" else span
+    bad = {"below": low - 1, "2.5": 2.5, "true": True, **{str(v): v for v in also}}
+    if high is not None:
+        bad["above"] = high + 1
+    rows = [pytest.param(lambda v=v: call(v) if n is None else call(n, v), work,
+                         f"{name or param} must be {span}, got {v!r}", id=f"{key}-{param}-{tag}")
+            for tag, v in bad.items()]
+    if n is not None:
+        rows += [pytest.param(lambda m=m, v=v: call(m, v), work, f"n must be positive, got {m!r}",
+                              id=f"{key}-n-{tag}")
+                 for tag, m, v in [("2.5", 2.5, low), ("true", True, low), ("both", 0, low - 1)]]
+    return rows
+
+
+DESIGN = "design distance"
+DOMAIN_EDGES = [
+    *_edges("myers_count", enumeration.myers_count, "enumeration._sphere_sizes", 5, "k", 1, 4),
+    *_edges("identity_sphere", enumeration.identity_sphere, "enumeration.is_minimal",
+            5, "k", 1, 4),
+    *_edges("ball_size_exact", enumeration.ball_size_exact, "enumeration._sphere_sizes",
+            5, "t", 0, 4),
+    # its upper end is the sandwich's hypothesis, a row of its own below
+    *_edges("ball_size_bounds", enumeration.ball_size_bounds, "enumeration.math.prod", 10, "t", 0),
+    *_edges("sandwich_applies", enumeration.sandwich_applies, None, 10, "t", 0),
+    *_edges("new_upper", bounds.new_upper, "bounds.Fraction", 5, "d", 1, 4, "distance"),
+    *_edges("special_exact", bounds.special_exact, "bounds.math.factorial", 5, "d", 1,
+            name="distance"),
+    *_edges("select_prime", constructions.select_prime, "constructions._is_prime", None, "n", 2),
+    *_edges("cyclic_class_code", constructions.cyclic_class_code, "constructions.CodeBook",
+            None, "n", 2),
+    *_edges("even_n_code", constructions.even_n_code, "constructions.CodeBook", None, "n", 2),
+    *_edges("zn1_code", constructions.zn1_code, "constructions._is_prime", None, "n", 2),
+    *_edges("PairEncoder", PairEncoder, "constructions._is_prime", 4, "q", 6, name="field size"),
+    *_edges("syndrome", lambda d: constructions.syndrome((1, 2), d, ENC_2),
+            "constructions._pair_rank", None, "d", 2, name=DESIGN, also=(0, -1)),
+    *_edges("in_syndrome_class", lambda d: constructions.in_syndrome_class((1, 2), d, (), ENC_2),
+            "constructions._pair_rank", None, "d", 2, name=DESIGN),
+    *_edges("syndrome_classes", constructions.syndrome_classes, "constructions._walk_fibers",
+            5, "d", 2, 4, DESIGN),
+    *_edges("syndrome_class", lambda n, d: constructions.syndrome_class(n, d, (0, 0)),
+            "constructions._walk_fibers", 5, "d", 2, 4, DESIGN),
+    *_edges("largest_syndrome_class", constructions.largest_syndrome_class,
+            "constructions._walk_fibers", 5, "d", 2, 4, DESIGN),
+    *_edges("greedy_independent_set", lambda n, d: graph.greedy_independent_set(_graph(n, d)),
+            "graph.CodeBook", 3, "d", 1, 3, DESIGN),
+    # the exact solver's greedy seed checks the graph before the search
+    *_edges("exact_independent_set", lambda n, d: graph.exact_independent_set(_graph(n, d)),
+            "graph._grow", 3, "d", 1, 3, DESIGN),
+    pytest.param(lambda: graph.greedy_independent_set(_graph(3, 3.0)), "graph.CodeBook",
+                 "design distance must be an int in [1, 3], got 3.0", id="BlockGraph-d-float"),
+    pytest.param(lambda: enumeration.ball_size_bounds(10, 6), "enumeration.math.prod",
+                 "sandwich bounds need t <= n - sqrt(n) - 1; (n, t) = (10, 6) fails",
+                 id="ball_size_bounds-t-above"),
+    pytest.param(lambda: constructions.even_n_code(3), "constructions.CodeBook",
+                 "n must be even, got 3", id="even_n_code-n-odd"),
+    pytest.param(lambda: constructions.syndrome_class(5, 3, (2.5, 1)),
+                 "constructions._walk_fibers", "syndrome coordinates must be ints, got (2.5, 1)",
+                 id="syndrome_class-f-float"),
+    # the word's syndrome comes first, so nothing is refused here
+    pytest.param(lambda: constructions.in_syndrome_class((1, 2, 3), 3, (True, 0.0),
+                                                         PairEncoder.for_n(3)),
+                 None, "syndrome coordinates must be ints, got (True, 0.0)",
+                 id="in_syndrome_class-f-bool"),
+]
+
+
+@pytest.mark.parametrize("call, work, message", DOMAIN_EDGES)
+def test_each_domain_edge_is_rejected_before_the_work(monkeypatch, call, work, message):
+    if work is not None:
+        monkeypatch.setattr(f"blockperm.{work}", _refuse)
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

@@ -1,5 +1,6 @@
 """The package namespace: every public name resolves to its module's object, no
-module imports a name it never reads, and no public callable takes a size guard."""
+module imports a name it never reads, no public callable takes a size guard,
+and every integer argument is pinned by a range-table row."""
 
 import ast
 import importlib
@@ -57,6 +58,26 @@ def test_no_public_callable_takes_a_guard_value():
                 if callable(obj := getattr(blockperm, name))
                 for param in inspect.signature(obj).parameters if param.startswith("max_")]
     assert settable == []
+
+
+#: result records that no library function checks as input, so no table has a row for them
+RECORDS = {"BallSize", "SphereProfile", "BoundReport", "NeighborhoodStats"}
+
+
+def test_every_integer_argument_has_a_row_in_a_range_table():
+    """A public callable with an n, d, k, t, q or design_distance parameter
+    checks it through ``perm``'s range rule, pinned by a row of
+    ``test_guards``'s positive-int table or domain-edge table."""
+    import test_guards
+
+    rows = {key for key, _, _ in test_guards.SIZE_ENTRY_POINTS}
+    rows |= {param.id for param in test_guards.DOMAIN_EDGES}
+    covered = {row.split("-")[0] for row in rows}
+    integer = {"n", "d", "k", "t", "q", "design_distance"}
+    unpinned = [name for name in blockperm.__all__ if name not in RECORDS | covered
+                and callable(obj := getattr(blockperm, name))
+                and integer & set(inspect.signature(obj).parameters)]
+    assert unpinned == []
 
 
 def test_unknown_name_raises_attribute_error():
