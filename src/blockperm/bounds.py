@@ -79,8 +79,9 @@ def sp_upper(n: int, d: int, *, exact: bool = True) -> int:
 
 
 def new_upper(n: int, d: int) -> tuple[Fraction, int]:
-    """Exact rational C(n,d)^2 (n-d)! / C(n-1, n-d) and its floor, 1 <= d <= n-1."""
-    _int_in("n", n)
+    """Exact rational C(n,d)^2 (n-d)! / C(n-1, n-d) and its floor, n >= 2 and
+    1 <= d <= n-1."""
+    _int_in("n", n, 2)
     _int_in("distance", d, 1, n - 1)
     exact = Fraction(math.comb(n, d) ** 2 * math.factorial(n - d), math.comb(n - 1, n - d))
     return exact, exact.numerator // exact.denominator
@@ -142,6 +143,8 @@ class BoundReport:
 
 
 def bound_report(n: int, d: int, exact: bool = False) -> BoundReport:
+    """The bound row for n >= 2 and 1 <= d <= n-1."""
+    _int_in("n", n, 2)
     _int_in("distance", d)
     bd = d if d % 2 else d + 1
     t = _odd_radius(n, bd)

@@ -44,8 +44,6 @@ class CodeBook:
     def __post_init__(self):
         _check_words(self.words, self.n)
         _int_in("design distance", self.design_distance)
-        if len(set(self.words)) != len(self.words):
-            raise ValueError("duplicate words in code")
 
     def __len__(self) -> int:
         return len(self.words)
@@ -194,9 +192,9 @@ def _scan_fibers(n: int, d: int, enc: PairEncoder | None, target=None):
     enter as one tabulated sum, so each of the n! leaves costs one add and
     one subtract and reduces nothing mod q.
     """
-    _int_in("n", n)
     # Fibers are codes of distance d only for 2 <= d <= n-1: a word and its
-    # reverse share every syndrome and lie at distance n-1.
+    # reverse share every syndrome and lie at distance n-1.  No d is left below n = 3.
+    _int_in("n", n, 3)
     _int_in("design distance", d, 2, n - 1)
     if n > DEFAULT_MAX_N:
         raise ValueError(f"n={n} exceeds enumeration guard {DEFAULT_MAX_N}")
@@ -364,53 +362,40 @@ def zn1_code(n: int) -> CodeBook:
     return CodeBook(n, n - 1, words, "zn1")
 
 
-def _hub_cycle_decomposition(n: int) -> list[tuple[int, ...]] | None:
-    """n arc-disjoint directed Hamiltonian cycles covering the complete
-    digraph on {0, 1, ..., n}, or None if no decomposition exists.
+def _hub_cycles(n: int, path: list[int], seen: int, free: list[int],
+                cycles: list[tuple[int, ...]]) -> bool:
+    """Close path, a path from the hub 0 over the vertex set seen, into a
+    Hamiltonian cycle on free arcs, then find the rest of n arc-disjoint
+    Hamiltonian cycles of the complete digraph on {0, ..., n}; True once
+    cycles holds all n.
 
-    Vertex 0 is the hub.  Each cycle uses exactly one arc out of the hub and
-    the cycles are unordered, so forcing cycle i to leave the hub toward i is
-    a pure symmetry reduction; the search is otherwise exhaustive.
+    free[u] is the bitset of u's unused out-arcs, tried lowest first.  Cycle
+    i leaves the hub toward i, which only fixes the order of the unordered
+    cycles, so the hub's out-arcs need no record.  Not a closure: one that
+    calls itself is a reference cycle.
     """
-    used = [[False] * (n + 1) for _ in range(n + 1)]
-    cycles: list[tuple[int, ...]] = []
-    return cycles if _start_cycle(n, 1, used, cycles) else None
-
-
-def _start_cycle(n: int, i: int, used: list[list[bool]], cycles: list[tuple[int, ...]]) -> bool:
-    """Find cycles i..n on unused arcs; not a closure, which would leave a reference cycle."""
-    if i > n:
-        return True
-    used[0][i] = True
-    if _extend_cycle(n, [0, i], 1 << i, used, cycles):
-        return True
-    used[0][i] = False
-    return False
-
-
-def _extend_cycle(n: int, path: list[int], mask: int, used: list[list[bool]],
-                  cycles: list[tuple[int, ...]]) -> bool:
-    """Close path into a cycle on unused arcs, then find the rest; not a closure, as above."""
     u = path[-1]
-    if len(path) == n + 1:
-        if used[u][0]:
+    if len(path) > n:
+        if not free[u] & 1:
             return False
-        used[u][0] = True
+        free[u] ^= 1
         cycles.append(tuple(path))
-        if _start_cycle(n, len(cycles) + 1, used, cycles):
+        i = len(cycles) + 1
+        if i > n or _hub_cycles(n, [0, i], 1 | 1 << i, free, cycles):
             return True
         cycles.pop()
-        used[u][0] = False
+        free[u] ^= 1
         return False
-    for v in range(1, n + 1):
-        if mask & (1 << v) or used[u][v]:
-            continue
-        used[u][v] = True
-        path.append(v)
-        if _extend_cycle(n, path, mask | (1 << v), used, cycles):
+    options = free[u] & ~seen
+    while options:
+        bit = options & -options
+        options ^= bit
+        free[u] ^= bit
+        path.append(bit.bit_length() - 1)
+        if _hub_cycles(n, path, seen | bit, free, cycles):
             return True
         path.pop()
-        used[u][v] = False
+        free[u] ^= bit
     return False
 
 
@@ -418,20 +403,20 @@ def ham_decomp_code(n: int) -> CodeBook | None:
     """Hamiltonian-decomposition code for odd n >= 1, or None when none exists.
 
     Dropping the hub from each cycle of a decomposition found by
-    ``_hub_cycle_decomposition`` leaves n codewords at pairwise distance n-1.
-    The search is exhaustive, so None is a proof of nonexistence at this n
-    (the n = 3 and n = 5 cases are the known failures).
+    ``_hub_cycles`` leaves n codewords at pairwise distance n-1.  The search
+    is exhaustive, so None is a proof of nonexistence at this n (the n = 3
+    and n = 5 cases are the known failures).
     """
     _int_in("n", n)
     if n % 2 == 0:
         raise ValueError(f"hub-cycle search applies to odd n, got {n}")
     if n > HAM_SEARCH_MAX_N:
         raise ValueError(f"n={n} exceeds search guard {HAM_SEARCH_MAX_N}")
-    cycles = _hub_cycle_decomposition(n)
-    if cycles is None:
+    every = (1 << n + 1) - 1
+    cycles: list[tuple[int, ...]] = []
+    if not _hub_cycles(n, [0, 1], 0b11, [every ^ 1 << u for u in range(n + 1)], cycles):
         return None
-    words = tuple(cycle[1:] for cycle in cycles)
-    return CodeBook(n, max(n - 1, 1), words, "hamdecomp")
+    return CodeBook(n, max(n - 1, 1), tuple(cycle[1:] for cycle in cycles), "hamdecomp")
 
 
 # -- verification -------------------------------------------------------------

@@ -78,8 +78,8 @@ def _sphere_sizes(n: int, t: int) -> Iterator[int]:
 
 
 def myers_count(n: int, k: int) -> int:
-    """Closed-form size of the distance-k sphere, n >= 1 and 1 <= k <= n-1."""
-    _int_in("n", n)
+    """Closed-form size of the distance-k sphere, n >= 2 and 1 <= k <= n-1."""
+    _int_in("n", n, 2)
     _int_in("k", k, 1, n - 1)
     *_, size = _sphere_sizes(n, k)
     return size
@@ -93,7 +93,7 @@ def sphere_profile(n: int) -> SphereProfile:
 
 def identity_sphere(n: int, k: int) -> Iterator[Perm]:
     """Every permutation at block distance exactly k from the identity,
-    n >= 1 and 1 <= k <= n-1, as an iterator.
+    n >= 2 and 1 <= k <= n-1, as an iterator.
 
     By the metric's definition: cut the identity at k of its n-1 gaps and
     reorder the k+1 blocks by a minimal order (block j never directly before
@@ -102,7 +102,7 @@ def identity_sphere(n: int, k: int) -> Iterator[Perm]:
     them.  The minimal orders are listed up front, by filtering all (k+1)!
     orders; the members follow lazily, one cut set at a time.
     """
-    _int_in("n", n)
+    _int_in("n", n, 2)
     _int_in("k", k, 1, n - 1)
     orders = [itemgetter(*o) for o in itertools.permutations(range(k + 1)) if is_minimal(o)]
     blockings = ([tuple(range(a, b)) for a, b in zip((1, *cuts), (*cuts, n + 1))]

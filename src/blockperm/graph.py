@@ -82,26 +82,23 @@ def _identity_ball(n: int, radius: int) -> list[tuple[Perm, int]]:
 
 def _neighbor_bits(verts: tuple[Perm, ...], n: int, d: int) -> list[int]:
     """Bit j of entry i is set exactly when 0 < distance(verts[i], verts[j]) < d,
-    that is, when the two share at least n-d of their n-1 pairs but are not
-    equal (the pairs determine the permutation).  Vertex i's shared-pair
-    counts come from ``perm._shared_planes`` as bit planes; a comparator
-    from the top plane down keeps the counts of at least n-d.  A vertex
-    takes at most n·⌈log2 n⌉ kernel and comparator steps of two or three
-    operations on N-bit integers each, whatever d is.
+    for distinct verts, that is, when the two share at least n-d of their
+    n-1 pairs and j is not i (only a permutation itself holds all its
+    pairs).  Vertex i's shared-pair counts come from ``perm._shared_planes``
+    as bit planes; a comparator from the top plane down keeps the counts of
+    at least n-d.  A vertex takes at most n·⌈log2 n⌉ kernel and comparator
+    steps of two or three operations on N-bit integers each, whatever d is.
     """
     if d <= 1:  # no two distinct permutations share all n-1 pairs
         return [0] * len(verts)
-    copies: dict[Perm, int] = {}
-    for i, p in enumerate(verts):
-        copies[p] = copies.get(p, 0) | 1 << i
     everything = (1 << len(verts)) - 1
     if d >= n:  # nor are any two n or more apart
-        return [everything ^ copies[p] for p in verts]
+        return [everything ^ 1 << i for i in range(len(verts))]
     need = n - d  # 1 <= need <= n-2 here
     width = (n - 1).bit_length()  # the number of planes
     top_down = range(width - 1, (need & -need).bit_length() - 2, -1)  # to need's lowest 1
     bits = []
-    for p, planes in zip(verts, _shared_planes(verts, n)):
+    for i, planes in enumerate(_shared_planes(verts, n)):
         more, same = 0, everything  # shared count above / equal to need so far
         for k in top_down:
             if need >> k & 1:
@@ -109,13 +106,13 @@ def _neighbor_bits(verts: tuple[Perm, ...], n: int, d: int) -> list[int]:
             else:
                 more |= same & planes[k]
                 same &= ~planes[k]
-        bits.append((more | same) ^ copies[p])
+        bits.append((more | same) ^ 1 << i)
     return bits
 
 
 def graph_on(vertices, d: int) -> BlockGraph:
-    """Explicit graph on the given permutations of 1..n, repeats allowed;
-    edge iff 0 < distance < d, for d >= 1.  Built by ``_neighbor_bits``, about
+    """Explicit graph on the given distinct permutations of 1..n; edge iff
+    0 < distance < d, for d >= 1.  Built by ``_neighbor_bits``, about
     N·n·log2(n) operations on N-bit integers for N vertices."""
     verts = tuple(vertices)
     if not verts:
@@ -170,6 +167,7 @@ def jv_lower_formula(stats: NeighborhoodStats) -> float:
     """Independence lower bound for locally sparse graphs, evaluated with the
     measured degree and neighborhood edge count of the full (n, d) graph
     that ``stats`` describes."""
+    _int_in("n", stats.n)
     if stats.delta < 2 or stats.p_edges < 1:
         raise ValueError("formula needs degree >= 2 and at least one neighborhood edge")
     vertices = math.factorial(stats.n)

@@ -17,10 +17,10 @@ against each other.
 once, as bit planes; the distance graphs and code verification both read it.
 
 Input policy: entry points check integers with ``_int_in`` (ints, not bools, in
-the range each docstring states) and words with ``_check_words`` (int labels
-rearranging 1..n).  Metric primitives (``block_distance``, ``char_set``,
-``compose``, ``inverse``, ``cyclic_shifts``, ``is_minimal``,
-``_shared_planes``) trust their input: on a 2-core Xeon, 1000 S_8 pairs take
+the range each docstring states) and words with ``_check_words`` (distinct
+words, each rearranging 1..n in int labels).  Metric primitives
+(``block_distance``, ``char_set``, ``compose``, ``inverse``, ``cyclic_shifts``,
+``is_minimal``, ``_shared_planes``) trust their input: on a 2-core Xeon, 1000 S_8 pairs take
 ``block_distance`` 2.5 ms, 7.5 checking both.
 """
 
@@ -47,13 +47,18 @@ def _int_in(name: str, value, low: int = 1, high: int | None = None) -> None:
 
 
 def _check_words(words: Sequence[Sequence[int]], n: int) -> None:
-    """Raise unless n is positive and every word rearranges 1..n in int labels."""
+    """Raise unless n is positive and the words are distinct rearrangements
+    of 1..n in int labels."""
     _int_in("n", n)
     labels = list(range(1, n + 1))
     typed = {int}.issuperset(map(type, itertools.chain.from_iterable(words)))
+    seen = set()
     for w in words:  # types again only to find the bad word, before sorting [1, "2"] raises
         if not (typed or {int}.issuperset(map(type, w))) or sorted(w) != labels:
             raise ValueError(f"not a rearrangement of 1..{n}: {list(w)!r}")
+        if (w := tuple(w)) in seen:
+            raise ValueError(f"duplicate word: {list(w)!r}")
+        seen.add(w)
 
 
 def from_one_line(values: Sequence[int]) -> Perm:

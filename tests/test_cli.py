@@ -241,6 +241,15 @@ def test_construct_syndrome_rejects_d_past_n_minus_1(capsys):
     assert err == "error: design distance must be an int in [2, 4], got 5\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--n", "1", "--d", "1"], "n must be an int >= 2, got 1"),
+    (["bounds", "--n", "0", "--d", "0", "--exact"], "n must be an int >= 2, got 0"),
+    (["construct", "--method", "syndrome", "--n", "2", "--d", "2"], "n must be an int >= 3, got 2"),
+], ids=["bounds-n-1", "bounds-n-0-d-0", "syndrome-n-2"])
+def test_an_n_with_no_valid_distance_is_named(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 UNRECOGNIZED = "unrecognized arguments: "
 
 

@@ -1,6 +1,7 @@
 """Syndrome codes, the explicit families, and code verification."""
 
 import gc
+import hashlib
 import itertools
 import json
 import math
@@ -378,17 +379,28 @@ def test_zn1_code_properties(n):
     _assert_pairs_partition(code)
 
 
-def test_ham_decomp_code_found_at_7():
-    code = ham_decomp_code(7)
-    assert code is not None
-    assert len(code.words) == 7
-    assert verify_min_distance(code) == 6
-    _assert_pairs_partition(code)
-
-
 @pytest.mark.parametrize("n", [3, 5])
 def test_ham_decomp_code_not_found(n):
     assert ham_decomp_code(n) is None
+
+
+# The words of ham_decomp_code(n) at each odd n where a decomposition exists,
+# as the search over an (n+1)x(n+1) arc matrix returned them: the first 16
+# hex digits of the SHA-256 of their repr.  A change to the search order fails here.
+HAM_DECOMP_DIGESTS = {1: "8349bb5d2d44e8d6", 7: "9d3248ea26f33a5a", 9: "65baec48c53893e4",
+                      11: "882c9ee04c8e617d", 13: "1a6dd296871b43ee", 15: "65c0a62203d4e485",
+                      17: "d0c4f2158423f4ba"}
+
+
+@pytest.mark.parametrize("n", sorted(HAM_DECOMP_DIGESTS))
+def test_ham_decomp_code_keeps_its_words_and_partitions_every_arc(n):
+    code = ham_decomp_code(n)
+    assert hashlib.sha256(repr(code.words).encode()).hexdigest()[:16] == HAM_DECOMP_DIGESTS[n]
+    assert len(code.words) == n and verify_min_distance(code) == max(n - 1, 1)
+    # with the hub 0 around each word, the n cycles hold every arc of the
+    # complete digraph on {0, ..., n} exactly once
+    arcs = [arc for w in code.words for arc in char_set((0, *w, 0))]
+    assert len(arcs) == len(set(arcs)) == (n + 1) * n
 
 
 def test_ham_decomp_code_validation():

@@ -349,7 +349,6 @@ def test_graph_on_matches_block_distance_on_every_pair(n):
     shared counts take 3 bit planes at n = 5..8 and 4 at n = 9."""
     rng = random.Random(100 + n)
     verts = _seeded_subset(rng, n, 100)
-    verts += verts[:2]  # a repeated vertex is at distance 0: never an edge
     dist = [[block_distance(p, q) for q in verts] for p in verts]
     for d in range(1, n + 2):  # d = 1 is edge-free and d >= n complete
         expected = tuple(sum(1 << j for j, r in enumerate(row) if 0 < r < d) for row in dist)

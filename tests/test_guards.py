@@ -78,7 +78,7 @@ def _refuse(*args, **kwargs):
 
 
 @pytest.mark.parametrize("call, work, message", [
-    pytest.param(lambda: constructions.ham_decomp_code(-1), "constructions._hub_cycle_decomposition",
+    pytest.param(lambda: constructions.ham_decomp_code(-1), "constructions._hub_cycles",
                  "n must be positive, got -1", id="ham_decomp_code-n-minus-1"),
     pytest.param(lambda: graph.neighborhood_stats(0, 2), "graph._identity_ball",
                  "n must be positive, got 0", id="neighborhood_stats-n-0"),
@@ -103,10 +103,12 @@ def _refuse(*args, **kwargs):
                  "n must be positive, got 0", id="gv_lower-n-0"),
     pytest.param(lambda: bounds.sp_upper(-1, 3, exact=False), "bounds._group_over_ball",
                  "n must be positive, got -1", id="sp_upper-n-minus-1"),
-    pytest.param(lambda: bounds.bound_report(0, 3), "bounds.new_upper",
-                 "n must be positive, got 0", id="bound_report-n-0"),
-    pytest.param(lambda: bounds.bound_report(0, 4, exact=True), "bounds.gv_lower",
-                 "n must be positive, got 0", id="bound_report-exact-n-0"),
+    pytest.param(lambda: bounds.bound_report(0, 3), "bounds._odd_radius",
+                 "n must be an int >= 2, got 0", id="bound_report-n-0"),
+    pytest.param(lambda: bounds.bound_report(0, 4, exact=True), "bounds._odd_radius",
+                 "n must be an int >= 2, got 0", id="bound_report-exact-n-0"),
+    pytest.param(lambda: bounds.bound_report(0, 0), "bounds._odd_radius",
+                 "n must be an int >= 2, got 0", id="bound_report-n-0-d-0"),
     pytest.param(lambda: bounds.bound_report(5, 0), "bounds.new_upper",
                  "distance must be positive, got 0", id="bound_report-d-0"),
     pytest.param(lambda: bounds.corollary_applies(0, 3), "bounds.sandwich_applies",
@@ -145,6 +147,23 @@ def test_every_word_entry_point_rejects_a_non_permutation_alike(entry, word):
     assert str(raised.value) == f"not a rearrangement of 1..2: {list(word)!r}"
 
 
+WORD_LIST_ENTRY_POINTS = {  # each called on a list of words of S_3
+    "CodeBook": lambda words: CodeBook(3, 2, tuple(words), "file"),
+    "graph_on": lambda words: graph.graph_on(words, 2),
+    "codebook_from_payload": lambda words: constructions.codebook_from_payload(
+        {"n": 3, "d": 2, "provenance": "file", "words": [list(w) for w in words]}),
+}
+
+
+@pytest.mark.parametrize("entry", WORD_LIST_ENTRY_POINTS)
+def test_every_word_list_entry_point_rejects_a_repeated_word_alike(monkeypatch, entry):
+    """The graph kernel relies on distinct vertices, so it never sees a repeat."""
+    monkeypatch.setattr("blockperm.graph._neighbor_bits", _refuse)
+    with pytest.raises(ValueError) as raised:
+        WORD_LIST_ENTRY_POINTS[entry]([(2, 1, 3), (1, 2, 3), (2, 1, 3)])
+    assert str(raised.value) == "duplicate word: [2, 1, 3]"
+
+
 @pytest.mark.parametrize("entry", [name for name in WORD_ENTRY_POINTS if name != "from_one_line"])
 def test_every_word_entry_point_rejects_a_word_of_the_wrong_length(entry):
     """from_one_line takes a word of any length as its own n; the syndrome
@@ -178,10 +197,11 @@ SIZE_ENTRY_POINTS = [  # (id, call on the value, the name its message gives)
     ("sp_upper-d", lambda v: bounds.sp_upper(5, v), "distance"),
     ("corollary_applies-n", lambda v: bounds.corollary_applies(v, 3), "n"),
     ("corollary_applies-d", lambda v: bounds.corollary_applies(5, v), "distance"),
-    ("bound_report-n", lambda v: bounds.bound_report(v, 3), "n"),
     ("bound_report-d", lambda v: bounds.bound_report(5, v), "distance"),
     ("cli-verify-d", lambda v: cli.cmd_verify(argparse.Namespace(d=v, path="code.txt")),
      "design distance"),
+    ("jv_lower_formula",
+     lambda v: graph.jv_lower_formula(graph.NeighborhoodStats(v, 3, 10, 5, 0, 0)), "n"),
 ]
 
 
@@ -200,37 +220,48 @@ def _graph(n, d):
     return graph.BlockGraph(n, d, ((1, 2, 3),), (0,))
 
 
-def _edges(key, call, work, n, param, low, high=None, name=None, also=()):
+def _span(low, high=None):
+    """How the range rule words [low, high]."""
+    span = f"an int in [{low}, {high}]" if high is not None else f"an int >= {low}"
+    return "positive" if span == "an int >= 1" else span
+
+
+def _edges(key, call, work, n, param, low, high=None, name=None, also=(), n_low=1):
     """Rows rejecting call's argument param (name in its message) just below
     low, just above high, at 2.5, at True and at each value of also; when n is
-    given, call takes (n, value), and three more rows reject n at 2.5, at True,
-    and at 0 with value below low too, each naming n."""
-    span = f"an int in [{low}, {high}]" if high is not None else f"an int >= {low}"
-    span = "positive" if span == "an int >= 1" else span
+    given, call takes (n, value), and four more rows reject n at 2.5, at True,
+    and just below n_low, the least n with a valid value, with value at low
+    and below it, each naming n."""
     bad = {"below": low - 1, "2.5": 2.5, "true": True, **{str(v): v for v in also}}
     if high is not None:
         bad["above"] = high + 1
     rows = [pytest.param(lambda v=v: call(v) if n is None else call(n, v), work,
-                         f"{name or param} must be {span}, got {v!r}", id=f"{key}-{param}-{tag}")
+                         f"{name or param} must be {_span(low, high)}, got {v!r}",
+                         id=f"{key}-{param}-{tag}")
             for tag, v in bad.items()]
     if n is not None:
-        rows += [pytest.param(lambda m=m, v=v: call(m, v), work, f"n must be positive, got {m!r}",
-                              id=f"{key}-n-{tag}")
-                 for tag, m, v in [("2.5", 2.5, low), ("true", True, low), ("both", 0, low - 1)]]
+        rows += [pytest.param(lambda m=m, v=v: call(m, v), work,
+                              f"n must be {_span(n_low)}, got {m!r}", id=f"{key}-n-{tag}")
+                 for tag, m, v in [("2.5", 2.5, low), ("true", True, low),
+                                   ("below", n_low - 1, low), ("both", n_low - 1, low - 1)]]
     return rows
 
 
 DESIGN = "design distance"
 DOMAIN_EDGES = [
-    *_edges("myers_count", enumeration.myers_count, "enumeration._sphere_sizes", 5, "k", 1, 4),
+    # below n = 2 no k, d or distance is left, so n is named
+    *_edges("myers_count", enumeration.myers_count, "enumeration._sphere_sizes", 5, "k", 1, 4,
+            n_low=2),
     *_edges("identity_sphere", enumeration.identity_sphere, "enumeration.is_minimal",
-            5, "k", 1, 4),
+            5, "k", 1, 4, n_low=2),
     *_edges("ball_size_exact", enumeration.ball_size_exact, "enumeration._sphere_sizes",
             5, "t", 0, 4),
     # its upper end is the sandwich's hypothesis, a row of its own below
     *_edges("ball_size_bounds", enumeration.ball_size_bounds, "enumeration.math.prod", 10, "t", 0),
     *_edges("sandwich_applies", enumeration.sandwich_applies, None, 10, "t", 0),
-    *_edges("new_upper", bounds.new_upper, "bounds.Fraction", 5, "d", 1, 4, "distance"),
+    *_edges("new_upper", bounds.new_upper, "bounds.Fraction", 5, "d", 1, 4, "distance", n_low=2),
+    *_edges("bound_report", lambda n: bounds.bound_report(n, 3), "bounds._odd_radius", None,
+            "n", 2, also=(0, -1)),
     *_edges("special_exact", bounds.special_exact, "bounds.math.factorial", 5, "d", 1,
             name="distance"),
     *_edges("select_prime", constructions.select_prime, "constructions._is_prime", None, "n", 2),
@@ -243,12 +274,13 @@ DOMAIN_EDGES = [
             "constructions._pair_rank", None, "d", 2, name=DESIGN, also=(0, -1)),
     *_edges("in_syndrome_class", lambda d: constructions.in_syndrome_class((1, 2), d, (), ENC_2),
             "constructions._pair_rank", None, "d", 2, name=DESIGN),
+    # below n = 3 no d is left for a fiber
     *_edges("syndrome_classes", constructions.syndrome_classes, "constructions._walk_fibers",
-            5, "d", 2, 4, DESIGN),
+            5, "d", 2, 4, DESIGN, n_low=3),
     *_edges("syndrome_class", lambda n, d: constructions.syndrome_class(n, d, (0, 0)),
-            "constructions._walk_fibers", 5, "d", 2, 4, DESIGN),
+            "constructions._walk_fibers", 5, "d", 2, 4, DESIGN, n_low=3),
     *_edges("largest_syndrome_class", constructions.largest_syndrome_class,
-            "constructions._walk_fibers", 5, "d", 2, 4, DESIGN),
+            "constructions._walk_fibers", 5, "d", 2, 4, DESIGN, n_low=3),
     *_edges("greedy_independent_set", lambda n, d: graph.greedy_independent_set(_graph(n, d)),
             "graph.CodeBook", 3, "d", 1, 3, DESIGN),
     # the exact solver's greedy seed checks the graph before the search

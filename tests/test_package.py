@@ -1,8 +1,10 @@
 """The package namespace: every public name resolves to its module's object, no
-module imports a name it never reads, no public callable takes a size guard,
-and every integer argument is pinned by a range-table row."""
+module imports a name it never reads, no private name is left unread, no
+public callable takes a size guard, and every integer argument is pinned by a
+range-table row."""
 
 import ast
+import collections
 import importlib
 import inspect
 import os
@@ -120,3 +122,37 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: names for path in sorted(src.glob("*.py"))
               if (names := _unused_imports(ast.parse(path.read_text())))}
     assert unused == {}
+
+
+def _private_names(tree: ast.Module) -> dict[str, ast.AST]:
+    """The private names a module's top level defines (not dunders), each with
+    the statement that binds it."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    return {name: node for name, node in bound.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def _reads(node: ast.AST) -> collections.Counter:
+    """How often each name is read under node, as a name or an attribute."""
+    return collections.Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        or isinstance(sub, ast.Attribute))
+
+
+def test_every_private_name_is_read_somewhere():
+    """A private helper nothing reads, such as a search step left behind by
+    a rewrite, is dead code; a function reading only itself counts as unread."""
+    src = Path(blockperm.__file__).resolve().parent
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    reads = sum(map(_reads, trees), collections.Counter())
+    defined = {name: node for tree in trees for name, node in _private_names(tree).items()}
+    assert len(defined) > 30  # the scan finds the helpers at all
+    unread = [name for name, node in defined.items() if reads[name] <= _reads(node)[name]]
+    assert unread == []
