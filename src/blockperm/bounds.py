@@ -25,7 +25,7 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .enumeration import ball_size_bounds, ball_size_exact, sandwich_applies
+from .enumeration import _ball_size_bounds, _require_sandwich, _sandwich_applies, ball_size_exact
 from .perm import _int_in
 
 #: the published comparison rows: (n, d) -> (sphere-packing estimate, new bound)
@@ -56,16 +56,25 @@ def _odd_radius(n: int, d: int) -> int:
     return (d - 1) // 2
 
 
-def _group_over_ball(n: int, r: int, *, exact: bool) -> tuple[int, int]:
-    """divmod(n!, |ball(n, r)|), the ball counted exactly or, in estimate
-    mode, replaced by its upper product."""
-    ball = ball_size_exact(n, min(r, n - 1)).size if exact else ball_size_bounds(n, r)[1]
-    return divmod(math.factorial(n), ball)
+def _group_over_ball(n: int, r: int, group: int, exact: bool) -> tuple[int, int]:
+    """divmod(group, |ball(n, r)|) for group = n! and r >= 0, the ball counted
+    exactly or, in estimate mode, replaced by its upper product, which trusts
+    that the sandwich applies to r."""
+    ball = ball_size_exact(n, min(r, n - 1)).size if exact else _ball_size_bounds(n, r)[1]
+    return divmod(group, ball)
 
 
 def gv_lower(n: int, d: int, *, exact: bool = True) -> int:
     """Existence lower bound ceil(n! / |ball(n, d-1)|) for odd d."""
-    quotient, remainder = _group_over_ball(n, 2 * _odd_radius(n, d), exact=exact)
+    t = _odd_radius(n, d)
+    if not exact:
+        _require_sandwich(n, 2 * t)
+    return _gv_lower(n, t, math.factorial(n), exact)
+
+
+def _gv_lower(n: int, t: int, group: int, exact: bool) -> int:
+    """``gv_lower`` at d = 2t+1 for group = n!, input unchecked."""
+    quotient, remainder = _group_over_ball(n, 2 * t, group, exact)
     return quotient + (remainder > 0)
 
 
@@ -75,7 +84,15 @@ def sp_upper(n: int, d: int, *, exact: bool = True) -> int:
     In estimate mode the ball is replaced by its upper product, giving
     (n-t-1)!, an optimistic floor of the true sphere-packing value.
     """
-    return _group_over_ball(n, _odd_radius(n, d), exact=exact)[0]
+    t = _odd_radius(n, d)
+    if not exact:
+        _require_sandwich(n, t)
+    return _sp_upper(n, t, math.factorial(n), exact)
+
+
+def _sp_upper(n: int, t: int, group: int, exact: bool) -> int:
+    """``sp_upper`` at d = 2t+1 for group = n!, input unchecked."""
+    return _group_over_ball(n, t, group, exact)[0]
 
 
 def new_upper(n: int, d: int) -> tuple[Fraction, int]:
@@ -114,10 +131,14 @@ def corollary_applies(n: int, d: int) -> bool:
     """True when the new bound provably does not exceed the packing estimate:
     odd d = 2t+1 where the product sandwich applies to radius t,
     n * prod_{i=0..t}(n-i) <= d * d!, and d <= n-1."""
-    t = _odd_radius(n, d)
-    if d > n - 1 or not sandwich_applies(n, t):
+    return _corollary_applies(n, d, _odd_radius(n, d))
+
+
+def _corollary_applies(n: int, d: int, t: int) -> bool:
+    """``corollary_applies`` at d = 2t+1, input unchecked."""
+    if d > n - 1 or not _sandwich_applies(n, t):
         return False
-    return n * ball_size_bounds(n, t)[1] <= d * math.factorial(d)
+    return n * _ball_size_bounds(n, t)[1] <= d * math.factorial(d)
 
 
 @dataclass(frozen=True)
@@ -143,17 +164,23 @@ class BoundReport:
 
 
 def bound_report(n: int, d: int, exact: bool = False) -> BoundReport:
-    """The bound row for n >= 2 and 1 <= d <= n-1."""
+    """The bound row for n >= 2 and 1 <= d <= n-1.
+
+    n and d are checked here, then against each other by ``new_upper``; the
+    odd distance, its radius t and the GV radius 2t are derived from them,
+    so the bound bodies take them unchecked.
+    """
     _int_in("n", n, 2)
     _int_in("distance", d)
-    bd = d if d % 2 else d + 1
-    t = _odd_radius(n, bd)
-    gv = sp = None
-    if exact or sandwich_applies(n, 2 * t):
-        gv = gv_lower(n, bd, exact=exact)
-    if exact or sandwich_applies(n, t):
-        sp = sp_upper(n, bd, exact=exact)
     exact_frac, floor = new_upper(n, d)
+    bd = d if d % 2 else d + 1
+    t = (bd - 1) // 2
+    group = math.factorial(n)
+    gv = sp = None
+    if exact or _sandwich_applies(n, 2 * t):
+        gv = _gv_lower(n, t, group, exact)
+    if exact or _sandwich_applies(n, t):
+        sp = _sp_upper(n, t, group, exact)
     return BoundReport(
         n=n,
         d=d,
@@ -163,7 +190,7 @@ def bound_report(n: int, d: int, exact: bool = False) -> BoundReport:
         new_upper=floor,
         new_upper_exact=exact_frac,
         exact_mode=exact,
-        corollary_applies=corollary_applies(n, bd),
+        corollary_applies=_corollary_applies(n, bd, t),
     )
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from blockperm import bounds, enumeration, perm
 from blockperm.bounds import (
     TABLE1_PUBLISHED,
     BoundReport,
@@ -19,7 +20,7 @@ from blockperm.bounds import (
     table1,
     table1_deviations,
 )
-from blockperm.enumeration import ball_size_bounds, ball_size_exact
+from blockperm.enumeration import ball_size_bounds, ball_size_exact, sandwich_applies
 
 
 def test_gv_lower_exact_frozen():
@@ -177,6 +178,41 @@ def test_estimate_report_marks_unavailable_radii():
     rep = bound_report(17, 13)  # GV radius 12 fails the product hypothesis
     assert rep.gv_lower is None
     assert rep.sp_upper == 3628800
+
+
+def _report_by_public_functions(n, d, exact):
+    """bound_report's row built from the public bound functions, each
+    checking its own input, at the odd distance the row refers to."""
+    bd = d if d % 2 else d + 1
+    t = (bd - 1) // 2
+    exact_frac, floor = new_upper(n, d)
+    gv = gv_lower(n, bd, exact=exact) if exact or sandwich_applies(n, 2 * t) else None
+    sp = sp_upper(n, bd, exact=exact) if exact or sandwich_applies(n, t) else None
+    return BoundReport(n, d, bd, gv, sp, floor, exact_frac, exact, corollary_applies(n, bd))
+
+
+@pytest.mark.parametrize("exact, top", [(False, 60), (True, 12)], ids=["estimate", "exact"])
+def test_bound_report_matches_the_public_functions(exact, top):
+    for n in range(2, top + 1):
+        for d in range(1, n):
+            assert bound_report(n, d, exact=exact) == _report_by_public_functions(n, d, exact)
+
+
+def test_an_estimate_report_runs_the_range_rule_at_most_four_times(monkeypatch):
+    """n and d once in bound_report and once in new_upper; nothing it
+    derives from them is checked again."""
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        perm._int_in(*args)
+
+    monkeypatch.setattr(bounds, "_int_in", counted)
+    monkeypatch.setattr(enumeration, "_int_in", counted)
+    reports = [bound_report(n, d) for n in range(2, 61) for d in range(1, n)]
+    assert len(reports) == 1770
+    assert calls <= 4 * len(reports)
 
 
 def test_bound_report_payload_round_trip():

@@ -12,6 +12,7 @@ import pytest
 
 from blockperm.enumeration import (
     DEFAULT_MAX_N,
+    SphereProfile,
     ball_size_bounds,
     ball_size_exact,
     enumerate_spheres,
@@ -28,6 +29,26 @@ def test_sphere_profile_small_frozen():
     assert enumerate_spheres(1).counts == (1,)
     assert enumerate_spheres(3).counts == (1, 2, 3)
     assert enumerate_spheres(4).counts == (1, 3, 9, 11)
+
+
+def _spheres_by_pair_test(n):
+    """Reference: test each adjacent pair of each permutation of S_n, the
+    loop the prefix walk stands in for."""
+    counts = [0] * n
+    for p in itertools.permutations(range(1, n + 1)):
+        k = 0
+        prev = p[0]
+        for cur in p[1:]:
+            if cur != prev + 1:
+                k += 1
+            prev = cur
+        counts[k] += 1
+    return SphereProfile(n, tuple(counts))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumerate_spheres_matches_a_pair_test_per_permutation(n):
+    assert enumerate_spheres(n) == _spheres_by_pair_test(n)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

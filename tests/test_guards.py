@@ -103,15 +103,16 @@ def _refuse(*args, **kwargs):
                  "n must be positive, got 0", id="gv_lower-n-0"),
     pytest.param(lambda: bounds.sp_upper(-1, 3, exact=False), "bounds._group_over_ball",
                  "n must be positive, got -1", id="sp_upper-n-minus-1"),
-    pytest.param(lambda: bounds.bound_report(0, 3), "bounds._odd_radius",
+    # bound_report's first work is new_upper, so refusing it shows n and d came first
+    pytest.param(lambda: bounds.bound_report(0, 3), "bounds.new_upper",
                  "n must be an int >= 2, got 0", id="bound_report-n-0"),
-    pytest.param(lambda: bounds.bound_report(0, 4, exact=True), "bounds._odd_radius",
+    pytest.param(lambda: bounds.bound_report(0, 4, exact=True), "bounds.new_upper",
                  "n must be an int >= 2, got 0", id="bound_report-exact-n-0"),
-    pytest.param(lambda: bounds.bound_report(0, 0), "bounds._odd_radius",
+    pytest.param(lambda: bounds.bound_report(0, 0), "bounds.new_upper",
                  "n must be an int >= 2, got 0", id="bound_report-n-0-d-0"),
     pytest.param(lambda: bounds.bound_report(5, 0), "bounds.new_upper",
                  "distance must be positive, got 0", id="bound_report-d-0"),
-    pytest.param(lambda: bounds.corollary_applies(0, 3), "bounds.sandwich_applies",
+    pytest.param(lambda: bounds.corollary_applies(0, 3), "bounds._corollary_applies",
                  "n must be positive, got 0", id="corollary_applies-n-0"),
     pytest.param(lambda: PairEncoder(0, 2), "constructions._is_prime",
                  "n must be positive, got 0", id="PairEncoder-n-0"),
@@ -259,8 +260,11 @@ DOMAIN_EDGES = [
     # its upper end is the sandwich's hypothesis, a row of its own below
     *_edges("ball_size_bounds", enumeration.ball_size_bounds, "enumeration.math.prod", 10, "t", 0),
     *_edges("sandwich_applies", enumeration.sandwich_applies, None, 10, "t", 0),
+    # t = 5 is n; the counts are those of enumerate_spheres(5)
+    *_edges("SphereProfile.ball", enumeration.SphereProfile(5, (1, 4, 18, 44, 53)).ball, None,
+            None, "t", 0, 4),
     *_edges("new_upper", bounds.new_upper, "bounds.Fraction", 5, "d", 1, 4, "distance", n_low=2),
-    *_edges("bound_report", lambda n: bounds.bound_report(n, 3), "bounds._odd_radius", None,
+    *_edges("bound_report", lambda n: bounds.bound_report(n, 3), "bounds.new_upper", None,
             "n", 2, also=(0, -1)),
     *_edges("special_exact", bounds.special_exact, "bounds.math.factorial", 5, "d", 1,
             name="distance"),
@@ -288,6 +292,8 @@ DOMAIN_EDGES = [
             "graph._grow", 3, "d", 1, 3, DESIGN),
     pytest.param(lambda: graph.greedy_independent_set(_graph(3, 3.0)), "graph.CodeBook",
                  "design distance must be an int in [1, 3], got 3.0", id="BlockGraph-d-float"),
+    pytest.param(lambda: enumeration.enumerate_spheres(0), "enumeration._walk_spheres",
+                 "n must be positive, got 0", id="enumerate_spheres-n-0"),
     pytest.param(lambda: enumeration.ball_size_bounds(10, 6), "enumeration.math.prod",
                  "sandwich bounds need t <= n - sqrt(n) - 1; (n, t) = (10, 6) fails",
                  id="ball_size_bounds-t-above"),
