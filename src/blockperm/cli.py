@@ -285,17 +285,15 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     # Exact sizes such as 2000! have more digits than Python's default limit
     # on int-to-text conversion (4300, from Python 3.10.7 on); lift it here.
-    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if digits is not None:
-        sys.set_int_max_str_digits(0)
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if digits is not None:
-            sys.set_int_max_str_digits(digits)
+        sys.set_int_max_str_digits(digits)
 
 
 def entry() -> None:

@@ -184,11 +184,10 @@ def greedy_independent_set(g: BlockGraph, order: str = "lexicographic") -> CodeB
     _int_in("n", g.n)
     # past d = n only one word is left, and n, the distance of a one-word code, is below d
     _int_in("design distance", g.d, 1, g.n)
-    if order == "lexicographic":
-        sweep = range(len(g.vertices))
-    elif order == "degree":  # sorting is stable, so ties stay in index order
-        sweep = sorted(range(len(g.vertices)), key=g.degrees().__getitem__)
-    else:
+    sweep = range(len(g.vertices))
+    if order == "degree" and len(sweep) != math.factorial(g.n):  # all of S_n is regular
+        sweep = sorted(sweep, key=g.degrees().__getitem__)  # stable: ties stay in index order
+    elif order not in ("lexicographic", "degree"):
         raise ValueError(f"order must be 'lexicographic' or 'degree', got {order!r}")
     blocked = 0
     chosen = []
@@ -255,23 +254,24 @@ def exact_independent_set(g: BlockGraph) -> CodeBook:
     incumbent leaves room for, the vertices still uncovered are the branch
     set.
 
-    When the vertices are exactly the lexicographic S_n of ``build_graph``,
-    the graph is a Cayley graph, so vertex-transitive: some maximum
-    independent set contains vertex 0 (the identity), and the search fixes
-    it there.  Any other vertex set is searched from the empty set.
+    The vertices are distinct permutations of 1..n, so n! of them are all of
+    S_n, in any order, and the graph is a Cayley graph.  It is regular, so one
+    greedy order seeds the search, and vertex-transitive, so some maximum
+    independent set holds vertex 0 and the search fixes it there.  Any other
+    vertex set is seeded from both orders and searched from the empty set.
     """
     count = len(g.vertices)
     if count > EXACT_MAX_VERTICES:
         raise ValueError(f"{count} vertices exceed exact-solver guard {EXACT_MAX_VERTICES}")
     adj = g.bits
     index = {v: i for i, v in enumerate(g.vertices)}
-    # On a regular graph the degree order is the index order: seed once there.
-    orders = ("lexicographic", "degree") if len(set(g.degrees())) > 1 else ("lexicographic",)
-    seed = max((greedy_independent_set(g, order) for order in orders),
-               key=lambda code: len(code.words))
+    seed = greedy_independent_set(g, "lexicographic")  # checks n and d before n! is taken
+    whole_group = count == math.factorial(g.n)
+    if not whole_group:
+        seed = max(seed, greedy_independent_set(g, "degree"), key=lambda code: len(code.words))
     best = [index[w] for w in seed.words]
     everything = (1 << count) - 1
-    if g.vertices == tuple(itertools.permutations(range(1, g.n + 1))):
+    if whole_group:
         _grow(adj, [0], everything & ~(adj[0] | 1), best)
     else:
         _grow(adj, [], everything, best)

@@ -662,7 +662,7 @@ def test_graph_rejects_d_past_n(capsys, tmp_path, mode):
     (8, 3, f"n=8 exceeds graph guard {graph.GRAPH_MAX_N} (n! vertices)"),
     (0, 2, "n must be positive, got 0"),
 ])
-def test_graph_exact_stops_at_its_guards_before_building(capsys, n, d, message):
+def test_graph_exact_exits_1_with_its_guard_message_within_a_second(capsys, n, d, message):
     start = time.perf_counter()
     result = run(capsys, "graph", "--n", str(n), "--d", str(d), "--exact")
     assert time.perf_counter() - start < 1.0  # S_7 is built (tens of ms), then the solver stops

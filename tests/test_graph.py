@@ -11,7 +11,7 @@ import pytest
 
 from blockperm import graph
 from blockperm.bounds import gv_lower
-from blockperm.constructions import verify_min_distance
+from blockperm.constructions import CodeBook, verify_min_distance
 from blockperm.enumeration import enumerate_spheres, myers_count
 from blockperm.graph import (
     _identity_ball,
@@ -23,7 +23,7 @@ from blockperm.graph import (
     neighborhood_stats,
     neighborhood_stats_payload,
 )
-from blockperm.perm import block_distance, compose, inverse
+from blockperm.perm import block_distance, compose, distance_by_definition, inverse
 
 
 def test_build_graph_4_3_shape():
@@ -377,6 +377,28 @@ def test_adjacency_degrees_and_edge_count_read_the_bits(make):
         assert i not in row and all(g.bits[j] >> i & 1 for j in row)
 
 
+def test_whole_group_solvers_read_no_degrees(monkeypatch):
+    degrees = graph.BlockGraph.degrees
+    calls = []
+
+    def spy(g):
+        calls.append(g)
+        return degrees(g)
+
+    monkeypatch.setattr(graph.BlockGraph, "degrees", spy)
+    g = build_graph(7, 3)
+    assert greedy_independent_set(g, "degree").words == greedy_independent_set(g).words
+    exact_independent_set(build_graph(5, 4))
+    assert calls == []
+
+
+def test_exact_fixes_vertex_0_on_all_of_s_n_in_any_order():
+    verts = _seeded_subset(random.Random(0), 5, 120)  # S_5, shuffled
+    for d, alpha in [(2, 24), (3, 14), (4, 4)]:
+        code = exact_independent_set(graph_on(verts, d))
+        assert len(code.words) == alpha and verts[0] in code.words
+
+
 def test_exact_seeds_once_on_a_regular_graph(monkeypatch):
     orders = []
     greedy = graph.greedy_independent_set
@@ -453,3 +475,50 @@ def test_stats_payload_keys():
     payload = neighborhood_stats_payload(neighborhood_stats(4, 3))
     assert set(payload) == {"delta", "p_edges", "triangles", "zero_x_edges"}
     assert payload["zero_x_edges"] == 0
+
+
+def _clique_size(bits, cand):
+    """The size of the largest clique among the vertices of the bitset cand,
+    by trying each one as its highest member."""
+    best = 0
+    while cand:
+        v = cand.bit_length() - 1
+        cand ^= 1 << v
+        best = max(best, 1 + _clique_size(bits, cand & bits[v]))
+    return best
+
+
+def _clique_number(n, d):
+    """The largest clique of the full (n, d) graph, by exhaustive search.  The
+    graph is vertex-transitive, so some largest clique holds the identity,
+    and its other members are pairwise adjacent words of the identity's ball
+    of radius d - 1."""
+    ball = [s for s, _ in _identity_ball(n, d - 1)]
+    return 1 + _clique_size(graph_on(ball, d).bits, (1 << len(ball)) - 1)
+
+
+@pytest.mark.parametrize("n,omega,alpha", [(4, 6, 4), (5, 8, 14)])
+def test_clique_coclique_bound_holds_against_the_exact_solver(n, omega, alpha):
+    # On a vertex-transitive graph alpha * omega <= |V|; at (4, 3) it is tight.
+    assert _clique_number(n, 3) == omega
+    assert len(exact_independent_set(build_graph(n, 3)).words) == alpha <= math.factorial(n) // omega
+
+
+# Representatives of the orbits of a (6, 3) code under the label rotation
+# h(i) = i mod 6 + 1, which preserves the distance: d(h∘p, h∘q) = d(p, q).
+ROTATION_REPS = ["123546", "125364", "132654", "134256", "136452", "143562",
+                 "145326", "152436", "154632", "156234", "163524", "165342"]
+
+
+def test_rotation_orbit_code_meets_the_clique_bound_at_6_3():
+    words = set()
+    for rep in ROTATION_REPS:
+        word = tuple(map(int, rep))
+        for _ in range(6):
+            words.add(word)
+            word = tuple(i % 6 + 1 for i in word)  # h∘word
+    code = CodeBook(6, 3, tuple(sorted(words)), "rotation-orbits")
+    assert len(code.words) == 72
+    assert verify_min_distance(code) == 3
+    assert all(distance_by_definition(p, q) >= 3 for p, q in itertools.combinations(code.words, 2))
+    assert math.factorial(6) // _clique_number(6, 3) == 72  # so C_B(6, 3) = 72
