@@ -18,6 +18,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .constructions import CodeBook
 from .enumeration import identity_sphere
@@ -181,27 +182,51 @@ def greedy_independent_set(g: BlockGraph, order: str = "lexicographic") -> CodeB
     Order "lexicographic" sweeps vertices as indexed; "degree" tries
     low-degree vertices first (ties by index).
     """
-    _int_in("n", g.n)
-    # past d = n only one word is left, and n, the distance of a one-word code, is below d
-    _int_in("design distance", g.d, 1, g.n)
-    sweep = range(len(g.vertices))
-    if order == "degree" and len(sweep) != math.factorial(g.n):  # all of S_n is regular
-        sweep = sorted(sweep, key=g.degrees().__getitem__)  # stable: ties stay in index order
-    elif order not in ("lexicographic", "degree"):
-        raise ValueError(f"order must be 'lexicographic' or 'degree', got {order!r}")
-    blocked = 0
-    chosen = []
-    for v in sweep:
-        if not blocked >> v & 1:
-            chosen.append(v)
-            blocked |= g.bits[v] | 1 << v
-    words = tuple(sorted(g.vertices[v] for v in chosen))
+    words = tuple(sorted(g.vertices[v] for v in _greedy(g, order)))
     return CodeBook(g.n, g.d, words, f"greedy-{order}")
 
 
-def _grow(adj: tuple[int, ...], chosen: list[int], cand: int, best: list[int]) -> None:
+def _greedy(g: BlockGraph, order: str) -> list[int]:
+    """The vertices that ``greedy_independent_set`` chooses, after it checks
+    n and d."""
+    _int_in("n", g.n)
+    # past d = n only one word is left, and n, the distance of a one-word code, is below d
+    _int_in("design distance", g.d, 1, g.n)
+    count = len(g.vertices)
+    chosen = []
+    if order == "degree" and count != math.factorial(g.n):  # all of S_n is regular
+        blocked = 0
+        for v in sorted(range(count), key=g.degrees().__getitem__):  # stable: ties by index
+            if not blocked >> v & 1:
+                chosen.append(v)
+                blocked |= g.bits[v] | 1 << v
+    elif order not in ("lexicographic", "degree"):
+        raise ValueError(f"order must be 'lexicographic' or 'degree', got {order!r}")
+    else:  # in index order the next vertex is the lowest one left
+        free = (1 << count) - 1
+        while free:
+            v = (free & -free).bit_length() - 1
+            chosen.append(v)
+            free &= ~(g.bits[v] | 1 << v)
+    return chosen
+
+
+def _first_fit_clique(adj: tuple[int, ...], pool: int) -> list[int]:
+    """The clique that first fit in index order starts in the bitset pool:
+    its lowest vertex, then again and again the lowest vertex of pool adjacent
+    to every vertex taken so far."""
+    clique = []
+    while pool:
+        v = (pool & -pool).bit_length() - 1
+        clique.append(v)
+        pool &= adj[v]
+    return clique
+
+
+def _grow(adj: list[int], chosen: list[int], cand: int, best: list[int], limit: int) -> None:
     """Search every independent extension of chosen by vertices of the
-    bitset cand, replacing best's contents whenever chosen outgrows it.
+    bitset cand, replacing best's contents whenever chosen outgrows it, and
+    stop the whole search once best holds limit vertices (a bound on its size).
 
     Not a closure: one that calls itself is a reference cycle, which keeps
     each search's bitsets alive until a full collection.
@@ -229,8 +254,10 @@ def _grow(adj: tuple[int, ...], chosen: list[int], cand: int, best: list[int]) -
         bit = 1 << v
         left ^= bit
         chosen.append(v)
-        _grow(adj, chosen, cand & ~(adj[v] | bit), best)
+        _grow(adj, chosen, cand & ~(adj[v] | bit), best, limit)
         chosen.pop()
+        if len(best) >= limit:
+            return
         cand ^= bit
 
 
@@ -252,30 +279,54 @@ def exact_independent_set(g: BlockGraph) -> CodeBook:
     vertex in clique k exactly when it is in no earlier clique and adjacent
     to every lower vertex already in clique k.  After as many cliques as the
     incumbent leaves room for, the vertices still uncovered are the branch
-    set.
+    set.  The search runs on the candidates relabelled in ascending order of
+    their degree among the candidates, ties by index: Tomita and Seki's MCQ
+    order, read in the complement.  The cover then starts its cliques from
+    the vertices with fewest candidate neighbors, and the branching takes the
+    vertices with most first.  Each relabelled row is gathered from the
+    digits of the original bitset.
 
     The vertices are distinct permutations of 1..n, so n! of them are all of
     S_n, in any order, and the graph is a Cayley graph.  It is regular, so one
     greedy order seeds the search, and vertex-transitive, so some maximum
-    independent set holds vertex 0 and the search fixes it there.  Any other
-    vertex set is seeded from both orders and searched from the empty set.
+    independent set holds vertex 0 and the search fixes it there; the
+    candidates are then the non-neighbors of vertex 0.  Vertex-transitive
+    also gives the clique–coclique bound α·ω <= n!, so with the clique that
+    first fit builds from vertex 0 no independent set exceeds n! // |clique|,
+    and the search stops, or never starts, once the incumbent has that many
+    words: 4 at (4, 3), 20 at (5, 3), 120 at (6, 2) and 6 at (6, 5).  Any
+    other vertex set is seeded from both orders, and all of its vertices are
+    candidates, searched from the empty set with no bound but their number.
+    Search nodes (calls of ``_grow``): 4 at (4, 3), 59 at (5, 4), 9,025 at
+    (5, 3) and 85 at (6, 5); none where the seed meets the bound, as at
+    d <= 2 and at d = n for n <= 6.
     """
     count = len(g.vertices)
     if count > EXACT_MAX_VERTICES:
         raise ValueError(f"{count} vertices exceed exact-solver guard {EXACT_MAX_VERTICES}")
     adj = g.bits
-    index = {v: i for i, v in enumerate(g.vertices)}
-    seed = greedy_independent_set(g, "lexicographic")  # checks n and d before n! is taken
-    whole_group = count == math.factorial(g.n)
-    if not whole_group:
-        seed = max(seed, greedy_independent_set(g, "degree"), key=lambda code: len(code.words))
-    best = [index[w] for w in seed.words]
+    seed = _greedy(g, "lexicographic")  # checks n and d before n! is taken
     everything = (1 << count) - 1
-    if whole_group:
-        _grow(adj, [0], everything & ~(adj[0] | 1), best)
+    if count == math.factorial(g.n):
+        limit = count // len(_first_fit_clique(adj, everything))
+        fixed, cand = [0], everything & ~(adj[0] | 1)
     else:
-        _grow(adj, [], everything, best)
-    words = tuple(sorted(g.vertices[v] for v in best))
+        seed = max(seed, _greedy(g, "degree"), key=len)
+        limit, fixed, cand = count, [], everything
+    if len(seed) < limit:
+        # Vertex 0 keeps label 0 on S_n.  The sort is stable, so ties stay in
+        # index order.
+        order = fixed + sorted(_indices(cand), key=lambda v: (adj[v] & cand).bit_count())
+        # bin(row | top) is "0b1" and then the digits of bits count-1 .. 0, so
+        # bit v sits at index count + 2 - v; the gather puts the last label first.
+        gather = itemgetter(*[count + 2 - v for v in reversed(order)])
+        top = 1 << count
+        rows = [int("".join(gather(bin(adj[v] | top))), 2) for v in order]
+        best = [None] * len(seed)  # only its size counts until the search outgrows the seed
+        _grow(rows, fixed, (1 << len(order)) - (1 << len(fixed)), best, limit)
+        if len(best) > len(seed):
+            seed = [order[k] for k in best]
+    words = tuple(sorted(g.vertices[v] for v in seed))
     return CodeBook(g.n, g.d, words, "exact-independent")
 
 

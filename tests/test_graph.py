@@ -10,7 +10,7 @@ from operator import itemgetter
 import pytest
 
 from blockperm import graph
-from blockperm.bounds import gv_lower
+from blockperm.bounds import gv_lower, special_exact
 from blockperm.constructions import CodeBook, verify_min_distance
 from blockperm.enumeration import enumerate_spheres, myers_count
 from blockperm.graph import (
@@ -399,15 +399,69 @@ def test_exact_fixes_vertex_0_on_all_of_s_n_in_any_order():
         assert len(code.words) == alpha and verts[0] in code.words
 
 
+def _count_nodes(monkeypatch):
+    """Count the search nodes, the calls of ``graph._grow``, from now on."""
+    grow = graph._grow
+    nodes = []
+
+    def spy(*args):
+        nodes.append(None)
+        return grow(*args)
+
+    monkeypatch.setattr(graph, "_grow", spy)  # the recursion looks the name up too
+    return nodes
+
+
+@pytest.mark.parametrize("n,d,count", [(5, 3, 9025), (6, 5, 85), (5, 4, 59), (4, 3, 4),
+                                       (5, 2, 0), (6, 1, 0), (6, 2, 0), (6, 6, 0)])
+def test_exact_search_nodes_are_pinned(monkeypatch, n, d, count):
+    """Where the seed already meets the clique-coclique bound, the search
+    never starts."""
+    g = build_graph(n, d)
+    nodes = _count_nodes(monkeypatch)
+    exact_independent_set(g)
+    assert len(nodes) == count
+
+
+WHOLE_GROUP = [(n, d) for n in range(1, 6) for d in range(1, n + 1)]
+WHOLE_GROUP += [(6, 1), (6, 2), (6, 5), (6, 6)]
+LIMITS = {(4, 3): 4, (5, 3): 20, (6, 2): 120, (6, 5): 6}  # n! // |first-fit clique|
+
+
+@pytest.mark.parametrize("n,d", WHOLE_GROUP)
+def test_clique_coclique_stop_is_sound_on_all_of_s_n(n, d):
+    g = build_graph(n, d)
+    count = len(g.vertices)
+    clique = [g.vertices[v] for v in graph._first_fit_clique(g.bits, (1 << count) - 1)]
+    assert g.vertices[0] in clique
+    if d < n:
+        assert all(distance_by_definition(p, q) < d for p, q in itertools.combinations(clique, 2))
+    else:  # no two words are n apart, so the graph and the clique are complete
+        assert len(clique) == count
+    limit = count // len(clique)
+    assert LIMITS.get((n, d), limit) == limit
+    alpha = len(exact_independent_set(g).words)
+    assert alpha <= limit
+    assert special_exact(n, d) in (None, alpha)
+
+
+def test_clique_coclique_bound_is_not_used_off_the_full_group(monkeypatch):
+    g = graph_on(STAR, 3)  # a path: not vertex-transitive, so alpha * omega may exceed |V|
+    assert len(STAR) // len(graph._first_fit_clique(g.bits, 0b111)) == 1
+    nodes = _count_nodes(monkeypatch)
+    assert len(exact_independent_set(g).words) == 2
+    assert nodes
+
+
 def test_exact_seeds_once_on_a_regular_graph(monkeypatch):
     orders = []
-    greedy = graph.greedy_independent_set
+    greedy = graph._greedy
 
     def spy(g, order):
         orders.append(order)
         return greedy(g, order)
 
-    monkeypatch.setattr(graph, "greedy_independent_set", spy)
+    monkeypatch.setattr(graph, "_greedy", spy)
     exact_independent_set(build_graph(5, 4))  # regular: degree order is index order
     assert orders == ["lexicographic"]
     orders.clear()
