@@ -190,7 +190,9 @@ def _scan_fibers(n: int, d: int, enc: PairEncoder | None, target=None):
     adding 2^(w-1) - q to every lane of width w sets its guard bit exactly
     when the lane reached q.  The last three labels of each permutation
     enter as one tabulated sum, so each of the n! leaves costs one add and
-    one subtract and reduces nothing mod q.
+    one subtract and reduces nothing mod q.  With a target, each node of
+    the last three labels instead computes the one tabulated sum that
+    reaches it, lane-wise target - sums mod q, and looks it up.
     """
     # Fibers are codes of distance d only for 2 <= d <= n-1: a word and its
     # reverse share every syndrome and lie at distance n-1.  No d is left below n = 3.
@@ -211,18 +213,24 @@ def _scan_fibers(n: int, d: int, enc: PairEncoder | None, target=None):
     labels = tuple(range(1, n + 1))
     powers = {a: {b: sum(pow(enc.value(a, b), k, q) << s for k, s in enumerate(shifts, 1))
                   for b in labels if b != a} for a in labels}
-    # tails[u][rest]: each ordering of the labels rest, in lexicographic order,
-    # with the reduced power sums of its pair labels after a prefix ending u.
-    # Tails of three labels measured fastest at n = 7 and 8: two leave more
-    # calls, four cost more to tabulate.
-    tails: dict[int, dict[tuple[int, ...], list]] = {u: {} for u in labels}
+    # tails[u][rest]: the orderings of the labels rest after a prefix ending u,
+    # in lexicographic order, with the reduced power sums t of their pair
+    # labels: listed as (ordering, t) to file every fiber, or grouped by t to
+    # look up the one t that reaches a target.  Tails of three labels measured
+    # fastest at n = 7 and 8: two leave more calls, four cost more to tabulate.
+    tails: dict[int, dict[tuple[int, ...], list | dict[int, list]]] = {u: {} for u in labels}
     for path in itertools.permutations(labels, min(4, n)):
         t = 0
         for v, w in zip(path, path[1:]):
             t += powers[v][w]
             t -= ((t + bias & guards) >> top) * q
-        tails[path[0]].setdefault(tuple(sorted(path[1:])), []).append((path[1:], t))
-    scan = (powers, tails, bias, guards, top, q, target)
+        rest = tuple(sorted(path[1:]))
+        if target is None:
+            tails[path[0]].setdefault(rest, []).append((path[1:], t))
+        else:
+            tails[path[0]].setdefault(rest, {}).setdefault(t, []).append(path[1:])
+    lift = sum(q << s for s in shifts)  # q in every lane: target + lift - sums stays positive
+    scan = (powers, tails, bias, guards, top, q, target, lift)
     buckets: dict[int, list[Perm]] = {}
     for i, first in enumerate(labels):
         _walk_fibers((first,), labels[:i] + labels[i + 1:], 0, scan, buckets)
@@ -237,15 +245,19 @@ def _walk_fibers(prefix, rest, sums, scan, buckets) -> None:
     Not a closure: one that calls itself is a reference cycle, which keeps
     each scan's buckets alive until a full collection.
     """
-    powers, tails, bias, guards, top, q, target = scan
+    powers, tails, bias, guards, top, q, target, lift = scan
     u = prefix[-1]
     tail = tails[u].get(rest)
     if tail is not None:  # every completion here, saving the calls below
-        for order, t in tail:
-            key = sums + t
-            key -= ((key + bias & guards) >> top) * q
-            if target is None or key == target:
+        if target is None:
+            for order, t in tail:
+                key = sums + t
+                key -= ((key + bias & guards) >> top) * q
                 buckets.setdefault(key, []).append(prefix + order)
+        else:  # the one tail sum that lands on target: lane-wise target - sums mod q
+            t = target + lift - sums
+            for order in tail.get(t - ((t + bias & guards) >> top) * q, ()):
+                buckets.setdefault(target, []).append(prefix + order)
         return
     row = powers[u]
     for i, v in enumerate(rest):

@@ -92,11 +92,11 @@ def _refuse(*args, **kwargs):
                  "design distance must be positive, got -3", id="graph_on-d-minus-3"),
     pytest.param(lambda: graph.graph_on([(2, 1)], 0), "graph._neighbor_bits",
                  "design distance must be positive, got 0", id="graph_on-d-0"),
-    pytest.param(lambda: perm.distance_by_definition((1, 1, 1), (1, 2, 3)), "perm._blocks",
+    pytest.param(lambda: perm.distance_by_definition((1, 1, 1), (1, 2, 3)), "perm._run_ends",
                  "not a rearrangement of 1..3: [1, 1, 1]", id="distance_by_definition-repeat"),
-    pytest.param(lambda: perm.distance_by_definition((1, 2, 3), (3, 1, 4)), "perm._blocks",
+    pytest.param(lambda: perm.distance_by_definition((1, 2, 3), (3, 1, 4)), "perm._run_ends",
                  "not a rearrangement of 1..3: [3, 1, 4]", id="distance_by_definition-second"),
-    pytest.param(lambda: perm.distance_by_definition((), ()), "perm._blocks",
+    pytest.param(lambda: perm.distance_by_definition((), ()), "perm._run_ends",
                  "empty input: a permutation has length at least 1",
                  id="distance_by_definition-empty"),
     pytest.param(lambda: bounds.gv_lower(0, 3), "bounds._group_over_ball",

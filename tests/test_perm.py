@@ -111,7 +111,7 @@ def test_distance_by_definition_worked_example():
 def test_distance_by_definition_guards():
     assert DEFINITION_SEARCH_MAX_N == 16
     top = identity(16)
-    # reversal is at distance n - 1, so every one of the 2^15 cut sets is tried
+    # reversal is at distance n - 1, the deepest search the guard admits
     assert distance_by_definition(top, top[::-1]) == 15
     with pytest.raises(ValueError, match="exceeds search guard 16"):
         distance_by_definition(identity(17), identity(17))
@@ -150,6 +150,34 @@ def test_cut_search_agrees_with_pair_count_randomly(n):
         a = tuple(rng.sample(labels, n))
         b = tuple(rng.sample(labels, n))
         assert distance_by_definition(a, b) == block_distance(a, b)
+
+
+def test_cut_search_never_counts_shared_pairs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the cut search used the pair-count route")
+
+    for name in ("block_distance", "char_set", "_pair_codes", "_pair_masks"):
+        monkeypatch.setattr(perm, name, refuse)
+    assert distance_by_definition(WORKED_P1, WORKED_P2) == 3
+    assert distance_by_definition(identity(16), identity(16)[::-1]) == 15
+
+
+def test_cut_search_checks_only_cut_sets_of_runs(monkeypatch):
+    calls = []
+    order = perm._block_order
+    monkeypatch.setattr(perm, "_block_order", lambda *args: calls.append(args) or order(*args))
+    top = identity(16)
+    # every block of a cut set that can concatenate to top[::-1] is one label
+    assert distance_by_definition(top, top[::-1]) == 15
+    assert len(calls) <= 16
+
+
+@pytest.mark.parametrize("base", ["identity", "seeded"])
+def test_cut_search_agrees_with_pair_count_on_all_of_s7(base):
+    labels = list(range(1, 8))
+    p1 = identity(7) if base == "identity" else tuple(random.Random(7).sample(labels, 7))
+    for p2 in itertools.permutations(labels):
+        assert distance_by_definition(p1, p2) == block_distance(p1, p2)
 
 
 def test_metric_axioms_exhaustive_s4():
