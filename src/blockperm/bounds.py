@@ -7,9 +7,11 @@ For odd minimum distance d = 2t+1 the classical pair is
 
 where balls are counted exactly at any n (``ball_size_exact``) or, in
 estimate mode (``exact=False``), replaced by the *upper* product of
-``ball_size_bounds``, which needs the radius to satisfy ``sandwich_applies``.  On the
-sphere-packing side that estimate is (n-t-1)!, a floor of the true
-sphere-packing value and the conventional way these tables are quoted.
+``ball_size_bounds``, n(n-1)...(n-r) = n!/(n-r-1)! for radius r, which needs r
+to satisfy ``sandwich_applies``.  That product divides n!, so the estimate
+entries are the factorials gv_lower = (n-2t-1)! and sp_upper = (n-t-1)!; the
+latter is a floor of the true sphere-packing value and the conventional way
+these tables are quoted.
 
 The newer upper bound counts (n-d)-subsets of characteristic sets:
 
@@ -25,7 +27,7 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .enumeration import _ball_size_bounds, _require_sandwich, _sandwich_applies, ball_size_exact
+from .enumeration import _require_sandwich, _sandwich_applies, ball_size_exact
 from .perm import _int_in
 
 #: the published comparison rows: (n, d) -> (sphere-packing estimate, new bound)
@@ -56,26 +58,20 @@ def _odd_radius(n: int, d: int) -> int:
     return (d - 1) // 2
 
 
-def _group_over_ball(n: int, r: int, group: int, exact: bool) -> tuple[int, int]:
-    """divmod(group, |ball(n, r)|) for group = n! and r >= 0, the ball counted
-    exactly or, in estimate mode, replaced by its upper product, which trusts
-    that the sandwich applies to r."""
-    ball = ball_size_exact(n, min(r, n - 1)).size if exact else _ball_size_bounds(n, r)[1]
-    return divmod(group, ball)
-
-
 def gv_lower(n: int, d: int, *, exact: bool = True) -> int:
     """Existence lower bound ceil(n! / |ball(n, d-1)|) for odd d."""
     t = _odd_radius(n, d)
     if not exact:
         _require_sandwich(n, 2 * t)
-    return _gv_lower(n, t, math.factorial(n), exact)
+    return _gv_lower(n, t, exact)
 
 
-def _gv_lower(n: int, t: int, group: int, exact: bool) -> int:
-    """``gv_lower`` at d = 2t+1 for group = n!, input unchecked."""
-    quotient, remainder = _group_over_ball(n, 2 * t, group, exact)
-    return quotient + (remainder > 0)
+def _gv_lower(n: int, t: int, exact: bool) -> int:
+    """``gv_lower`` at d = 2t+1, input unchecked; in estimate mode (n-2t-1)!,
+    which trusts that the sandwich applies to 2t."""
+    if not exact:
+        return math.factorial(n - 2 * t - 1)
+    return -(-math.factorial(n) // ball_size_exact(n, min(2 * t, n - 1)).size)
 
 
 def sp_upper(n: int, d: int, *, exact: bool = True) -> int:
@@ -87,12 +83,15 @@ def sp_upper(n: int, d: int, *, exact: bool = True) -> int:
     t = _odd_radius(n, d)
     if not exact:
         _require_sandwich(n, t)
-    return _sp_upper(n, t, math.factorial(n), exact)
+    return _sp_upper(n, t, exact)
 
 
-def _sp_upper(n: int, t: int, group: int, exact: bool) -> int:
-    """``sp_upper`` at d = 2t+1 for group = n!, input unchecked."""
-    return _group_over_ball(n, t, group, exact)[0]
+def _sp_upper(n: int, t: int, exact: bool) -> int:
+    """``sp_upper`` at d = 2t+1, input unchecked; in estimate mode (n-t-1)!,
+    which trusts that the sandwich applies to t."""
+    if not exact:
+        return math.factorial(n - t - 1)
+    return math.factorial(n) // ball_size_exact(n, min(t, n - 1)).size
 
 
 def new_upper(n: int, d: int) -> tuple[Fraction, int]:
@@ -138,7 +137,7 @@ def _corollary_applies(n: int, d: int, t: int) -> bool:
     """``corollary_applies`` at d = 2t+1, input unchecked."""
     if d > n - 1 or not _sandwich_applies(n, t):
         return False
-    return n * _ball_size_bounds(n, t)[1] <= d * math.factorial(d)
+    return n * math.perm(n, t + 1) <= d * math.factorial(d)
 
 
 @dataclass(frozen=True)
@@ -175,12 +174,11 @@ def bound_report(n: int, d: int, exact: bool = False) -> BoundReport:
     exact_frac, floor = new_upper(n, d)
     bd = d if d % 2 else d + 1
     t = (bd - 1) // 2
-    group = math.factorial(n)
     gv = sp = None
     if exact or _sandwich_applies(n, 2 * t):
-        gv = _gv_lower(n, t, group, exact)
+        gv = _gv_lower(n, t, exact)
     if exact or _sandwich_applies(n, t):
-        sp = _sp_upper(n, t, group, exact)
+        sp = _sp_upper(n, t, exact)
     return BoundReport(
         n=n,
         d=d,

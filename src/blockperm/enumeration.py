@@ -183,18 +183,13 @@ def ball_size_bounds(n: int, t: int) -> tuple[int, int]:
     Returns (prod_{i=1..t} (n-i), prod_{i=0..t} (n-i)); empty products are 1.
     """
     _require_sandwich(n, t)
-    return _ball_size_bounds(n, t)
+    return math.prod(range(n - t, n)), math.prod(range(n - t, n + 1))
 
 
 def _require_sandwich(n: int, t: int) -> None:
     """Raise unless ``sandwich_applies(n, t)``, which checks n and t."""
     if not sandwich_applies(n, t):
         raise ValueError(f"sandwich bounds need t <= n - sqrt(n) - 1; (n, t) = ({n}, {t}) fails")
-
-
-def _ball_size_bounds(n: int, t: int) -> tuple[int, int]:
-    """``ball_size_bounds`` where the sandwich applies to ints n and t, unchecked."""
-    return math.prod(range(n - t, n)), math.prod(range(n - t, n + 1))
 
 
 def sphere_profile_payload(profile: SphereProfile) -> dict:

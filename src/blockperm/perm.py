@@ -23,8 +23,8 @@ words, each rearranging 1..n in int labels).  Metric primitives
 ``is_minimal``, ``_shared_planes``) trust their input: on a 2-core Xeon, 1000 S_8 pairs take
 ``block_distance`` 2.5 ms, 7.5 checking both.  So do the private bodies of the
 bound functions (``bounds._gv_lower``, ``_sp_upper``, ``_corollary_applies``,
-``enumeration._sandwich_applies``, ``_ball_size_bounds``), which
-``bound_report`` calls with values it has checked or derived.
+``enumeration._sandwich_applies``), which ``bound_report`` calls with
+values it has checked or derived.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from operator import itemgetter, ne
 
 from . import bounds as bounds_mod
 from .constructions import (
@@ -28,7 +27,7 @@ from .constructions import (
 from .enumeration import ball_size_bounds, enumerate_spheres, myers_count, sandwich_applies
 from .graph import build_graph, exact_independent_set, jv_lower_formula, neighborhood_stats
 from .perm import (_pair_masks, block_distance, char_set, compose, distance_by_definition,
-                   from_one_line)
+                   from_one_line, inverse)
 
 
 @dataclass(frozen=True)
@@ -193,50 +192,28 @@ def criterion_9_metric_axioms() -> CriterionResult:
     The S_7 triples are indices into the 5040 permutations drawn by
     ``rng.choices``, each uniform on S_7 to within about 2^-40.  Symmetry and
     the triangle inequality are checked on pair masks, left-invariance with
-    the library's ``compose`` and ``block_distance``.  On S_4 and S_5 the
-    distance table is checked a row at a time: left-invariance by reading
-    rows through ``itemgetter``, the triangle inequality on rows packed one
-    byte per entry.
+    the library's ``compose`` and ``block_distance``.  On S_4 and S_5 every
+    pair is checked through the identity's row f(x) = d(e, x): left-invariance
+    for every (c, a, b) holds exactly when d(a, b) = f(a⁻¹∘b) for every pair
+    (take c = a⁻¹; conversely (c∘a)⁻¹∘(c∘b) = a⁻¹∘b), and given that, the
+    triangle inequality d(a, c) <= d(a, b) + d(b, c) for every triple holds
+    exactly when f(x∘y) <= f(x) + f(y) for every pair (x = a⁻¹∘b, y = b⁻¹∘c).
     """
     start = time.perf_counter()
     violations = 0
     for n in (4, 5):
         perms = list(itertools.permutations(range(1, n + 1)))
-        size = len(perms)
-        sets = [frozenset(zip(p, p[1:])) for p in perms]
-        table = [[0] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(i + 1, size):
-                dij = len(sets[i] - sets[j])
-                if dij != len(sets[j] - sets[i]):
-                    violations += 1
-                table[i][j] = table[j][i] = dij
-        # Left-invariance: row c∘a of the table, read at the columns c∘b,
-        # is row a.  Only a row that differs is compared entry by entry.
-        index = {p: i for i, p in enumerate(perms)}
-        rows = [tuple(row) for row in table]
-        for c in perms:
-            comp = [index[compose(c, a)] for a in perms]
-            pick = itemgetter(*comp)
-            for a, ca in enumerate(comp):
-                got = pick(rows[ca])
-                if got != rows[a]:
-                    violations += sum(map(ne, got, rows[a]))
-        # Triangle inequality, one byte per c: 128 + d(a,b) + d(b,c) - d(a,c)
-        # lies in [128-(n-1), 128+2(n-1)], so no byte borrows from the next,
-        # and a violation is a byte whose high bit is clear.
-        ones = int.from_bytes(b"\x01" * size, "little")
-        high = 0x80 * ones
-        packed = [int.from_bytes(bytes(row), "little") for row in table]
-        for a in range(size):
-            ta, pa = table[a], packed[a]
-            for b in range(size):
-                x = high + ta[b] * ones + packed[b] - pa
-                violations += (high & ~x).bit_count()
-        for i in range(size):
-            for j in range(size):
-                if (table[i][j] == 0) != (i == j):
-                    violations += 1
+        sets = {p: frozenset(zip(p, p[1:])) for p in perms}
+        identity_set = sets[perms[0]]
+        f = {x: len(identity_set - sx) for x, sx in sets.items()}
+        for a, sa in sets.items():
+            fa, a_inv = f[a], inverse(a)
+            for b, sb in sets.items():
+                dab = len(sa - sb)
+                violations += ((dab != len(sb - sa))  # symmetry
+                               + ((dab == 0) != (a == b))  # identity of indiscernibles
+                               + (dab != f[compose(a_inv, b)])  # left-invariance
+                               + (f[compose(a, b)] > fa + f[b]))  # triangle, x = a, y = b
     # 1000 triples per draw; on pair masks, |A \ B| is (a & ~b).bit_count()
     perms = list(itertools.permutations(range(1, 8)))
     masks = _pair_masks(perms, 7)

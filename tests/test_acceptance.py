@@ -57,12 +57,15 @@ def _skewed_distance(p, q):
     return block_distance(p, q) + ((p[0] == 1) != (q[0] == 1))
 
 
-# The counts are pinned as the per-triple loops on S_4 and S_5 gave them, so
-# the table kernels must count every violated (a, b, c) exactly once.
+# S_4 and S_5 count each violated pair (a, b) once per condition it fails,
+# S_7 each violated triple once per condition.  Right-composition breaks
+# left-invariance on S_4, S_5 and S_7 alike; the skewed distance is only
+# read on S_7; a broken inverse misreads d(a, b) as f(a∘b) on S_4 and S_5.
 @pytest.mark.parametrize("name, broken, expected", [
-    ("compose", lambda outer, inner: compose(inner, outer), 1_017_627),
+    ("compose", lambda outer, inner: compose(inner, outer), 72_147),
     ("block_distance", _skewed_distance, 24_359),
-], ids=["right-composition", "not-left-invariant"])
+    ("inverse", lambda p: p, 7_476),
+], ids=["right-composition", "not-left-invariant", "identity-inverse"])
 def test_criterion_9_catches_broken_invariance(monkeypatch, name, broken, expected):
     monkeypatch.setattr(selftest, name, broken)
     result = selftest.criterion_9_metric_axioms()
@@ -78,7 +81,7 @@ def test_criterion_9_draws_cover_s7(monkeypatch):
         return block_distance(p, q)
 
     def compose_spy(outer, inner):
-        if len(outer) == 7:  # the S_4 and S_5 tables compose too
+        if len(outer) == 7:  # the S_4 and S_5 pair checks compose too
             outers.add(outer)
             inners.add(inner)
         return compose(outer, inner)

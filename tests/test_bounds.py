@@ -106,6 +106,26 @@ def test_corollary_guarantee_scan():
                 assert new_upper(n, d)[1] <= math.factorial(n - t - 1)
 
 
+def test_estimate_entries_are_the_group_over_the_upper_product():
+    """The library states the estimate entries as (n-2t-1)! and (n-t-1)!; by
+    the definition they are n! over the sandwich's upper product, which it
+    divides, and the corollary is that product's test."""
+    divisions = 0
+    for n in range(1, 61):
+        fact = math.factorial(n)
+        for d in range(1, 2 * n + 3, 2):
+            t = (d - 1) // 2
+            for fn, r in ((gv_lower, 2 * t), (sp_upper, t)):
+                if sandwich_applies(n, r):
+                    quotient, remainder = divmod(fact, ball_size_bounds(n, r)[1])
+                    assert (fn(n, d, exact=False), remainder) == (quotient, 0), (fn, n, d)
+                    divisions += 1
+            product_test = (d <= n - 1 and sandwich_applies(n, t)
+                            and n * ball_size_bounds(n, t)[1] <= d * math.factorial(d))
+            assert corollary_applies(n, d) is product_test, (n, d)
+    assert divisions == 2248
+
+
 def test_table_sphere_packing_column_exact():
     for rep in table1():
         t = (rep.d - 1) // 2

@@ -99,9 +99,9 @@ def _refuse(*args, **kwargs):
     pytest.param(lambda: perm.distance_by_definition((), ()), "perm._run_ends",
                  "empty input: a permutation has length at least 1",
                  id="distance_by_definition-empty"),
-    pytest.param(lambda: bounds.gv_lower(0, 3), "bounds._group_over_ball",
+    pytest.param(lambda: bounds.gv_lower(0, 3), "bounds._gv_lower",
                  "n must be positive, got 0", id="gv_lower-n-0"),
-    pytest.param(lambda: bounds.sp_upper(-1, 3, exact=False), "bounds._group_over_ball",
+    pytest.param(lambda: bounds.sp_upper(-1, 3, exact=False), "bounds._sp_upper",
                  "n must be positive, got -1", id="sp_upper-n-minus-1"),
     # bound_report's first work is new_upper, so refusing it shows n and d came first
     pytest.param(lambda: bounds.bound_report(0, 3), "bounds.new_upper",
