@@ -20,11 +20,13 @@ design distance d.  This module builds them four ways:
 from __future__ import annotations
 
 import itertools
-from operator import add, mul, neg, sub
+import sys
+from collections import Counter, defaultdict
+from operator import add, eq, mul, neg, sub
 from typing import NamedTuple
 
 from .enumeration import DEFAULT_MAX_N
-from .perm import (Perm, _check_words, _int_in, _parse_labels, _shared_planes,
+from .perm import (Perm, _check_words, _int_in, _parse_labels, _shared_planes, _unrank,
                    format_permutation, parse_permutation)
 
 PAIRWISE_MAX_WORDS = 10_000
@@ -152,7 +154,7 @@ def syndrome(p: Perm, d: int, enc: PairEncoder) -> tuple[int, ...]:
 
 # -- syndrome fibers on packed power sums -------------------------------------
 #
-# A multiset of labels in F_q is walked by its power sums p_k = sum g^k mod q,
+# A multiset of labels in F_q is keyed by its power sums p_k = sum g^k mod q,
 # k = 1..m, one lane of q.bit_length() + 1 bits each in one integer: a value
 # below q plus a guard bit, so two lanes add without carrying into the next.
 # Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i turn power
@@ -194,24 +196,8 @@ def _decode(keys, m: int, q: int) -> list[tuple[int, ...]]:
     return list(zip(*e.values()))
 
 
-def _scan_fibers(n: int, d: int, enc: PairEncoder | None, target=None):
-    """The syndrome fibers of S_n keyed by packed power sums (see
-    ``_decode``), with the field size q; only target's fiber (if hit) when
-    a target syndrome is given.  Keys come in the order of each fiber's first
-    word, every fiber's words in lexicographic order.
-
-    One depth-first walk over prefixes stands in for a syndrome per
-    permutation.  Each prefix carries the packed power sums of its pair
-    labels, every lane below q, so the packed integer is canonical and is
-    itself the key.  A label enters by one add of its packed powers
-    (g, g^2, ..., g^(d-1)) and one lane-wise conditional subtract of q:
-    adding 2^(w-1) - q to every lane of width w sets its guard bit exactly
-    when the lane reached q.  The last three labels of each permutation
-    enter as one tabulated sum, so each of the n! leaves costs one add and
-    one subtract and reduces nothing mod q.  With a target, each node of
-    the last three labels instead computes the one tabulated sum that
-    reaches it, lane-wise target - sums mod q, and looks it up.
-    """
+def _fiber_encoder(n: int, d: int, enc: PairEncoder | None) -> PairEncoder:
+    """enc, or n's default encoder, once n and d admit a scan of the fibers."""
     # Fibers are codes of distance d only for 2 <= d <= n-1: a word and its
     # reverse share every syndrome and lie at distance n-1.  No d is left below n = 3.
     _int_in("n", n, 3)
@@ -221,67 +207,62 @@ def _scan_fibers(n: int, d: int, enc: PairEncoder | None, target=None):
     enc = enc or PairEncoder.for_n(n)
     if enc.n != n:
         raise ValueError(f"permutation size {n} does not match encoder n={enc.n}")
+    return enc
+
+
+def _word_keys(n: int, m: int, enc: PairEncoder) -> memoryview | list[int]:
+    """The packed power sums of m lanes of the pair labels of every word of
+    S_n, in lexicographic order: a memoryview of ints, or past 64 bits a list.
+
+    The keys of a prefix's completions depend only on its last label u and
+    the set rest of labels left: Held and Karp's subset DP, n(2^(n-1) - 1)
+    states past the leaves (1,016 at n = 8), built level by level in |rest|.
+    The row of (u, rest) is one integer, a slot per completion in
+    lexicographic order: for each v in rest ascending, the row of
+    (v, rest - {v}) with the packed powers (g, ..., g^m) of u-v's label g
+    added to every slot, reduced lane-wise mod q once (adding 2^(w-1) - q to
+    a lane of width w sets its guard bit exactly when it reached q).  A slot
+    is the key rounded up to 2^i bytes, so the top rows side by side cast to
+    one key per word.
+    """
     q = enc.q
-    if target is not None:
-        target = _encode(_syndrome_vector(d, target, q), q)
-    shifts = _lanes(d - 1, q)
+    shifts = _lanes(m, q)
     top = shifts.step - 1
+    size = 1 << (shifts.stop - 1 >> 3).bit_length()  # bytes per slot
+    one = (1).to_bytes(size, sys.byteorder)
     guards = sum(1 << s + top for s in shifts)
     bias = sum((1 << top) - q << s for s in shifts)
     labels = tuple(range(1, n + 1))
-    powers = {a: {b: sum(pow(enc.value(a, b), k, q) << s for k, s in enumerate(shifts, 1))
-                  for b in labels if b != a} for a in labels}
-    # tails[u][rest]: the orderings of the labels rest after a prefix ending u,
-    # in lexicographic order, with the reduced power sums t of their pair
-    # labels: listed as (ordering, t) to file every fiber, or grouped by t to
-    # look up the one t that reaches a target.  Tails of three labels measured
-    # fastest at n = 7 and 8: two leave more calls, four cost more to tabulate.
-    tails: dict[int, dict[tuple[int, ...], list | dict[int, list]]] = {u: {} for u in labels}
-    for path in itertools.permutations(labels, min(4, n)):
-        t = 0
-        for v, w in zip(path, path[1:]):
-            t += powers[v][w]
-            t -= ((t + bias & guards) >> top) * q
-        rest = tuple(sorted(path[1:]))
-        if target is None:
-            tails[path[0]].setdefault(rest, []).append((path[1:], t))
-        else:
-            tails[path[0]].setdefault(rest, {}).setdefault(t, []).append(path[1:])
-    lift = sum(q << s for s in shifts)  # q in every lane: target + lift - sums stays positive
-    scan = (powers, tails, bias, guards, top, q, target, lift)
-    buckets: dict[int, list[Perm]] = {}
-    for i, first in enumerate(labels):
-        _walk_fibers((first,), labels[:i] + labels[i + 1:], 0, scan, buckets)
-    return buckets, q
+    powers = {(a, b): sum(pow(enc.value(a, b), k, q) << s for k, s in enumerate(shifts, 1))
+              for a in labels for b in labels if a != b}
+    rows = dict.fromkeys([(u, ()) for u in labels], 0)
+    count = 1  # slots per row of the level below
+    for k in range(1, n):
+        ones = int.from_bytes(one * count, sys.byteorder)  # 1 in each slot of a row below
+        span = 8 * size * count
+        count *= k
+        every = int.from_bytes(one * count, sys.byteorder)
+        level_bias, level_guards = bias * every, guards * every
+        level = {}
+        for rest in itertools.combinations(labels, k):
+            below = [(v, rows[v, rest[:i] + rest[i + 1:]]) for i, v in enumerate(rest)]
+            for u in labels:
+                if u not in rest:
+                    row = sum(r + powers[u, v] * ones << i * span for i, (v, r) in enumerate(below))
+                    level[u, rest] = row - ((row + level_bias & level_guards) >> top) * q
+        rows = level
+    words = b"".join(rows[u, labels[:u - 1] + labels[u:]].to_bytes(size * count, sys.byteorder)
+                     for u in labels)
+    if size > 8:
+        return [int.from_bytes(words[i:i + size], sys.byteorder)
+                for i in range(0, len(words), size)]
+    return memoryview(words).cast("BHIQ"[size.bit_length() - 1])
 
 
-def _walk_fibers(prefix, rest, sums, scan, buckets) -> None:
-    """File each completion of prefix by the increasing labels rest, in
-    lexicographic order, under its packed power sums; sums packs prefix's
-    (see ``_scan_fibers``).
-
-    Not a closure: one that calls itself is a reference cycle, which keeps
-    each scan's buckets alive until a full collection.
-    """
-    powers, tails, bias, guards, top, q, target, lift = scan
-    u = prefix[-1]
-    tail = tails[u].get(rest)
-    if tail is not None:  # every completion here, saving the calls below
-        if target is None:
-            for order, t in tail:
-                key = sums + t
-                key -= ((key + bias & guards) >> top) * q
-                buckets.setdefault(key, []).append(prefix + order)
-        else:  # the one tail sum that lands on target: lane-wise target - sums mod q
-            t = target + lift - sums
-            for order in tail.get(t - ((t + bias & guards) >> top) * q, ()):
-                buckets.setdefault(target, []).append(prefix + order)
-        return
-    row = powers[u]
-    for i, v in enumerate(rest):
-        s = sums + row[v]
-        _walk_fibers(prefix + (v,), rest[:i] + rest[i + 1:],
-                     s - ((s + bias & guards) >> top) * q, scan, buckets)
+def _fiber(n: int, d: int, keys, key: int) -> CodeBook:
+    """The code of the words of S_n whose place in keys holds key."""
+    ranks = itertools.compress(range(len(keys)), map(eq, keys, itertools.repeat(key)))
+    return CodeBook(n, d, tuple(_unrank(n, r) for r in ranks), "syndrome")
 
 
 def syndrome_classes(n: int, d: int,
@@ -291,12 +272,15 @@ def syndrome_classes(n: int, d: int,
 
     Keys come in the order of their fiber's first word and words in
     lexicographic order, as bucketing ``itertools.permutations`` by
-    ``syndrome`` gives.  One prefix-sharing walk files the words under their
-    packed power sums; the keys then become syndromes by Newton's
+    ``syndrome`` gives.  The words are filed under their packed power sums
+    from ``_word_keys``; the keys then become syndromes by Newton's
     identities, one pass over all fibers per term.
     """
-    buckets, q = _scan_fibers(n, d, enc)
-    return dict(zip(_decode(buckets, d - 1, q), buckets.values()))
+    enc = _fiber_encoder(n, d, enc)
+    buckets: dict[int, list[Perm]] = defaultdict(list)
+    for key, word in zip(_word_keys(n, d - 1, enc), itertools.permutations(range(1, n + 1))):
+        buckets[key].append(word)
+    return dict(zip(_decode(buckets, d - 1, enc.q), buckets.values()))
 
 
 def _syndrome_vector(d: int, f, q: int) -> tuple[int, ...]:
@@ -317,27 +301,30 @@ def syndrome_class(n: int, d: int, f, enc: PairEncoder | None = None) -> CodeBoo
     """The code {p in S_n : syndrome(p) = f} of distance >= d, for
     2 <= d <= n-1, words in lexicographic order; empty when f is missed.
 
-    The same walk as ``syndrome_classes``, filing only f's fiber, with f
-    turned into packed power sums once.  For n beyond the scan guard, test
+    f, checked before the scan, is keyed once, and the words with its key in
+    ``_word_keys`` are unranked.  For n beyond the scan guard, test
     individual permutations with ``in_syndrome_class`` instead.
     """
-    fiber, _ = _scan_fibers(n, d, enc, target=f)  # f's fiber, or nothing
-    return CodeBook(n, d, tuple(w for words in fiber.values() for w in words), "syndrome")
+    enc = _fiber_encoder(n, d, enc)
+    target = _encode(_syndrome_vector(d, f, enc.q), enc.q)
+    return _fiber(n, d, _word_keys(n, d - 1, enc), target)
 
 
 def largest_syndrome_class(n: int, d: int, enc: PairEncoder | None = None) -> CodeBook:
     """A maximum-cardinality syndrome fiber, for 2 <= d <= n-1; at least
     n!/q^(d-1) words by pigeonhole.  Ties break toward the smallest syndrome
-    vector.  Its first coordinate e_1 = p_1 is the key's low lane, so only
-    the tied keys with the least e_1 are turned into syndromes."""
-    buckets, q = _scan_fibers(n, d, enc)
-    size = max(map(len, buckets.values()))
-    lane = (1 << _lanes(d - 1, q).step) - 1
-    tied = [key for key, words in buckets.items() if len(words) == size]
+    vector.  Its first coordinate e_1 = p_1 is a key's low lane, so only the
+    tied keys with the least e_1 are turned into syndromes."""
+    enc = _fiber_encoder(n, d, enc)
+    keys = _word_keys(n, d - 1, enc)
+    counts = Counter(keys)
+    size = max(counts.values())
+    lane = (1 << _lanes(d - 1, enc.q).step) - 1
+    tied = [key for key, count in counts.items() if count == size]
     least = min(key & lane for key in tied)
     tied = [key for key in tied if key & lane == least]
-    best = min(zip(_decode(tied, d - 1, q), tied))[1]
-    return CodeBook(n, d, tuple(buckets[best]), "syndrome")
+    best = min(zip(_decode(tied, d - 1, enc.q), tied))[1]
+    return _fiber(n, d, keys, best)
 
 
 # -- explicit families --------------------------------------------------------

@@ -30,6 +30,7 @@ values it has checked or derived.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
@@ -84,6 +85,17 @@ def from_one_line(values: Sequence[int]) -> Perm:
 def identity(n: int) -> Perm:
     _int_in("n", n)
     return tuple(range(1, n + 1))
+
+
+def _unrank(n: int, r: int) -> Perm:
+    """The permutation of [n] of rank r < n! in the lexicographic order of
+    ``itertools.permutations``: r's factorial-base digits pick each label."""
+    labels = list(range(1, n + 1))
+    word = []
+    for k in reversed(range(n)):
+        i, r = divmod(r, math.factorial(k))
+        word.append(labels.pop(i))
+    return tuple(word)
 
 
 def compose(outer: Perm, inner: Perm) -> Perm:

@@ -228,7 +228,7 @@ def _fibers_by_syndrome(n, d, enc):
 
 
 def _assert_walk_matches(n, d, enc, every=1):
-    """The walk's scans against the per-permutation route; syndrome_class is
+    """The fiber scans against the per-permutation route; syndrome_class is
     checked at every ``every``-th fiber, and at the last as f and as f + q."""
     expected = _fibers_by_syndrome(n, d, enc)
     # same keys in the same order, each fiber's words in the same order
@@ -254,10 +254,30 @@ def test_fiber_walk_matches_per_permutation_syndromes(n, d):
 
 # Lanes hold a value below q and one guard bit, so a q just past a power of
 # two (17) or just below one (31, 127) leaves no slack; 101 is a large field.
+# At q = 1,000,003 and d = 5 a key is four 21-bit lanes, 84 bits, past one
+# 64-bit slot.
 @pytest.mark.parametrize("n, q, d", [(n, q, d) for n, q in [(6, 17), (6, 101), (7, 31), (7, 127)]
-                                     for d in range(2, n)])
+                                     for d in range(2, n)] + [(6, 1_000_003, 5)])
 def test_fiber_walk_matches_at_other_primes(n, q, d):
     _assert_walk_matches(n, d, PairEncoder(n, q), every=1 if n == 6 else 251)
+
+
+# syndrome_classes and largest_syndrome_class as the earlier prefix walk
+# returned them, so a change to the key or word order fails here: the first 16
+# hex digits of the SHA-256 of the repr of (the partition's items, the largest
+# fiber's words).
+FIBER_DIGESTS = {(3, 2): "5c76b1cb612cf467", (4, 2): "89ffd55d4e28fb7d", (4, 3): "bc89cf39c19b63e1",
+                 (5, 2): "22e472400ad69beb", (5, 3): "5ad511d1b01eeaf4", (5, 4): "dd539c1e12a1877b",
+                 (6, 2): "1b933792aeab3252", (6, 3): "80f3563da9bc738a", (6, 4): "c11e20c15f3acce7",
+                 (6, 5): "ac5b704bd9d5de1b", (7, 2): "ae0c0a0695cb5c5e", (7, 3): "c4e352f9a88a6fa1",
+                 (7, 4): "a1525eb36e7e0ad1", (7, 5): "ed179f5d9f615658", (7, 6): "1e74a3e35de5c358",
+                 (8, 3): "3977e2464d590883", (8, 4): "eea99972e46b9a9b", (8, 5): "8417fa53ae8a4d20"}
+
+
+@pytest.mark.parametrize("n, d", sorted(FIBER_DIGESTS))
+def test_fiber_scans_keep_their_output(n, d):
+    scanned = (list(syndrome_classes(n, d).items()), largest_syndrome_class(n, d).words)
+    assert hashlib.sha256(repr(scanned).encode()).hexdigest()[:16] == FIBER_DIGESTS[n, d]
 
 
 @pytest.mark.parametrize("q, m", [(7, 2), (11, 3), (13, 4)])
@@ -290,6 +310,7 @@ def test_fiber_scans_leave_no_reference_cycles():
     try:
         syndrome_classes(6, 3)
         syndrome_class(6, 3, (1, 1))
+        largest_syndrome_class(6, 3)
         assert gc.collect() == 0
     finally:
         if enabled:

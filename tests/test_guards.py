@@ -279,12 +279,12 @@ DOMAIN_EDGES = [
     *_edges("in_syndrome_class", lambda d: constructions.in_syndrome_class((1, 2), d, (), ENC_2),
             "constructions._pair_rank", None, "d", 2, name=DESIGN),
     # below n = 3 no d is left for a fiber
-    *_edges("syndrome_classes", constructions.syndrome_classes, "constructions._walk_fibers",
+    *_edges("syndrome_classes", constructions.syndrome_classes, "constructions._word_keys",
             5, "d", 2, 4, DESIGN, n_low=3),
     *_edges("syndrome_class", lambda n, d: constructions.syndrome_class(n, d, (0, 0)),
-            "constructions._walk_fibers", 5, "d", 2, 4, DESIGN, n_low=3),
+            "constructions._word_keys", 5, "d", 2, 4, DESIGN, n_low=3),
     *_edges("largest_syndrome_class", constructions.largest_syndrome_class,
-            "constructions._walk_fibers", 5, "d", 2, 4, DESIGN, n_low=3),
+            "constructions._word_keys", 5, "d", 2, 4, DESIGN, n_low=3),
     *_edges("greedy_independent_set", lambda n, d: graph.greedy_independent_set(_graph(n, d)),
             "graph.CodeBook", 3, "d", 1, 3, DESIGN),
     # the exact solver's greedy seed checks the graph before the search
@@ -300,7 +300,7 @@ DOMAIN_EDGES = [
     pytest.param(lambda: constructions.even_n_code(3), "constructions.CodeBook",
                  "n must be even, got 3", id="even_n_code-n-odd"),
     pytest.param(lambda: constructions.syndrome_class(5, 3, (2.5, 1)),
-                 "constructions._walk_fibers", "syndrome coordinates must be ints, got (2.5, 1)",
+                 "constructions._word_keys", "syndrome coordinates must be ints, got (2.5, 1)",
                  id="syndrome_class-f-float"),
     # the word's syndrome comes first, so nothing is refused here
     pytest.param(lambda: constructions.in_syndrome_class((1, 2, 3), 3, (True, 0.0),

@@ -55,6 +55,12 @@ def test_inverse_small_cases():
     assert inverse(identity(5)) == identity(5)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_unrank_inverts_the_order_of_itertools_permutations(n):
+    words = list(itertools.permutations(range(1, n + 1)))
+    assert [perm._unrank(n, r) for r in range(len(words))] == words
+
+
 def test_char_set_values():
     assert char_set((1, 2, 3, 4)) == {(1, 2), (2, 3), (3, 4)}
     assert char_set(WORKED_P1) == {
