@@ -20,12 +20,13 @@ design distance d.  This module builds them four ways:
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from collections import Counter, defaultdict
 from operator import add, eq, mul, neg, sub
 from typing import NamedTuple
 
-from .enumeration import DEFAULT_MAX_N
+from .enumeration import DEFAULT_MAX_N, _prefix_dp
 from .perm import (Perm, _check_words, _int_in, _parse_labels, _shared_planes, _unrank,
                    format_permutation, parse_permutation)
 
@@ -214,16 +215,13 @@ def _word_keys(n: int, m: int, enc: PairEncoder) -> memoryview | list[int]:
     """The packed power sums of m lanes of the pair labels of every word of
     S_n, in lexicographic order: a memoryview of ints, or past 64 bits a list.
 
-    The keys of a prefix's completions depend only on its last label u and
-    the set rest of labels left: Held and Karp's subset DP, n(2^(n-1) - 1)
-    states past the leaves (1,016 at n = 8), built level by level in |rest|.
-    The row of (u, rest) is one integer, a slot per completion in
-    lexicographic order: for each v in rest ascending, the row of
-    (v, rest - {v}) with the packed powers (g, ..., g^m) of u-v's label g
-    added to every slot, reduced lane-wise mod q once (adding 2^(w-1) - q to
-    a lane of width w sets its guard bit exactly when it reached q).  A slot
-    is the key rounded up to 2^i bytes, so the top rows side by side cast to
-    one key per word.
+    The value of a ``_prefix_dp`` state (u, rest) is one integer, a slot per
+    completion in lexicographic order: for each v in rest ascending, the
+    value of (v, rest - {v}) with the packed powers (g, ..., g^m) of u-v's
+    label g added to every slot, reduced lane-wise mod q once (adding
+    2^(w-1) - q to a lane of width w sets its guard bit exactly when it
+    reached q).  A slot is the key rounded up to 2^i bytes, so the top values
+    side by side cast to one key per word.
     """
     q = enc.q
     shifts = _lanes(m, q)
@@ -232,27 +230,24 @@ def _word_keys(n: int, m: int, enc: PairEncoder) -> memoryview | list[int]:
     one = (1).to_bytes(size, sys.byteorder)
     guards = sum(1 << s + top for s in shifts)
     bias = sum((1 << top) - q << s for s in shifts)
-    labels = tuple(range(1, n + 1))
+    labels = range(1, n + 1)
     powers = {(a, b): sum(pow(enc.value(a, b), k, q) << s for k, s in enumerate(shifts, 1))
               for a in labels for b in labels if a != b}
-    rows = dict.fromkeys([(u, ()) for u in labels], 0)
-    count = 1  # slots per row of the level below
-    for k in range(1, n):
-        ones = int.from_bytes(one * count, sys.byteorder)  # 1 in each slot of a row below
+
+    def level(k):
+        count = math.factorial(k - 1)  # slots per value below
+        ones = int.from_bytes(one * count, sys.byteorder)  # 1 in each slot of a value below
         span = 8 * size * count
-        count *= k
-        every = int.from_bytes(one * count, sys.byteorder)
+        every = int.from_bytes(one * count * k, sys.byteorder)
         level_bias, level_guards = bias * every, guards * every
-        level = {}
-        for rest in itertools.combinations(labels, k):
-            below = [(v, rows[v, rest[:i] + rest[i + 1:]]) for i, v in enumerate(rest)]
-            for u in labels:
-                if u not in rest:
-                    row = sum(r + powers[u, v] * ones << i * span for i, (v, r) in enumerate(below))
-                    level[u, rest] = row - ((row + level_bias & level_guards) >> top) * q
-        rows = level
-    words = b"".join(rows[u, labels[:u - 1] + labels[u:]].to_bytes(size * count, sys.byteorder)
-                     for u in labels)
+
+        def join(u, below):
+            row = sum(r + powers[u, v] * ones << i * span for i, (v, r) in enumerate(below))
+            return row - ((row + level_bias & level_guards) >> top) * q
+        return join
+
+    width = size * math.factorial(n - 1)
+    words = b"".join(row.to_bytes(width, sys.byteorder) for row in _prefix_dp(n, 0, level))
     if size > 8:
         return [int.from_bytes(words[i:i + size], sys.byteorder)
                 for i in range(0, len(words), size)]

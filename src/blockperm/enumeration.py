@@ -4,12 +4,11 @@ Distance spheres around the identity, the closed-form sphere count and the
 sphere's members generated by cut-and-reorder, and ball sizes with their
 product sandwich bounds.  Everything here is exact integer arithmetic.
 Sphere and ball sizes come from one integer recurrence and work at any n;
-only ``enumerate_spheres`` walks all n! permutations, the independent
-cross-check of that recurrence, and it carries a size guard.  It walks them
-by shared prefixes: each prefix carries its break count (adjacent pairs
-(a, b) with b != a + 1), and the last three labels of every permutation come
-as one tabulated histogram, so no permutation is built or tested pair by
-pair, yet each is counted once and no sphere formula is used.
+only ``enumerate_spheres`` scans all n! permutations, the independent
+cross-check of that recurrence, and it carries a size guard.  Both scans of
+S_n, it and the syndrome-fiber keys of ``constructions``, run one subset DP
+over prefixes, ``_prefix_dp``: what the completions of a prefix contribute
+depends only on its last label and the set of labels left.
 """
 
 from __future__ import annotations
@@ -22,6 +21,32 @@ from typing import Iterator, NamedTuple
 from .perm import Perm, _int_in, is_minimal
 
 DEFAULT_MAX_N = 8
+
+
+def _prefix_dp(n: int, leaf, level) -> list:
+    """Held and Karp's subset DP over the prefixes of S_n: the value of every
+    state (u, rest), a prefix's last label u and the labels rest left after
+    it in increasing order, returned for the top states u = 1..n.
+
+    A state with nothing left gets leaf.  level(k), called once per level,
+    returns the join of the states with k labels left: join(u, below) gets
+    below = [(v, value of (v, rest - {v})) for v in rest ascending].  So a
+    join that lists its completions in below's order, v first, lists them in
+    lexicographic order, and the top values side by side list S_n so.  There
+    are n(2^(n-1) - 1) joins (1,016 at n = 8), one per state past the leaves.
+    """
+    labels = tuple(range(1, n + 1))
+    values = dict.fromkeys([(u, ()) for u in labels], leaf)
+    for k in range(1, n):
+        join = level(k)
+        above = {}
+        for rest in itertools.combinations(labels, k):
+            below = [(v, values[v, rest[:i] + rest[i + 1:]]) for i, v in enumerate(rest)]
+            for u in labels:
+                if u not in rest:
+                    above[u, rest] = join(u, below)
+        values = above
+    return [values[u, labels[:u - 1] + labels[u:]] for u in labels]
 
 
 class SphereProfile(NamedTuple):
@@ -47,54 +72,23 @@ def enumerate_spheres(n: int) -> SphereProfile:
 
     A pair (a, b) is an identity adjacency exactly when b = a + 1, so the
     distance to the identity is the number of adjacent pairs failing that,
-    its breaks.  One depth-first walk over prefixes stands in for a test of
-    each pair of each permutation: a prefix carries its break count, and a
-    label enters by one comparison with the prefix's last label.  The last
-    three labels come from a table built once per call from the (n)_4 paths
-    of four labels (of all n when n < 4): ``tails[u][rest]`` holds the
-    histogram of break counts, the junction with u included, over every
-    ordering of the labels rest.  Each histogram packs one lane per distance
-    into one int, lanes as wide as n! needs, so a prefix with b breaks adds
-    the whole histogram shifted b lanes up.  At n = 8 that is 1,680 table
-    paths and 8,800 walk calls, 6,720 of them ending in a tabulated tail,
-    where a pair test per permutation makes 7 tests for each of 40,320.
+    its breaks.  The value of a ``_prefix_dp`` state is the histogram of the
+    break counts of its completions, junction pairs included, packed one
+    lane per distance into one int, lanes as wide as n! needs: a step to v
+    adds v's histogram as it is when v = u + 1 and one lane up otherwise.
+    Every permutation is counted once and no sphere formula is used.
     """
     _int_in("n", n)
     if n > DEFAULT_MAX_N:
         raise ValueError(f"n={n} exceeds enumeration guard {DEFAULT_MAX_N}")
     step = math.factorial(n).bit_length()
-    labels = tuple(range(1, n + 1))
-    tails: dict[int, dict[tuple[int, ...], int]] = {u: {} for u in labels}
-    for first, *tail in itertools.permutations(labels, min(4, n)):
-        breaks, prev = 0, first
-        for v in tail:
-            breaks += v != prev + 1
-            prev = v
-        row = tails[first]
-        rest = tuple(sorted(tail))
-        row[rest] = row.get(rest, 0) + (1 << breaks * step)
-    packed = sum(_walk_spheres(u, labels[:i] + labels[i + 1:], 0, tails, step)
-                 for i, u in enumerate(labels))
+
+    def join(u, below):
+        return sum(r if v == u + 1 else r << step for v, r in below)
+
+    packed = sum(_prefix_dp(n, 1, lambda k: join))
     lane = (1 << step) - 1
     return SphereProfile(n, tuple(packed >> k * step & lane for k in range(n)))
-
-
-def _walk_spheres(u, rest, shift, tails, step) -> int:
-    """The packed break-count histogram of every completion of a prefix
-    ending in u by the increasing labels rest; shift is the prefix's break
-    count times the lane width step (see ``enumerate_spheres``).
-
-    Not a closure: one that calls itself is a reference cycle, which lives
-    until a full collection.
-    """
-    tail = tails[u].get(rest)
-    if tail is not None:  # every completion here, saving the calls below
-        return tail << shift
-    packed = 0
-    for i, v in enumerate(rest):
-        packed += _walk_spheres(v, rest[:i] + rest[i + 1:],
-                                shift if v == u + 1 else shift + step, tails, step)
-    return packed
 
 
 def _sphere_sizes(n: int, t: int) -> Iterator[int]:

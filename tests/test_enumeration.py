@@ -1,5 +1,6 @@
 """Sphere profiles, the closed-form count, and ball sizes."""
 
+import gc
 import itertools
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 from blockperm.enumeration import (
     DEFAULT_MAX_N,
     SphereProfile,
+    _prefix_dp,
     ball_size_bounds,
     ball_size_exact,
     enumerate_spheres,
@@ -33,7 +35,7 @@ def test_sphere_profile_small_frozen():
 
 def _spheres_by_pair_test(n):
     """Reference: test each adjacent pair of each permutation of S_n, the
-    loop the prefix walk stands in for."""
+    loop that ``_prefix_dp`` replaces in ``enumerate_spheres``."""
     counts = [0] * n
     for p in itertools.permutations(range(1, n + 1)):
         k = 0
@@ -49,6 +51,47 @@ def _spheres_by_pair_test(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_enumerate_spheres_matches_a_pair_test_per_permutation(n):
     assert enumerate_spheres(n) == _spheres_by_pair_test(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_prefix_dp_lists_completions_in_lexicographic_order(n):
+    # Joins that prepend v to each of its tails rebuild every word, so the top
+    # values pin the slot order that the fiber keys and their zip with
+    # itertools.permutations rely on.
+    def level(k):
+        return lambda u, below: [(v, *tail) for v, tails in below for tail in tails]
+
+    top = _prefix_dp(n, [()], level)
+    words = [(u, *tail) for u, tails in enumerate(top, 1) for tail in tails]
+    assert words == list(itertools.permutations(range(1, n + 1)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_prefix_dp_joins_once_per_state_past_the_leaves(n):
+    # n(2^(n-1) - 1) states (u, rest) with rest nonempty: 1,016 at n = 8
+    levels, joins = [], []
+
+    def level(k):
+        levels.append(k)
+        return lambda u, below: joins.append((k, u, tuple(v for v, _ in below)))
+
+    _prefix_dp(n, None, level)
+    assert levels == list(range(1, n))
+    assert len(joins) == len(set(joins)) == n * (2 ** (n - 1) - 1)
+    assert all(len(rest) == k and u not in rest for k, u, rest in joins)
+
+
+def test_enumerate_spheres_leaves_no_reference_cycles():
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(1, DEFAULT_MAX_N + 1):
+            enumerate_spheres(n)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -292,7 +292,7 @@ DOMAIN_EDGES = [
             "graph._grow", 3, "d", 1, 3, DESIGN),
     pytest.param(lambda: graph.greedy_independent_set(_graph(3, 3.0)), "graph.CodeBook",
                  "design distance must be an int in [1, 3], got 3.0", id="BlockGraph-d-float"),
-    pytest.param(lambda: enumeration.enumerate_spheres(0), "enumeration._walk_spheres",
+    pytest.param(lambda: enumeration.enumerate_spheres(0), "enumeration._prefix_dp",
                  "n must be positive, got 0", id="enumerate_spheres-n-0"),
     pytest.param(lambda: enumeration.ball_size_bounds(10, 6), "enumeration.math.prod",
                  "sandwich bounds need t <= n - sqrt(n) - 1; (n, t) = (10, 6) fails",
