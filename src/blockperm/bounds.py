@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .enumeration import _require_sandwich, _sandwich_applies, ball_size_exact
+from .enumeration import _anticode_size, _require_sandwich, _sandwich_applies, ball_size_exact
 from .perm import _int_in
 
 #: the published comparison rows: (n, d) -> (sphere-packing estimate, new bound)
@@ -105,25 +105,23 @@ def new_upper(n: int, d: int) -> tuple[Fraction, int]:
 
 def special_exact(n: int, d: int) -> int | None:
     """Known exact maximum code sizes, where the distance pins them down, for
-    n >= 1 and d >= 1; None where they do not.
+    n >= 1 and d >= 1; None at 2 < d < n-1, where they do not.
 
-    d=1 admits everything (n!), d=2 admits one permutation per rotation class
-    ((n-1)!), d > n-1 exceeds the diameter (singletons only), and d = n-1
-    gives n except for the two small failures (3,2) -> 2 and (5,4) -> 4.
+    Elsewhere it is the code-anticode bound n! // ``_anticode_size(n, d)``:
+    rotations are pairwise at distance 1, and the words sharing the run's n-m
+    pairs are at most m-1 apart.  All of S_n meets it at d = 1,
+    ``cyclic_class_code`` at d = 2, ``even_n_code``, ``zn1_code`` or
+    ``ham_decomp_code`` at d = n-1 >= 3 (by Tillson's theorem, for every n
+    but 3 and 5), and one word at d >= n.  At (5, 4) the bound is 5, but the
+    exhaustive solver finds 4 (``exact_independent_set``).
     """
     _int_in("n", n)
     _int_in("distance", d)
-    if d > n - 1:
-        return 1
-    if d == 1:
-        return math.factorial(n)
-    if d == 2:
-        return math.factorial(n - 1)
-    if d == n - 1:
-        if n == 5:
-            return 4
-        return n
-    return None
+    if 2 < d < n - 1:
+        return None
+    if (n, d) == (5, 4):
+        return 4
+    return math.factorial(n) // _anticode_size(n, d)
 
 
 def corollary_applies(n: int, d: int) -> bool:

@@ -183,5 +183,16 @@ def _require_sandwich(n: int, t: int) -> None:
         raise ValueError(f"sandwich bounds need t <= n - sqrt(n) - 1; (n, t) = ({n}, {t}) fails")
 
 
+def _anticode_size(n: int, d: int) -> int:
+    """|A| for the larger of two anticodes A of S_n, sets of words pairwise
+    closer than d, for n >= 1 and d >= 1, unchecked: the n rotations of a
+    word, or the m! words holding 1, ..., n-m+1 as one run, m = min(d, n); 1
+    at d = 1.  The n! relabellings of A each hold at most one word of a code
+    at distance d, and each word lies in |A| of them, so no such code exceeds
+    n! // |A| (Delsarte's code-anticode bound; the clique-coclique bound of
+    the distance graph, Godsil and Royle, ch. 7)."""
+    return 1 if d == 1 else max(n, math.factorial(min(d, n)))
+
+
 def sphere_profile_payload(profile: SphereProfile) -> dict:
     return {"n": profile.n, "counts": list(profile.counts)}

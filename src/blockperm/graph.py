@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .constructions import CodeBook
-from .enumeration import identity_sphere
+from .enumeration import _anticode_size, identity_sphere
 from .perm import Perm, _check_words, _int_in, _pair_masks, _shared_planes, identity
 
 GRAPH_MAX_N = 7
@@ -212,18 +212,6 @@ def _greedy(g: BlockGraph, order: str) -> list[int]:
     return chosen
 
 
-def _first_fit_clique(adj: tuple[int, ...], pool: int) -> list[int]:
-    """The clique that first fit in index order starts in the bitset pool:
-    its lowest vertex, then again and again the lowest vertex of pool adjacent
-    to every vertex taken so far."""
-    clique = []
-    while pool:
-        v = (pool & -pool).bit_length() - 1
-        clique.append(v)
-        pool &= adj[v]
-    return clique
-
-
 def _grow(adj: list[int], chosen: list[int], cand: int, best: list[int], limit: int) -> None:
     """Search every independent extension of chosen by vertices of the
     bitset cand, replacing best's contents whenever chosen outgrows it, and
@@ -291,13 +279,13 @@ def exact_independent_set(g: BlockGraph) -> CodeBook:
     S_n, in any order, and the graph is a Cayley graph.  It is regular, so one
     greedy order seeds the search, and vertex-transitive, so some maximum
     independent set holds vertex 0 and the search fixes it there; the
-    candidates are then the non-neighbors of vertex 0.  Vertex-transitive
-    also gives the clique–coclique bound α·ω <= n!, so with the clique that
-    first fit builds from vertex 0 no independent set exceeds n! // |clique|,
-    and the search stops, or never starts, once the incumbent has that many
-    words: 4 at (4, 3), 20 at (5, 3), 120 at (6, 2) and 6 at (6, 5).  Any
-    other vertex set is seeded from both orders, and all of its vertices are
-    candidates, searched from the empty set with no bound but their number.
+    candidates are then the non-neighbors of vertex 0.  A clique is an
+    anticode, so no independent set exceeds n! // ``_anticode_size(n, d)``,
+    the code-anticode bound, and the search stops, or never starts, once the
+    incumbent has that many words: 4 at (4, 3), 20 at (5, 3), 120 at (6, 2)
+    and 6 at (6, 5).  Any other vertex set is seeded from both orders, and
+    all of its vertices are candidates, searched from the empty set with no
+    bound but their number.
     Search nodes (calls of ``_grow``): 4 at (4, 3), 59 at (5, 4), 9,025 at
     (5, 3) and 85 at (6, 5); none where the seed meets the bound, as at
     d <= 2 and at d = n for n <= 6.
@@ -309,7 +297,7 @@ def exact_independent_set(g: BlockGraph) -> CodeBook:
     seed = _greedy(g, "lexicographic")  # checks n and d before n! is taken
     everything = (1 << count) - 1
     if count == math.factorial(g.n):
-        limit = count // len(_first_fit_clique(adj, everything))
+        limit = count // _anticode_size(g.n, g.d)
         fixed, cand = [0], everything & ~(adj[0] | 1)
     else:
         seed = max(seed, _greedy(g, "degree"), key=len)

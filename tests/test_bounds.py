@@ -1,11 +1,12 @@
 """Bound calculators and the published comparison table."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from blockperm import bounds, enumeration, perm
+from blockperm import bounds, constructions, enumeration, perm
 from blockperm.bounds import (
     TABLE1_PUBLISHED,
     BoundReport,
@@ -20,7 +21,16 @@ from blockperm.bounds import (
     table1,
     table1_deviations,
 )
+from blockperm.constructions import (
+    CodeBook,
+    cyclic_class_code,
+    even_n_code,
+    ham_decomp_code,
+    verify_min_distance,
+    zn1_code,
+)
 from blockperm.enumeration import ball_size_bounds, ball_size_exact, sandwich_applies
+from blockperm.graph import build_graph, exact_independent_set
 
 
 def test_gv_lower_exact_frozen():
@@ -77,6 +87,59 @@ def test_special_exact_values():
     assert special_exact(6, 4) is None
     assert special_exact(7, 6) == 7
     assert special_exact(1, 1) == 1  # the least n and d: S_1 is one word
+
+
+def _case_table(n, d):
+    """special_exact's values as a case analysis by distance states them."""
+    if d > n - 1:
+        return 1
+    if d == 1:
+        return math.factorial(n)
+    if d == 2:
+        return math.factorial(n - 1)
+    if d == n - 1:
+        return 4 if n == 5 else n
+    return None
+
+
+def test_special_exact_matches_the_case_table():
+    for n in range(1, 201):
+        for d in range(1, n + 3):
+            assert special_exact(n, d) == _case_table(n, d), (n, d)
+
+
+def _code_of_size_special_exact(n, d):
+    """A code the library builds for each (n, d) where special_exact knows
+    the maximum: all of S_n, one word per rotation class, n words pairwise
+    n-1 apart, the exhaustive solver's, or one word."""
+    if d == 1:
+        return CodeBook(n, 1, tuple(itertools.permutations(range(1, n + 1))), "all")
+    if d >= n:
+        return CodeBook(n, d, (perm.identity(n),), "one")
+    if d == 2:
+        return cyclic_class_code(n)
+    if (n, d) == (5, 4):
+        return exact_independent_set(build_graph(5, 4))
+    if n % 2 == 0:
+        return even_n_code(n)
+    return zn1_code(n) if constructions._is_prime(n + 1) else ham_decomp_code(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_every_special_exact_value_is_met_by_a_code_the_library_builds(n):
+    for d in range(1, n + 2):
+        size = special_exact(n, d)
+        if size is None:
+            continue
+        code = _code_of_size_special_exact(n, d)
+        assert len(code.words) == size, (n, d)
+        assert size == 1 or verify_min_distance(code) >= d, (n, d)  # one word has no pair
+
+
+def test_new_bound_is_n_over_d_times_the_anticode_bound():
+    for n in range(2, 61):
+        for d in range(1, n):
+            assert new_upper(n, d)[0] == Fraction(n * math.factorial(n), d * math.factorial(d))
 
 
 @pytest.mark.parametrize("n, d", [(0, 3), (-2, 1), (5, 0), (1, 0), (0, 1)])

@@ -91,19 +91,22 @@ ALWAYS = ["cli", "enumeration", "perm"]
     (["bounds", "--n", "5", "--d", "3", "--exact"], ALWAYS + ["bounds"], False),
     (["bounds", "--n", "5", "--d", "3", "--format", "json"], ALWAYS + ["bounds"], True),
     (["graph", "--n", "4", "--d", "3", "--greedy"], ALWAYS + ["constructions", "graph"], False),
+    (["graph", "--n", "4", "--d", "3", "--exact"], ALWAYS + ["constructions", "graph"], False),
     (["selftest"], ALWAYS + ["bounds", "constructions", "graph", "selftest"], False),
-], ids=["dist", "spheres", "construct", "bounds", "bounds-json", "graph", "selftest"])
+], ids=["dist", "spheres", "construct", "bounds", "bounds-json", "graph", "graph-exact",
+        "selftest"])
 def test_each_subcommand_loads_only_the_modules_it_calls(argv, loaded, json_io):
     """No command loads ``dataclasses`` or the ``inspect`` it imports (about
-    10 ms of a cold start), and only a command reading or writing JSON loads
-    ``json``.  The snapshot is taken after ``site``, which may preload modules."""
+    10 ms of a cold start), only a command reading or writing JSON loads
+    ``json``, and only one that loads ``bounds`` loads ``fractions``.  The
+    snapshot is taken after ``site``, which may preload modules."""
     done = run_python("-c", "import sys\n"
                             "before = set(sys.modules)\n"
                             "from blockperm import cli\n"
                             "code = cli.main(sys.argv[1:])\n"
                             "print(sorted(m for m in sys.modules if m.startswith('blockperm.')),"
                             " file=sys.stderr)\n"
-                            "heavy = ['dataclasses', 'inspect', 'json']\n"
+                            "heavy = ['dataclasses', 'inspect', 'json', 'fractions']\n"
                             "print(*[m for m in heavy if m in before], file=sys.stderr)\n"
                             "print(*[m for m in heavy if m in set(sys.modules) - before],"
                             " file=sys.stderr)\n"
@@ -111,7 +114,8 @@ def test_each_subcommand_loads_only_the_modules_it_calls(argv, loaded, json_io):
     assert done.returncode == (2 if argv == ["selftest"] else 0)  # criterion 4 fails by design
     modules, preloaded, newly = done.stderr.splitlines()[-3:]
     assert modules == str(sorted(f"blockperm.{m}" for m in loaded))
-    assert newly.split() == (["json"] if json_io and "json" not in preloaded.split() else [])
+    expected = ["json"] * json_io + ["fractions"] * ("bounds" in loaded)
+    assert newly.split() == [m for m in expected if m not in preloaded.split()]
 
 
 def test_unknown_subcommand_exits_1(capsys):

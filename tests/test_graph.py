@@ -12,7 +12,7 @@ import pytest
 from blockperm import graph
 from blockperm.bounds import gv_lower, special_exact
 from blockperm.constructions import CodeBook, verify_min_distance
-from blockperm.enumeration import enumerate_spheres, myers_count
+from blockperm.enumeration import _anticode_size, enumerate_spheres, myers_count
 from blockperm.graph import (
     _identity_ball,
     build_graph,
@@ -425,31 +425,60 @@ def test_exact_search_nodes_are_pinned(monkeypatch, n, d, count):
 
 WHOLE_GROUP = [(n, d) for n in range(1, 6) for d in range(1, n + 1)]
 WHOLE_GROUP += [(6, 1), (6, 2), (6, 5), (6, 6)]
-LIMITS = {(4, 3): 4, (5, 3): 20, (6, 2): 120, (6, 5): 6}  # n! // |first-fit clique|
+LIMITS = {(4, 3): 4, (5, 3): 20, (6, 2): 120, (6, 5): 6}  # n! // |anticode|
 
 
-@pytest.mark.parametrize("n,d", WHOLE_GROUP)
+def _anticodes(n, d):
+    """The two families behind ``enumeration._anticode_size``, built by their
+    definitions: the rotations of the identity, kept only for d >= 2, and the
+    words holding 1, 2, ..., n-m+1 as one increasing run, m = min(d, n)."""
+    e = tuple(range(1, n + 1))
+    rotations = {e[i:] + e[:i] for i in range(n)} if d > 1 else set()
+    m = min(d, n)
+    pieces = [e[:n - m + 1], *[(label,) for label in e[n - m + 1:]]]
+    runs = {sum(order, ()) for order in itertools.permutations(pieces)}
+    return rotations, runs
+
+
+@functools.cache
+def _distance_from_identity(s):
+    return distance_by_definition(tuple(range(1, len(s) + 1)), s)
+
+
+def _pairwise_below(words, d):
+    """Every two of words are closer than d, by the cut search.  Relabelling
+    keeps distances, so d(p, q) = d(e, p⁻¹∘q), and each quotient is searched
+    once; the quotients of all of S_n are all of S_n."""
+    n = len(next(iter(words)))
+    if len(words) == math.factorial(n):
+        quotients = words
+    else:
+        quotients = {compose(inverse(p), q) for p, q in itertools.combinations(words, 2)}
+    return all(_distance_from_identity(s) < d for s in quotients - {tuple(range(1, n + 1))})
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 8) for d in range(1, n + 2)])
 def test_clique_coclique_stop_is_sound_on_all_of_s_n(n, d):
-    g = build_graph(n, d)
-    count = len(g.vertices)
-    clique = [g.vertices[v] for v in graph._first_fit_clique(g.bits, (1 << count) - 1)]
-    assert g.vertices[0] in clique
-    if d < n:
-        assert all(distance_by_definition(p, q) < d for p, q in itertools.combinations(clique, 2))
-    else:  # no two words are n apart, so the graph and the clique are complete
-        assert len(clique) == count
-    limit = count // len(clique)
+    rotations, runs = _anticodes(n, d)
+    assert len(runs) == math.factorial(min(d, n))
+    for family in filter(None, (rotations, runs)):
+        assert tuple(range(1, n + 1)) in family and _pairwise_below(family, d)
+    assert max(len(rotations), len(runs)) == _anticode_size(n, d)
+    limit = math.factorial(n) // _anticode_size(n, d)
     assert LIMITS.get((n, d), limit) == limit
-    alpha = len(exact_independent_set(g).words)
-    assert alpha <= limit
-    assert special_exact(n, d) in (None, alpha)
+    if (n, d) in WHOLE_GROUP:
+        alpha = len(exact_independent_set(build_graph(n, d)).words)
+        assert alpha <= limit
+        assert special_exact(n, d) in (None, alpha)
 
 
 def test_clique_coclique_bound_is_not_used_off_the_full_group(monkeypatch):
     g = graph_on(STAR, 3)  # a path: not vertex-transitive, so alpha * omega may exceed |V|
-    assert len(STAR) // len(graph._first_fit_clique(g.bits, 0b111)) == 1
+    assert g.bits == (0b110, 0b001, 0b001)  # STAR[1] - STAR[0] - STAR[2]
+    omega = 2
     nodes = _count_nodes(monkeypatch)
-    assert len(exact_independent_set(g).words) == 2
+    alpha = len(exact_independent_set(g).words)
+    assert alpha == 2 and alpha * omega > len(STAR)  # a stop at |V| // omega = 1 would be wrong
     assert nodes
 
 

@@ -1,10 +1,15 @@
-"""The README's library quickstart runs, and its trailing values are right."""
+"""The README's library quickstart and command-line block run, and their
+trailing values are right."""
 
 import ast
 import io
+import json
 import re
+import shlex
 import tokenize
 from pathlib import Path
+
+from blockperm import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -59,3 +64,37 @@ def test_quickstart_runs_and_its_values_hold():
             same += 1
         previous = line
     assert (checked, same) == (8, 1)
+
+
+def _command_lines():
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"^## Command line\n\n.*?^```\n(.*?)^```", text, re.M | re.S)
+    assert match, "README has no code block under '## Command line'"
+    return match.group(1).splitlines()
+
+
+def test_command_line_block_runs_and_its_values_hold(capsys, monkeypatch, tmp_path):
+    """Each line runs through ``cli.main`` in an empty directory; ``verify``
+    reads the code file that the ``construct --method even`` line prints.
+    A comment "-> v" is the whole output, and a comment that is a JSON
+    object, its closing "..." dropped, is part of the JSON printed."""
+    monkeypatch.chdir(tmp_path)
+    checked = 0
+    for line in _command_lines():
+        command, _, comment = line.partition("  #")
+        prog, *argv = shlex.split(command)
+        assert prog == "blockperm"
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert code == (2 if argv in (["bounds", "--table1"], ["selftest"]) else 0), line
+        if argv[:3] == ["construct", "--method", "even"]:
+            (tmp_path / "code.txt").write_text(out, encoding="utf-8")
+        comment = comment.strip()
+        if comment.startswith("->"):
+            assert out.strip() == comment[2:].strip(), line
+            checked += 1
+        elif comment.startswith("{"):
+            printed, literal = json.loads(out), json.loads(comment.replace(", ...}", "}"))
+            assert printed.items() >= literal.items() if "..." in comment else printed == literal
+            checked += 1
+    assert checked == 3
