@@ -27,8 +27,8 @@ from operator import add, eq, mul, neg, sub
 from typing import NamedTuple
 
 from .enumeration import DEFAULT_MAX_N, _prefix_dp
-from .perm import (Perm, _check_words, _int_in, _parse_labels, _shared_planes, _unrank,
-                   format_permutation, parse_permutation)
+from .perm import (Perm, _at_least, _check_words, _int_in, _parse_labels, _shared_planes,
+                   _unrank, format_permutation, parse_permutation)
 
 PAIRWISE_MAX_WORDS = 10_000
 HAM_SEARCH_MAX_N = 17
@@ -438,12 +438,9 @@ def verify_min_distance(code: CodeBook) -> int:
     """Exact minimum pairwise block distance; n by convention for <= 1 word.
 
     Words sharing s adjacent pairs are n-1-s apart, so the minimum is n-1
-    less the most pairs two words share.  For each word, the pair-count
-    kernel ``perm._shared_planes`` gives its counts with every word as bit
-    planes, and the largest among the other words is read from the top
-    plane down.  The words are distinct, so clearing the word's own bit
-    removes the only count of n-1.  The scan stops at a count of n-2, since
-    no two distinct words are closer than 1.
+    less the most pairs two words share.  For each word, ``perm._at_least``
+    is asked for another word sharing one pair more until none does, at most
+    N + n - 2 probes for N words; a most of n-2 is distance 1 and ends it.
     """
     words = code.words
     count = len(words)
@@ -454,15 +451,10 @@ def verify_min_distance(code: CodeBook) -> int:
     n = code.n
     most = 0  # the most pairs two words share so far
     for i, planes in enumerate(_shared_planes(words, n)):
-        rest, shared = ~(1 << i), 0  # others tied on the bits read so far, and those bits
-        for k in reversed(range(len(planes))):
-            if rest & planes[k]:
-                rest &= planes[k]
-                shared |= 1 << k
-        if shared > most:
-            most = shared
+        while _at_least(planes, most + 1, ~(1 << i)):
+            most += 1
             if most == n - 2:
-                break
+                return 1
     return n - 1 - most
 
 

@@ -8,8 +8,9 @@ statistics that feed the locally-sparse independence lower bound
 |V|/(10 D) (log2 D - 1/2 log2(P/3)).
 
 Every graph is one neighbor bitset per vertex, and every vertex set gets its
-bitsets from ``_neighbor_bits``, which thresholds the shared-pair counts of
-the pair-count kernel in ``perm``, the one that also verifies codes.
+bitsets from ``_neighbor_bits``: row i is the vertices that ``perm._at_least``
+finds sharing at least n-d pairs with vertex i, the reader that also
+verifies codes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 from .constructions import CodeBook
 from .enumeration import _anticode_size, identity_sphere
-from .perm import Perm, _check_words, _int_in, _pair_masks, _shared_planes, identity
+from .perm import Perm, _at_least, _check_words, _int_in, _pair_masks, _shared_planes, identity
 
 GRAPH_MAX_N = 7
 EXACT_MAX_VERTICES = 1000
@@ -84,32 +85,17 @@ def _identity_ball(n: int, radius: int) -> list[tuple[Perm, int]]:
 
 def _neighbor_bits(verts: tuple[Perm, ...], n: int, d: int) -> list[int]:
     """Bit j of entry i is set exactly when 0 < distance(verts[i], verts[j]) < d,
-    for distinct verts, that is, when the two share at least n-d of their
-    n-1 pairs and j is not i (only a permutation itself holds all its
-    pairs).  Vertex i's shared-pair counts come from ``perm._shared_planes``
-    as bit planes; a comparator from the top plane down keeps the counts of
-    at least n-d.  A vertex takes at most n·⌈log2 n⌉ kernel and comparator
-    steps of two or three operations on N-bit integers each, whatever d is.
+    for distinct verts: ``perm._at_least`` reads the words other than i that
+    share at least n-d pairs with it.  A vertex takes at most n·⌈log2 n⌉
+    operations on N-bit integers, whatever d is.
     """
     if d <= 1:  # no two distinct permutations share all n-1 pairs
         return [0] * len(verts)
     everything = (1 << len(verts)) - 1
     if d >= n:  # nor are any two n or more apart
         return [everything ^ 1 << i for i in range(len(verts))]
-    need = n - d  # 1 <= need <= n-2 here
-    width = (n - 1).bit_length()  # the number of planes
-    top_down = range(width - 1, (need & -need).bit_length() - 2, -1)  # to need's lowest 1
-    bits = []
-    for i, planes in enumerate(_shared_planes(verts, n)):
-        more, same = 0, everything  # shared count above / equal to need so far
-        for k in top_down:
-            if need >> k & 1:
-                same &= planes[k]
-            else:
-                more |= same & planes[k]
-                same &= ~planes[k]
-        bits.append((more | same) ^ 1 << i)
-    return bits
+    return [_at_least(planes, n - d, everything ^ 1 << i)
+            for i, planes in enumerate(_shared_planes(verts, n))]
 
 
 def graph_on(vertices, d: int) -> BlockGraph:

@@ -14,17 +14,19 @@ performs the literal cut-and-reorder search, so the two routes can be checked
 against each other.
 
 ``_shared_planes`` counts the pairs each of N permutations shares with all N at
-once, as bit planes; the distance graphs and code verification both read it.
+once, as bit planes.  ``_at_least`` is their one reader: the distance graphs
+and code verification both ask it which words share at least s pairs.
 
 Input policy: entry points check integers with ``_int_in`` (ints, not bools, in
 the range each docstring states) and words with ``_check_words`` (distinct
 words, each rearranging 1..n in int labels).  Metric primitives
 (``block_distance``, ``char_set``, ``compose``, ``inverse``, ``cyclic_shifts``,
-``is_minimal``, ``_shared_planes``) trust their input: on a 2-core Xeon, 1000 S_8 pairs take
-``block_distance`` 2.5 ms, 7.5 checking both.  So do the private bodies of the
-bound functions (``bounds._gv_lower``, ``_sp_upper``, ``_corollary_applies``,
-``enumeration._sandwich_applies``), which ``bound_report`` calls with
-values it has checked or derived.
+``is_minimal``) and the kernel (``_shared_planes``, ``_at_least``) trust their
+input: on a 2-core Xeon, 1000 S_8 pairs take ``block_distance`` 2.5 ms, 7.5
+checking both.  So do the private bodies of the bound functions
+(``bounds._gv_lower``, ``_sp_upper``, ``_corollary_applies``,
+``enumeration._sandwich_applies``), which ``bound_report`` calls with values
+it has checked or derived.
 """
 
 from __future__ import annotations
@@ -169,6 +171,24 @@ def _shared_planes(perms: Sequence[Perm], n: int):
                 carry &= x
                 k += 1
         yield planes
+
+
+def _at_least(planes: list[int], need: int, among: int) -> int:
+    """The words in bitset among whose count in planes is at least need, for
+    1 <= need < 2**len(planes): one comparator from the top plane down to
+    need's lowest 1, more holding the words already above need.  Only a word
+    itself shares all n-1 of its pairs, so callers leave it out of among."""
+    more = 0
+    k = len(planes)
+    while need:  # need < 2**(k+1) after k -= 1, so need >> k is its bit k
+        k -= 1
+        if need >> k:
+            need ^= 1 << k
+            among &= planes[k]
+        else:
+            more |= among & planes[k]
+            among &= ~planes[k]
+    return more | among
 
 
 def is_minimal(p: Perm) -> bool:

@@ -111,16 +111,31 @@ def test_fresh_import_loads_no_module_until_a_name_is_used():
         "[]", "10 1", "['blockperm.bounds', 'blockperm.enumeration', 'blockperm.perm']"]
 
 
+def _own_nodes(scope: ast.AST):
+    """The nodes under scope, not descending into the functions it defines."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo += ast.iter_child_nodes(node)
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
-    """Names a module's top-level imports bind that nothing in it reads."""
-    bound = []
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            bound += [alias.asname or alias.name for alias in node.names]
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [name for name in bound if name not in read]
+    """Names an import binds that nothing in its scope reads: the module for
+    an import at module level, the function for a lazy import inside one."""
+    unused = []
+    for scope in [tree, *(node for node in ast.walk(tree)
+                          if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))]:
+        bound = []
+        for node in _own_nodes(scope):
+            if isinstance(node, ast.Import):
+                bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [alias.asname or alias.name for alias in node.names]
+        read = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        unused += [name for name in bound if name not in read]
+    return unused
 
 
 def test_no_module_imports_a_name_it_never_uses():

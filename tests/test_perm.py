@@ -1,12 +1,15 @@
-"""Core permutation operations and the two distance routes."""
+"""Core permutation operations, the two distance routes, the reader of the
+shared-pair planes, and the block metric against the generalized Cayley metric."""
 
+import collections
 import doctest
 import itertools
+import math
 import random
 
 import pytest
 
-from blockperm import perm
+from blockperm import constructions, graph, perm
 from blockperm.perm import (
     DEFINITION_SEARCH_MAX_N,
     block_distance,
@@ -238,3 +241,122 @@ def test_the_doctests_of_perm_pass():
     failed, attempted = doctest.testmod(perm)
     assert failed == 0
     assert attempted >= 3
+
+
+# -- the one reader of the shared-pair planes ---------------------------------
+
+
+def _seeded_words(n, count=60):
+    """Up to count distinct words of S_n, drawn with a seed that depends on n."""
+    everything = list(itertools.permutations(range(1, n + 1)))
+    return tuple(random.Random(30 + n).sample(everything, min(count, len(everything))))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_at_least_matches_the_pair_count(n):
+    """Word j is in the reader's answer exactly when it shares at least s of
+    the n-1 pairs with word i, counted pair by pair; only word i itself
+    shares all n-1."""
+    words = _seeded_words(n)
+    everything = (1 << len(words)) - 1
+    for i, planes in enumerate(perm._shared_planes(words, n)):
+        shared = [n - 1 - block_distance(words[i], w) for w in words]
+        for s in range(1, n):
+            want = sum(1 << j for j, c in enumerate(shared) if c >= s)
+            assert perm._at_least(planes, s, everything) == want
+            for others in (everything ^ 1 << i, ~(1 << i)):
+                assert perm._at_least(planes, s, others) == want & ~(1 << i)
+        assert perm._at_least(planes, n - 1, everything) == 1 << i
+
+
+def _count_reader_calls(monkeypatch, module):
+    """Wrap module's ``_at_least`` and return the list its calls append to."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return perm._at_least(*args)
+
+    monkeypatch.setattr(module, "_at_least", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_neighbor_bits_reads_each_row_once_between_the_trivial_distances(monkeypatch, n):
+    calls = _count_reader_calls(monkeypatch, graph)
+    words = _seeded_words(n)
+    for d in range(-1, n + 2):
+        calls.clear()
+        rows = graph._neighbor_bits(words, n, d)
+        assert len(calls) == (len(words) if 1 < d < n else 0)
+        assert rows == [sum(1 << j for j, w in enumerate(words) if 0 < block_distance(v, w) < d)
+                        for v in words]
+
+
+def test_verify_min_distance_probes_at_most_once_per_word_and_step(monkeypatch):
+    calls = _count_reader_calls(monkeypatch, constructions)
+    assert constructions.verify_min_distance(constructions.cyclic_class_code(7)) == 2
+    assert len(calls) <= 720 + 5
+
+
+def test_verify_min_distance_returns_at_the_first_distance_one_pair(monkeypatch):
+    """Seeded words give the pairwise minimum within N + n - 2 probes.  Add a
+    rotation of the first word, which shares n-2 of its pairs: each probe for
+    the first word finds it, and the scan returns after n-2 probes."""
+    calls = _count_reader_calls(monkeypatch, constructions)
+    words = _seeded_words(8, 49)
+    seeded = constructions.CodeBook(8, 1, words, "seeded")
+    assert constructions.verify_min_distance(seeded) == min(
+        itertools.starmap(block_distance, itertools.combinations(words, 2)))
+    assert len(calls) <= 49 + 6
+    calls.clear()
+    first = words[0]
+    code = constructions.CodeBook(8, 1, words + (first[1:] + first[:1],), "rotated")
+    assert constructions.verify_min_distance(code) == 1
+    assert calls == [1, 2, 3, 4, 5, 6]
+
+
+# -- the generalized Cayley metric --------------------------------------------
+
+
+def _cayley_distances(n):
+    """d_G(identity, p) for every p in S_n, by a breadth-first search whose
+    step exchanges two non-overlapping segments p[a:b] and p[c:e], a < b <= c < e.
+    Both metrics are left-invariant, so these distances cover every pair."""
+    cuts = [cut for cut in itertools.combinations_with_replacement(range(n + 1), 4)
+            if cut[0] < cut[1] and cut[2] < cut[3]]
+    dist = {identity(n): 0}
+    frontier = [identity(n)]
+    while frontier:
+        grown = []
+        for p in frontier:
+            for a, b, c, e in cuts:
+                q = p[:a] + p[c:e] + p[b:c] + p[a:b] + p[e:]
+                if q not in dist:
+                    dist[q] = dist[p] + 1
+                    grown.append(q)
+        frontier = grown
+    return dist
+
+
+#: how many p in S_n lie at each (d_G, d_B) from the identity
+JOINT_COUNTS = {
+    5: {(0, 0): 1, (1, 1): 4, (1, 2): 18, (1, 3): 12, (1, 4): 1, (2, 3): 32, (2, 4): 52},
+    6: {(0, 0): 1, (1, 1): 5, (1, 2): 30, (1, 3): 30, (1, 4): 5, (2, 3): 80, (2, 4): 260,
+        (2, 5): 129, (3, 5): 180},
+}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_block_metric_is_of_the_order_of_the_generalized_cayley_metric(n):
+    """d_G <= d_B <= 4·d_G on all of S_n, the factor 4 first reached at n = 5.
+    So a code at block distance 4d-3 has generalized Cayley distance at least
+    d, and one at Cayley distance d has block distance at least d:
+    C_B(n, 4d-3) <= C_G(n, d) <= C_B(n, d)."""
+    dist = _cayley_distances(n)
+    assert len(dist) == math.factorial(n)
+    joint = collections.Counter((g, block_distance(identity(n), p)) for p, g in dist.items())
+    assert all(g <= b <= 4 * g for g, b in joint)
+    assert any(b == 4 * g > 0 for g, b in joint) == (n >= 5)
+    if n in JOINT_COUNTS:
+        assert joint == JOINT_COUNTS[n]
