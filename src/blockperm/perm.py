@@ -205,23 +205,15 @@ def cyclic_shifts(p: Perm) -> set[Perm]:
     return {p[t:] + p[:t] for t in range(len(p))}
 
 
-def _blocks(p: Perm, cuts: tuple[int, ...]) -> list[Perm]:
-    bounds = (0, *cuts, len(p))
-    return [p[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def _run_ends(p1: Perm, p2: Perm) -> list[int]:
+def _run_ends(p1: Perm, where: dict[int, int]) -> list[int]:
     """For each start a, the largest end b such that the block p1[a:b] occurs
-    in p2 as one contiguous run; so does every shorter block from a."""
-    where = {v: j for j, v in enumerate(p2)}
+    as one contiguous run of the target whose labels sit at where; so does
+    every shorter block from a.  One pass from the right: the run from a goes
+    on past a+1 just when p1[a+1] sits right after p1[a] in the target."""
     n = len(p1)
-    ends = []
-    for a, v in enumerate(p1):
-        shift = where[v] - a
-        b = a + 1
-        while b < n and b + shift < n and p2[b + shift] == p1[b]:
-            b += 1
-        ends.append(b)
+    ends = [n] * n
+    for a in range(n - 2, -1, -1):
+        ends[a] = ends[a + 1] if where[p1[a + 1]] == where[p1[a]] + 1 else a + 1
     return ends
 
 
@@ -240,49 +232,31 @@ def _run_cuts(ends: list[int], d: int, a: int = 0):
             yield (c, *rest)
 
 
-def _block_order(blocks: list[Perm], target: Perm) -> Perm | None:
-    """The unique ordering of blocks whose concatenation is target, if any.
-
-    Blocks partition the labels, so whichever block starts at each position of
-    the target is forced; either that single candidate ordering works or none
-    does.  Returned 1-based: result[j] = index of the block at position j+1.
-    """
-    start = {b[0]: k for k, b in enumerate(blocks)}
-    order = []
-    j = 0
-    while j < len(target):
-        k = start.get(target[j])
-        if k is None:
-            return None
-        block = blocks[k]
-        if target[j : j + len(block)] != block:
-            return None
-        order.append(k + 1)
-        j += len(block)
-    return tuple(order)
-
-
 def distance_by_definition(p1: Perm, p2: Perm) -> int:
     """Block permutation distance via the literal cut-and-reorder search.
 
-    Tries d = 0, 1, ... in turn; for each choice of d cut points the block
-    ordering that reproduces p2 is unique if it exists, and counts only when
-    that ordering is minimal.  Cut points are chosen left to right, and a
+    Tries d = 0, 1, ... in turn.  Cut points are chosen left to right, and a
     partial choice is dropped once its last block is not a run of p2, since
-    the reordered blocks concatenate to p2.  Cuts inside a run of p2 are
-    still tried, and fail the minimality check.  Serves as an independent
-    cross-check for ``block_distance``: it never counts shared pairs.
+    the reordered blocks must concatenate to p2.  The blocks of a cut set of
+    runs can only go in the order they appear in p2, so that order is the one
+    tried: it counts when the blocks so ordered concatenate to p2 exactly and
+    the order is minimal.  Cuts inside a run of p2 are still tried, and fail
+    the minimality check.  Serves as an independent cross-check for
+    ``block_distance``: it never counts shared pairs.
     """
     p1, p2 = from_one_line(p1), tuple(p2)
     n = len(p1)
     _check_words((p2,), n)
     if n > DEFINITION_SEARCH_MAX_N:
         raise ValueError(f"n={n} exceeds search guard {DEFINITION_SEARCH_MAX_N}")
-    ends = _run_ends(p1, p2)
+    where = {v: j for j, v in enumerate(p2)}
+    ends = _run_ends(p1, where)
     for d in range(n):
         for cuts in _run_cuts(ends, d):
-            order = _block_order(_blocks(p1, cuts), p2)
-            if order is not None and is_minimal(order):
+            bounds = (0, *cuts, n)
+            order = sorted(range(d + 1), key=lambda k: where[p1[bounds[k]]])
+            glued = [v for k in order for v in p1[bounds[k]:bounds[k + 1]]]
+            if tuple(glued) == p2 and is_minimal(order):
                 return d
     raise RuntimeError(f"no block decomposition found for {p1} -> {p2}")
 

@@ -26,8 +26,9 @@ def results():
 
 
 def _expected_table_erratum() -> str:
-    # computed here in integers, independently of bounds.new_upper
-    floor = math.comb(18, 11) ** 2 * math.factorial(7) // math.comb(17, 7)
+    # computed here in integers, independently of bounds.new_upper: its
+    # C(n,d)^2 (n-d)! / C(n-1, n-d) simplifies to n·n! / (d·d!)
+    floor = 18 * math.factorial(18) // (11 * math.factorial(11))
     published = TABLE1_PUBLISHED[(18, 11)][1]
     return f"(18,11): new bound {floor} off published {published} by more than 1"
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -51,6 +52,18 @@ def test_dist_validation_error(capsys):
     code, _, err = run(capsys, "dist", "1 1 2", "1 2 3")
     assert code == 1
     assert "error" in err
+
+
+def test_installed_command_runs_entry(monkeypatch, capsys):
+    # tomllib is not in Python 3.10, so the scripts line is read as text
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert re.search(r'^\[project\.scripts\]\nblockperm = "blockperm\.cli:entry"$', pyproject,
+                     re.MULTILINE)
+    monkeypatch.setattr(sys, "argv", ["blockperm", "dist", "1 2 3", "3 2 1"])
+    with pytest.raises(SystemExit) as exited:
+        cli.entry()
+    assert exited.value.code == 0
+    assert capsys.readouterr().out == "2\n"
 
 
 def run_python(*argv):

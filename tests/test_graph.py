@@ -10,7 +10,7 @@ from operator import itemgetter
 import pytest
 
 from blockperm import graph
-from blockperm.bounds import gv_lower, special_exact
+from blockperm.bounds import gv_lower, new_upper, special_exact
 from blockperm.constructions import CodeBook, verify_min_distance
 from blockperm.enumeration import _anticode_size, enumerate_spheres, myers_count
 from blockperm.graph import (
@@ -585,6 +585,24 @@ def test_clique_coclique_bound_holds_against_the_exact_solver(n, omega, alpha):
     # On a vertex-transitive graph alpha * omega <= |V|; at (4, 3) it is tight.
     assert _clique_number(n, 3) == omega
     assert len(exact_independent_set(build_graph(n, 3)).words) == alpha <= math.factorial(n) // omega
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 6) for d in range(1, n + 1)]
+                         + [(6, 1), (6, 2), (6, 3), (6, 5), (6, 6)])
+def test_code_size_bounds_chain_in_order(n, d):
+    # alpha <= n!//omega <= n!//|A| <= n!//d! <= new_upper: a clique is at least
+    # as large as the anticode A, |A| >= d!, and new_upper is n·n!/(d·d!).
+    # The exact solver runs past 30 s at (6, 3), so its alpha is the 72-word
+    # rotation-orbit code of the test below.
+    full = math.factorial(n)
+    alpha = 72 if (n, d) == (6, 3) else len(exact_independent_set(build_graph(n, d)).words)
+    chain = [alpha]
+    if 2 <= d <= 3:  # the clique search takes seconds from (4, 4) on
+        chain.append(full // _clique_number(n, d))
+    chain += [full // _anticode_size(n, d), full // math.factorial(d)]
+    if d <= n - 1:
+        chain.append(new_upper(n, d)[1])
+    assert chain == sorted(chain)
 
 
 # Representatives of the orbits of a (6, 3) code under the label rotation

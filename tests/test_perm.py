@@ -173,12 +173,23 @@ def test_cut_search_never_counts_shared_pairs(monkeypatch):
 
 def test_cut_search_checks_only_cut_sets_of_runs(monkeypatch):
     calls = []
-    order = perm._block_order
-    monkeypatch.setattr(perm, "_block_order", lambda *args: calls.append(args) or order(*args))
+    minimal = perm.is_minimal
+    monkeypatch.setattr(perm, "is_minimal", lambda *args: calls.append(args) or minimal(*args))
     top = identity(16)
     # every block of a cut set that can concatenate to top[::-1] is one label
     assert distance_by_definition(top, top[::-1]) == 15
     assert len(calls) <= 16
+
+
+@pytest.mark.parametrize("base", ["identity", "seeded"])
+def test_cut_search_answer_rests_on_the_literal_checks(monkeypatch, base):
+    # with no run pruning every cut set is tried, so only the concatenation
+    # and minimality checks keep the answer right
+    monkeypatch.setattr(perm, "_run_ends", lambda p1, *args: [len(p1)] * len(p1))
+    labels = list(range(1, 6))
+    p1 = identity(5) if base == "identity" else tuple(random.Random(5).sample(labels, 5))
+    for p2 in itertools.permutations(labels):
+        assert distance_by_definition(p1, p2) == block_distance(p1, p2)
 
 
 @pytest.mark.parametrize("base", ["identity", "seeded"])
