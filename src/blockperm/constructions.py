@@ -214,6 +214,8 @@ def _fiber_encoder(n: int, d: int, enc: PairEncoder | None) -> PairEncoder:
 def _word_keys(n: int, m: int, enc: PairEncoder) -> memoryview | list[int]:
     """The packed power sums of m lanes of the pair labels of every word of
     S_n, in lexicographic order: a memoryview of ints, or past 64 bits a list.
+    Default encoders stay within 64 bits up to the scan guard; only a caller's
+    wider field, such as q = 1,000,003, needs the list.
 
     The value of a ``_prefix_dp`` state (u, rest) is one integer, a slot per
     completion in lexicographic order: for each v in rest ascending, the

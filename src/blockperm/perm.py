@@ -10,8 +10,9 @@ by a *minimal* permutation (one that glues no two blocks back together),
 yield the second.  Equivalently, and far cheaper, it is the number of
 adjacent pairs of the first that are not adjacent pairs of the second.
 ``block_distance`` computes the pair-count form; ``distance_by_definition``
-performs the literal cut-and-reorder search, so the two routes can be checked
-against each other.
+spells the second permutation from blocks of the first by a dynamic program
+over the definition itself, so the two routes can be checked against each
+other.
 
 ``_shared_planes`` counts the pairs each of N permutations shares with all N at
 once, as bit planes.  ``_at_least`` is their one reader: the distance graphs
@@ -21,10 +22,10 @@ Input policy: entry points check integers with ``_int_in`` (ints, not bools, in
 the range each docstring states) and words with ``_check_words`` (distinct
 words, each rearranging 1..n in int labels).  Metric primitives
 (``block_distance``, ``char_set``, ``compose``, ``inverse``, ``cyclic_shifts``,
-``is_minimal``) and the kernel (``_shared_planes``, ``_at_least``) trust their
-input: on a 2-core Xeon, 1000 S_8 pairs take ``block_distance`` 2.5 ms, 7.5
-checking both.  So do the private bodies of the bound functions
-(``bounds._gv_lower``, ``_sp_upper``, ``_corollary_applies``,
+``is_minimal``) and the kernels (``_shared_planes``, ``_at_least``,
+``_fewest_blocks``) trust their input: on a 2-core Xeon, 1000 S_8 pairs take
+``block_distance`` 2.5 ms, 7.5 checking both.  So do the private bodies of the
+bound functions (``bounds._gv_lower``, ``_sp_upper``, ``_corollary_applies``,
 ``enumeration._sandwich_applies``), which ``bound_report`` calls with values
 it has checked or derived.
 """
@@ -39,9 +40,8 @@ Perm = tuple[int, ...]
 Pair = tuple[int, int]
 CharSet = frozenset[Pair]
 
-#: the cut-and-reorder search visits at most 2,816 partial cut sets at n = 16
-#: (every pattern of runs tried), about 2 ms on a 2-core Xeon; the bound grows
-#: exponentially in n
+#: the cut-and-reorder DP takes at most n(n+1)/2 = 136 block steps at n = 16,
+#: about 30 µs on a 2-core Xeon; the guard keeps the CLI's domain, not the cost
 DEFINITION_SEARCH_MAX_N = 16
 
 
@@ -205,60 +205,45 @@ def cyclic_shifts(p: Perm) -> set[Perm]:
     return {p[t:] + p[:t] for t in range(len(p))}
 
 
-def _run_ends(p1: Perm, where: dict[int, int]) -> list[int]:
-    """For each start a, the largest end b such that the block p1[a:b] occurs
-    as one contiguous run of the target whose labels sit at where; so does
-    every shorter block from a.  One pass from the right: the run from a goes
-    on past a+1 just when p1[a+1] sits right after p1[a] in the target."""
+def _fewest_blocks(p1: Perm, p2: Perm) -> int:
+    """The fewest cuts of p1 whose blocks, put back in a minimal order, spell
+    p2.
+
+    fewest[j] is the fewest blocks that spell p2[j:], right to left from
+    fewest[n] = 0.  The block spelling p2 from j starts where p2[j] sits in
+    p1, and every length is tried until the block no longer spells p2.  A
+    length counts only if the next block does not start where this one ends
+    in p1, or the order would glue the two back together.  At most n(n+1)/2
+    block steps, for the identity pair.
+    """
     n = len(p1)
-    ends = [n] * n
-    for a in range(n - 2, -1, -1):
-        ends[a] = ends[a + 1] if where[p1[a + 1]] == where[p1[a]] + 1 else a + 1
-    return ends
-
-
-def _run_cuts(ends: list[int], d: int, a: int = 0):
-    """The sets of d cut points after position a, in lexicographic order,
-    that leave every block a run of the target (block [a, b) needs
-    b <= ends[a]).  No other cut set can concatenate to the target, so the
-    search drops a partial set as soon as its last block breaks off."""
-    n = len(ends)
-    if not d:
-        if ends[a] == n:
-            yield ()
-        return
-    for c in range(a + 1, min(ends[a], n - d) + 1):
-        for rest in _run_cuts(ends, d - 1, c):
-            yield (c, *rest)
+    at = {v: i for i, v in enumerate(p1)}
+    fewest = [0] * (n + 1)
+    for j in reversed(range(n)):
+        shift = at[p2[j]] - j  # p2[k] must sit at k + shift in p1
+        fewest[j] = n
+        for k in range(j, min(n, n - shift)):  # k and k + shift both in [0, n)
+            if p1[k + shift] != p2[k]:
+                break
+            if k + 1 == n or at[p2[k + 1]] != k + 1 + shift:
+                fewest[j] = min(fewest[j], 1 + fewest[k + 1])
+    return fewest[0] - 1
 
 
 def distance_by_definition(p1: Perm, p2: Perm) -> int:
-    """Block permutation distance via the literal cut-and-reorder search.
+    """Block permutation distance via the literal cut-and-reorder definition.
 
-    Tries d = 0, 1, ... in turn.  Cut points are chosen left to right, and a
-    partial choice is dropped once its last block is not a run of p2, since
-    the reordered blocks must concatenate to p2.  The blocks of a cut set of
-    runs can only go in the order they appear in p2, so that order is the one
-    tried: it counts when the blocks so ordered concatenate to p2 exactly and
-    the order is minimal.  Cuts inside a run of p2 are still tried, and fail
-    the minimality check.  Serves as an independent cross-check for
-    ``block_distance``: it never counts shared pairs.
+    Checks both words, then ``_fewest_blocks`` tries every way to spell p2
+    with blocks of p1 in a minimal order, including blocks that stop inside a
+    run of p2.  Serves as an independent cross-check for ``block_distance``:
+    it never builds a set of pairs.
     """
     p1, p2 = from_one_line(p1), tuple(p2)
     n = len(p1)
     _check_words((p2,), n)
     if n > DEFINITION_SEARCH_MAX_N:
         raise ValueError(f"n={n} exceeds search guard {DEFINITION_SEARCH_MAX_N}")
-    where = {v: j for j, v in enumerate(p2)}
-    ends = _run_ends(p1, where)
-    for d in range(n):
-        for cuts in _run_cuts(ends, d):
-            bounds = (0, *cuts, n)
-            order = sorted(range(d + 1), key=lambda k: where[p1[bounds[k]]])
-            glued = [v for k in order for v in p1[bounds[k]:bounds[k + 1]]]
-            if tuple(glued) == p2 and is_minimal(order):
-                return d
-    raise RuntimeError(f"no block decomposition found for {p1} -> {p2}")
+    return _fewest_blocks(p1, p2)
 
 
 # -- text / JSON formats ----------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from blockperm.constructions import (
     _decode,
     _encode,
+    _word_keys,
     HAM_SEARCH_MAX_N,
     PAIRWISE_MAX_WORDS,
     CodeBook,
@@ -260,6 +261,15 @@ def test_fiber_walk_matches_per_permutation_syndromes(n, d):
                                      for d in range(2, n)] + [(6, 1_000_003, 5)])
 def test_fiber_walk_matches_at_other_primes(n, q, d):
     _assert_walk_matches(n, d, PairEncoder(n, q), every=1 if n == 6 else 251)
+
+
+# The widest default key is at (8, 7): q = 29, so 6 lanes of 6 bits make 36
+# bits, one 8-byte slot; only a wider field, as above, reaches the list.
+@pytest.mark.parametrize("n", range(3, 9))
+def test_default_encoder_keys_fit_one_machine_word(n):
+    keys = _word_keys(n, n - 2, PairEncoder.for_n(n))
+    assert isinstance(keys, memoryview)
+    assert len(keys) == math.factorial(n) and keys.itemsize <= 8
 
 
 # syndrome_classes and largest_syndrome_class as the earlier prefix walk

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from blockperm import constructions, graph, perm
+from blockperm import cli, constructions, graph, perm
 from blockperm.perm import (
     DEFINITION_SEARCH_MAX_N,
     block_distance,
@@ -171,25 +171,43 @@ def test_cut_search_never_counts_shared_pairs(monkeypatch):
     assert distance_by_definition(identity(16), identity(16)[::-1]) == 15
 
 
-def test_cut_search_checks_only_cut_sets_of_runs(monkeypatch):
-    calls = []
-    minimal = perm.is_minimal
-    monkeypatch.setattr(perm, "is_minimal", lambda *args: calls.append(args) or minimal(*args))
-    top = identity(16)
-    # every block of a cut set that can concatenate to top[::-1] is one label
-    assert distance_by_definition(top, top[::-1]) == 15
-    assert len(calls) <= 16
+def _fewest_cuts_by_brute_force(p1, p2):
+    """The smallest d such that some d cuts of p1 and some minimal order of
+    the d + 1 blocks spell p2: every cut set and every order, as demo 01's
+    find_decomposition tries them."""
+    n = len(p1)
+    for d in range(n):
+        for cuts in itertools.combinations(range(1, n), d):
+            bounds = (0, *cuts, n)
+            blocks = [p1[a:b] for a, b in zip(bounds, bounds[1:])]
+            for order in itertools.permutations(range(d + 1)):
+                if is_minimal(order) and sum((blocks[k] for k in order), ()) == p2:
+                    return d
+    raise AssertionError(f"no decomposition of {p1} into {p2}")
 
 
 @pytest.mark.parametrize("base", ["identity", "seeded"])
-def test_cut_search_answer_rests_on_the_literal_checks(monkeypatch, base):
-    # with no run pruning every cut set is tried, so only the concatenation
-    # and minimality checks keep the answer right
-    monkeypatch.setattr(perm, "_run_ends", lambda p1, *args: [len(p1)] * len(p1))
+def test_cut_search_answer_rests_on_the_literal_checks(base):
+    # the reference tries every cut set and every minimal block order and
+    # compares the concatenation with p2: it never looks at a pair
     labels = list(range(1, 6))
     p1 = identity(5) if base == "identity" else tuple(random.Random(5).sample(labels, 5))
     for p2 in itertools.permutations(labels):
-        assert distance_by_definition(p1, p2) == block_distance(p1, p2)
+        assert distance_by_definition(p1, p2) == _fewest_cuts_by_brute_force(p1, p2)
+
+
+def test_check_definition_catches_a_broken_pair_count(monkeypatch, capsys):
+    perms = [format_permutation(p) for p in itertools.permutations(range(1, 5))]
+    argvs = [["dist", a, b, "--check-definition"] for a in perms for b in perms]
+    assert {cli.main(argv) for argv in argvs} == {0}
+    capsys.readouterr()
+
+    def broken(p1, p2):  # the pair count, blind to the pair (p1[0], p1[1])
+        return len(set(zip(p1[1:], p1[2:])).difference(zip(p2, p2[1:])))
+
+    monkeypatch.setattr(perm, "block_distance", broken)
+    assert 2 in {cli.main(argv) for argv in argvs}
+    assert "mismatch: pair-count" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("base", ["identity", "seeded"])
