@@ -16,7 +16,8 @@ other.
 
 ``_shared_planes`` counts the pairs each of N permutations shares with all N at
 once, as bit planes.  ``_at_least`` is their one reader: the distance graphs
-and code verification both ask it which words share at least s pairs.
+ask it which words share at least s pairs, and code verification asks it the
+same once the identity's spheres are too dear to walk.
 
 Input policy: entry points check integers with ``_int_in`` (ints, not bools, in
 the range each docstring states) and words with ``_check_words`` (distinct

@@ -421,16 +421,17 @@ def _is_permutation_line(line):
 
 
 @settings(max_examples=60, deadline=None)
-@given(words=st.integers(2, 6).flatmap(lambda n: st.lists(
-           st.permutations(range(1, n + 1)), min_size=1, max_size=6, unique_by=tuple)),
-       d=st.integers(1, 6),
+@given(words_d=st.integers(2, 6).flatmap(lambda n: st.tuples(st.lists(
+           st.permutations(range(1, n + 1)), min_size=1, max_size=6, unique_by=tuple),
+           st.integers(1, n))),
        provenance=st.one_of(
            st.integers(-10**6, 10**6).map(str),
            st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=8),
            st.lists(st.integers(0, 9), min_size=1, max_size=4).map(lambda xs: " ".join(map(str, xs))),
        ),
        headed=st.booleans())
-def test_code_files_read_back_to_the_same_words(tmp_path_factory, words, d, provenance, headed):
+def test_code_files_read_back_to_the_same_words(tmp_path_factory, words_d, provenance, headed):
+    words, d = words_d
     words = tuple(tuple(w) for w in words)
     n = len(words[0])
     header = f"{n} {d} {provenance}"
@@ -503,7 +504,7 @@ def _json_error(text):
     (json.dumps(dict(GOOD_JSON, words=[[1.0, 2.0, 3.0, 4.0]])),
      "not a rearrangement of 1..4: [1.0, 2.0, 3.0, 4.0]"),
     (json.dumps(dict(GOOD_JSON, n=2.5)), "n must be positive, got 2.5"),
-    (json.dumps(dict(GOOD_JSON, d=True)), "design distance must be positive, got True"),
+    (json.dumps(dict(GOOD_JSON, d=True)), "design distance must be an int in [1, 4], got True"),
     (json.dumps(dict(GOOD_JSON, n="2")), "n must be positive, got '2'"),
 ], ids=["invalid-json", "no-words", "words-5", "float-labels", "n-2.5", "d-true", "n-string"])
 def test_verify_rejects_a_malformed_json_file(capsys, tmp_path, text, message):
@@ -552,6 +553,15 @@ def test_verify_rejects_d_below_1(tmp_path, capsys, headed, d):
     code, out, err = run(capsys, "verify", "--d", str(d), str(path))
     assert (code, out) == (1, "")
     assert err == f"error: design distance must be positive, got {d}\n"
+
+
+@pytest.mark.parametrize("headed", [True, False], ids=["headed", "bare"])
+def test_verify_rejects_a_design_distance_above_n(tmp_path, capsys, headed):
+    """Words of S_3 are at most 2 apart, and one word is 3 apart by convention."""
+    path = tmp_path / "code.txt"
+    path.write_text("3 4 file\n1 2 3\n" if headed else "1 2 3\n3 2 1\n")
+    assert run(capsys, "verify", "--d", "4", str(path)) == (
+        1, "", "error: design distance must be an int in [1, 3], got 4\n")
 
 
 def test_verify_missing_file(capsys):

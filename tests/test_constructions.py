@@ -10,9 +10,11 @@ import re
 
 import pytest
 
+from blockperm import constructions
 from blockperm.constructions import (
     _decode,
     _encode,
+    _plane_min,
     _word_keys,
     HAM_SEARCH_MAX_N,
     PAIRWISE_MAX_WORDS,
@@ -34,6 +36,7 @@ from blockperm.constructions import (
     verify_min_distance,
     zn1_code,
 )
+from blockperm.graph import build_graph, greedy_independent_set
 from blockperm.perm import block_distance, char_set, compose, identity
 
 
@@ -461,21 +464,75 @@ def _pairwise_min(code):
     return min(block_distance(a, b) for a, b in itertools.combinations(code.words, 2))
 
 
+def _routes_agree(code, pairwise=True):
+    """The minimum of a code of two or more words, from ``verify_min_distance``,
+    checked against the plane scan alone (floor 1) and, if pairwise, every pair."""
+    got = verify_min_distance(code)
+    assert _plane_min(code.words, code.n, 1) == got, code.provenance
+    assert not pairwise or _pairwise_min(code) == got, code.provenance
+    return got
+
+
 DIFFERENTIAL_SEEDS = range(40)
 
 
 @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
 def test_verify_min_distance_matches_pairwise_on_random_codes(seed):
-    code = _random_code(seed)
-    assert verify_min_distance(code) == _pairwise_min(code)
+    _routes_agree(_random_code(seed))
+
+
+# n = 8 is 12.7 million pairs, so only the plane scan checks it
+@pytest.mark.parametrize("n", range(3, 9))
+def test_verify_min_distance_routes_agree_on_the_cyclic_codes(n):
+    assert _routes_agree(cyclic_class_code(n), pairwise=n < 8) == 2
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_verify_min_distance_routes_agree_on_the_largest_syndrome_classes(n):
+    for d in range(2, n):
+        code = largest_syndrome_class(n, d)
+        if len(code) > 1:
+            assert _routes_agree(code) >= d, (n, d)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_verify_min_distance_routes_agree_on_the_greedy_codes(n):
+    codes = {}  # both orders take all of S_n at d = 1
+    for d in range(1, n + 1):
+        g = build_graph(n, d)
+        for order in ("lexicographic", "degree"):
+            code = greedy_independent_set(g, order)
+            codes[code.words] = code
+    for code in codes.values():
+        if len(code) > 1:
+            assert _routes_agree(code) >= code.design_distance, (n, code.design_distance)
+        else:
+            assert verify_min_distance(code) == n
+
+
+def test_verify_min_distance_of_the_cyclic_code_8_asks_the_planes_nothing(monkeypatch):
+    """Its minimum 2 is a swap of the first two labels, on the identity's sphere 2."""
+    def refuse(*args):
+        raise AssertionError("the plane reader was asked")
+
+    monkeypatch.setattr(constructions, "_at_least", refuse)
+    assert verify_min_distance(cyclic_class_code(8)) == 2
+
+
+def test_verify_min_distance_of_the_even_code_60_walks_no_sphere(monkeypatch):
+    """60·60·|S_2| labels, |S_2| = C(59, 2)·3, exceed the C(60, 2) pairs."""
+    def refuse(*args):
+        raise AssertionError("a sphere was walked")
+
+    monkeypatch.setattr(constructions, "identity_sphere", refuse)
+    assert verify_min_distance(even_n_code(60)) == 59
 
 
 @pytest.mark.parametrize("make, args", [(cyclic_class_code, (6,)), (largest_syndrome_class, (7, 3)),
                                         (even_n_code, (8,)), (zn1_code, (10,))],
                          ids=["cyclic-6", "syndrome-7-3", "even-8", "zn1-10"])
 def test_verify_min_distance_matches_pairwise_on_constructions(make, args):
-    code = make(*args)
-    assert verify_min_distance(code) == _pairwise_min(code)
+    _routes_agree(make(*args))
 
 
 def test_verify_min_distance_of_the_5040_word_cyclic_code():
@@ -526,7 +583,7 @@ def test_verify_min_distance_of_the_distance_n_minus_1_families_to_60():
         if all((n + 1) % f for f in range(2, n + 1)):
             codes.append(zn1_code(n))
         for code in codes:
-            assert verify_min_distance(code) == _pairwise_min(code) == n - 1, code.provenance
+            assert _routes_agree(code) == n - 1, code.provenance
 
 
 def test_codebook_payload_computes_the_distance():
@@ -595,10 +652,10 @@ def test_codebook_from_payload_rejects_a_malformed_payload(payload, message):
                          ids=["even", "header-3-2-1", "header-4-3-2-1", "cyclic"])
 def test_codebook_from_text_reads_every_form(code):
     """Headed text reads back whatever its provenance when no d is given,
-    JSON with or without d, and bare words at the d given."""
+    JSON with or without d, and bare words at the d given, here n."""
     text = codebook_to_text(code)
     assert codebook_from_text(text) == code
     as_json = json.dumps(codebook_payload(code))
     assert codebook_from_text(as_json) == codebook_from_text(" \n" + as_json, 9) == code
     bare = "".join(text.splitlines(keepends=True)[1:])
-    assert codebook_from_text(bare, 5) == CodeBook(code.n, 5, code.words, "file")
+    assert codebook_from_text(bare, code.n) == CodeBook(code.n, code.n, code.words, "file")

@@ -175,14 +175,14 @@ def test_every_word_entry_point_rejects_a_word_of_the_wrong_length(entry):
                                  if "syndrome" in entry else "not a rearrangement of 1..2: [1, 2, 3]")
 
 
-SIZE_ENTRY_POINTS = [  # (id, call on the value, the name its message gives)
+SIZE_ENTRY_POINTS = [  # (id, call on the value, the name its message gives[, its top])
     ("identity", identity, "n"),
     ("CodeBook-n", lambda v: CodeBook(v, 1, (), "file"), "n"),
-    ("CodeBook-d", lambda v: CodeBook(2, v, ((1, 2),), "file"), "design distance"),
+    ("CodeBook-d", lambda v: CodeBook(2, v, ((1, 2),), "file"), "design distance", 2),
     ("codebook_from_payload-n", lambda v: constructions.codebook_from_payload(
         {"n": v, "d": 1, "provenance": "file", "words": []}), "n"),
     ("codebook_from_payload-d", lambda v: constructions.codebook_from_payload(
-        {"n": 2, "d": v, "provenance": "file", "words": [[1, 2]]}), "design distance"),
+        {"n": 2, "d": v, "provenance": "file", "words": [[1, 2]]}), "design distance", 2),
     ("PairEncoder", lambda v: PairEncoder(v, 2), "n"),
     ("ham_decomp_code", constructions.ham_decomp_code, "n"),
     ("graph_on-d", lambda v: graph.graph_on([(1, 2)], v), "design distance"),
@@ -207,12 +207,12 @@ SIZE_ENTRY_POINTS = [  # (id, call on the value, the name its message gives)
 
 
 @pytest.mark.parametrize("value", [0, -1, True, 2.5], ids=["0", "minus-1", "true", "2.5"])
-@pytest.mark.parametrize("call, name", [pytest.param(call, name, id=key)
-                                        for key, call, name in SIZE_ENTRY_POINTS])
-def test_every_size_entry_point_rejects_a_value_that_is_not_a_positive_int(call, name, value):
+@pytest.mark.parametrize("call, name, top", [pytest.param(call, name, top, id=key)
+                                             for key, call, name, *top in SIZE_ENTRY_POINTS])
+def test_every_size_entry_point_rejects_a_value_that_is_not_a_positive_int(call, name, top, value):
     with pytest.raises(ValueError) as raised:
         call(value)
-    assert str(raised.value) == f"{name} must be positive, got {value!r}"
+    assert str(raised.value) == f"{name} must be {_span(1, *top)}, got {value!r}"
 
 
 def _graph(n, d):
@@ -292,6 +292,13 @@ DOMAIN_EDGES = [
             "graph._grow", 3, "d", 1, 3, DESIGN),
     pytest.param(lambda: graph.greedy_independent_set(_graph(3, 3.0)), "graph.CodeBook",
                  "design distance must be an int in [1, 3], got 3.0", id="BlockGraph-d-float"),
+    # a one-word code is n apart, and no two words are further
+    pytest.param(lambda: CodeBook(3, 4, ((1, 2, 3),), "file"), None,
+                 "design distance must be an int in [1, 3], got 4", id="CodeBook-d-above"),
+    pytest.param(lambda: constructions.codebook_from_payload(
+                     {"n": 3, "d": 4, "provenance": "file", "words": [[1, 2, 3]]}), None,
+                 "design distance must be an int in [1, 3], got 4",
+                 id="codebook_from_payload-d-above"),
     pytest.param(lambda: enumeration.enumerate_spheres(0), "enumeration._prefix_dp",
                  "n must be positive, got 0", id="enumerate_spheres-n-0"),
     pytest.param(lambda: enumeration.ball_size_bounds(10, 6), "enumeration.math.prod",

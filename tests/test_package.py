@@ -78,7 +78,7 @@ def test_every_integer_argument_has_a_row_in_a_range_table():
     ``test_guards``'s positive-int table or domain-edge table."""
     import test_guards
 
-    rows = {key for key, _, _ in test_guards.SIZE_ENTRY_POINTS}
+    rows = {key for key, *_ in test_guards.SIZE_ENTRY_POINTS}
     rows |= {param.id for param in test_guards.DOMAIN_EDGES}
     covered = {row.split("-")[0] for row in rows}
     integer = {"n", "d", "k", "t", "q", "design_distance"}

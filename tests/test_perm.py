@@ -323,25 +323,27 @@ def test_neighbor_bits_reads_each_row_once_between_the_trivial_distances(monkeyp
 
 
 def test_verify_min_distance_probes_at_most_once_per_word_and_step(monkeypatch):
+    """Sphere 2 answers for the cyclic code, so the plane scan is asked directly."""
     calls = _count_reader_calls(monkeypatch, constructions)
-    assert constructions.verify_min_distance(constructions.cyclic_class_code(7)) == 2
+    code = constructions.cyclic_class_code(7)
+    assert constructions.verify_min_distance(code) == 2 and calls == []
+    assert constructions._plane_min(code.words, 7, 1) == 2
     assert len(calls) <= 720 + 5
 
 
 def test_verify_min_distance_returns_at_the_first_distance_one_pair(monkeypatch):
     """Seeded words give the pairwise minimum within N + n - 2 probes.  Add a
     rotation of the first word, which shares n-2 of its pairs: each probe for
-    the first word finds it, and the scan returns after n-2 probes."""
+    the first word finds it, and the plane scan returns after n-2 probes
+    (``verify_min_distance`` finds that pair by its rotation key first)."""
     calls = _count_reader_calls(monkeypatch, constructions)
     words = _seeded_words(8, 49)
-    seeded = constructions.CodeBook(8, 1, words, "seeded")
-    assert constructions.verify_min_distance(seeded) == min(
+    assert constructions._plane_min(words, 8, 1) == min(
         itertools.starmap(block_distance, itertools.combinations(words, 2)))
     assert len(calls) <= 49 + 6
     calls.clear()
     first = words[0]
-    code = constructions.CodeBook(8, 1, words + (first[1:] + first[:1],), "rotated")
-    assert constructions.verify_min_distance(code) == 1
+    assert constructions._plane_min(words + (first[1:] + first[:1],), 8, 1) == 1
     assert calls == [1, 2, 3, 4, 5, 6]
 
 

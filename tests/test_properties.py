@@ -26,7 +26,7 @@ def codebooks(draw):
     n = draw(st.integers(1, 7))
     words = draw(st.lists(perms(n), max_size=min(8, math.factorial(n)), unique=True))
     provenance = draw(st.text(max_size=12) | st.text(" \t\n7x", max_size=6))
-    return CodeBook(n, draw(st.integers(1, 8)), tuple(words), provenance)
+    return CodeBook(n, draw(st.integers(1, n)), tuple(words), provenance)
 
 
 @settings(max_examples=100, deadline=None)
