@@ -17,7 +17,8 @@ other.
 ``_shared_planes`` counts the pairs each of N permutations shares with all N at
 once, as bit planes.  ``_at_least`` is their one reader: the distance graphs
 ask it which words share at least s pairs, and code verification asks it the
-same once the identity's spheres are too dear to walk.
+same only when neither end settles the code: not the pair test at distance
+n-1, nor the rotation pass and the identity's spheres at small distances.
 
 Input policy: entry points check integers with ``_int_in`` (ints, not bools, in
 the range each docstring states) and words with ``_check_words`` (distinct

@@ -577,13 +577,62 @@ def test_verify_min_distance_of_a_word_and_its_reverse(n):
     assert verify_min_distance(CodeBook(n, 1, (w, w[::-1]), "file")) == n - 1
 
 
+def _arithmetic_families(n):
+    """The even and zn1 codes at n, where they exist."""
+    codes = [even_n_code(n)] if n % 2 == 0 else []
+    if all((n + 1) % f for f in range(2, n + 1)):
+        codes.append(zn1_code(n))
+    return codes
+
+
 def test_verify_min_distance_of_the_distance_n_minus_1_families_to_60():
     for n in range(2, 61):
-        codes = [even_n_code(n)] if n % 2 == 0 else []
-        if all((n + 1) % f for f in range(2, n + 1)):
-            codes.append(zn1_code(n))
-        for code in codes:
+        for code in _arithmetic_families(n):
             assert _routes_agree(code) == n - 1, code.provenance
+
+
+def test_verify_min_distance_settles_the_families_from_their_pairs_to_60(monkeypatch):
+    """Their pairs partition all n(n-1), so the pair test answers alone."""
+    def refuse(*args):
+        raise AssertionError("the pair test left the code to a later route")
+
+    for name in ("_shared_planes", "_at_least", "identity_sphere"):
+        monkeypatch.setattr(constructions, name, refuse)
+    for n in range(2, 61):
+        for code in _arithmetic_families(n):
+            assert verify_min_distance(code) == n - 1, code.provenance
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_verify_min_distance_matches_both_routes_on_codes_of_at_most_n_words(n):
+    """The codes the pair test reads: seeded random codes of 2..n words, and
+    each family code at n, as built and with one word swapped for a rotation
+    of another (1 apart, so it falls through) or for a random word."""
+    rng = random.Random(n)
+    codes = []
+    for size in range(2, n + 1):
+        for _ in range(3):
+            words = set()
+            while len(words) < size:
+                words.add(tuple(rng.sample(range(1, n + 1), n)))
+            codes.append(CodeBook(n, 1, tuple(words), "random"))
+    families = _arithmetic_families(n)
+    if n in HAM_DECOMP_DIGESTS:
+        families.append(ham_decomp_code(n))
+    for code in families:
+        i, j = rng.sample(range(n), 2)
+        rotated = code.words[j][1:] + code.words[j][:1]
+        drawn = tuple(rng.sample(range(1, n + 1), n))
+        codes.append(code)
+        for word, provenance in ((rotated, "rotated"), (drawn, "drawn")):
+            if word not in code.words:
+                words = code.words[:i] + (word,) + code.words[i + 1:]
+                codes.append(CodeBook(n, 1, words, provenance))
+    for code in codes:
+        got = verify_min_distance(code)
+        assert got == _plane_min(code.words, n, 1) == _pairwise_min(code), code
+        assert code.provenance != "rotated" or got == 1, code
+        assert code.design_distance == 1 or got == n - 1, code
 
 
 def test_codebook_payload_computes_the_distance():
