@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 from .constructions import CodeBook
 from .enumeration import _anticode_size, identity_sphere
-from .perm import Perm, _at_least, _check_words, _int_in, _pair_masks, _shared_planes, identity
+from .perm import (Perm, _at_least, _check_words, _int_in, _pair_masks, _shared_planes, compose,
+                   identity, inverse)
 
 GRAPH_MAX_N = 7
 EXACT_MAX_VERTICES = 1000
@@ -198,19 +199,29 @@ def _greedy(g: BlockGraph, order: str) -> list[int]:
     return chosen
 
 
-def _grow(adj: list[int], chosen: list[int], cand: int, best: list[int], limit: int) -> None:
+def _grow(adj: list[int], chosen: list[int], cand: int, best: list[int], limit: int,
+          drop: list[int], finished=None) -> int:
     """Search every independent extension of chosen by vertices of the
     bitset cand, replacing best's contents whenever chosen outgrows it, and
     stop the whole search once best holds limit vertices (a bound on its size).
+    Returns the number of search nodes taken, this one included.
+
+    The clique cover reads the neighbors adj[v]; choosing v drops drop[v]
+    from the candidates: its neighbors, and any vertex that no set larger
+    than the incumbent holds together with v (see ``_translates``).  If
+    given, finished(v, cand) is called after each branch v of this node that
+    took at least as many nodes as there are candidates left, with those
+    candidates, and returns the ones to keep.
 
     Not a closure: one that calls itself is a reference cycle, which keeps
     each search's bitsets alive until a full collection.
     """
-    if len(chosen) > len(best):
-        best[:] = chosen
     room = len(best) - len(chosen)
+    if room < 0:
+        best[:] = chosen
+        room = 0
     if cand.bit_count() <= room:
-        return
+        return 1
     # Cover cand by `room` cliques, one at a time (see exact_independent_set).
     # An independent set takes at most one vertex per clique, so only the
     # vertices still left can push past the incumbent; those are the branch
@@ -223,17 +234,54 @@ def _grow(adj: list[int], chosen: list[int], cand: int, best: list[int], limit: 
             left ^= low
             q &= adj[low.bit_length() - 1]
         if not left:
-            return
+            return 1
+    nodes = 1
     while left:
         v = left.bit_length() - 1
         bit = 1 << v
         left ^= bit
         chosen.append(v)
-        _grow(adj, chosen, cand & ~(adj[v] | bit), best, limit)
+        below = _grow(adj, chosen, cand & ~(drop[v] | bit), best, limit, drop)
+        nodes += below
         chosen.pop()
         if len(best) >= limit:
-            return
+            return nodes
         cand ^= bit
+        if finished and below >= cand.bit_count():
+            cand = finished(v, cand)
+            left &= cand
+    return nodes
+
+
+def _translates(vertices: tuple[Perm, ...], order: list[int], labels: dict[Perm, int],
+                drop: list[int], u: int, cand: int) -> int:
+    """Isomorph rejection by left translation, called after the root branch
+    on label u of a search that fixes vertex 0 on all of S_n, with the root's
+    candidates left.  Label k is vertex order[k], labels maps the vertices
+    back to labels (filled on first use), and drop[k] is the bitset of labels
+    that choosing k drops.  Returns the root's candidates to keep.
+
+    In coordinates where vertex 0's word g0 is the identity e, the finished
+    branch has bounded by the incumbent every independent set that holds e
+    and r = g0⁻¹∘(u's word).  Left translation keeps distances, so a set that
+    holds x and x∘r, moved by x⁻¹, is such a set.  From now on the words w
+    and w∘r drop each other; in raw words too, since g0⁻¹∘(w∘r) equals
+    (g0⁻¹∘w)∘r.  Label 0 is in every set searched, so the root drops g0∘r⁻¹;
+    its other partner, g0∘r, is u itself.  The update is one pass over the
+    candidates left, so ``_grow`` calls it only after a branch whose search
+    took at least as many nodes.
+    """
+    if not labels:
+        labels.update((vertices[v], k) for k, v in enumerate(order))
+    # w ↦ w∘r
+    right = itemgetter(*[c - 1 for c in compose(inverse(vertices[0]), vertices[order[u]])])
+    among = cand | 1
+    for x in _indices(among):
+        y = labels.get(right(vertices[order[x]]))
+        if y is not None and among >> y & 1:
+            drop[x] |= 1 << y
+            drop[y] |= 1 << x
+    return cand & ~drop[0]
 
 
 def exact_independent_set(g: BlockGraph) -> CodeBook:
@@ -272,9 +320,16 @@ def exact_independent_set(g: BlockGraph) -> CodeBook:
     and 6 at (6, 5).  Any other vertex set is seeded from both orders, and
     all of its vertices are candidates, searched from the empty set with no
     bound but their number.
-    Search nodes (calls of ``_grow``): 4 at (4, 3), 59 at (5, 4), 9,025 at
-    (5, 3) and 85 at (6, 5); none where the seed meets the bound, as at
-    d <= 2 and at d = n for n <= 6.
+
+    The left translations that make the graph vertex-transitive also prune
+    the search on S_n: once the root branch on u has finished, each later
+    choice drops that branch's translates (``_translates``).  They move
+    vertex 0; the isometries that fix it, the symmetry at the root, could at
+    most halve the search.
+    Search nodes (calls of ``_grow``): 3,092 at (5, 3), 9,025 without the
+    translates; 4 at (4, 3), 59 at (5, 4) and 85 at (6, 5), where no root
+    branch searches long enough to pay for its translates; none where the
+    seed meets the bound, as at d <= 2 and at d = n for n <= 6.
     """
     count = len(g.vertices)
     if count > EXACT_MAX_VERTICES:
@@ -298,7 +353,11 @@ def exact_independent_set(g: BlockGraph) -> CodeBook:
         top = 1 << count
         rows = [int("".join(gather(bin(adj[v] | top))), 2) for v in order]
         best = [None] * len(seed)  # only its size counts until the search outgrows the seed
-        _grow(rows, fixed, (1 << len(order)) - (1 << len(fixed)), best, limit)
+        finished, drop = None, rows
+        if fixed:  # label 0 has no neighbors among the labels, so drop[0] starts empty
+            drop = rows[:]
+            finished = functools.partial(_translates, g.vertices, order, {}, drop)
+        _grow(rows, fixed, (1 << len(order)) - (1 << len(fixed)), best, limit, drop, finished)
         if len(best) > len(seed):
             seed = [order[k] for k in best]
     words = tuple(sorted(g.vertices[v] for v in seed))

@@ -671,9 +671,23 @@ EXACT_6_5 = """6 5 exact-independent
 6 5 4 3 2 1
 """
 
+EXACT_5_4 = """5 4 exact-independent
+1 2 3 4 5
+1 3 2 5 4
+1 4 3 5 2
+2 4 1 5 3
+"""
+EXACT_4_3 = """4 3 exact-independent
+1 2 3 4
+2 4 1 3
+3 1 4 2
+4 3 2 1
+"""
 
-@pytest.mark.parametrize("n, d, expected", [(5, 3, EXACT_5_3), (6, 5, EXACT_6_5)],
-                         ids=["5-3", "6-5"])
+
+@pytest.mark.parametrize("n, d, expected", [(5, 3, EXACT_5_3), (6, 5, EXACT_6_5),
+                                            (5, 4, EXACT_5_4), (4, 3, EXACT_4_3)],
+                         ids=["5-3", "6-5", "5-4", "4-3"])
 def test_graph_exact_output_is_pinned(capsys, n, d, expected):
     assert run(capsys, "graph", "--n", str(n), "--d", str(d), "--exact") == (0, expected, "")
 

@@ -392,11 +392,36 @@ def test_whole_group_solvers_read_no_degrees(monkeypatch):
     assert calls == []
 
 
-def test_exact_fixes_vertex_0_on_all_of_s_n_in_any_order():
-    verts = _seeded_subset(random.Random(0), 5, 120)  # S_5, shuffled
-    for d, alpha in [(2, 24), (3, 14), (4, 4)]:
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_fixes_vertex_0_on_all_of_s_n_in_any_order(seed):
+    verts = _seeded_subset(random.Random(seed), 5, 120)  # S_5, shuffled
+    assert verts[0] != (1, 2, 3, 4, 5)  # so the translates work off the identity
+    for d, alpha in [(2, 24), (3, 14), (4, 4), (5, 1)]:
         code = exact_independent_set(graph_on(verts, d))
         assert len(code.words) == alpha and verts[0] in code.words
+        assert all(block_distance(p, q) >= d for p, q in itertools.combinations(code.words, 2))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_translates_drop_the_moved_copies_of_a_finished_root_pair(seed):
+    """After the root branch on u, the words w and w' drop each other exactly
+    when w⁻¹∘w' is r or r⁻¹, r = g0⁻¹∘u for vertex 0's word g0: the
+    relabelling g0∘w⁻¹ moves such a pair onto (g0, u) or (g0∘r⁻¹, g0)."""
+    rng = random.Random(seed)
+    words = _seeded_subset(rng, 5, 120)  # S_5, shuffled: g0 is not the identity
+    g0, u = words[0], rng.randrange(1, 120)
+    r = compose(inverse(g0), words[u])
+    cand = ((1 << 120) - 2) & ~(1 << u)  # the root's candidates once u has finished
+    drop = [0] * 120
+    kept = graph._translates(words, list(range(120)), {}, drop, u, cand)
+    among = [k for k in range(120) if k != u]
+    expected = {(x, y) for x in among for y in among
+                if compose(inverse(words[x]), words[y]) in (r, inverse(r))}
+    assert {(x, y) for x in range(120) for y in range(120) if drop[x] >> y & 1} == expected
+    for x, y in expected:
+        moved = [compose(compose(g0, inverse(words[x])), w) for w in (words[x], words[y])]
+        assert moved in ([g0, words[u]], [g0, compose(g0, inverse(r))])
+    assert kept == cand & ~(1 << words.index(compose(g0, inverse(r))))
 
 
 def _count_nodes(monkeypatch):
@@ -412,7 +437,7 @@ def _count_nodes(monkeypatch):
     return nodes
 
 
-@pytest.mark.parametrize("n,d,count", [(5, 3, 9025), (6, 5, 85), (5, 4, 59), (4, 3, 4),
+@pytest.mark.parametrize("n,d,count", [(5, 3, 3092), (6, 5, 85), (5, 4, 59), (4, 3, 4),
                                        (5, 2, 0), (6, 1, 0), (6, 2, 0), (6, 6, 0)])
 def test_exact_search_nodes_are_pinned(monkeypatch, n, d, count):
     """Where the seed already meets the clique-coclique bound, the search
@@ -470,6 +495,48 @@ def test_clique_coclique_stop_is_sound_on_all_of_s_n(n, d):
         alpha = len(exact_independent_set(build_graph(n, d)).words)
         assert alpha <= limit
         assert special_exact(n, d) in (None, alpha)
+
+
+def _alpha_by_plain_search(g, at_least):
+    """The largest independent set of the full S_n graph g, or at_least if
+    none is larger: a plain branch and bound with no translates.  Vertex 0 is
+    fixed, since the graph is vertex-transitive.  A node covers its
+    candidates by cliques, first fit in index order, and branches on them
+    from the last clique back until the clique number no longer beats best
+    (Tomita's MCQ)."""
+    adj = g.bits
+    best = at_least
+
+    def grow(size, cand):
+        nonlocal best
+        best = max(best, size)
+        numbered, k, left = [], 0, cand
+        while left:
+            k += 1
+            q = left
+            while q:
+                v = (q & -q).bit_length() - 1
+                left ^= 1 << v
+                q &= adj[v] & ~(1 << v)
+                numbered.append((v, k))
+        for v, k in reversed(numbered):
+            if size + k <= best:
+                return
+            cand ^= 1 << v
+            grow(size + 1, cand & ~adj[v])
+
+    grow(1, (1 << len(adj)) - 2 & ~adj[0])
+    return best
+
+
+@pytest.mark.parametrize("n,d", WHOLE_GROUP)
+def test_exact_size_matches_a_plain_search_on_all_of_s_n(n, d):
+    """The translates prune no set larger than the one the solver returns:
+    a plain search seeded with its size finds none larger."""
+    g = build_graph(n, d)
+    code = exact_independent_set(g)
+    assert verify_min_distance(code) >= d
+    assert _alpha_by_plain_search(g, len(code.words)) == len(code.words)
 
 
 def test_clique_coclique_bound_is_not_used_off_the_full_group(monkeypatch):
