@@ -15,27 +15,31 @@ over the definition itself, so the two routes can be checked against each
 other.
 
 ``_shared_planes`` counts the pairs each of N permutations shares with all N at
-once, as bit planes.  ``_at_least`` is their one reader: the distance graphs
-ask it which words share at least s pairs, and code verification asks it the
-same only when neither end settles the code: not the pair test at distance
-n-1, nor the rotation pass and the identity's spheres at small distances.
+once, as bit planes: ``_holders`` gives each pair the bitset of the words that
+hold it, and ``_planes`` adds those bitsets up per word, the adder that
+``graph.build_graph`` also runs on its half of S_n.  ``_at_least`` is their one
+reader: the distance graphs ask it which words share at least s pairs, and
+code verification asks it the same only when neither end settles the code:
+not the pair test at distance n-1, nor the rotation pass and the identity's
+spheres at small distances.
 
 Input policy: entry points check integers with ``_int_in`` (ints, not bools, in
 the range each docstring states) and words with ``_check_words`` (distinct
 words, each rearranging 1..n in int labels).  Metric primitives
 (``block_distance``, ``char_set``, ``compose``, ``inverse``, ``cyclic_shifts``,
-``is_minimal``) and the kernels (``_shared_planes``, ``_at_least``,
-``_fewest_blocks``) trust their input: on a 2-core Xeon, 1000 S_8 pairs take
-``block_distance`` 2.5 ms, 7.5 checking both.  So do the private bodies of the
-bound functions (``bounds._gv_lower``, ``_sp_upper``, ``_corollary_applies``,
-``enumeration._sandwich_applies``), which ``bound_report`` calls with values
-it has checked or derived.
+``is_minimal``) and the kernels (``_shared_planes``, ``_holders``, ``_planes``,
+``_at_least``, ``_fewest_blocks``) trust their input: on a 2-core Xeon, 1000
+S_8 pairs take ``block_distance`` about 2 ms by its byte table, 6 checking
+both.  So do the private bodies of the bound functions (``bounds._gv_lower``,
+``_sp_upper``, ``_corollary_applies``, ``enumeration._sandwich_applies``),
+which ``bound_report`` calls with values it has checked or derived.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from operator import ne
 from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
@@ -130,10 +134,18 @@ def char_set(p: Perm) -> CharSet:
 def block_distance(p1: Perm, p2: Perm) -> int:
     """Number of adjacent pairs of p1 that are not adjacent pairs of p2.
 
-    Symmetric, zero exactly on equal arguments, and at most n-1.
+    Symmetric, zero exactly on equal arguments, and at most n-1.  A pair
+    (a, b) of p1 is shared exactly when b follows a in p2.  For n <= 255 the
+    labels fit in a byte, so one byte table maps each label to its successor
+    in p2, and the count is the positions where p1's next label differs; the
+    last label of p2 maps to itself, which never follows itself in p1.  From
+    n = 256 on, labels outgrow a byte and the two pair sets are differenced.
     """
     if len(p1) != len(p2):
         raise ValueError(f"mismatched sizes {len(p1)} and {len(p2)}")
+    if len(p1) < 256:
+        b1, b2 = bytes(p1), bytes(p2)
+        return sum(map(ne, b1.translate(bytes.maketrans(b2[:-1], b2[1:])), b1[1:]))
     return len(set(zip(p1, p1[1:])).difference(zip(p2, p2[1:])))
 
 
@@ -152,17 +164,28 @@ def _shared_planes(perms: Sequence[Perm], n: int):
     """For each permutation in turn, the (n-1).bit_length() planes of its
     shared-pair counts: bit j of plane k is bit k of the number of adjacent
     pairs it shares with perms[j], which is n-1 less their distance, so n-1
-    only for a copy.  For each of its n-1 pairs, a permutation adds the
-    bitset of the permutations holding that pair into the planes, each carry
-    rippling up while it is non-zero: about n·⌈log2 n⌉ operations on N-bit
-    integers.
+    only for a copy.
     """
     pairs = [_pair_codes(p, n) for p in perms]
+    return _planes(pairs, _holders(pairs, n), (n - 1).bit_length())
+
+
+def _holders(pairs: list[list[int]], n: int) -> list[int]:
+    """For each pair code x < n², the bitset of the rows of pairs that hold x."""
     holders = [0] * (n * n)
     for i, row in enumerate(pairs):
         for x in row:
             holders[x] |= 1 << i
-    width = (n - 1).bit_length()
+    return holders
+
+
+def _planes(pairs: list[list[int]], holders: list[int], width: int):
+    """For each row of pair codes in turn, its width count planes: bit j of
+    plane k is bit k of the number of the row's pairs whose holders have bit
+    j.  A row adds the holders of each of its pairs into the planes, each
+    carry rippling up while it is non-zero: about n·⌈log2 n⌉ operations on
+    N-bit integers for a row of n-1 pairs.
+    """
     for row in pairs:
         planes = [0] * width
         for carry in map(holders.__getitem__, row):

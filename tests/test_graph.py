@@ -23,7 +23,7 @@ from blockperm.graph import (
     neighborhood_stats,
     neighborhood_stats_payload,
 )
-from blockperm.perm import block_distance, compose, distance_by_definition, inverse
+from blockperm.perm import _at_least, block_distance, compose, distance_by_definition, inverse
 
 
 def test_build_graph_4_3_shape():
@@ -169,6 +169,43 @@ def test_build_graph_looks_up_at_most_two_columns(n, d):
     assert looked_up == _two_lookups(n, d)
     rows = zip(*cols) if cols else [()] * len(verts)
     assert build_graph(n, d).adjacency == tuple(tuple(sorted(row)) for row in rows)
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 7) for d in range(1, n + 2)]
+                         + [(7, d) for d in range(2, 7)])
+def test_mirrored_build_matches_the_generic_kernel(monkeypatch, n, d):
+    """Between the trivial distances the reader runs on the lower half of
+    the rows only, and the mirrored upper half is the generic kernel's."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _at_least(*args)
+
+    monkeypatch.setattr(graph, "_at_least", counted)
+    g = build_graph(n, d)
+    assert len(calls) == (math.factorial(n) // 2 if 1 < d < n else 0)
+    monkeypatch.undo()
+    assert g.bits == graph_on(itertools.permutations(range(1, n + 1)), d).bits
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_relabelling_by_w0_reverses_the_rank(n):
+    verts = list(itertools.permutations(range(1, n + 1)))
+    rank = {w: i for i, w in enumerate(verts)}
+    assert all(rank[tuple(n + 1 - x for x in w)] == len(verts) - 1 - i
+               for i, w in enumerate(verts))
+
+
+@pytest.mark.parametrize("count", [1, 6, 24, 5040])
+def test_mirror_moves_bit_i_to_count_minus_1_minus_i(count):
+    rng = random.Random(count)
+    for i in range(count):
+        assert graph._mirror(1 << i, count) == 1 << count - 1 - i
+    for _ in range(20):
+        bits = rng.getrandbits(count)
+        assert graph._mirror(bits, count) == int(f"{bits:0{count}b}"[::-1], 2)
+        assert graph._mirror(graph._mirror(bits, count), count) == bits
 
 
 def test_build_graph_7_3_against_distance():

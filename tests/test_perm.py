@@ -103,6 +103,21 @@ def test_block_distance_worked_example():
         block_distance((1, 2), (1, 2, 3))
 
 
+@pytest.mark.parametrize("n", [1, 2, 254, 255, 256, 257, 300])
+def test_block_distance_counts_the_pairs_missing_from_the_other_set(n):
+    """Both routes, the byte table up to n = 255 and the pair sets from 256
+    on, against the characteristic sets: seeded pairs, and each word against
+    itself, its reversal, a rotation and a copy with one block moved."""
+    rng = random.Random(n)
+    labels = list(range(1, n + 1))
+    for _ in range(50):
+        a = tuple(rng.sample(labels, n))
+        i, j = sorted(rng.sample(range(n + 1), 2)) if n > 1 else (0, 1)
+        moved = a[:i] + a[j:] + a[i:j]
+        for b in (tuple(rng.sample(labels, n)), a, a[::-1], a[1:] + a[:1], moved):
+            assert block_distance(a, b) == len(char_set(a) - char_set(b))
+
+
 def test_is_minimal():
     assert is_minimal((3, 2, 4, 1))
     assert not is_minimal(identity(4))
