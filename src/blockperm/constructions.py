@@ -134,12 +134,32 @@ def _pair_rank(n: int, a: int, b: int) -> int:
     return (a - 1) * n - (a - 1) * a // 2 + (b - a - 1)
 
 
+#: labels multiplied into the syndrome product between two lane reductions
+SYNDROME_RUN = 20
+
+
 def syndrome(p: Perm, d: int, enc: PairEncoder) -> tuple[int, ...]:
     """First d-1 elementary symmetric values of p's encoded adjacent pairs, d >= 2.
 
-    Computed mod q by the incremental product expansion of prod_i (x + g_i),
-    which needs no division.  If d-1 exceeds n-1 the surplus coordinates are
-    zero (there are only n-1 pair labels to multiply).
+    e_k is the coefficient of X^k in prod_g (1 + g X) over the n-1 pair labels
+    g, which needs no division.  If d-1 exceeds n-1 the surplus coordinates
+    are zero (there are only n-1 pair labels to multiply), so the product
+    keeps m = min(d-1, n-1) terms: e_0..e_m as lanes of one int, e_k at bit
+    k·width (Kronecker substitution), read mod q at the end.
+
+    No lane carries while width covers every lane's value.  Exactly,
+    e_k <= C(n-1, k)(q-1)^k < ((n-1)(q-1))^k, so m·bitlen((n-1)(q-1)) bits
+    cover the whole product.  Lanes reduced mod q and then multiplied by r
+    more labels stay at most (q-1)·q^r, so (SYNDROME_RUN + 1)·bitlen(q) bits
+    cover a run of SYNDROME_RUN labels from reduced lanes.  Lanes take the
+    narrower of the two widths, in whole bytes with a bit to spare; when
+    that is the run's, every lane is reduced mod q once per SYNDROME_RUN
+    labels, by one ``to_bytes``/``from_bytes`` pass.
+
+    Work: one shift, multiply, add and mask, ``(poly + g * (poly << width))
+    & mask``, per adjacent pair on m+1 lanes, plus one reduction of m lanes
+    every SYNDROME_RUN labels past the whole product's width, so d beyond n
+    adds only its zero coordinates.
     """
     n = enc.n
     if len(p) != n:
@@ -147,12 +167,30 @@ def syndrome(p: Perm, d: int, enc: PairEncoder) -> tuple[int, ...]:
     _int_in("design distance", d, 2)
     _check_words((p,), n)
     q = enc.q
-    es = [1] + [0] * (d - 1)
-    for a, b in zip(p, p[1:]):
-        g = _pair_rank(n, a, b) if a < b else _pair_rank(n, b, a)
-        for k in range(d - 1, 0, -1):
-            es[k] = (es[k] + g * es[k - 1]) % q
-    return tuple(es[1:])
+    m = min(d - 1, n - 1)
+    whole = m * ((n - 1) * (q - 1)).bit_length()
+    run = (SYNDROME_RUN + 1) * q.bit_length()
+    size = min(whole, run) // 8 + 1  # bytes per lane; e_0 = 1 needs a bit even at n = 1
+    width = 8 * size
+    total = size * (m + 1)
+    mask = (1 << 8 * total) - 1
+    step = SYNDROME_RUN if whole > run else n  # labels between reductions
+    odd, past = 2 * n - 1, n + 1
+    poly = 1
+    for start in range(0, n - 1, step):
+        if start:  # every lane mod q; e_0 = 1 needs none
+            raw = poly.to_bytes(total, "little")
+            poly = 1 | int.from_bytes(b"".join(
+                [(int.from_bytes(raw[i:i + size], "little") % q).to_bytes(size, "little")
+                 for i in range(size, total, size)]), "little") << width
+        for a, b in zip(p[start:start + step], p[start + 1:start + step + 1]):
+            if a > b:
+                a, b = b, a
+            # g = _pair_rank(n, a, b) = a(2n-1-a)/2 + b - (n+1)
+            poly = (poly + ((a * (odd - a) >> 1) + b - past) * (poly << width)) & mask
+    raw = poly.to_bytes(total, "little")
+    return tuple([int.from_bytes(raw[i:i + size], "little") % q
+                  for i in range(size, total, size)]) + (0,) * (d - 1 - m)
 
 
 # -- syndrome fibers on packed power sums -------------------------------------
@@ -357,21 +395,17 @@ def even_n_code(n: int) -> CodeBook:
     a_j = j for odd j and a_j = n - j for even j, all mod n (residue 0 is
     written n).  The prefix sums of the gaps are distinct mod n, so each word
     is a permutation, and each difference arises from exactly one gap, so the
-    adjacency pairs of the n words partition all n(n-1) ordered pairs.
+    adjacency pairs of the n words partition all n(n-1) ordered pairs.  The
+    n prefix sums mod n are one ``itemgetter``, and word i is its pick from
+    the labels i, ..., n, 1, ..., i-1.
     """
     _int_in("n", n, 2)
     if n % 2:
         raise ValueError(f"n must be even, got {n}")
     gaps = [j if j % 2 else n - j for j in range(1, n)]
-    words = []
-    for i in range(1, n + 1):
-        acc = i
-        word = [i]
-        for g in gaps:
-            acc += g
-            word.append((acc - 1) % n + 1)
-        words.append(tuple(word))
-    return CodeBook(n, n - 1, tuple(words), "even")
+    pick = itemgetter(*[s % n for s in itertools.accumulate(gaps, initial=0)])
+    labels = [*range(1, n + 1)] * 2
+    return CodeBook(n, n - 1, tuple(pick(labels[i:i + n]) for i in range(n)), "even")
 
 
 def zn1_code(n: int) -> CodeBook:
@@ -470,11 +504,10 @@ def verify_min_distance(code: CodeBook) -> int:
     that, ``_plane_min`` finishes from the floor the walk proved.  A code
     missing every sphere below n-1 is n-1 apart.
 
-    The 5040-word ``cyclic_class_code(8)`` takes 3-5 ms, the rotation pass
-    and two s of sphere 2, against 38-55 ms for ``_plane_min`` alone (best
-    of 5); ``even_n_code(60)`` takes 0.22 ms, one set of its 3,540 pairs,
-    against 1.24 ms through the rotation pass and ``_plane_min`` (best of
-    7; 2026-10-19, 2-core Xeon, Python 3.11.7).
+    The 5040-word ``cyclic_class_code(8)`` ends after 5,040 rotation keys
+    and two s of sphere 2, 2 × 5,040 words picked, where ``_plane_min``
+    would add bit planes over all 12,698,280 pairs of words;
+    ``even_n_code(60)`` ends after one set of its 3,540 pairs.
     """
     words = code.words
     count = len(words)

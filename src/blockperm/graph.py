@@ -11,9 +11,9 @@ Every graph is one neighbor bitset per vertex, and row i is the vertices that
 ``perm._at_least`` finds sharing at least n-d pairs with vertex i, the reader
 that also verifies codes.  A vertex set gets its bitsets from
 ``_neighbor_bits``, except that ``build_graph`` reads only the lower half of
-S_n's rows and mirrors them into the upper half, in about two thirds of the
-time: 20-31 ms against 28-37 ms on the 5040 words of S_7 (best of 5; 2-core
-Xeon, Python 3.11.7).
+S_n's rows and mirrors them into the upper half: on the 5,040 words of S_7,
+the pair codes, plane adder and comparator run for 2,520 rows, at the price
+of 49 holder mirrors and 2,520 row mirrors.
 """
 
 from __future__ import annotations

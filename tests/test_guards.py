@@ -275,9 +275,9 @@ DOMAIN_EDGES = [
     *_edges("zn1_code", constructions.zn1_code, "constructions._is_prime", None, "n", 2),
     *_edges("PairEncoder", PairEncoder, "constructions._is_prime", 4, "q", 6, name="field size"),
     *_edges("syndrome", lambda d: constructions.syndrome((1, 2), d, ENC_2),
-            "constructions._pair_rank", None, "d", 2, name=DESIGN, also=(0, -1)),
+            "constructions._check_words", None, "d", 2, name=DESIGN, also=(0, -1)),
     *_edges("in_syndrome_class", lambda d: constructions.in_syndrome_class((1, 2), d, (), ENC_2),
-            "constructions._pair_rank", None, "d", 2, name=DESIGN),
+            "constructions._check_words", None, "d", 2, name=DESIGN),
     # below n = 3 no d is left for a fiber
     *_edges("syndrome_classes", constructions.syndrome_classes, "constructions._word_keys",
             5, "d", 2, 4, DESIGN, n_low=3),
