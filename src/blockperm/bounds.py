@@ -15,10 +15,12 @@ these tables are quoted.
 
 The newer upper bound counts (n-d)-subsets of characteristic sets:
 
-    new_upper = C(n, d)^2 (n-d)! / C(n-1, n-d)
+    new_upper = C(n, d)^2 (n-d)! / C(n-1, n-d) = n n! / (d d!)
 
-which beats (n-t-1)! whenever ``corollary_applies`` holds.  Lower bounds are
-rounded up, upper bounds down.
+which beats (n-t-1)! whenever ``corollary_applies`` holds.  It is computed
+as n n!/(d d!), n/d times the code-anticode bound n!/d!; the paper's binomial
+form is the tests' second route.  Lower bounds are rounded up, upper bounds
+down.
 """
 
 from __future__ import annotations
@@ -99,8 +101,14 @@ def new_upper(n: int, d: int) -> tuple[Fraction, int]:
     1 <= d <= n-1."""
     _int_in("n", n, 2)
     _int_in("distance", d, 1, n - 1)
-    exact = Fraction(math.comb(n, d) ** 2 * math.factorial(n - d), math.comb(n - 1, n - d))
-    return exact, exact.numerator // exact.denominator
+    return _new_upper(n, d)
+
+
+def _new_upper(n: int, d: int) -> tuple[Fraction, int]:
+    """``new_upper``, input unchecked, by its closed form n n!/(d d!) =
+    n (n!/d!)/d."""
+    top = n * math.perm(n, n - d)
+    return Fraction(top, d), top // d
 
 
 def special_exact(n: int, d: int) -> int | None:
@@ -128,14 +136,14 @@ def corollary_applies(n: int, d: int) -> bool:
     """True when the new bound provably does not exceed the packing estimate:
     odd d = 2t+1 where the product sandwich applies to radius t,
     n * prod_{i=0..t}(n-i) <= d * d!, and d <= n-1."""
-    return _corollary_applies(n, d, _odd_radius(n, d))
+    t = _odd_radius(n, d)
+    return _corollary_applies(n, d, t, _sandwich_applies(n, t))
 
 
-def _corollary_applies(n: int, d: int, t: int) -> bool:
-    """``corollary_applies`` at d = 2t+1, input unchecked."""
-    if d > n - 1 or not _sandwich_applies(n, t):
-        return False
-    return n * math.perm(n, t + 1) <= d * math.factorial(d)
+def _corollary_applies(n: int, d: int, t: int, sandwich: bool) -> bool:
+    """``corollary_applies`` at d = 2t+1, input unchecked, given whether the
+    sandwich applies to t."""
+    return d <= n - 1 and sandwich and n * math.perm(n, t + 1) <= d * math.factorial(d)
 
 
 class BoundReport(NamedTuple):
@@ -162,31 +170,22 @@ class BoundReport(NamedTuple):
 def bound_report(n: int, d: int, exact: bool = False) -> BoundReport:
     """The bound row for n >= 2 and 1 <= d <= n-1.
 
-    n and d are checked here, then against each other by ``new_upper``; the
-    odd distance, its radius t and the GV radius 2t are derived from them,
-    so the bound bodies take them unchecked.
+    n and d are checked here, in one pass; the odd distance, its radius t,
+    the GV radius 2t and whether the sandwich applies to each are derived
+    once, so the bound bodies take them unchecked.
     """
     _int_in("n", n, 2)
     _int_in("distance", d)
-    exact_frac, floor = new_upper(n, d)
+    _int_in("distance", d, 1, n - 1)
     bd = d if d % 2 else d + 1
     t = (bd - 1) // 2
-    gv = sp = None
-    if exact or _sandwich_applies(n, 2 * t):
-        gv = _gv_lower(n, t, exact)
-    if exact or _sandwich_applies(n, t):
-        sp = _sp_upper(n, t, exact)
-    return BoundReport(
-        n=n,
-        d=d,
-        bound_distance=bd,
-        gv_lower=gv,
-        sp_upper=sp,
-        new_upper=floor,
-        new_upper_exact=exact_frac,
-        exact_mode=exact,
-        corollary_applies=_corollary_applies(n, bd, t),
-    )
+    gv_sandwich = _sandwich_applies(n, 2 * t)
+    sp_sandwich = _sandwich_applies(n, t)
+    gv = _gv_lower(n, t, exact) if exact or gv_sandwich else None
+    sp = _sp_upper(n, t, exact) if exact or sp_sandwich else None
+    exact_frac, floor = _new_upper(n, d)
+    return BoundReport(n, d, bd, gv, sp, floor, exact_frac, exact,
+                       _corollary_applies(n, bd, t, sp_sandwich))
 
 
 def table1() -> list[BoundReport]:

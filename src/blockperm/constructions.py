@@ -297,18 +297,28 @@ def _word_keys(n: int, m: int, enc: PairEncoder) -> memoryview | list[int]:
 
 
 def _fiber(n: int, d: int, keys, key: int) -> CodeBook:
-    """The code of the words of S_n whose place in keys holds key, each rank
-    found by ``indexOf`` from just past the last (a memoryview slice is a
-    view, so nothing is copied)."""
+    """The code of the words of S_n whose place in keys holds key.  In a
+    memoryview the key's bytes are found in the buffer by ``bytes.find``, and
+    a hit counts only at a multiple of the item size (elsewhere it straddles
+    two keys); in a list each rank is found by ``indexOf`` from just past the
+    last."""
     ranks = []
-    start = 0
-    try:
-        while True:
-            start += indexOf(keys[start:], key)
-            ranks.append(start)
-            start += 1
-    except ValueError:  # no more
-        pass
+    if isinstance(keys, memoryview):
+        words, size = keys.obj, keys.itemsize
+        needle = key.to_bytes(size, sys.byteorder)
+        at = -1
+        while (at := words.find(needle, at + 1)) >= 0:
+            if not at % size:
+                ranks.append(at // size)
+    else:
+        start = 0
+        try:
+            while True:
+                start += indexOf(keys[start:], key)
+                ranks.append(start)
+                start += 1
+        except ValueError:  # no more
+            pass
     return CodeBook(n, d, tuple(_unrank(n, r) for r in ranks), "syndrome")
 
 
@@ -463,9 +473,12 @@ def ham_decomp_code(n: int) -> CodeBook | None:
     """Hamiltonian-decomposition code for odd n >= 1, or None when none exists.
 
     Dropping the hub from each cycle of a decomposition found by
-    ``_hub_cycles`` leaves n codewords at pairwise distance n-1.  The search
-    is exhaustive, so None is a proof of nonexistence at this n (the n = 3
-    and n = 5 cases are the known failures).
+    ``_hub_cycles`` leaves n codewords at pairwise distance n-1.  Cycle 1 is
+    fixed to 0 -> 1 -> ... -> n -> 0, as relabelling 2..n maps any
+    decomposition to one with that cycle, and only cycles 2..n are searched
+    (at n = 5 in 356 calls, against 10,271 with cycle 1 searched too).  The
+    search is exhaustive, so None is a proof of nonexistence at this n (the
+    n = 3 and n = 5 cases are the known failures).
     """
     _int_in("n", n)
     if n % 2 == 0:
@@ -473,8 +486,9 @@ def ham_decomp_code(n: int) -> CodeBook | None:
     if n > HAM_SEARCH_MAX_N:
         raise ValueError(f"n={n} exceeds search guard {HAM_SEARCH_MAX_N}")
     every = (1 << n + 1) - 1
-    cycles: list[tuple[int, ...]] = []
-    if not _hub_cycles(n, [0, 1], 0b11, [every ^ 1 << u for u in range(n + 1)], cycles):
+    cycles = [tuple(range(n + 1))]
+    free = [every ^ 1 << u ^ 1 << (u + 1) % (n + 1) for u in range(n + 1)]
+    if n > 1 and not _hub_cycles(n, [0, 2], 0b101, free, cycles):
         return None
     return CodeBook(n, max(n - 1, 1), tuple(cycle[1:] for cycle in cycles), "hamdecomp")
 

@@ -171,10 +171,12 @@ def ball_size_bounds(n: int, t: int) -> tuple[int, int]:
     """Product sandwich for the t-ball size, where ``sandwich_applies`` (which
     checks n >= 1 and t >= 0, and so needs t <= n-1).
 
-    Returns (prod_{i=1..t} (n-i), prod_{i=0..t} (n-i)); empty products are 1.
+    Returns (prod_{i=1..t} (n-i), prod_{i=0..t} (n-i)); empty products are 1,
+    and the second is n times the first.
     """
     _require_sandwich(n, t)
-    return math.prod(range(n - t, n)), math.prod(range(n - t, n + 1))
+    lower = math.prod(range(n - t, n))
+    return lower, lower * n
 
 
 def _require_sandwich(n: int, t: int) -> None:

@@ -32,8 +32,9 @@ words, each rearranging 1..n in int labels).  Metric primitives
 more than the call: for n <= 255 ``block_distance`` translates and compares
 n-1 bytes, where ``_check_words`` type-checks, sorts and hashes each word's
 n labels.  So do the private bodies of the bound functions (``bounds._gv_lower``,
-``_sp_upper``, ``_corollary_applies``, ``enumeration._sandwich_applies``),
-which ``bound_report`` calls with values it has checked or derived.
+``_sp_upper``, ``_new_upper``, ``_corollary_applies``,
+``enumeration._sandwich_applies``), which ``bound_report`` calls with values
+it has checked or derived.
 """
 
 from __future__ import annotations

@@ -69,12 +69,15 @@ def test_new_upper_frozen():
         new_upper(10, 10)
 
 
-@pytest.mark.parametrize("n,d", [(7, 3), (9, 5), (13, 9), (16, 11), (20, 13)])
-def test_new_upper_algebraic_identity(n, d):
-    exact, floor = new_upper(n, d)
-    assert exact * math.comb(n - 1, n - d) == math.comb(n, d) ** 2 * math.factorial(n - d)
-    assert floor <= exact < floor + 1
-    assert floor >= 1
+@pytest.mark.parametrize("n", range(2, 61))
+def test_new_upper_algebraic_identity(n):
+    # the paper's binomial form, the second route to the closed form the code computes
+    for d in range(1, n):
+        paper = Fraction(math.comb(n, d) ** 2 * math.factorial(n - d), math.comb(n - 1, n - d))
+        exact, floor = new_upper(n, d)
+        rep = bound_report(n, d)
+        assert exact == paper == rep.new_upper_exact, (n, d)
+        assert floor == rep.new_upper == math.floor(paper) >= 1, (n, d)
 
 
 def test_special_exact_values():
@@ -281,9 +284,9 @@ def test_bound_report_matches_the_public_functions(exact, top):
             assert bound_report(n, d, exact=exact) == _report_by_public_functions(n, d, exact)
 
 
-def test_an_estimate_report_runs_the_range_rule_at_most_four_times(monkeypatch):
-    """n and d once in bound_report and once in new_upper; nothing it
-    derives from them is checked again."""
+def test_an_estimate_report_runs_the_range_rule_three_times(monkeypatch):
+    """n, then d as positive, then d against n, all in bound_report; nothing
+    it derives from them is checked again."""
     calls = 0
 
     def counted(*args):
@@ -295,7 +298,21 @@ def test_an_estimate_report_runs_the_range_rule_at_most_four_times(monkeypatch):
     monkeypatch.setattr(enumeration, "_int_in", counted)
     reports = [bound_report(n, d) for n in range(2, 61) for d in range(1, n)]
     assert len(reports) == 1770
-    assert calls <= 4 * len(reports)
+    assert calls == 3 * len(reports)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["estimate", "exact"])
+@pytest.mark.parametrize("n, d, message", [
+    (1, 1, "n must be an int >= 2, got 1"),
+    (5, 0, "distance must be positive, got 0"),
+    (5, 5, "distance must be an int in [1, 4], got 5"),
+    (5, True, "distance must be positive, got True"),
+    (5, 1.0, "distance must be positive, got 1.0"),
+], ids=["n-1", "d-0", "d-n", "d-True", "d-float"])
+def test_bound_report_error_text(n, d, message, exact):
+    with pytest.raises(ValueError) as info:
+        bound_report(n, d, exact=exact)
+    assert str(info.value) == message
 
 
 def test_bound_report_payload_round_trip():

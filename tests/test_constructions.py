@@ -7,6 +7,7 @@ import json
 import math
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -15,6 +16,7 @@ from blockperm import constructions
 from blockperm.constructions import (
     _decode,
     _encode,
+    _fiber,
     _plane_min,
     _word_keys,
     HAM_SEARCH_MAX_N,
@@ -384,6 +386,20 @@ def test_power_sums_and_syndromes_convert_both_ways(q, m):
         assert _encode(e[1:], q) == sums
 
 
+def test_fiber_counts_only_hits_at_a_key_boundary():
+    # six 2-byte keys: the target's bytes straddle slots 0 and 1, fill slots
+    # 2 and 3, and a run of one byte holds another key's bytes at every offset
+    target = 0x0304
+    needle = target.to_bytes(2, sys.byteorder)
+    buffer = bytes([0]) + needle + bytes([0]) + needle * 2 + bytes([5]) * 4
+    keys = memoryview(buffer).cast("H")
+    assert keys.tolist()[2:4] == [target, target] and target not in keys.tolist()[:2]
+    assert _fiber(3, 2, keys, target).words == ((2, 1, 3), (2, 3, 1))
+    assert _fiber(3, 2, keys, 0x0505).words == ((3, 1, 2), (3, 2, 1))
+    for key in (target, 0x0505, 0x0403, 0):
+        assert _fiber(3, 2, keys, key) == _fiber(3, 2, keys.tolist(), key)
+
+
 def test_fiber_scans_reject_an_encoder_of_another_size():
     for scan in (lambda: syndrome_classes(5, 3, PairEncoder.for_n(6)),
                  lambda: syndrome_class(5, 3, (0, 0), PairEncoder.for_n(4))):
@@ -423,6 +439,26 @@ def test_hub_cycle_search_leaves_no_reference_cycles():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_hub_cycle_search_fixes_the_first_cycle(monkeypatch):
+    """Cycle 1 is 0 -> 1 -> ... -> n -> 0 and only cycles 2..n are searched:
+    the proofs of nonexistence at n = 3 and 5 take 3 and 356 calls (13 and
+    10,271 with cycle 1 searched too)."""
+    search = constructions._hub_cycles
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return search(*args)
+
+    monkeypatch.setattr(constructions, "_hub_cycles", counted)
+    for n, expected in [(1, 0), (3, 3), (5, 356)]:
+        calls = 0
+        code = ham_decomp_code(n)
+        assert (code is None, calls) == (n > 1, expected), n
+    assert ham_decomp_code(7).words[0] == (1, 2, 3, 4, 5, 6, 7)
 
 
 def test_cyclic_class_code():
