@@ -262,8 +262,10 @@ def _word_keys(n: int, m: int, enc: PairEncoder) -> memoryview | list[int]:
     value of (v, rest - {v}) with the packed powers (g, ..., g^m) of u-v's
     label g added to every slot, reduced lane-wise mod q once (adding
     2^(w-1) - q to a lane of width w sets its guard bit exactly when it
-    reached q).  A slot is the key rounded up to 2^i bytes, so the top values
-    side by side cast to one key per word.
+    reached q).  A set's join lays its values below side by side once, and
+    each u adds its packed powers, as bytes repeated over each value's
+    slots, and reduces.  A slot is the key rounded up to 2^i bytes, so the
+    top values side by side cast to one key per word.
     """
     q = enc.q
     shifts = _lanes(m, q)
@@ -273,19 +275,27 @@ def _word_keys(n: int, m: int, enc: PairEncoder) -> memoryview | list[int]:
     guards = sum(1 << s + top for s in shifts)
     bias = sum((1 << top) - q << s for s in shifts)
     labels = range(1, n + 1)
-    powers = {(a, b): sum(pow(enc.value(a, b), k, q) << s for k, s in enumerate(shifts, 1))
+    # little-endian slots, so bytes side by side are the slots of one int in order
+    powers = {(a, b): sum(pow(enc.value(a, b), k, q) << s
+                          for k, s in enumerate(shifts, 1)).to_bytes(size, "little")
               for a in labels for b in labels if a != b}
 
     def level(k):
         count = math.factorial(k - 1)  # slots per value below
-        ones = int.from_bytes(one * count, sys.byteorder)  # 1 in each slot of a value below
         span = 8 * size * count
         every = int.from_bytes(one * count * k, sys.byteorder)
         level_bias, level_guards = bias * every, guards * every
 
-        def join(u, below):
-            row = sum(r + powers[u, v] * ones << i * span for i, (v, r) in enumerate(below))
-            return row - ((row + level_bias & level_guards) >> top) * q
+        def join(below):
+            base = sum(r << i * span for i, (_, r) in enumerate(below))
+            rest = [v for v, _ in below]
+            row = [0] * n
+            for u in labels:
+                if u not in rest:
+                    key = base + int.from_bytes(b"".join([powers[u, v] * count for v in rest]),
+                                                "little")
+                    row[u - 1] = key - ((key + level_bias & level_guards) >> top) * q
+            return row
         return join
 
     width = size * math.factorial(n - 1)

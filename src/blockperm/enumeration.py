@@ -8,7 +8,8 @@ only ``enumerate_spheres`` scans all n! permutations, the independent
 cross-check of that recurrence, and it carries a size guard.  Both scans of
 S_n, it and the syndrome-fiber keys of ``constructions``, run one subset DP
 over prefixes, ``_prefix_dp``: what the completions of a prefix contribute
-depends only on its last label and the set of labels left.
+depends only on its last label and the set of labels left, and one join per
+set computes it for every last label outside the set.
 """
 
 from __future__ import annotations
@@ -25,28 +26,32 @@ DEFAULT_MAX_N = 8
 
 def _prefix_dp(n: int, leaf, level) -> list:
     """Held and Karp's subset DP over the prefixes of S_n: the value of every
-    state (u, rest), a prefix's last label u and the labels rest left after
-    it in increasing order, returned for the top states u = 1..n.
+    state (u, rest), a prefix's last label u and the set rest of labels left
+    after it in increasing order, returned for the top states u = 1..n.
 
-    A state with nothing left gets leaf.  level(k), called once per level,
-    returns the join of the states with k labels left: join(u, below) gets
-    below = [(v, value of (v, rest - {v})) for v in rest ascending].  So a
-    join that lists its completions in below's order, v first, lists them in
-    lexicographic order, and the top values side by side list S_n so.  There
-    are n(2^(n-1) - 1) joins (1,016 at n = 8), one per state past the leaves.
+    A set is a bitmask, bit v-1 for label v.  A state with nothing left gets
+    leaf.  level(k), called once per level, returns the join of the sets of k
+    labels, run on each such set in turn, masks ascending: join(below) gets
+    below = [(v, value of (v, rest - {v})) for v in rest ascending] and
+    returns a row whose entry u-1 is the value of (u, rest) for every u not
+    in rest; other entries are never read.  So a join that lists its
+    completions in below's order, v first, lists them in lexicographic
+    order, and the top values side by side list S_n so.  There are
+    n(2^(n-1) - 1) states past the leaves (1,016 at n = 8) but 2^n - 2 joins
+    (254), one per set, so whatever a state's value shares with the other
+    states of its set is computed once.
     """
-    labels = tuple(range(1, n + 1))
-    values = dict.fromkeys([(u, ()) for u in labels], leaf)
-    for k in range(1, n):
+    members = [()]  # members[rest]: the labels of rest, ascending
+    for rest in range(1, 1 << n):
+        low = rest & -rest
+        members.append((low.bit_length(), *members[rest ^ low]))
+    values = {0: [leaf] * n}
+    for k, rests in itertools.groupby(sorted(range(1, (1 << n) - 1), key=int.bit_count),
+                                      int.bit_count):
         join = level(k)
-        above = {}
-        for rest in itertools.combinations(labels, k):
-            below = [(v, values[v, rest[:i] + rest[i + 1:]]) for i, v in enumerate(rest)]
-            for u in labels:
-                if u not in rest:
-                    above[u, rest] = join(u, below)
-        values = above
-    return [values[u, labels[:u - 1] + labels[u:]] for u in labels]
+        values = {rest: join([(v, values[rest ^ 1 << v - 1][v - 1]) for v in members[rest]])
+                  for rest in rests}
+    return [values[(1 << n) - 1 ^ 1 << u][u] for u in range(n)]
 
 
 class SphereProfile(NamedTuple):
@@ -74,20 +79,28 @@ def enumerate_spheres(n: int) -> SphereProfile:
     distance to the identity is the number of adjacent pairs failing that,
     its breaks.  The value of a ``_prefix_dp`` state is the histogram of the
     break counts of its completions, junction pairs included, packed one
-    lane per distance into one int, lanes as wide as n! needs: a step to v
-    adds v's histogram as it is when v = u + 1 and one lane up otherwise.
-    Every permutation is counted once and no sphere formula is used.
+    lane per distance into one int, lanes step bits wide, as n! needs: a step
+    to v adds v's histogram r as it is when v = u + 1 and one lane up
+    otherwise.  So a set's join shifts the sum of its histograms up one lane
+    once, to total, and each u gets total, except u = v - 1, which gets
+    total - r(2^step - 1): O(1) per state.  Every permutation is counted
+    once and no sphere formula is used.
     """
     _int_in("n", n)
     if n > DEFAULT_MAX_N:
         raise ValueError(f"n={n} exceeds enumeration guard {DEFAULT_MAX_N}")
     step = math.factorial(n).bit_length()
+    lane = (1 << step) - 1
 
-    def join(u, below):
-        return sum(r if v == u + 1 else r << step for v, r in below)
+    def join(below):
+        total = sum(r for _, r in below) << step
+        row = [total] * n
+        for v, r in below:
+            if v > 1:
+                row[v - 2] = total - r * lane
+        return row
 
     packed = sum(_prefix_dp(n, 1, lambda k: join))
-    lane = (1 << step) - 1
     return SphereProfile(n, tuple(packed >> k * step & lane for k in range(n)))
 
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import ne
+from operator import itemgetter, ne
 from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
@@ -109,10 +109,14 @@ def _unrank(n: int, r: int) -> Perm:
 
 
 def compose(outer: Perm, inner: Perm) -> Perm:
-    """Composition outer∘inner, mapping i to outer(inner(i))."""
+    """Composition outer∘inner, mapping i to outer(inner(i)).  From n = 2 on,
+    one ``itemgetter`` of inner's labels reads them from (0, *outer); with
+    fewer labels it would not return a tuple."""
     if len(outer) != len(inner):
         raise ValueError(f"mismatched sizes {len(outer)} and {len(inner)}")
-    return tuple([outer[j - 1] for j in inner])
+    if len(inner) < 2:
+        return tuple([outer[j - 1] for j in inner])
+    return itemgetter(*inner)((0, *outer))
 
 
 def inverse(p: Perm) -> Perm:

@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 import time
+from operator import mul
 from typing import NamedTuple
 
 from . import bounds as bounds_mod
@@ -193,15 +194,16 @@ def criterion_9_metric_axioms() -> CriterionResult:
     """Symmetry, left-invariance and the triangle inequality, exhaustively on
     S_4 and S_5 and on 10^5 random triples in S_7.
 
-    The S_7 triples are indices into the 5040 permutations drawn by
-    ``rng.choices``, each uniform on S_7 to within about 2^-40.  Symmetry and
-    the triangle inequality are checked on pair masks, left-invariance with
-    the library's ``compose`` and ``block_distance``.  On S_4 and S_5 every
-    pair is checked through the identity's row f(x) = d(e, x): left-invariance
-    for every (c, a, b) holds exactly when d(a, b) = f(a⁻¹∘b) for every pair
-    (take c = a⁻¹; conversely (c∘a)⁻¹∘(c∘b) = a⁻¹∘b), and given that, the
-    triangle inequality d(a, c) <= d(a, b) + d(b, c) for every triple holds
-    exactly when f(x∘y) <= f(x) + f(y) for every pair (x = a⁻¹∘b, y = b⁻¹∘c).
+    The S_7 triples are indices into the 5040 permutations drawn as
+    ``rng.choices`` draws them, each uniform on S_7 to within about 2^-40.
+    Symmetry and the triangle inequality are checked on pair masks,
+    left-invariance with the library's ``compose`` and ``block_distance``.
+    On S_4 and S_5 every pair is checked through the identity's row
+    f(x) = d(e, x): left-invariance for every (c, a, b) holds exactly when
+    d(a, b) = f(a⁻¹∘b) for every pair (take c = a⁻¹; conversely
+    (c∘a)⁻¹∘(c∘b) = a⁻¹∘b), and given that, the triangle inequality
+    d(a, c) <= d(a, b) + d(b, c) for every triple holds exactly when
+    f(x∘y) <= f(x) + f(y) for every pair (x = a⁻¹∘b, y = b⁻¹∘c).
     """
     start = time.perf_counter()
     violations = 0
@@ -218,22 +220,21 @@ def criterion_9_metric_axioms() -> CriterionResult:
                                + ((dab == 0) != (a == b))  # identity of indiscernibles
                                + (dab != f[compose(a_inv, b)])  # left-invariance
                                + (f[compose(a, b)] > fa + f[b]))  # triangle, x = a, y = b
-    # 1000 triples per draw; on pair masks, |A \ B| is (a & ~b).bit_count()
+    # indices floor(random() * 5040), the draws of rng.choices, read through
+    # C-level maps into a (word, pair mask) table; |A \ B| is (a & ~b).bit_count()
     perms = list(itertools.permutations(range(1, 8)))
-    masks = _pair_masks(perms, 7)
+    table = list(zip(perms, _pair_masks(perms, 7)))
     rng = random.Random(2759)
-    for _ in range(100):
-        draws = iter(rng.choices(range(len(perms)), k=3000))
-        for ia, ib, ic in zip(draws, draws, draws):
-            sa, sb, sc = masks[ia], masks[ib], masks[ic]
-            dab = (sa & ~sb).bit_count()
-            if dab != (sb & ~sa).bit_count():
-                violations += 1
-            c = perms[ic]
-            if block_distance(compose(c, perms[ia]), compose(c, perms[ib])) != dab:
-                violations += 1
-            if (sa & ~sc).bit_count() > dab + (sb & ~sc).bit_count():
-                violations += 1
+    randoms = itertools.islice(iter(rng.random, None), 300_000)
+    draws = map(table.__getitem__, map(math.floor, map(mul, randoms, itertools.repeat(len(table)))))
+    for (a, sa), (b, sb), (c, sc) in zip(draws, draws, draws):
+        dab = (sa & ~sb).bit_count()
+        if dab != (sb & ~sa).bit_count():
+            violations += 1
+        if block_distance(compose(c, a), compose(c, b)) != dab:
+            violations += 1
+        if (sa & ~sc).bit_count() > dab + (sb & ~sc).bit_count():
+            violations += 1
     elapsed = time.perf_counter() - start
     ok = violations == 0
     detail = f"exhaustive on S_4, S_5; 100000 random S_7 triples; " \

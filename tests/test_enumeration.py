@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from blockperm import enumeration
 from blockperm.enumeration import (
     DEFAULT_MAX_N,
     SphereProfile,
@@ -57,9 +58,9 @@ def test_enumerate_spheres_matches_a_pair_test_per_permutation(n):
 def test_prefix_dp_lists_completions_in_lexicographic_order(n):
     # Joins that prepend v to each of its tails rebuild every word, so the top
     # values pin the slot order that the fiber keys and their zip with
-    # itertools.permutations rely on.
+    # itertools.permutations rely on.  A state's tails do not depend on u.
     def level(k):
-        return lambda u, below: [(v, *tail) for v, tails in below for tail in tails]
+        return lambda below: [[(v, *tail) for v, tails in below for tail in tails]] * n
 
     top = _prefix_dp(n, [()], level)
     words = [(u, *tail) for u, tails in enumerate(top, 1) for tail in tails]
@@ -67,18 +68,55 @@ def test_prefix_dp_lists_completions_in_lexicographic_order(n):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_prefix_dp_joins_once_per_state_past_the_leaves(n):
-    # n(2^(n-1) - 1) states (u, rest) with rest nonempty: 1,016 at n = 8
-    levels, joins = [], []
+def test_prefix_dp_joins_once_per_set_and_reads_rows_outside_it(n):
+    # n(2^(n-1) - 1) states (u, rest) with rest nonempty, 1,016 at n = 8, but
+    # one join per set rest of 1..n-1 labels: 2^n - 2, 254 at n = 8
+    levels, joins, reads = [], [], []
+
+    class Row(list):
+        def __getitem__(self, i):
+            reads.append((self.rest, i))
+            return super().__getitem__(i)
 
     def level(k):
         levels.append(k)
-        return lambda u, below: joins.append((k, u, tuple(v for v, _ in below)))
+
+        def join(below):
+            rest = tuple(v for v, _ in below)
+            joins.append((k, rest))
+            row = Row(range(n))
+            row.rest = rest
+            return row
+        return join
 
     _prefix_dp(n, None, level)
     assert levels == list(range(1, n))
-    assert len(joins) == len(set(joins)) == n * (2 ** (n - 1) - 1)
-    assert all(len(rest) == k and u not in rest for k, u, rest in joins)
+    assert len(joins) == len(set(joins)) == 2 ** n - 2
+    assert all(len(rest) == k and list(rest) == sorted(rest) for k, rest in joins)
+    assert joins == sorted(joins, key=lambda join: (join[0], sum(1 << v - 1 for v in join[1])))
+    # every state past the leaves is read once, from its set's row at u - 1
+    assert len(reads) == len(set(reads)) == n * (2 ** (n - 1) - 1)
+    assert all(0 <= i < n and i + 1 not in rest for rest, i in reads)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sphere_join_matches_the_per_state_sum(monkeypatch, n):
+    # The second route: each state's histogram summed from its successors',
+    # one lane up unless the step extends a run, as a row per set.
+    tops = []
+
+    def spy(*args):
+        tops.append(_prefix_dp(*args))
+        return tops[-1]
+
+    monkeypatch.setattr(enumeration, "_prefix_dp", spy)
+    enumerate_spheres(n)
+    step = math.factorial(n).bit_length()
+
+    def join(below):
+        return [sum(r if v == u + 1 else r << step for v, r in below) for u in range(1, n + 1)]
+
+    assert tops == [_prefix_dp(n, 1, lambda k: join)]
 
 
 def test_enumerate_spheres_leaves_no_reference_cycles():
