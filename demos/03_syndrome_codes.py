@@ -26,7 +26,7 @@ print(f"\nsyndrome{p} = {syndrome(p, d, enc)}")
 print(f"syndrome{rev} = {syndrome(rev, d, enc)}  (same unordered pairs)")
 print(f"block distance between them: {block_distance(p, rev)} >= d = {d}\n")
 
-buckets = syndrome_classes(n, d, enc)
+buckets = syndrome_classes(n, d)  # scanned in n's own field, q = enc.q
 sizes = Counter(len(words) for words in buckets.values())
 print(f"S_{n} splits into {len(buckets)} nonempty fibers; size histogram {dict(sizes)}")
 print(f"fiber sizes sum to {sum(len(w) for w in buckets.values())} = {n}!")

@@ -6,7 +6,9 @@ design distance d.  This module builds them four ways:
 * syndrome classes: adjacent pairs are labelled with prime-field elements and
   each permutation is mapped to the first d-1 elementary symmetric values of
   its labels; for 2 <= d <= n-1, permutations sharing that syndrome are at
-  distance >= d, so each fiber is a code and the fibers partition S_n,
+  distance >= d, so each fiber is a code and the fibers partition S_n (the
+  scans of S_n work in n's own field, q = ``select_prime(n)``; ``syndrome``
+  and ``in_syndrome_class`` take any ``PairEncoder``),
 * cyclic-class representatives: one permutation per rotation class gives a
   distance-2 code of size (n-1)!,
 * maximum-distance families for d = n-1: an arithmetic construction for even
@@ -23,7 +25,7 @@ import itertools
 import math
 import sys
 from collections import Counter, defaultdict
-from operator import add, indexOf, itemgetter, mul, neg, sub
+from operator import add, itemgetter, mul, neg, sub
 from typing import NamedTuple
 
 from .enumeration import DEFAULT_MAX_N, _prefix_dp, _sphere_sizes, identity_sphere
@@ -237,25 +239,22 @@ def _decode(keys, m: int, q: int) -> list[tuple[int, ...]]:
     return list(zip(*e.values()))
 
 
-def _fiber_encoder(n: int, d: int, enc: PairEncoder | None) -> PairEncoder:
-    """enc, or n's default encoder, once n and d admit a scan of the fibers."""
+def _fiber_encoder(n: int, d: int) -> PairEncoder:
+    """n's encoder, once n and d admit a scan of the fibers."""
     # Fibers are codes of distance d only for 2 <= d <= n-1: a word and its
     # reverse share every syndrome and lie at distance n-1.  No d is left below n = 3.
     _int_in("n", n, 3)
     _int_in("design distance", d, 2, n - 1)
     if n > DEFAULT_MAX_N:
         raise ValueError(f"n={n} exceeds enumeration guard {DEFAULT_MAX_N}")
-    enc = enc or PairEncoder.for_n(n)
-    if enc.n != n:
-        raise ValueError(f"permutation size {n} does not match encoder n={enc.n}")
-    return enc
+    return PairEncoder.for_n(n)
 
 
-def _word_keys(n: int, m: int, enc: PairEncoder) -> memoryview | list[int]:
+def _word_keys(n: int, m: int, enc: PairEncoder) -> memoryview:
     """The packed power sums of m lanes of the pair labels of every word of
-    S_n, in lexicographic order: a memoryview of ints, or past 64 bits a list.
-    Default encoders stay within 64 bits up to the scan guard; only a caller's
-    wider field, such as q = 1,000,003, needs the list.
+    S_n, in lexicographic order, as a memoryview of ints.  The keys must fit
+    64 bits, as every key of n's own field does up to the scan guard: the
+    widest, at n = 8 and m = 6, is six 6-bit lanes in one 8-byte slot.
 
     The value of a ``_prefix_dp`` state (u, rest) is one integer, a slot per
     completion in lexicographic order: for each v in rest ascending, the
@@ -300,42 +299,26 @@ def _word_keys(n: int, m: int, enc: PairEncoder) -> memoryview | list[int]:
 
     width = size * math.factorial(n - 1)
     words = b"".join(row.to_bytes(width, sys.byteorder) for row in _prefix_dp(n, 0, level))
-    if size > 8:
-        return [int.from_bytes(words[i:i + size], sys.byteorder)
-                for i in range(0, len(words), size)]
     return memoryview(words).cast("BHIQ"[size.bit_length() - 1])
 
 
-def _fiber(n: int, d: int, keys, key: int) -> CodeBook:
-    """The code of the words of S_n whose place in keys holds key.  In a
-    memoryview the key's bytes are found in the buffer by ``bytes.find``, and
-    a hit counts only at a multiple of the item size (elsewhere it straddles
-    two keys); in a list each rank is found by ``indexOf`` from just past the
-    last."""
+def _fiber(n: int, d: int, keys: memoryview, key: int) -> CodeBook:
+    """The code of the words of S_n whose place in keys holds key.  The key's
+    bytes are found in the buffer by ``bytes.find``, and a hit counts only at
+    a multiple of the item size (elsewhere it straddles two keys)."""
+    words, size = keys.obj, keys.itemsize
+    needle = key.to_bytes(size, sys.byteorder)
     ranks = []
-    if isinstance(keys, memoryview):
-        words, size = keys.obj, keys.itemsize
-        needle = key.to_bytes(size, sys.byteorder)
-        at = -1
-        while (at := words.find(needle, at + 1)) >= 0:
-            if not at % size:
-                ranks.append(at // size)
-    else:
-        start = 0
-        try:
-            while True:
-                start += indexOf(keys[start:], key)
-                ranks.append(start)
-                start += 1
-        except ValueError:  # no more
-            pass
+    at = -1
+    while (at := words.find(needle, at + 1)) >= 0:
+        if not at % size:
+            ranks.append(at // size)
     return CodeBook(n, d, tuple(_unrank(n, r) for r in ranks), "syndrome")
 
 
-def syndrome_classes(n: int, d: int,
-                     enc: PairEncoder | None = None) -> dict[tuple[int, ...], list[Perm]]:
-    """Partition of all of S_n into syndrome fibers, each a code of distance
-    >= d, for 2 <= d <= n-1.
+def syndrome_classes(n: int, d: int) -> dict[tuple[int, ...], list[Perm]]:
+    """Partition of all of S_n into syndrome fibers in n's own field, each a
+    code of distance >= d, for 2 <= d <= n-1.
 
     Keys come in the order of their fiber's first word and words in
     lexicographic order, as bucketing ``itertools.permutations`` by
@@ -343,7 +326,7 @@ def syndrome_classes(n: int, d: int,
     from ``_word_keys``; the keys then become syndromes by Newton's
     identities, one pass over all fibers per term.
     """
-    enc = _fiber_encoder(n, d, enc)
+    enc = _fiber_encoder(n, d)
     buckets: dict[int, list[Perm]] = defaultdict(list)
     for key, word in zip(_word_keys(n, d - 1, enc), itertools.permutations(range(1, n + 1))):
         buckets[key].append(word)
@@ -364,25 +347,26 @@ def in_syndrome_class(p: Perm, d: int, f, enc: PairEncoder) -> bool:
     return syndrome(p, d, enc) == _syndrome_vector(d, f, enc.q)
 
 
-def syndrome_class(n: int, d: int, f, enc: PairEncoder | None = None) -> CodeBook:
-    """The code {p in S_n : syndrome(p) = f} of distance >= d, for
-    2 <= d <= n-1, words in lexicographic order; empty when f is missed.
+def syndrome_class(n: int, d: int, f) -> CodeBook:
+    """The code {p in S_n : syndrome(p) = f} in n's own field, of distance
+    >= d for 2 <= d <= n-1, words in lexicographic order; empty when f is missed.
 
     f, checked before the scan, is keyed once, and the words with its key in
     ``_word_keys`` are unranked.  For n beyond the scan guard, test
     individual permutations with ``in_syndrome_class`` instead.
     """
-    enc = _fiber_encoder(n, d, enc)
+    enc = _fiber_encoder(n, d)
     target = _encode(_syndrome_vector(d, f, enc.q), enc.q)
     return _fiber(n, d, _word_keys(n, d - 1, enc), target)
 
 
-def largest_syndrome_class(n: int, d: int, enc: PairEncoder | None = None) -> CodeBook:
-    """A maximum-cardinality syndrome fiber, for 2 <= d <= n-1; at least
-    n!/q^(d-1) words by pigeonhole.  Ties break toward the smallest syndrome
-    vector.  Its first coordinate e_1 = p_1 is a key's low lane, so only the
-    tied keys with the least e_1 are turned into syndromes."""
-    enc = _fiber_encoder(n, d, enc)
+def largest_syndrome_class(n: int, d: int) -> CodeBook:
+    """A maximum-cardinality syndrome fiber in n's own field, for
+    2 <= d <= n-1; at least n!/q^(d-1) words by pigeonhole.  Ties break
+    toward the smallest syndrome vector.  Its first coordinate e_1 = p_1 is a
+    key's low lane, so only the tied keys with the least e_1 are turned into
+    syndromes."""
+    enc = _fiber_encoder(n, d)
     keys = _word_keys(n, d - 1, enc)
     counts = Counter(keys)
     size = max(counts.values())

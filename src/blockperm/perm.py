@@ -246,6 +246,11 @@ def _fewest_blocks(p1: Perm, p2: Perm) -> int:
     length counts only if the next block does not start where this one ends
     in p1, or the order would glue the two back together.  At most n(n+1)/2
     block steps, for the identity pair.
+
+    That rule never changes the count: blocks that a non-minimal order glues
+    together spell one block, so a fewest spelling is already minimal.  It
+    stays as the definition's literal rule, and only a test of the spelling,
+    not of d, could see it.
     """
     n = len(p1)
     at = {v: i for i, v in enumerate(p1)}

@@ -18,9 +18,9 @@ from typing import NamedTuple
 from . import bounds as bounds_mod
 from .constructions import (
     CodeBook,
-    PairEncoder,
     even_n_code,
     ham_decomp_code,
+    select_prime,
     syndrome_classes,
     verify_min_distance,
     zn1_code,
@@ -106,15 +106,14 @@ def criterion_5_syndrome_partition() -> CriterionResult:
     bad = []
     pairs = {}
     for n, d in ((5, 3), (5, 4), (6, 3), (6, 4), (7, 3)):
-        enc = PairEncoder.for_n(n)
-        buckets = syndrome_classes(n, d, enc)
+        buckets = syndrome_classes(n, d)
         if sum(len(ws) for ws in buckets.values()) != math.factorial(n):
             bad.append(f"(n={n}, d={d}): fiber sizes do not sum to n!")
         for words in buckets.values():
             if verify_min_distance(CodeBook(n, d, tuple(words), "syndrome")) < d:
                 bad.append(f"(n={n}, d={d}): fiber pair below distance {d}")
         pairs[n, d] = sum(math.comb(len(ws), 2) for ws in buckets.values())
-        floor = -(-math.factorial(n) // enc.q ** (d - 1))
+        floor = -(-math.factorial(n) // select_prime(n) ** (d - 1))
         if max(len(ws) for ws in buckets.values()) < floor:
             bad.append(f"(n={n}, d={d}): largest fiber below pigeonhole floor {floor}")
     elapsed = time.perf_counter() - start

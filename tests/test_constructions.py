@@ -1,5 +1,6 @@
 """Syndrome codes, the explicit families, and code verification."""
 
+import collections
 import gc
 import hashlib
 import itertools
@@ -210,8 +211,7 @@ def test_syndrome_rejects_a_word_that_is_not_a_permutation(word):
 
 
 def test_syndrome_class_frozen():
-    enc = PairEncoder(4, 7)
-    code = syndrome_class(4, 3, (1, 1), enc)
+    code = syndrome_class(4, 3, (1, 1))  # q = 7
     assert (1, 2, 3, 4) in code.words
     assert (4, 3, 2, 1) in code.words
     assert verify_min_distance(code) >= 3
@@ -219,15 +219,14 @@ def test_syndrome_class_frozen():
 
 
 def test_syndrome_class_can_be_empty():
-    enc = PairEncoder.for_n(4)
-    sizes = {f: len(syndrome_class(4, 3, f, enc).words)
+    sizes = {f: len(syndrome_class(4, 3, f).words)
              for f in itertools.product(range(3), repeat=2)}
     assert any(size == 0 for size in sizes.values())
 
 
 def test_in_syndrome_class_matches_scan():
     enc = PairEncoder.for_n(5)
-    code = syndrome_class(5, 3, (1, 1), enc)
+    code = syndrome_class(5, 3, (1, 1))
     members = set(code.words)
     for p in itertools.permutations(range(1, 6)):
         assert in_syndrome_class(p, 3, (1, 1), enc) == (p in members)
@@ -248,14 +247,13 @@ def test_syndrome_coordinates_are_reduced_mod_q():
     f = syndrome(word, 3, enc)
     shifted = (f[0] - enc.q, f[1] + 2 * enc.q)
     assert in_syndrome_class(word, 3, shifted, enc)
-    code = syndrome_class(5, 3, shifted, enc)
-    assert word in code.words and code == syndrome_class(5, 3, f, enc)
+    code = syndrome_class(5, 3, shifted)
+    assert word in code.words and code == syndrome_class(5, 3, f)
 
 
 @pytest.mark.parametrize("d", [3, 4])
 def test_syndrome_fibers_separate_at_n7(d):
-    enc = PairEncoder.for_n(7)
-    buckets = syndrome_classes(7, d, enc)
+    buckets = syndrome_classes(7, d)
     assert sum(len(ws) for ws in buckets.values()) == math.factorial(7)
     for words in buckets.values():
         sets = [char_set(w) for w in words]
@@ -267,8 +265,7 @@ def test_syndrome_fibers_separate_at_n7(d):
 @pytest.mark.parametrize("d", [3, 4])
 def test_syndrome_fibers_partition_and_separate(d):
     n = 5
-    enc = PairEncoder.for_n(n)
-    buckets = syndrome_classes(n, d, enc)
+    buckets = syndrome_classes(n, d)
     assert sum(len(ws) for ws in buckets.values()) == math.factorial(n)
     for words in buckets.values():
         for a, b in itertools.combinations(words, 2):
@@ -277,26 +274,24 @@ def test_syndrome_fibers_partition_and_separate(d):
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_syndrome_fibers_are_codes_over_the_whole_range(n):
-    enc = PairEncoder.for_n(n)
     for d in range(2, n):
-        for words in syndrome_classes(n, d, enc).values():
+        for words in syndrome_classes(n, d).values():
             assert verify_min_distance(CodeBook(n, d, tuple(words), "syndrome")) >= d
     # a word and its reverse share every syndrome at distance n-1
     for d in (n, n + 1):
         message = re.escape(f"design distance must be an int in [2, {n - 1}], got {d}")
         with pytest.raises(ValueError, match=message):
-            syndrome_classes(n, d, enc)
+            syndrome_classes(n, d)
         with pytest.raises(ValueError, match=message):
-            syndrome_class(n, d, (0,) * (d - 1), enc)
+            syndrome_class(n, d, (0,) * (d - 1))
         with pytest.raises(ValueError, match=message):
-            largest_syndrome_class(n, d, enc)
+            largest_syndrome_class(n, d)
 
 
 def test_largest_syndrome_class_pigeonhole():
     for n, d in [(5, 3), (6, 3)]:
-        enc = PairEncoder.for_n(n)
-        code = largest_syndrome_class(n, d, enc)
-        assert len(code.words) >= -(-math.factorial(n) // enc.q ** (d - 1))
+        code = largest_syndrome_class(n, d)
+        assert len(code.words) >= -(-math.factorial(n) // select_prime(n) ** (d - 1))
     assert len(largest_syndrome_class(6, 3).words) >= 3
 
 
@@ -308,48 +303,60 @@ def _fibers_by_syndrome(n, d, enc):
     return buckets
 
 
-def _assert_walk_matches(n, d, enc, every=1):
+def _assert_walk_matches(n, d, every):
     """The fiber scans against the per-permutation route; syndrome_class is
     checked at every ``every``-th fiber, and at the last as f and as f + q."""
+    enc = PairEncoder.for_n(n)
     expected = _fibers_by_syndrome(n, d, enc)
     # same keys in the same order, each fiber's words in the same order
-    assert list(syndrome_classes(n, d, enc).items()) == list(expected.items())
+    assert list(syndrome_classes(n, d).items()) == list(expected.items())
     # ties break toward the smallest syndrome vector
     best = min(expected, key=lambda f: (-len(expected[f]), f))
-    assert largest_syndrome_class(n, d, enc).words == tuple(expected[best])
+    assert largest_syndrome_class(n, d).words == tuple(expected[best])
     if every is None:
         return
     fibers = list(expected.items())
     for f, words in fibers[::every] + fibers[-1:]:
-        assert syndrome_class(n, d, f, enc).words == tuple(words)
-    assert syndrome_class(n, d, [v + enc.q for v in f], enc).words == tuple(words)
+        assert syndrome_class(n, d, f).words == tuple(words)
+    assert syndrome_class(n, d, [v + enc.q for v in f]).words == tuple(words)
     missed = (f for f in itertools.product(range(enc.q), repeat=d - 1) if f not in expected)
     for f in itertools.islice(missed, 5):
-        assert syndrome_class(n, d, f, enc).words == ()
+        assert syndrome_class(n, d, f).words == ()
 
 
 @pytest.mark.parametrize("n, d", [(n, d) for n in range(3, 8) for d in range(2, n)] + [(8, 3)])
 def test_fiber_walk_matches_per_permutation_syndromes(n, d):
-    _assert_walk_matches(n, d, PairEncoder.for_n(n), every=1 if n <= 6 else None)
+    _assert_walk_matches(n, d, every=1 if n <= 6 else None)
 
 
+# The scans work in n's own field only, but the key machinery takes any.
 # Lanes hold a value below q and one guard bit, so a q just past a power of
 # two (17) or just below one (31, 127) leaves no slack; 101 is a large field.
-# At q = 1,000,003 and d = 5 a key is four 21-bit lanes, 84 bits, past one
-# 64-bit slot.
 @pytest.mark.parametrize("n, q, d", [(n, q, d) for n, q in [(6, 17), (6, 101), (7, 31), (7, 127)]
-                                     for d in range(2, n)] + [(6, 1_000_003, 5)])
+                                     for d in range(2, n)])
 def test_fiber_walk_matches_at_other_primes(n, q, d):
-    _assert_walk_matches(n, d, PairEncoder(n, q), every=1 if n == 6 else 251)
+    enc = PairEncoder(n, q)
+    words = list(itertools.permutations(range(1, n + 1)))
+    syndromes = [syndrome(p, d, enc) for p in words]
+    view = _word_keys(n, d - 1, enc)
+    keys = list(view)
+    assert keys == [_encode(f, q) for f in syndromes]
+    assert _decode(keys, d - 1, q) == syndromes
+    fiber = tuple(p for p, key in zip(words, keys) if key == keys[-1])
+    assert _fiber(n, d, view, keys[-1]).words == fiber
 
 
-# The widest default key is at (8, 7): q = 29, so 6 lanes of 6 bits make 36
-# bits, one 8-byte slot; only a wider field, as above, reaches the list.
+# The widest key of n's own field is at (8, 7): q = 29, so 6 lanes of 6 bits
+# make 36 bits, one 8-byte slot.
 @pytest.mark.parametrize("n", range(3, 9))
 def test_default_encoder_keys_fit_one_machine_word(n):
-    keys = _word_keys(n, n - 2, PairEncoder.for_n(n))
-    assert isinstance(keys, memoryview)
-    assert len(keys) == math.factorial(n) and keys.itemsize <= 8
+    enc = PairEncoder.for_n(n)
+    for m in range(1, n - 1):
+        keys = _word_keys(n, m, enc)
+        assert isinstance(keys, memoryview)
+        assert len(keys) == math.factorial(n) and keys.itemsize <= 8
+    if n == 8:
+        assert _word_keys(8, 6, enc).itemsize == 8
 
 
 # syndrome_classes and largest_syndrome_class as the earlier prefix walk
@@ -394,16 +401,21 @@ def test_fiber_counts_only_hits_at_a_key_boundary():
     buffer = bytes([0]) + needle + bytes([0]) + needle * 2 + bytes([5]) * 4
     keys = memoryview(buffer).cast("H")
     assert keys.tolist()[2:4] == [target, target] and target not in keys.tolist()[:2]
-    assert _fiber(3, 2, keys, target).words == ((2, 1, 3), (2, 3, 1))
-    assert _fiber(3, 2, keys, 0x0505).words == ((3, 1, 2), (3, 2, 1))
-    for key in (target, 0x0505, 0x0403, 0):
-        assert _fiber(3, 2, keys, key) == _fiber(3, 2, keys.tolist(), key)
+    expected = {target: ((2, 1, 3), (2, 3, 1)), 0x0505: ((3, 1, 2), (3, 2, 1)),
+                keys[0]: ((1, 2, 3),), keys[1]: ((1, 3, 2),), 0x0403: (), 0: ()}
+    for key, words in expected.items():
+        assert _fiber(3, 2, keys, key) == CodeBook(3, 2, words, "syndrome")
 
 
-def test_fiber_scans_reject_an_encoder_of_another_size():
-    for scan in (lambda: syndrome_classes(5, 3, PairEncoder.for_n(6)),
-                 lambda: syndrome_class(5, 3, (0, 0), PairEncoder.for_n(4))):
-        with pytest.raises(ValueError, match="does not match encoder"):
+def test_fiber_scans_take_no_field():
+    enc = PairEncoder.for_n(5)
+    for scan in (lambda: syndrome_classes(5, 3, enc),
+                 lambda: syndrome_class(5, 3, (0, 0), enc),
+                 lambda: largest_syndrome_class(5, 3, enc),
+                 lambda: syndrome_classes(5, 3, enc=enc),
+                 lambda: syndrome_class(5, 3, (0, 0), enc=enc),
+                 lambda: largest_syndrome_class(5, 3, enc=enc)):
+        with pytest.raises(TypeError):
             scan()
 
 
@@ -663,6 +675,23 @@ def test_verify_min_distance_matches_pairwise_on_constructions(make, args):
 
 def test_verify_min_distance_of_the_5040_word_cyclic_code():
     assert verify_min_distance(cyclic_class_code(8)) == 2
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_verify_min_distance_walks_two_members_of_sphere_2_for_the_cyclic_codes(monkeypatch, n):
+    """From n = 7 the code affords sphere 2, whose second member swaps the
+    first two labels and so lands in the code; below, no sphere is walked."""
+    walked = collections.Counter()
+    sphere = constructions.identity_sphere
+
+    def counted(size, r):
+        for s in sphere(size, r):
+            walked[r] += 1
+            yield s
+
+    monkeypatch.setattr(constructions, "identity_sphere", counted)
+    assert verify_min_distance(cyclic_class_code(n)) == 2
+    assert walked == ({2: 2} if n >= 7 else {})
 
 
 def _blocks_reversed(n, r):
