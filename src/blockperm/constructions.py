@@ -28,7 +28,7 @@ from collections import Counter, defaultdict
 from operator import add, itemgetter, mul, neg, sub
 from typing import NamedTuple
 
-from .enumeration import DEFAULT_MAX_N, _prefix_dp, _sphere_sizes, identity_sphere
+from .enumeration import DEFAULT_MAX_N, _sphere_sizes, identity_sphere
 from .perm import (Perm, _at_least, _check_words, _int_in, _parse_labels, _shared_planes,
                    _unrank, format_permutation, parse_permutation)
 
@@ -198,37 +198,30 @@ def syndrome(p: Perm, d: int, enc: PairEncoder) -> tuple[int, ...]:
 # -- syndrome fibers on packed power sums -------------------------------------
 #
 # A multiset of labels in F_q is keyed by its power sums p_k = sum g^k mod q,
-# k = 1..m, one lane of q.bit_length() + 1 bits each in one integer: a value
-# below q plus a guard bit, so two lanes add without carrying into the next.
-# Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i turn power
-# sums into elementary symmetric values and back; k <= m < q is invertible
-# mod q, so the map is a bijection and a fiber keyed by its packed power sums
-# is the same fiber as the one keyed by its syndrome.
-
-
-def _lanes(m: int, q: int) -> range:
-    """Bit offsets of m power-sum lanes mod q; the step is the lane width."""
-    width = q.bit_length() + 1
-    return range(0, width * m, width)
+# k = 1..m, packed one byte each into one integer, p_k as byte k-1.  Newton's
+# identities k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i turn power sums into
+# elementary symmetric values and back; k <= m < q is invertible mod q, so the
+# map is a bijection and a fiber keyed by its packed power sums is the same
+# fiber as the one keyed by its syndrome.  The scans stop at n =
+# DEFAULT_MAX_N = 8, where q = 29, so the n-1 terms of a lane, each below q,
+# sum to at most (n-1)(q-1) = 196 and add in a byte without carrying.
 
 
 def _encode(f, q: int) -> int:
     """The packed power sums of the labels whose elementary symmetric values
-    mod q are f, by Newton's identities solved for p_k."""
+    mod q are f, by Newton's identities solved for p_k, for q <= 256."""
     e = (1, *f)
     p: list[int] = []
     for k in range(1, len(e)):
         t = k * e[k] - sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k))
         p.append((-1) ** (k - 1) * t % q)
-    return sum(v << s for v, s in zip(p, _lanes(len(p), q)))
+    return int.from_bytes(bytes(p), "little")
 
 
 def _decode(keys, m: int, q: int) -> list[tuple[int, ...]]:
     """The syndromes (e_1..e_m mod q) of packed power-sum keys, inverting
     ``_encode`` column-wise: each Newton term is one pass over all keys."""
-    shifts = _lanes(m, q)
-    lane = (1 << shifts.step) - 1
-    p = [[key >> s & lane for key in keys] for s in shifts]
+    p = [[key >> s & 255 for key in keys] for s in range(0, 8 * m, 8)]
     e: dict[int, list[int]] = {}
     for k in range(1, m + 1):
         terms = p[k - 1] if k % 2 else map(neg, p[k - 1])  # i = k, times e_0 = 1
@@ -239,67 +232,64 @@ def _decode(keys, m: int, q: int) -> list[tuple[int, ...]]:
     return list(zip(*e.values()))
 
 
-def _fiber_encoder(n: int, d: int) -> PairEncoder:
-    """n's encoder, once n and d admit a scan of the fibers."""
+def _fiber_field(n: int, d: int) -> int:
+    """n's own field size, once n and d admit a scan of the fibers."""
     # Fibers are codes of distance d only for 2 <= d <= n-1: a word and its
     # reverse share every syndrome and lie at distance n-1.  No d is left below n = 3.
     _int_in("n", n, 3)
     _int_in("design distance", d, 2, n - 1)
     if n > DEFAULT_MAX_N:
         raise ValueError(f"n={n} exceeds enumeration guard {DEFAULT_MAX_N}")
-    return PairEncoder.for_n(n)
+    return select_prime(n)
 
 
-def _word_keys(n: int, m: int, enc: PairEncoder) -> memoryview:
-    """The packed power sums of m lanes of the pair labels of every word of
-    S_n, in lexicographic order, as a memoryview of ints.  The keys must fit
-    64 bits, as every key of n's own field does up to the scan guard: the
-    widest, at n = 8 and m = 6, is six 6-bit lanes in one 8-byte slot.
+def _pair_columns(n: int) -> list[bytes]:
+    """The adjacent pairs of every word of S_n, n <= 16, one column per place:
+    byte r of column i is the code (a-1)·n + b-1 of the labels a, b at places
+    i and i+1 of word r, in lexicographic order.
 
-    The value of a ``_prefix_dp`` state (u, rest) is one integer, a slot per
-    completion in lexicographic order: for each v in rest ascending, the
-    value of (v, rest - {v}) with the packed powers (g, ..., g^m) of u-v's
-    label g added to every slot, reduced lane-wise mod q once (adding
-    2^(w-1) - q to a lane of width w sets its guard bit exactly when it
-    reached q).  A set's join lays its values below side by side once, and
-    each u adds its packed powers, as bytes repeated over each value's
-    slots, and reduces.  A slot is the key rounded up to 2^i bytes, so the
-    top values side by side cast to one key per word.
+    S_k is each first label a followed by S_(k-1) relabelled x -> x + (x >= a),
+    which keeps the order, so column 0 of S_k is a run of (k-2)! pairs of a
+    and each relabelled first label in turn, and column i is S_(k-1)'s column
+    i-1 with both labels relabelled: one ``bytes.translate`` per first label.
     """
-    q = enc.q
-    shifts = _lanes(m, q)
-    top = shifts.step - 1
-    size = 1 << (shifts.stop - 1 >> 3).bit_length()  # bytes per slot
-    one = (1).to_bytes(size, sys.byteorder)
-    guards = sum(1 << s + top for s in shifts)
-    bias = sum((1 << top) - q << s for s in shifts)
-    labels = range(1, n + 1)
-    # little-endian slots, so bytes side by side are the slots of one int in order
-    powers = {(a, b): sum(pow(enc.value(a, b), k, q) << s
-                          for k, s in enumerate(shifts, 1)).to_bytes(size, "little")
-              for a in labels for b in labels if a != b}
+    columns: list[bytes] = []
+    for k in range(2, n + 1):
+        relabels = [[x + (x >= a) for x in range(k - 1)] for a in range(k)]  # labels from 0
+        tables = [bytes(x * k + y for x, y in itertools.product(r, repeat=2)).ljust(256, b"\0")
+                  for r in relabels]
+        first = b"".join(bytes([a * k + x]) * math.factorial(k - 2)
+                         for a, r in enumerate(relabels) for x in r)
+        columns = [first, *(b"".join(map(column.translate, tables)) for column in columns)]
+    return columns
 
-    def level(k):
-        count = math.factorial(k - 1)  # slots per value below
-        span = 8 * size * count
-        every = int.from_bytes(one * count * k, sys.byteorder)
-        level_bias, level_guards = bias * every, guards * every
 
-        def join(below):
-            base = sum(r << i * span for i, (_, r) in enumerate(below))
-            rest = [v for v, _ in below]
-            row = [0] * n
-            for u in labels:
-                if u not in rest:
-                    key = base + int.from_bytes(b"".join([powers[u, v] * count for v in rest]),
-                                                "little")
-                    row[u - 1] = key - ((key + level_bias & level_guards) >> top) * q
-            return row
-        return join
+def _word_keys(n: int, m: int) -> memoryview:
+    """The packed power sums of m lanes of the pair labels of every word of
+    S_n in n's own field, in lexicographic order, as a memoryview of ints,
+    for 3 <= n <= DEFAULT_MAX_N and 1 <= m <= n-2.  Each key sits in a slot
+    of m bytes rounded up to 1, 2, 4 or 8.
 
-    width = size * math.factorial(n - 1)
-    words = b"".join(row.to_bytes(width, sys.byteorder) for row in _prefix_dp(n, 0, level))
-    return memoryview(words).cast("BHIQ"[size.bit_length() - 1])
+    Lane k of every key at once: each of the n-1 ``_pair_columns`` is
+    translated to g^k mod q of its pairs' labels g, the columns are summed as
+    little-endian integers, one byte per word and no carry, and one more
+    translate reduces the sums mod q.
+    """
+    q = select_prime(n)
+    columns = _pair_columns(n)
+    # the label of each pair code; no word holds a pair (a, a)
+    labels = [_pair_rank(n, *sorted(pair)) for pair in itertools.product(range(1, n + 1), repeat=2)]
+    mod_q = bytes(x % q for x in range(256))
+    size = 1 << (m - 1).bit_length()  # bytes per slot
+    count = len(columns[0])
+    keys = bytearray(size * count)
+    for k in range(1, m + 1):
+        table = bytes(pow(g, k, q) for g in labels).ljust(256, b"\0")
+        total = sum(int.from_bytes(column.translate(table), "little") for column in columns)
+        # byte k-1 of a key, in the machine's order
+        keys[k - 1 if sys.byteorder == "little" else size - k::size] = (
+            total.to_bytes(count, "little").translate(mod_q))
+    return memoryview(keys).cast("BHIQ"[size.bit_length() - 1])
 
 
 def _fiber(n: int, d: int, keys: memoryview, key: int) -> CodeBook:
@@ -326,11 +316,11 @@ def syndrome_classes(n: int, d: int) -> dict[tuple[int, ...], list[Perm]]:
     from ``_word_keys``; the keys then become syndromes by Newton's
     identities, one pass over all fibers per term.
     """
-    enc = _fiber_encoder(n, d)
+    q = _fiber_field(n, d)
     buckets: dict[int, list[Perm]] = defaultdict(list)
-    for key, word in zip(_word_keys(n, d - 1, enc), itertools.permutations(range(1, n + 1))):
+    for key, word in zip(_word_keys(n, d - 1), itertools.permutations(range(1, n + 1))):
         buckets[key].append(word)
-    return dict(zip(_decode(buckets, d - 1, enc.q), buckets.values()))
+    return dict(zip(_decode(buckets, d - 1, q), buckets.values()))
 
 
 def _syndrome_vector(d: int, f, q: int) -> tuple[int, ...]:
@@ -355,26 +345,25 @@ def syndrome_class(n: int, d: int, f) -> CodeBook:
     ``_word_keys`` are unranked.  For n beyond the scan guard, test
     individual permutations with ``in_syndrome_class`` instead.
     """
-    enc = _fiber_encoder(n, d)
-    target = _encode(_syndrome_vector(d, f, enc.q), enc.q)
-    return _fiber(n, d, _word_keys(n, d - 1, enc), target)
+    q = _fiber_field(n, d)
+    target = _encode(_syndrome_vector(d, f, q), q)
+    return _fiber(n, d, _word_keys(n, d - 1), target)
 
 
 def largest_syndrome_class(n: int, d: int) -> CodeBook:
     """A maximum-cardinality syndrome fiber in n's own field, for
     2 <= d <= n-1; at least n!/q^(d-1) words by pigeonhole.  Ties break
     toward the smallest syndrome vector.  Its first coordinate e_1 = p_1 is a
-    key's low lane, so only the tied keys with the least e_1 are turned into
+    key's low byte, so only the tied keys with the least e_1 are turned into
     syndromes."""
-    enc = _fiber_encoder(n, d)
-    keys = _word_keys(n, d - 1, enc)
+    q = _fiber_field(n, d)
+    keys = _word_keys(n, d - 1)
     counts = Counter(keys)
     size = max(counts.values())
-    lane = (1 << _lanes(d - 1, enc.q).step) - 1
     tied = [key for key, count in counts.items() if count == size]
-    least = min(key & lane for key in tied)
-    tied = [key for key in tied if key & lane == least]
-    best = min(zip(_decode(tied, d - 1, enc.q), tied))[1]
+    least = min(key & 255 for key in tied)
+    tied = [key for key in tied if key & 255 == least]
+    best = min(zip(_decode(tied, d - 1, q), tied))[1]
     return _fiber(n, d, keys, best)
 
 

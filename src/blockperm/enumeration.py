@@ -5,11 +5,10 @@ sphere's members generated by cut-and-reorder, and ball sizes with their
 product sandwich bounds.  Everything here is exact integer arithmetic.
 Sphere and ball sizes come from one integer recurrence and work at any n;
 only ``enumerate_spheres`` scans all n! permutations, the independent
-cross-check of that recurrence, and it carries a size guard.  Both scans of
-S_n, it and the syndrome-fiber keys of ``constructions``, run one subset DP
-over prefixes, ``_prefix_dp``: what the completions of a prefix contribute
-depends only on its last label and the set of labels left, and one join per
-set computes it for every last label outside the set.
+cross-check of that recurrence, and it carries a size guard.  It runs one
+subset DP over prefixes, ``_prefix_dp``: what the completions of a prefix
+contribute depends only on its last label and the set of labels left, and
+one join per set computes it for every last label outside the set.
 """
 
 from __future__ import annotations
@@ -24,19 +23,18 @@ from .perm import Perm, _int_in, is_minimal
 DEFAULT_MAX_N = 8
 
 
-def _prefix_dp(n: int, leaf, level) -> list:
+def _prefix_dp(n: int, leaf, join) -> list:
     """Held and Karp's subset DP over the prefixes of S_n: the value of every
     state (u, rest), a prefix's last label u and the set rest of labels left
     after it in increasing order, returned for the top states u = 1..n.
 
     A set is a bitmask, bit v-1 for label v.  A state with nothing left gets
-    leaf.  level(k), called once per level, returns the join of the sets of k
-    labels, run on each such set in turn, masks ascending: join(below) gets
-    below = [(v, value of (v, rest - {v})) for v in rest ascending] and
-    returns a row whose entry u-1 is the value of (u, rest) for every u not
-    in rest; other entries are never read.  So a join that lists its
-    completions in below's order, v first, lists them in lexicographic
-    order, and the top values side by side list S_n so.  There are
+    leaf.  join runs once on each set of 1..n-1 labels, smaller sets first
+    and masks ascending within a size: join(below) gets below = [(v, value
+    of (v, rest - {v})) for v in rest ascending] and returns a row whose
+    entry u-1 is the value of (u, rest) for every u not in rest; other
+    entries are never read.  So a join that lists its completions in below's
+    order, v first, lists them in lexicographic order.  There are
     n(2^(n-1) - 1) states past the leaves (1,016 at n = 8) but 2^n - 2 joins
     (254), one per set, so whatever a state's value shares with the other
     states of its set is computed once.
@@ -46,9 +44,8 @@ def _prefix_dp(n: int, leaf, level) -> list:
         low = rest & -rest
         members.append((low.bit_length(), *members[rest ^ low]))
     values = {0: [leaf] * n}
-    for k, rests in itertools.groupby(sorted(range(1, (1 << n) - 1), key=int.bit_count),
-                                      int.bit_count):
-        join = level(k)
+    for _, rests in itertools.groupby(sorted(range(1, (1 << n) - 1), key=int.bit_count),
+                                      int.bit_count):  # keeping one level's values at a time
         values = {rest: join([(v, values[rest ^ 1 << v - 1][v - 1]) for v in members[rest]])
                   for rest in rests}
     return [values[(1 << n) - 1 ^ 1 << u][u] for u in range(n)]
@@ -100,7 +97,7 @@ def enumerate_spheres(n: int) -> SphereProfile:
                 row[v - 2] = total - r * lane
         return row
 
-    packed = sum(_prefix_dp(n, 1, lambda k: join))
+    packed = sum(_prefix_dp(n, 1, join))
     return SphereProfile(n, tuple(packed >> k * step & lane for k in range(n)))
 
 

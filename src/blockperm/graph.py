@@ -21,13 +21,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import itemgetter
+from operator import and_, itemgetter
 from typing import NamedTuple
 
 from .constructions import CodeBook
 from .enumeration import _anticode_size, identity_sphere
-from .perm import (Perm, _at_least, _check_words, _holders, _int_in, _pair_codes, _pair_masks,
-                   _planes, _shared_planes, compose, identity, inverse)
+from .perm import (Perm, _at_least, _check_words, _holders, _int_in, _pair_codes, _planes,
+                   _shared_planes, compose, identity, inverse)
 
 GRAPH_MAX_N = 7
 EXACT_MAX_VERTICES = 1000
@@ -175,11 +175,15 @@ def neighborhood_stats(n: int, d: int) -> NeighborhoodStats:
     # Edges on the sphere at distance d-1 whose two sets together hold every
     # identity pair, so that no identity pair is missing from both.  The ball
     # runs sphere by sphere, so that sphere is its tail, and the later
-    # neighbors of its vertices lie in it too.
-    masks = _pair_masks(verts, n)
-    aid = _pair_masks([identity(n)], n)[0]
+    # neighbors of its vertices lie in it too.  A ring vertex misses d-1
+    # identity pairs, so its count is its later neighbors that hold them all:
+    # later[i] and the holders of each, at most d-1 ANDs.
+    pairs = [_pair_codes(s, n) for s in verts]
+    holders = _holders(pairs, n)
+    ids = set(_pair_codes(identity(n), n))
     ring = range(sum(k < d - 1 for _, k in ball), len(verts))
-    zero_x = sum(1 for i in ring for j in _indices(later[i]) if not aid & ~(masks[i] | masks[j]))
+    zero_x = sum(functools.reduce(and_, map(holders.__getitem__, ids.difference(pairs[i])),
+                                  later[i]).bit_count() for i in ring)
     return NeighborhoodStats(n, d, len(verts), p_edges, triangles, zero_x)
 
 

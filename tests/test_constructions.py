@@ -18,6 +18,7 @@ from blockperm.constructions import (
     _decode,
     _encode,
     _fiber,
+    _pair_columns,
     _plane_min,
     _word_keys,
     HAM_SEARCH_MAX_N,
@@ -40,6 +41,7 @@ from blockperm.constructions import (
     verify_min_distance,
     zn1_code,
 )
+from blockperm.enumeration import DEFAULT_MAX_N
 from blockperm.graph import build_graph, greedy_independent_set
 from blockperm.perm import block_distance, char_set, compose, identity
 
@@ -324,39 +326,39 @@ def _assert_walk_matches(n, d, every):
         assert syndrome_class(n, d, f).words == ()
 
 
-@pytest.mark.parametrize("n, d", [(n, d) for n in range(3, 8) for d in range(2, n)] + [(8, 3)])
+# at n = 8, d = 3..7 cross every slot size, 2, 4 and 8 bytes, with ``syndrome``
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(3, 8) for d in range(2, n)]
+                         + [(8, d) for d in range(3, 8)])
 def test_fiber_walk_matches_per_permutation_syndromes(n, d):
     _assert_walk_matches(n, d, every=1 if n <= 6 else None)
 
 
-# The scans work in n's own field only, but the key machinery takes any.
-# Lanes hold a value below q and one guard bit, so a q just past a power of
-# two (17) or just below one (31, 127) leaves no slack; 101 is a large field.
-@pytest.mark.parametrize("n, q, d", [(n, q, d) for n, q in [(6, 17), (6, 101), (7, 31), (7, 127)]
-                                     for d in range(2, n)])
-def test_fiber_walk_matches_at_other_primes(n, q, d):
-    enc = PairEncoder(n, q)
+# Byte r of column i is the pair code of places i, i+1 of word r.
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pair_columns_read_each_place_of_every_word(n):
     words = list(itertools.permutations(range(1, n + 1)))
-    syndromes = [syndrome(p, d, enc) for p in words]
-    view = _word_keys(n, d - 1, enc)
-    keys = list(view)
-    assert keys == [_encode(f, q) for f in syndromes]
-    assert _decode(keys, d - 1, q) == syndromes
-    fiber = tuple(p for p, key in zip(words, keys) if key == keys[-1])
-    assert _fiber(n, d, view, keys[-1]).words == fiber
+    assert _pair_columns(n) == [bytes((p[i] - 1) * n + p[i + 1] - 1 for p in words)
+                                for i in range(n - 1)]
 
 
-# The widest key of n's own field is at (8, 7): q = 29, so 6 lanes of 6 bits
-# make 36 bits, one 8-byte slot.
+# A lane sums n-1 terms below q = select_prime(n) in one byte, so the scan
+# guard must stop before that sum outgrows it, which it does at n = 9.
+def test_scan_guard_keeps_lane_sums_within_a_byte():
+    for n in range(3, DEFAULT_MAX_N + 1):
+        assert (n - 1) * (select_prime(n) - 1) <= 255
+    assert 8 * (select_prime(9) - 1) > 255
+
+
+# A key of m lanes takes m bytes, in a slot of 1, 2, 4 or 8 bytes; at n = 8
+# the widest two, m = 5 and 6, take 8.
 @pytest.mark.parametrize("n", range(3, 9))
 def test_default_encoder_keys_fit_one_machine_word(n):
-    enc = PairEncoder.for_n(n)
     for m in range(1, n - 1):
-        keys = _word_keys(n, m, enc)
+        keys = _word_keys(n, m)
         assert isinstance(keys, memoryview)
-        assert len(keys) == math.factorial(n) and keys.itemsize <= 8
+        assert len(keys) == math.factorial(n) and keys.itemsize == 1 << (m - 1).bit_length()
     if n == 8:
-        assert _word_keys(8, 6, enc).itemsize == 8
+        assert _word_keys(8, 5).itemsize == _word_keys(8, 6).itemsize == 8
 
 
 # syndrome_classes and largest_syndrome_class as the earlier prefix walk
@@ -388,7 +390,7 @@ def test_power_sums_and_syndromes_convert_both_ways(q, m):
         e = [1] + [0] * m
         for g in labels:
             e = [1] + [(e[k] + g * e[k - 1]) % q for k in range(1, m + 1)]
-        shifts = range(0, (q.bit_length() + 1) * m, q.bit_length() + 1)
+        shifts = range(0, 8 * m, 8)
         sums = sum(sum(g ** k for g in labels) % q << s for k, s in enumerate(shifts, 1))
         assert _encode(e[1:], q) == sums
 

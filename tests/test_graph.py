@@ -12,7 +12,8 @@ import pytest
 from blockperm import graph
 from blockperm.bounds import gv_lower, new_upper, special_exact
 from blockperm.constructions import CodeBook, verify_min_distance
-from blockperm.enumeration import _anticode_size, enumerate_spheres, myers_count
+from blockperm.enumeration import (_anticode_size, enumerate_spheres, identity_sphere,
+                                   myers_count)
 from blockperm.graph import (
     _identity_ball,
     build_graph,
@@ -278,6 +279,17 @@ def test_zero_x_edges_only_at_distance_2(n):
     assert neighborhood_stats(n, 2).zero_x_edge_count == math.comb(n - 1, 2)
     for d in range(3, n + 1):
         assert neighborhood_stats(n, d).zero_x_edge_count == 0
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 8) for d in range(1, 5)])
+def test_zero_x_edges_match_an_edge_walk(n, d):
+    # the reference: every edge of the outer sphere, tested for a pair union
+    # that holds each identity pair
+    ring = list(identity_sphere(n, d - 1)) if 2 <= d <= n else []
+    ids = set(zip(range(1, n), range(2, n + 1)))
+    walked = sum(1 for p, s in itertools.combinations(ring, 2)
+                 if block_distance(p, s) < d and ids <= {*zip(p, p[1:]), *zip(s, s[1:])})
+    assert neighborhood_stats(n, d).zero_x_edge_count == walked
 
 
 def test_jv_formula_plugin():
