@@ -25,12 +25,12 @@ import itertools
 import math
 import sys
 from collections import Counter, defaultdict
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, invert, itemgetter, mul, neg, sub
 from typing import NamedTuple
 
 from .enumeration import DEFAULT_MAX_N, _sphere_sizes, identity_sphere
-from .perm import (Perm, _at_least, _check_words, _int_in, _parse_labels, _shared_planes,
-                   _unrank, format_permutation, parse_permutation)
+from .perm import (Perm, _at_least, _check_words, _chunks, _holders, _int_in, _parse_labels,
+                   _planes, _unrank, format_permutation, parse_permutation)
 
 PAIRWISE_MAX_WORDS = 10_000
 HAM_SEARCH_MAX_N = 17
@@ -262,6 +262,21 @@ def _pair_columns(n: int) -> list[bytes]:
                          for a, r in enumerate(relabels) for x in r)
         columns = [first, *(b"".join(map(column.translate, tables)) for column in columns)]
     return columns
+
+
+def _code_columns(words, n: int) -> list:
+    """The pair codes of any words, one ``array`` per place, as
+    ``_pair_columns`` gives them for S_n.  Each place is one int with a lane
+    per word wide enough for a·n + b, so a column is one multiply-add,
+    a·n + b - (n+1), that neither carries nor borrows."""
+    from array import array  # a shared library, loaded only where words are scanned
+    size = 1 << ((n * n + n).bit_length() - 1 >> 3).bit_length()  # bytes per lane: 1, 2, 4, 8
+    kind = "BHIQ"[size.bit_length() - 1]
+    flat = array(kind, itertools.chain.from_iterable(words))
+    places = [int.from_bytes(flat[i::n], sys.byteorder) for i in range(n)]
+    lanes = (n + 1) * int.from_bytes(array(kind, [1]) * len(words), sys.byteorder)
+    return [array(kind, (a * n + b - lanes).to_bytes(size * len(words), sys.byteorder))
+            for a, b in zip(places, places[1:])]
 
 
 def _word_keys(n: int, m: int) -> memoryview:
@@ -538,16 +553,24 @@ def _plane_min(words, n: int, floor: int) -> int:
     them closer than floor, 1 <= floor <= n-1, unchecked.
 
     Words sharing s adjacent pairs are n-1-s apart, so the minimum is n-1
-    less the most pairs two words share, which is at most n-1-floor.  For
-    each word, ``perm._at_least`` is asked for another word sharing one pair
-    more until none does, at most N + n - 1 - floor probes for N words; a
-    most of n-1-floor is distance floor and ends it.
+    less the most pairs two words share, which is at most n-1-floor.  The
+    kernel of ``perm`` takes the words a chunk of rows at a time, first 16
+    rows, so that a close pair among the first words ends the scan early,
+    and then runs of ``perm._chunks``.  For each chunk, ``perm._at_least``
+    asks whether any row has another word sharing one pair more than the most
+    so far, until none has; that is at most one round per chunk and
+    n-1-floor more, and a most of n-1-floor is distance floor and ends it.
     """
     top = n - 1 - floor
     most = 0  # the most pairs two words share so far
     if top:  # else no two words share a pair
-        for i, planes in enumerate(_shared_planes(words, n)):
-            while _at_least(planes, most + 1, ~(1 << i)):
+        columns = _code_columns(words, n)
+        holders = _holders(columns, n)
+        rows = range(len(words))
+        for chunk in itertools.chain([rows[:16]], _chunks(rows[16:], len(words))):
+            planes = _planes(columns, holders, chunk)
+            others = list(map(invert, map((1).__lshift__, chunk)))
+            while any(_at_least(planes, most + 1, others)):
                 most += 1
                 if most == top:
                     return floor

@@ -7,13 +7,16 @@ exact (branch-and-bound) independent-set solver, plus the neighborhood
 statistics that feed the locally-sparse independence lower bound
 |V|/(10 D) (log2 D - 1/2 log2(P/3)).
 
-Every graph is one neighbor bitset per vertex, and row i is the vertices that
-``perm._at_least`` finds sharing at least n-d pairs with vertex i, the reader
-that also verifies codes.  A vertex set gets its bitsets from
-``_neighbor_bits``, except that ``build_graph`` reads only the lower half of
-S_n's rows and mirrors them into the upper half: on the 5,040 words of S_7,
-the pair codes, plane adder and comparator run for 2,520 rows, at the price
-of 49 holder mirrors and 2,520 row mirrors.
+Every graph is one neighbor bitset per vertex: row i is the vertices that
+share at least n-d pairs with vertex i.  ``_sharing`` reads the rows from the
+pair-count kernel of ``perm`` a chunk at a time, the kernel that also
+verifies codes: ``perm._planes`` adds the holders of each row's pairs and
+``perm._at_least`` compares, each step one ``map`` over the chunk.  A vertex
+set gets its bitsets from ``_neighbor_bits``, except that ``build_graph``
+computes only the lower half of S_n's rows, from the pair codes of
+``constructions._pair_columns``, and mirrors them into the upper half: on the
+5,040 words of S_7, the adder and comparator run for 2,520 rows in 49 chunks,
+and the 49 holder mirrors and 2,520 row mirrors are one ``map`` chain each.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import and_, itemgetter
+from itertools import repeat
+from operator import and_, itemgetter, or_, xor
 from typing import NamedTuple
 
-from .constructions import CodeBook
+from .constructions import CodeBook, _code_columns, _pair_columns
 from .enumeration import _anticode_size, identity_sphere
-from .perm import (Perm, _at_least, _check_words, _holders, _int_in, _pair_codes, _planes,
-                   _shared_planes, compose, identity, inverse)
+from .perm import (Perm, _at_least, _check_words, _chunks, _holders, _int_in, _planes,
+                   compose, inverse)
 
 GRAPH_MAX_N = 7
 EXACT_MAX_VERTICES = 1000
@@ -40,11 +44,15 @@ def _indices(bitset: int):
     return itertools.compress(itertools.count(), bin(bitset)[:1:-1].encode().translate(_DIGITS))
 
 
-def _mirror(bitset: int, count: int) -> int:
-    """bitset < 2**count with bit i moved to bit count-1-i: its bytes in
-    reverse order, each byte's bits reversed, less the pad above count."""
+def _mirrors(bitsets, count: int):
+    """Each bitset < 2**count with bit i moved to bit count-1-i: its bytes in
+    reverse order, each byte's bits reversed, less the pad above count, each
+    step one ``map`` over all the bitsets."""
     size = (count + 7) // 8
-    return int.from_bytes(bitset.to_bytes(size, "big").translate(_REV), "little") >> 8 * size - count
+    flipped = map(bytes.translate, map(int.to_bytes, bitsets, repeat(size), repeat("big")),
+                  repeat(_REV))
+    mirrored = map(int.from_bytes, flipped, repeat("little"))
+    return map(int.__rshift__, mirrored, repeat(8 * size - count)) if count % 8 else mirrored
 
 
 class _BlockGraphFields(NamedTuple):
@@ -95,25 +103,39 @@ def _identity_ball(n: int, radius: int) -> list[tuple[Perm, int]]:
     return [(s, k) for k in range(1, min(radius, n - 1) + 1) for s in identity_sphere(n, k)]
 
 
+def _sharing(columns, holders: list[int], need: int, rows: range, count: int) -> list[int]:
+    """For each of the rows of the pair-code columns, the bitset of the other
+    words among count that share at least need of its pairs, 0 <= need < n-1,
+    a chunk of rows at a time through ``perm._planes`` and ``perm._at_least``;
+    at need 0 that is every other word, with no kernel."""
+    everything = (1 << count) - 1
+    found: list[int] = []
+    for chunk in _chunks(rows, count):
+        others = map(xor, repeat(everything), map((1).__lshift__, chunk))
+        found += _at_least(_planes(columns, holders, chunk), need, others) if need else others
+    return found
+
+
 def _neighbor_bits(verts: tuple[Perm, ...], n: int, d: int) -> list[int]:
     """Bit j of entry i is set exactly when 0 < distance(verts[i], verts[j]) < d,
-    for distinct verts: ``perm._at_least`` reads the words other than i that
-    share at least n-d pairs with it.  A vertex takes at most n·⌈log2 n⌉
-    operations on N-bit integers, whatever d is.
+    for distinct verts: ``_sharing`` finds the words other than i that share
+    at least n-d pairs with it.
     """
     if d <= 1:  # no two distinct permutations share all n-1 pairs
         return [0] * len(verts)
     everything = (1 << len(verts)) - 1
     if d >= n:  # nor are any two n or more apart
         return [everything ^ 1 << i for i in range(len(verts))]
-    return [_at_least(planes, n - d, everything ^ 1 << i)
-            for i, planes in enumerate(_shared_planes(verts, n))]
+    columns = _code_columns(verts, n)
+    return _sharing(columns, _holders(columns, n), n - d, range(len(verts)), len(verts))
 
 
 def graph_on(vertices, d: int) -> BlockGraph:
     """Explicit graph on the given distinct permutations of 1..n; edge iff
-    0 < distance < d, for d >= 1.  Built by ``_neighbor_bits``, about
-    N·n·log2(n) operations on N-bit integers for N vertices."""
+    0 < distance < d, for d >= 1.  Built by ``_neighbor_bits``: for N
+    vertices the adder takes 5(n-1-w) + 2h operations on N-bit integers per
+    vertex, with w = (n-1).bit_length() planes and h < w half adders (17 at
+    n = 7), and the comparator at most three more per plane."""
     verts = tuple(vertices)
     if not verts:
         raise ValueError("graph needs at least one vertex")
@@ -133,9 +155,10 @@ def build_graph(n: int, d: int) -> BlockGraph:
     row N-1-r is row r mirrored: bit j moved to bit N-1-j.  w0 takes the
     pair with code x to the pair with code n²-1-x, so the holders of pair x
     among the upper half are the mirror of the lower half's holders of pair
-    n²-1-x.  The pair codes, holder ORs, plane adder and comparator run for
-    the N/2 lower rows only, 2,520 of the 5,040 at n = 7, at the price of
-    n² holder mirrors and N/2 row mirrors of N bits each.
+    n²-1-x.  The pair codes come from ``constructions._pair_columns``, and
+    the holders, plane adder and comparator run for the N/2 lower rows only,
+    2,520 of the 5,040 at n = 7, at the price of n² holder mirrors and N/2
+    row mirrors of N bits each, both through ``_mirrors``.
     """
     _int_in("n", n)
     if n > GRAPH_MAX_N:
@@ -145,13 +168,11 @@ def build_graph(n: int, d: int) -> BlockGraph:
     if not 1 < d < n:
         return BlockGraph(n, d, verts, tuple(_neighbor_bits(verts, n, d)))
     count = len(verts)  # n! is even for n >= 2
-    pairs = [_pair_codes(p, n) for p in verts[:count // 2]]
-    low = _holders(pairs, n)
-    holders = [h | _mirror(c, count) for h, c in zip(low, reversed(low))]
-    everything = (1 << count) - 1
-    rows = [_at_least(planes, n - d, everything ^ 1 << i)
-            for i, planes in enumerate(_planes(pairs, holders, (n - 1).bit_length()))]
-    return BlockGraph(n, d, verts, (*rows, *(_mirror(b, count) for b in reversed(rows))))
+    columns = [column[:count // 2] for column in _pair_columns(n)]
+    low = _holders(columns, n)
+    holders = list(map(or_, low, _mirrors(reversed(low), count)))
+    rows = _sharing(columns, holders, n - d, range(count // 2), count)
+    return BlockGraph(n, d, verts, (*rows, *_mirrors(reversed(rows), count)))
 
 
 def neighborhood_stats(n: int, d: int) -> NeighborhoodStats:
@@ -166,7 +187,9 @@ def neighborhood_stats(n: int, d: int) -> NeighborhoodStats:
         raise ValueError(f"n={n} exceeds graph guard {GRAPH_MAX_N}")
     ball = _identity_ball(n, d - 1)
     verts = tuple(s for s, _ in ball)
-    bits = _neighbor_bits(verts, n, d)
+    columns = _code_columns(verts, n)
+    holders = _holders(columns, n)
+    bits = _sharing(columns, holders, n - min(d, n), range(len(verts)), len(verts))
     p_edges = sum(map(int.bit_count, bits)) // 2
     # later[i] keeps the neighbors j > i, so each triangle i < j < k is
     # counted once, as a bit of later[i] & later[j] on its edge (i, j).
@@ -178,12 +201,10 @@ def neighborhood_stats(n: int, d: int) -> NeighborhoodStats:
     # neighbors of its vertices lie in it too.  A ring vertex misses d-1
     # identity pairs, so its count is its later neighbors that hold them all:
     # later[i] and the holders of each, at most d-1 ANDs.
-    pairs = [_pair_codes(s, n) for s in verts]
-    holders = _holders(pairs, n)
-    ids = set(_pair_codes(identity(n), n))
+    ids = set(range(1, n * n - n, n + 1))  # (a-1)·n + a: the identity's pairs (a, a+1)
     ring = range(sum(k < d - 1 for _, k in ball), len(verts))
-    zero_x = sum(functools.reduce(and_, map(holders.__getitem__, ids.difference(pairs[i])),
-                                  later[i]).bit_count() for i in ring)
+    zero_x = sum(functools.reduce(and_, map(holders.__getitem__, ids.difference(
+        [column[i] for column in columns])), later[i]).bit_count() for i in ring)
     return NeighborhoodStats(n, d, len(verts), p_edges, triangles, zero_x)
 
 

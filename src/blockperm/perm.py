@@ -14,34 +14,30 @@ spells the second permutation from blocks of the first by a dynamic program
 over the definition itself, so the two routes can be checked against each
 other.
 
-``_shared_planes`` counts the pairs each of N permutations shares with all N at
-once, as bit planes: ``_holders`` gives each pair the bitset of the words that
-hold it, and ``_planes`` adds those bitsets up per word, the adder that
-``graph.build_graph`` also runs on its half of S_n.  ``_at_least`` is their one
-reader: the distance graphs ask it which words share at least s pairs, and
-code verification asks it the same only when neither end settles the code:
-not the pair test at distance n-1, nor the rotation pass and the identity's
-spheres at small distances.
+The pair-count kernel counts the pairs each of a chunk of rows shares with
+all N words at once: ``_holders`` gives each pair the bitset of the words
+holding it, ``_planes`` adds the rows' holder bitsets into bit planes, and
+``_at_least`` reads which words share at least s pairs.  The distance graphs
+run on it, and code verification where neither end of the range settles it.
 
 Input policy: entry points check integers with ``_int_in`` (ints, not bools, in
 the range each docstring states) and words with ``_check_words`` (distinct
 words, each rearranging 1..n in int labels).  Metric primitives
 (``block_distance``, ``char_set``, ``compose``, ``inverse``, ``cyclic_shifts``,
-``is_minimal``) and the kernels (``_shared_planes``, ``_holders``, ``_planes``,
-``_at_least``, ``_fewest_blocks``) trust their input, as a check would cost
-more than the call: for n <= 255 ``block_distance`` translates and compares
-n-1 bytes, where ``_check_words`` type-checks, sorts and hashes each word's
-n labels.  So do the private bodies of the bound functions (``bounds._gv_lower``,
-``_sp_upper``, ``_new_upper``, ``_corollary_applies``,
-``enumeration._sandwich_applies``), which ``bound_report`` calls with values
-it has checked or derived.
+``is_minimal``) and the kernels (``_holders``, ``_planes``, ``_at_least``,
+``_fewest_blocks``) trust their input, as a check would cost more than the
+call: for n <= 255 ``block_distance`` translates and compares n-1 bytes, where
+``_check_words`` type-checks, sorts and hashes each word's n labels.  So do the
+private bodies of the bound functions (``bounds._gv_lower``, ``_sp_upper``,
+``_new_upper``, ``_corollary_applies``, ``enumeration._sandwich_applies``),
+which ``bound_report`` calls with values it has checked or derived.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from operator import itemgetter, ne
+from operator import and_, itemgetter, ne, or_, xor
 from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
@@ -51,6 +47,8 @@ CharSet = frozenset[Pair]
 #: the cut-and-reorder DP takes at most n(n+1)/2 = 136 block steps at n = 16;
 #: the guard keeps the CLI's domain, not the cost
 DEFINITION_SEARCH_MAX_N = 16
+
+_CHUNK_BITS = 1 << 18  #: rows times words in a chunk of the pair-count kernel: 32 KB a list
 
 
 def _int_in(name: str, value, low: int = 1, high: int | None = None) -> None:
@@ -155,71 +153,73 @@ def block_distance(p1: Perm, p2: Perm) -> int:
     return len(set(zip(p1, p1[1:])).difference(zip(p2, p2[1:])))
 
 
-def _pair_codes(p: Perm, n: int) -> list[int]:
-    """Each adjacent pair (a, b) of p as the code (a-1)·n + (b-1)."""
-    return [(a - 1) * n + b - 1 for a, b in zip(p, p[1:])]
-
-
 def _pair_masks(perms, n: int) -> list[int]:
     """Each characteristic set as an int: bit (a-1)·n + (b-1) marks the pair
     (a, b), so popcount(mask_p & mask_q) counts the pairs p and q share."""
-    return [sum(1 << x for x in _pair_codes(p, n)) for p in perms]
+    return [sum(1 << (a - 1) * n + b - 1 for a, b in zip(p, p[1:])) for p in perms]
 
 
-def _shared_planes(perms: Sequence[Perm], n: int):
-    """For each permutation in turn, the (n-1).bit_length() planes of its
-    shared-pair counts: bit j of plane k is bit k of the number of adjacent
-    pairs it shares with perms[j], which is n-1 less their distance, so n-1
-    only for a copy.
-    """
-    pairs = [_pair_codes(p, n) for p in perms]
-    return _planes(pairs, _holders(pairs, n), (n - 1).bit_length())
-
-
-def _holders(pairs: list[list[int]], n: int) -> list[int]:
-    """For each pair code x < n², the bitset of the rows of pairs that hold x."""
+def _holders(columns, n: int) -> list[int]:
+    """For each pair code x < n², the bitset of the rows of the columns that hold x."""
     holders = [0] * (n * n)
-    for i, row in enumerate(pairs):
-        for x in row:
-            holders[x] |= 1 << i
+    for i, codes in enumerate(zip(*columns)):
+        bit = 1 << i
+        for x in codes:
+            holders[x] |= bit
     return holders
 
 
-def _planes(pairs: list[list[int]], holders: list[int], width: int):
-    """For each row of pair codes in turn, its width count planes: bit j of
-    plane k is bit k of the number of the row's pairs whose holders have bit
-    j.  A row adds the holders of each of its pairs into the planes, each
-    carry rippling up while it is non-zero: about n·⌈log2 n⌉ operations on
-    N-bit integers for a row of n-1 pairs.
-    """
-    for row in pairs:
-        planes = [0] * width
-        for carry in map(holders.__getitem__, row):
-            k = 0
-            while carry:
-                x = planes[k]
-                planes[k] = x ^ carry
-                carry &= x
-                k += 1
-        yield planes
+def _chunks(rows: range, count: int):
+    """rows in runs of _CHUNK_BITS // count rows, at least one."""
+    step = max(1, _CHUNK_BITS // max(count, 1))
+    return (rows[i:i + step] for i in range(0, len(rows), step))
 
 
-def _at_least(planes: list[int], need: int, among: int) -> int:
-    """The words in bitset among whose count in planes is at least need, for
-    1 <= need < 2**len(planes): one comparator from the top plane down to
-    need's lowest 1, more holding the words already above need.  Only a word
-    itself shares all n-1 of its pairs, so callers leave it out of among."""
-    more = 0
-    k = len(planes)
+def _planes(columns, holders: list[int], rows: range) -> list[list[int]]:
+    """The (n-1).bit_length() count planes of the rows of the pair-code
+    columns: bit j of entry r of plane k is bit k of the count of row r's
+    pairs that word j holds.  Each step is one ``map`` over the rows: as the
+    columns come in, a full adder turns three lists of weight 2**k into a sum
+    and a carry of weight 2**(k+1), so at most two wait at each weight, and a
+    half adder joins any two left at the end."""
+    pending: list[list[list[int]]] = [[] for _ in range(len(columns).bit_length())]
+    for column in columns:
+        _carry_in(pending, 0, list(map(holders.__getitem__, column[rows.start:rows.stop])))
+    for k, waiting in enumerate(pending):
+        if len(waiting) == 2:
+            a, b = waiting
+            waiting[:] = [list(map(xor, a, b))]
+            _carry_in(pending, k + 1, list(map(and_, a, b)))
+    return [plane for plane, in pending]
+
+
+def _carry_in(pending: list[list[list[int]]], k: int, x: list[int]) -> None:
+    """Add x at weight 2**k: a full adder if two wait there, its carry on up."""
+    while len(pending[k]) == 2:
+        a, b = pending[k]
+        t = list(map(xor, a, b))
+        pending[k] = [list(map(xor, t, x))]
+        x = list(map(or_, map(and_, a, b), map(and_, t, x)))
+        k += 1
+    pending[k].append(x)
+
+
+def _at_least(planes: list[list[int]], need: int, among) -> list[int]:
+    """For each row of planes, the words of its bitset in among whose count is
+    at least need, 0 <= need < 2**len(planes): one comparator from the top
+    plane down to need's lowest 1, more holding the words already above need.
+    Only a word itself shares all n-1 of its pairs, so callers leave it out."""
+    among, more, k = list(among), [], len(planes)
     while need:  # need < 2**(k+1) after k -= 1, so need >> k is its bit k
         k -= 1
         if need >> k:
             need ^= 1 << k
-            among &= planes[k]
+            among = list(map(and_, among, planes[k]))
         else:
-            more |= among & planes[k]
-            among &= ~planes[k]
-    return more | among
+            above = list(map(and_, among, planes[k]))
+            more = list(map(or_, more, above)) if more else above
+            among = list(map(xor, among, above))
+    return list(map(or_, more, among)) if more else among
 
 
 def is_minimal(p: Perm) -> bool:

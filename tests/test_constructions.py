@@ -15,6 +15,7 @@ import pytest
 
 from blockperm import constructions
 from blockperm.constructions import (
+    _code_columns,
     _decode,
     _encode,
     _fiber,
@@ -339,6 +340,24 @@ def test_pair_columns_read_each_place_of_every_word(n):
     words = list(itertools.permutations(range(1, n + 1)))
     assert _pair_columns(n) == [bytes((p[i] - 1) * n + p[i + 1] - 1 for p in words)
                                 for i in range(n - 1)]
+
+
+# Lanes of 1, 2 and 4 bytes: a·n + b outgrows a byte from n = 16 and two bytes from n = 256.
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 15, 16, 17, 255, 256, 300])
+def test_code_columns_read_each_place_of_every_word(n):
+    rng = random.Random(n)
+    words = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(7)]
+    columns = _code_columns(words, n)
+    assert [list(column) for column in columns] == [
+        [(p[i] - 1) * n + p[i + 1] - 1 for p in words] for i in range(n - 1)]
+    assert {column.itemsize for column in columns} <= {1 if n < 16 else 2 if n < 256 else 4}
+    assert [len(column) for column in _code_columns([], n)] == [0] * (n - 1)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_code_columns_of_s_n_are_its_pair_columns(n):
+    assert list(map(bytes, _code_columns(list(itertools.permutations(range(1, n + 1))), n))) == (
+        _pair_columns(n))
 
 
 # A lane sums n-1 terms below q = select_prime(n) in one byte, so the scan
@@ -753,11 +772,33 @@ def test_verify_min_distance_settles_the_families_from_their_pairs_to_60(monkeyp
     def refuse(*args):
         raise AssertionError("the pair test left the code to a later route")
 
-    for name in ("_shared_planes", "_at_least", "identity_sphere"):
+    for name in ("_code_columns", "_holders", "_planes", "_at_least", "identity_sphere"):
         monkeypatch.setattr(constructions, name, refuse)
     for n in range(2, 61):
         for code in _arithmetic_families(n):
             assert verify_min_distance(code) == n - 1, code.provenance
+
+
+def test_verify_min_distance_of_a_random_3000_word_code_at_30_in_46_rounds(monkeypatch):
+    """No sphere is affordable, so after the rotation pass (floor 2) the plane
+    scan reads all 3,000 rows: a first chunk of 16 and chunks of
+    _CHUNK_BITS // 3000 = 87, 36 chunks in all, each ending in one failing
+    comparator round, and 10 rounds that each raise the most shared pairs,
+    to 10 (distance 19)."""
+    rng = random.Random(30)
+    words = {}
+    while len(words) < 3000:
+        words.setdefault(tuple(rng.sample(range(1, 31), 30)), None)
+    needs = []
+    at_least = constructions._at_least
+
+    def counted(planes, need, among):
+        needs.append(need)
+        return at_least(planes, need, among)
+
+    monkeypatch.setattr(constructions, "_at_least", counted)
+    assert verify_min_distance(CodeBook(30, 1, tuple(words), "random")) == 19
+    assert needs == [*range(1, 9)] + [9] * 3 + [10] * 31 + [11] * 4
 
 
 @pytest.mark.parametrize("n", range(3, 13))

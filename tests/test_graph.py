@@ -24,7 +24,7 @@ from blockperm.graph import (
     neighborhood_stats,
     neighborhood_stats_payload,
 )
-from blockperm.perm import _at_least, block_distance, compose, distance_by_definition, inverse
+from blockperm.perm import _planes, block_distance, compose, distance_by_definition, inverse
 
 
 def test_build_graph_4_3_shape():
@@ -172,22 +172,46 @@ def test_build_graph_looks_up_at_most_two_columns(n, d):
     assert build_graph(n, d).adjacency == tuple(tuple(sorted(row)) for row in rows)
 
 
+def _adder_rows(monkeypatch):
+    """Wrap graph's ``_planes`` and return the list of chunk sizes it is given."""
+    sizes = []
+
+    def counted(columns, holders, rows):
+        sizes.append(len(rows))
+        return _planes(columns, holders, rows)
+
+    monkeypatch.setattr(graph, "_planes", counted)
+    return sizes
+
+
 @pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 7) for d in range(1, n + 2)]
                          + [(7, d) for d in range(2, 7)])
 def test_mirrored_build_matches_the_generic_kernel(monkeypatch, n, d):
-    """Between the trivial distances the reader runs on the lower half of
-    the rows only, and the mirrored upper half is the generic kernel's."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args[1])
-        return _at_least(*args)
-
-    monkeypatch.setattr(graph, "_at_least", counted)
+    """Between the trivial distances the adder runs on the lower half of the
+    rows only, and the mirrored upper half is the generic kernel's."""
+    sizes = _adder_rows(monkeypatch)
     g = build_graph(n, d)
-    assert len(calls) == (math.factorial(n) // 2 if 1 < d < n else 0)
+    assert sum(sizes) == (math.factorial(n) // 2 if 1 < d < n else 0)
     monkeypatch.undo()
     assert g.bits == graph_on(itertools.permutations(range(1, n + 1)), d).bits
+
+
+def test_kernel_work_of_the_mirrored_build_and_a_subset_of_s8(monkeypatch):
+    """The adder's rows and chunks: build_graph(7, 3) puts its 2,520 lower
+    rows through in 49 chunks of at most _CHUNK_BITS // 5040 = 52, and
+    graph_on on 1,000 words of S_8 puts all 1,000 through in 4 chunks of at
+    most _CHUNK_BITS // 1000 = 262."""
+    sizes = _adder_rows(monkeypatch)
+    build_graph(7, 3)
+    assert sizes == [52] * 48 + [24]
+    sizes.clear()
+    words = random.Random(8).sample(list(itertools.permutations(range(1, 9))), 1000)
+    g = graph_on(words, 3)
+    assert sizes == [262] * 3 + [214]
+    rng = random.Random(1000)
+    for _ in range(2000):
+        i, j = rng.sample(range(1000), 2)
+        assert g.bits[i] >> j & 1 == (block_distance(words[i], words[j]) < 3)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -201,12 +225,12 @@ def test_relabelling_by_w0_reverses_the_rank(n):
 @pytest.mark.parametrize("count", [1, 6, 24, 5040])
 def test_mirror_moves_bit_i_to_count_minus_1_minus_i(count):
     rng = random.Random(count)
-    for i in range(count):
-        assert graph._mirror(1 << i, count) == 1 << count - 1 - i
-    for _ in range(20):
-        bits = rng.getrandbits(count)
-        assert graph._mirror(bits, count) == int(f"{bits:0{count}b}"[::-1], 2)
-        assert graph._mirror(graph._mirror(bits, count), count) == bits
+    assert list(graph._mirrors([1 << i for i in range(count)], count)) == [
+        1 << count - 1 - i for i in range(count)]
+    bitsets = [rng.getrandbits(count) for _ in range(20)]
+    assert list(graph._mirrors(bitsets, count)) == [int(f"{b:0{count}b}"[::-1], 2)
+                                                     for b in bitsets]
+    assert list(graph._mirrors(graph._mirrors(bitsets, count), count)) == bitsets
 
 
 def test_build_graph_7_3_against_distance():
@@ -272,6 +296,29 @@ def test_neighborhood_edges_and_triangles_by_brute_force(n, d):
                     if b in adj[a] and c in adj[a] and c in adj[b])
     stats = neighborhood_stats(n, d)
     assert (stats.p_edges, stats.triangle_count) == (sub.edge_count(), triangles)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_neighborhood_stats_builds_the_ball_once(monkeypatch, n):
+    """One holder build serves the kernel and the zero-overlap count, and the
+    adder reads the ball's rows once for 1 < d < n and not at all past it,
+    where every two words of the ball are adjacent."""
+    holders, sizes = [], _adder_rows(monkeypatch)
+    build = graph._holders
+
+    def built(columns, size):
+        holders.append(size)
+        return build(columns, size)
+
+    monkeypatch.setattr(graph, "_holders", built)
+    for d in range(2, n + 2):
+        holders.clear()
+        sizes.clear()
+        stats = neighborhood_stats(n, d)
+        assert holders == [n]
+        assert sum(sizes) == (stats.delta if d < n else 0)
+        if d >= n:
+            assert stats.p_edges == math.comb(stats.delta, 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

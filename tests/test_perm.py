@@ -1,5 +1,5 @@
-"""Core permutation operations, the two distance routes, the reader of the
-shared-pair planes, and the block metric against the generalized Cayley metric."""
+"""Core permutation operations, the two distance routes, the row-parallel
+pair-count kernel, and the block metric against the generalized Cayley metric."""
 
 import collections
 import doctest
@@ -180,7 +180,7 @@ def test_cut_search_never_counts_shared_pairs(monkeypatch):
     def refuse(*args):
         raise AssertionError("the cut search used the pair-count route")
 
-    for name in ("block_distance", "char_set", "_pair_codes", "_pair_masks"):
+    for name in ("block_distance", "char_set", "_pair_masks"):
         monkeypatch.setattr(perm, name, refuse)
     assert distance_by_definition(WORKED_P1, WORKED_P2) == 3
     assert distance_by_definition(identity(16), identity(16)[::-1]) == 15
@@ -287,7 +287,7 @@ def test_the_doctests_of_perm_pass():
     assert attempted >= 3
 
 
-# -- the one reader of the shared-pair planes ---------------------------------
+# -- the row-parallel pair-count kernel ---------------------------------------
 
 
 def _seeded_words(n, count=60):
@@ -296,30 +296,104 @@ def _seeded_words(n, count=60):
     return tuple(random.Random(30 + n).sample(everything, min(count, len(everything))))
 
 
+def _drawn_words(n, count):
+    """min(count, n!) distinct seeded words of S_n, drawn one at a time."""
+    rng = random.Random(n)
+    words = {}
+    while len(words) < min(count, math.factorial(n)):
+        words.setdefault(tuple(rng.sample(range(1, n + 1), n)), None)
+    return tuple(words)
+
+
+def _kernel(words, n, rows):
+    """The kernel's inputs for the words and its count planes of rows, a chunk
+    at a time: (chunk, planes) pairs."""
+    columns = constructions._code_columns(words, n)
+    holders = perm._holders(columns, n)
+    return [(chunk, perm._planes(columns, holders, chunk))
+            for chunk in perm._chunks(rows, len(words))]
+
+
+def _check_answers(words, n, rows):
+    """Row i's answer, for each s, is the words sharing at least s pairs with
+    word i, counted pair by pair, with i itself left out by either form of
+    among (at s = 0, among itself); with all words as among, i is in it, and
+    alone at s = n-1."""
+    everything = (1 << len(words)) - 1
+    seen = []
+    for chunk, planes in _kernel(words, n, rows):
+        assert len(planes) == (n - 1).bit_length()
+        assert all(len(plane) == len(chunk) for plane in planes)
+        seen += chunk
+        shared = [[n - 1 - block_distance(words[i], w) for w in words] for i in chunk]
+        for s in range(n):
+            want = [sum(1 << j for j, c in enumerate(row) if c >= s) for row in shared]
+            assert perm._at_least(planes, s, [everything] * len(chunk)) == want
+            for others in ([everything ^ 1 << i for i in chunk], [~(1 << i) for i in chunk]):
+                got = perm._at_least(planes, s, others)
+                assert got == ([w & ~(1 << i) for w, i in zip(want, chunk)] if s else others)
+        assert perm._at_least(planes, n - 1, [everything] * len(chunk)) == [1 << i for i in chunk]
+    assert seen == list(rows)
+
+
 @pytest.mark.parametrize("n", range(3, 10))
 def test_at_least_matches_the_pair_count(n):
-    """Word j is in the reader's answer exactly when it shares at least s of
-    the n-1 pairs with word i, counted pair by pair; only word i itself
-    shares all n-1."""
     words = _seeded_words(n)
-    everything = (1 << len(words)) - 1
-    for i, planes in enumerate(perm._shared_planes(words, n)):
-        shared = [n - 1 - block_distance(words[i], w) for w in words]
-        for s in range(1, n):
-            want = sum(1 << j for j, c in enumerate(shared) if c >= s)
-            assert perm._at_least(planes, s, everything) == want
-            for others in (everything ^ 1 << i, ~(1 << i)):
-                assert perm._at_least(planes, s, others) == want & ~(1 << i)
-        assert perm._at_least(planes, n - 1, everything) == 1 << i
+    _check_answers(words, n, range(len(words)))
 
 
-def _count_reader_calls(monkeypatch, module):
-    """Wrap module's ``_at_least`` and return the list its calls append to."""
+@pytest.mark.parametrize("n", range(2, 21))  # n = 2, 3, 5, 9 and 17 start widths 1 to 5
+def test_kernel_matches_the_pair_count_across_chunk_edges(monkeypatch, n):
+    """With chunks of 3 rows: 1, chunk-1, chunk, chunk+1 and 2·chunk+1 rows,
+    as many as S_n has words for."""
+    words = _drawn_words(n, 12)
+    monkeypatch.setattr(perm, "_CHUNK_BITS", 3 * len(words))
+    for rows in (1, 2, 3, 4, 7):
+        if rows <= len(words):
+            assert [len(chunk) for chunk, _ in _kernel(words, n, range(rows))] == (
+                [3] * (rows // 3) + [rows % 3] * (rows % 3 > 0))
+            _check_answers(words, n, range(rows))
+
+
+def test_chunks_hold_the_bit_budget():
+    """A chunk of rows of N-bit integers takes at most _CHUNK_BITS bits per
+    list, and one row when N alone exceeds it; the chunks tile the rows."""
+    for count in (1, 2, 720, 5040, perm._CHUNK_BITS, perm._CHUNK_BITS + 1):
+        cap = max(1, perm._CHUNK_BITS // count)
+        runs = list(perm._chunks(range(5, 6 + 2 * cap), count))
+        assert [(run.start, run.stop) for run in runs] == [
+            (5, 5 + cap), (5 + cap, 5 + 2 * cap), (5 + 2 * cap, 6 + 2 * cap)]
+    assert list(perm._chunks(range(0), 0)) == []
+
+
+def test_carry_save_adder_leaves_one_list_per_plane():
+    """With n-1 columns of one row, each holding the word's own pair, every
+    count is n-1, so the planes are the bits of n-1, and no plane is left
+    with two lists or none (``_planes`` unpacks one from each)."""
+    for n in range(2, 301):
+        planes = perm._planes([[0]] * (n - 1), [1], range(1))
+        assert planes == [[(n - 1) >> k & 1] for k in range((n - 1).bit_length())], n
+
+
+def _count_adder_rows(monkeypatch, module):
+    """Wrap module's ``_planes`` and return the list of chunk sizes it is given."""
+    sizes = []
+
+    def counted(columns, holders, rows):
+        sizes.append(len(rows))
+        return perm._planes(columns, holders, rows)
+
+    monkeypatch.setattr(module, "_planes", counted)
+    return sizes
+
+
+def _count_rounds(monkeypatch, module):
+    """Wrap module's ``_at_least`` and return the list of needs it is asked."""
     calls = []
 
-    def counted(*args):
-        calls.append(args[1])
-        return perm._at_least(*args)
+    def counted(planes, need, among):
+        calls.append(need)
+        return perm._at_least(planes, need, among)
 
     monkeypatch.setattr(module, "_at_least", counted)
     return calls
@@ -327,35 +401,40 @@ def _count_reader_calls(monkeypatch, module):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_neighbor_bits_reads_each_row_once_between_the_trivial_distances(monkeypatch, n):
-    calls = _count_reader_calls(monkeypatch, graph)
+    sizes = _count_adder_rows(monkeypatch, graph)
     words = _seeded_words(n)
     for d in range(-1, n + 2):
-        calls.clear()
+        sizes.clear()
         rows = graph._neighbor_bits(words, n, d)
-        assert len(calls) == (len(words) if 1 < d < n else 0)
+        assert sum(sizes) == (len(words) if 1 < d < n else 0)
         assert rows == [sum(1 << j for j, w in enumerate(words) if 0 < block_distance(v, w) < d)
                         for v in words]
 
 
-def test_verify_min_distance_probes_at_most_once_per_word_and_step(monkeypatch):
-    """Sphere 2 answers for the cyclic code, so the plane scan is asked directly."""
-    calls = _count_reader_calls(monkeypatch, constructions)
+def test_verify_min_distance_probes_at_most_once_per_chunk_and_step(monkeypatch):
+    """Sphere 2 answers for the cyclic code, so the plane scan is asked
+    directly: its 720 rows are a first chunk of 16 and chunks of
+    _CHUNK_BITS // 720 = 364, one failing round each and one per step."""
+    calls = _count_rounds(monkeypatch, constructions)
+    sizes = _count_adder_rows(monkeypatch, constructions)
     code = constructions.cyclic_class_code(7)
     assert constructions.verify_min_distance(code) == 2 and calls == []
     assert constructions._plane_min(code.words, 7, 1) == 2
-    assert len(calls) <= 720 + 5
+    assert sizes == [16, 364, 340]
+    assert calls == [1, 2, 3, 4, 5, 5, 5]  # 3 chunks and 4 steps
 
 
 def test_verify_min_distance_returns_at_the_first_distance_one_pair(monkeypatch):
-    """Seeded words give the pairwise minimum within N + n - 2 probes.  Add a
-    rotation of the first word, which shares n-2 of its pairs: each probe for
-    the first word finds it, and the plane scan returns after n-2 probes
-    (``verify_min_distance`` finds that pair by its rotation key first)."""
-    calls = _count_reader_calls(monkeypatch, constructions)
+    """Seeded words give the pairwise minimum within one round per chunk and
+    step.  Add a rotation of the first word, which shares n-2 of its pairs:
+    each round of the first chunk finds it, and the plane scan returns after
+    n-2 rounds (``verify_min_distance`` finds that pair by its rotation key
+    first)."""
+    calls = _count_rounds(monkeypatch, constructions)
     words = _seeded_words(8, 49)
     assert constructions._plane_min(words, 8, 1) == min(
         itertools.starmap(block_distance, itertools.combinations(words, 2)))
-    assert len(calls) <= 49 + 6
+    assert len(calls) <= 2 + 6
     calls.clear()
     first = words[0]
     assert constructions._plane_min(words + (first[1:] + first[:1],), 8, 1) == 1
