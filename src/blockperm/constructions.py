@@ -22,15 +22,14 @@ design distance d.  This module builds them four ways:
 from __future__ import annotations
 
 import itertools
-import math
 import sys
 from collections import Counter, defaultdict
 from operator import add, invert, itemgetter, mul, neg, sub
 from typing import NamedTuple
 
 from .enumeration import DEFAULT_MAX_N, _sphere_sizes, identity_sphere
-from .perm import (Perm, _at_least, _check_words, _chunks, _holders, _int_in, _parse_labels,
-                   _planes, _unrank, format_permutation, parse_permutation)
+from .perm import (Perm, _at_least, _check_words, _chunks, _holders, _int_in, _pair_columns,
+                   _parse_labels, _planes, _unrank, format_permutation, parse_permutation)
 
 PAIRWISE_MAX_WORDS = 10_000
 HAM_SEARCH_MAX_N = 17
@@ -243,30 +242,9 @@ def _fiber_field(n: int, d: int) -> int:
     return select_prime(n)
 
 
-def _pair_columns(n: int) -> list[bytes]:
-    """The adjacent pairs of every word of S_n, n <= 16, one column per place:
-    byte r of column i is the code (a-1)·n + b-1 of the labels a, b at places
-    i and i+1 of word r, in lexicographic order.
-
-    S_k is each first label a followed by S_(k-1) relabelled x -> x + (x >= a),
-    which keeps the order, so column 0 of S_k is a run of (k-2)! pairs of a
-    and each relabelled first label in turn, and column i is S_(k-1)'s column
-    i-1 with both labels relabelled: one ``bytes.translate`` per first label.
-    """
-    columns: list[bytes] = []
-    for k in range(2, n + 1):
-        relabels = [[x + (x >= a) for x in range(k - 1)] for a in range(k)]  # labels from 0
-        tables = [bytes(x * k + y for x, y in itertools.product(r, repeat=2)).ljust(256, b"\0")
-                  for r in relabels]
-        first = b"".join(bytes([a * k + x]) * math.factorial(k - 2)
-                         for a, r in enumerate(relabels) for x in r)
-        columns = [first, *(b"".join(map(column.translate, tables)) for column in columns)]
-    return columns
-
-
 def _code_columns(words, n: int) -> list:
     """The pair codes of any words, one ``array`` per place, as
-    ``_pair_columns`` gives them for S_n.  Each place is one int with a lane
+    ``perm._pair_columns`` gives them for S_n.  Each place is one int with a lane
     per word wide enough for a·n + b, so a column is one multiply-add,
     a·n + b - (n+1), that neither carries nor borrows."""
     from array import array  # a shared library, loaded only where words are scanned

@@ -14,9 +14,11 @@ verifies codes: ``perm._planes`` adds the holders of each row's pairs and
 ``perm._at_least`` compares, each step one ``map`` over the chunk.  A vertex
 set gets its bitsets from ``_neighbor_bits``, except that ``build_graph``
 computes only the lower half of S_n's rows, from the pair codes of
-``constructions._pair_columns``, and mirrors them into the upper half: on the
+``perm._pair_columns``, and mirrors them into the upper half: on the
 5,040 words of S_7, the adder and comparator run for 2,520 rows in 49 chunks,
 and the 49 holder mirrors and 2,520 row mirrors are one ``map`` chain each.
+The exact solver's search rows come from ``_neighbor_bits`` as well, on
+its candidate words in their search order.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from itertools import repeat
 from operator import and_, itemgetter, or_, xor
 from typing import NamedTuple
 
-from .constructions import CodeBook, _code_columns, _pair_columns
+from .constructions import CodeBook, _code_columns
 from .enumeration import _anticode_size, identity_sphere
-from .perm import (Perm, _at_least, _check_words, _chunks, _holders, _int_in, _planes,
-                   compose, inverse)
+from .perm import (Perm, _at_least, _check_words, _chunks, _holders, _int_in, _pair_columns,
+                   _planes, compose, inverse)
 
 GRAPH_MAX_N = 7
 EXACT_MAX_VERTICES = 1000
@@ -155,7 +157,7 @@ def build_graph(n: int, d: int) -> BlockGraph:
     row N-1-r is row r mirrored: bit j moved to bit N-1-j.  w0 takes the
     pair with code x to the pair with code n²-1-x, so the holders of pair x
     among the upper half are the mirror of the lower half's holders of pair
-    n²-1-x.  The pair codes come from ``constructions._pair_columns``, and
+    n²-1-x.  The pair codes come from ``perm._pair_columns``, and
     the holders, plane adder and comparator run for the N/2 lower rows only,
     2,520 of the 5,040 at n = 7, at the price of n² holder mirrors and N/2
     row mirrors of N bits each, both through ``_mirrors``.
@@ -255,19 +257,20 @@ def _greedy(g: BlockGraph, order: str) -> list[int]:
     return chosen
 
 
-def _grow(adj: list[int], chosen: list[int], cand: int, best: list[int], limit: int,
-          drop: list[int], finished=None) -> int:
+def _grow(adj: list[int], bits: list[int], chosen: list[int], cand: int, best: list[int],
+          limit: int, drop: list[int], finished=None) -> int:
     """Search every independent extension of chosen by vertices of the
     bitset cand, replacing best's contents whenever chosen outgrows it, and
     stop the whole search once best holds limit vertices (a bound on its size).
     Returns the number of search nodes taken, this one included.
 
-    The clique cover reads the neighbors adj[v]; choosing v drops drop[v]
-    from the candidates: its neighbors, and any vertex that no set larger
-    than the incumbent holds together with v (see ``_translates``).  If
-    given, finished(v, cand) is called after each branch v of this node that
-    took at least as many nodes as there are candidates left, with those
-    candidates, and returns the ones to keep.
+    A vertex is named by its index: the ``bit_length`` of its bit, so that
+    bits[b] is 1 << b-1.  The clique cover reads the neighbors adj[b];
+    choosing b drops drop[b] from the candidates: its neighbors, and any
+    vertex that no set larger than the incumbent holds together with b (see
+    ``_translates``).  If given, finished(b, cand) is called after each
+    branch b of this node that took at least as many nodes as there are
+    candidates left, with those candidates, and returns the ones to keep.
 
     Not a closure: one that calls itself is a reference cycle, which keeps
     each search's bitsets alive until a full collection.
@@ -278,66 +281,72 @@ def _grow(adj: list[int], chosen: list[int], cand: int, best: list[int], limit: 
         room = 0
     if cand.bit_count() <= room:
         return 1
-    # Cover cand by `room` cliques, one at a time (see exact_independent_set).
-    # An independent set takes at most one vertex per clique, so only the
-    # vertices still left can push past the incumbent; those are the branch
-    # vertices, taken highest index first.
+    # Cover cand by `room` cliques, one at a time (see exact_independent_set),
+    # each step from the highest bit left.  An independent set takes at most
+    # one vertex per clique, so only the vertices still left can push past
+    # the incumbent; those are the branch vertices, lowest bit first.
     left = cand
     for _ in range(room):
         q = left
         while q:
-            low = q & -q
-            left ^= low
-            q &= adj[low.bit_length() - 1]
+            b = q.bit_length()
+            left ^= bits[b]
+            q &= adj[b]
         if not left:
             return 1
     nodes = 1
     while left:
-        v = left.bit_length() - 1
-        bit = 1 << v
+        bit = left & -left
         left ^= bit
-        chosen.append(v)
-        below = _grow(adj, chosen, cand & ~(drop[v] | bit), best, limit, drop)
+        cand ^= bit
+        b = bit.bit_length()
+        chosen.append(b)
+        below = _grow(adj, bits, chosen, cand & ~drop[b], best, limit, drop)
         nodes += below
         chosen.pop()
         if len(best) >= limit:
             return nodes
-        cand ^= bit
         if finished and below >= cand.bit_count():
-            cand = finished(v, cand)
+            cand = finished(b, cand)
             left &= cand
     return nodes
 
 
-def _translates(vertices: tuple[Perm, ...], order: list[int], labels: dict[Perm, int],
-                drop: list[int], u: int, cand: int) -> int:
-    """Isomorph rejection by left translation, called after the root branch
-    on label u of a search that fixes vertex 0 on all of S_n, with the root's
-    candidates left.  Label k is vertex order[k], labels maps the vertices
-    back to labels (filled on first use), and drop[k] is the bitset of labels
-    that choosing k drops.  Returns the root's candidates to keep.
+def _translates(words: list[Perm], labels: dict[Perm, int], drop: list[int], b: int,
+                cand: int) -> int:
+    """Isomorph rejection by the distance-keeping maps of S_n, called after
+    the root branch on index b of a search that fixes one word g0 on all of
+    S_n, with the root's candidates left.  words[i] is the word at bit i, g0
+    at the top bit, labels maps the words back to their bits (filled on
+    first use), and drop[i + 1] is the bitset of the words that choosing
+    bit i drops.  Returns the root's candidates to keep.
 
-    In coordinates where vertex 0's word g0 is the identity e, the finished
-    branch has bounded by the incumbent every independent set that holds e
-    and r = g0⁻¹∘(u's word).  Left translation keeps distances, so a set that
-    holds x and x∘r, moved by x⁻¹, is such a set.  From now on the words w
-    and w∘r drop each other; in raw words too, since g0⁻¹∘(w∘r) equals
-    (g0⁻¹∘w)∘r.  Label 0 is in every set searched, so the root drops g0∘r⁻¹;
-    its other partner, g0∘r, is u itself.  The update is one pass over the
-    candidates left, so ``_grow`` calls it only after a branch whose search
-    took at least as many nodes.
+    In coordinates where g0 is the identity e, the finished branch has
+    bounded by the incumbent every independent set that holds e and r =
+    g0⁻¹∘(b's word).  The map φ(p) = w0∘p∘w0, with w0 the reversal, fixes e
+    and keeps every distance, so it bounds every set that holds e and
+    ρ = φ(r) too.  Left translation keeps distances, so a set that holds x
+    and x∘s, for s = r or ρ, moved by x⁻¹, is such a set.  From now on the
+    words w and w∘s drop each other; in raw words too, since g0⁻¹∘(w∘s)
+    equals (g0⁻¹∘w)∘s.  g0 is in every set searched, so the root drops its
+    partners g0∘r⁻¹, g0∘ρ and g0∘ρ⁻¹; its other partner, g0∘r, is b's word
+    itself.  The update is one pass over the candidates left per s, so
+    ``_grow`` calls it only after a branch whose search took at least as
+    many nodes.
     """
     if not labels:
-        labels.update((vertices[v], k) for k, v in enumerate(order))
-    # w ↦ w∘r
-    right = itemgetter(*[c - 1 for c in compose(inverse(vertices[0]), vertices[order[u]])])
-    among = cand | 1
-    for x in _indices(among):
-        y = labels.get(right(vertices[order[x]]))
-        if y is not None and among >> y & 1:
-            drop[x] |= 1 << y
-            drop[y] |= 1 << x
-    return cand & ~drop[0]
+        labels.update(zip(words, itertools.count()))
+    root = len(words) - 1  # g0's bit
+    r = compose(inverse(words[root]), words[b - 1])
+    among = cand | 1 << root
+    for s in {r, tuple(len(r) + 1 - c for c in reversed(r))}:  # r and w0∘r∘w0
+        right = itemgetter(*[c - 1 for c in s])  # w ↦ w∘s
+        for x in _indices(among):
+            y = labels.get(right(words[x]))
+            if y is not None and among >> y & 1:
+                drop[x + 1] |= 1 << y
+                drop[y + 1] |= 1 << x
+    return cand & ~drop[root + 1]
 
 
 def exact_independent_set(g: BlockGraph) -> CodeBook:
@@ -354,7 +363,7 @@ def exact_independent_set(g: BlockGraph) -> CodeBook:
     The cover is built one clique at a time, as in San Segundo's BBMC: a
     clique starts from the lowest candidate left and keeps intersecting its
     pool with the neighbors of the lowest vertex in it.  That is the
-    partition that first fit in index order builds, because first fit puts a
+    partition that first fit in label order builds, because first fit puts a
     vertex in clique k exactly when it is in no earlier clique and adjacent
     to every lower vertex already in clique k.  After as many cliques as the
     incumbent leaves room for, the vertices still uncovered are the branch
@@ -362,8 +371,11 @@ def exact_independent_set(g: BlockGraph) -> CodeBook:
     their degree among the candidates, ties by index: Tomita and Seki's MCQ
     order, read in the complement.  The cover then starts its cliques from
     the vertices with fewest candidate neighbors, and the branching takes the
-    vertices with most first.  Each relabelled row is gathered from the
-    digits of the original bitset.
+    vertices with most first.  Label k of L sits at bit L-1-k, so the lowest
+    label left is the top bit, and each cover step is one ``bit_length``, one
+    XOR and one AND; the branching takes the lowest bit first.  The relabelled
+    rows come from ``_neighbor_bits`` on the candidate words in reverse label
+    order, the kernel that built the graph.
 
     The vertices are distinct permutations of 1..n, so n! of them are all of
     S_n, in any order, and the graph is a Cayley graph.  It is regular, so one
@@ -378,14 +390,14 @@ def exact_independent_set(g: BlockGraph) -> CodeBook:
     bound but their number.
 
     The left translations that make the graph vertex-transitive also prune
-    the search on S_n: once the root branch on u has finished, each later
-    choice drops that branch's translates (``_translates``).  They move
-    vertex 0; the isometries that fix it, the symmetry at the root, could at
-    most halve the search.
-    Search nodes (calls of ``_grow``): 3,092 at (5, 3), 9,025 without the
-    translates; 4 at (4, 3), 59 at (5, 4) and 85 at (6, 5), where no root
-    branch searches long enough to pay for its translates; none where the
-    seed meets the bound, as at d <= 2 and at d = n for n <= 6.
+    the search on S_n, with the map p ↦ w0∘p∘w0 that fixes vertex 0's word:
+    once the root branch on u has finished, each later choice drops that
+    branch's translates and their images under the map (``_translates``).
+    Search nodes (calls of ``_grow``): 2,731 at (5, 3) in 66,067 cover steps,
+    3,092 with the translates alone and 9,025 with neither; 4 at (4, 3),
+    59 at (5, 4) and 85 at (6, 5), where no root branch searches long enough
+    to pay for its translates; none where the seed meets the bound, as at
+    d <= 2 and at d = n for n <= 6.
     """
     count = len(g.vertices)
     if count > EXACT_MAX_VERTICES:
@@ -403,19 +415,19 @@ def exact_independent_set(g: BlockGraph) -> CodeBook:
         # Vertex 0 keeps label 0 on S_n.  The sort is stable, so ties stay in
         # index order.
         order = fixed + sorted(_indices(cand), key=lambda v: (adj[v] & cand).bit_count())
-        # bin(row | top) is "0b1" and then the digits of bits count-1 .. 0, so
-        # bit v sits at index count + 2 - v; the gather puts the last label first.
-        gather = itemgetter(*[count + 2 - v for v in reversed(order)])
-        top = 1 << count
-        rows = [int("".join(gather(bin(adj[v] | top))), 2) for v in order]
+        top = len(order)
+        by_bit = [g.vertices[v] for v in reversed(order)]  # label k at bit top-1-k
+        rows = [0, *_neighbor_bits(by_bit, g.n, g.d)]  # by bit_length, as are bits
+        bits = [0, *map((1).__lshift__, range(top))]
         best = [None] * len(seed)  # only its size counts until the search outgrows the seed
         finished, drop = None, rows
-        if fixed:  # label 0 has no neighbors among the labels, so drop[0] starts empty
+        if fixed:  # label 0 has no neighbors among the labels, so drop[top] starts empty
             drop = rows[:]
-            finished = functools.partial(_translates, g.vertices, order, {}, drop)
-        _grow(rows, fixed, (1 << len(order)) - (1 << len(fixed)), best, limit, drop, finished)
+            finished = functools.partial(_translates, by_bit, {}, drop)
+        _grow(rows, bits, [top] * len(fixed), (1 << top - len(fixed)) - 1, best, limit, drop,
+              finished)
         if len(best) > len(seed):
-            seed = [order[k] for k in best]
+            seed = [order[top - b] for b in best]
     words = tuple(sorted(g.vertices[v] for v in seed))
     return CodeBook(g.n, g.d, words, "exact-independent")
 

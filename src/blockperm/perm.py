@@ -17,8 +17,10 @@ other.
 The pair-count kernel counts the pairs each of a chunk of rows shares with
 all N words at once: ``_holders`` gives each pair the bitset of the words
 holding it, ``_planes`` adds the rows' holder bitsets into bit planes, and
-``_at_least`` reads which words share at least s pairs.  The distance graphs
-run on it, and code verification where neither end of the range settles it.
+``_at_least`` reads which words share at least s pairs.  Its input is the
+n-1 pair-code columns of the words, for all of S_n ``_pair_columns``, which
+the fiber scans also read.  The distance graphs run on it, and code
+verification where neither end of the range settles it.
 
 Input policy: entry points check integers with ``_int_in`` (ints, not bools, in
 the range each docstring states) and words with ``_check_words`` (distinct
@@ -35,6 +37,7 @@ which ``bound_report`` calls with values it has checked or derived.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from operator import and_, itemgetter, ne, or_, xor
@@ -157,6 +160,29 @@ def _pair_masks(perms, n: int) -> list[int]:
     """Each characteristic set as an int: bit (a-1)·n + (b-1) marks the pair
     (a, b), so popcount(mask_p & mask_q) counts the pairs p and q share."""
     return [sum(1 << (a - 1) * n + b - 1 for a, b in zip(p, p[1:])) for p in perms]
+
+
+@functools.cache
+def _pair_columns(n: int) -> tuple[bytes, ...]:
+    """The adjacent pairs of every word of S_n, n <= 16, one column per place:
+    byte r of column i is the code (a-1)·n + b-1 of the labels a, b at places
+    i and i+1 of word r, in lexicographic order.  Cached per n, since every
+    full-group scan and build reads them: 7 columns of 40,320 bytes at n = 8.
+
+    S_k is each first label a followed by S_(k-1) relabelled x -> x + (x >= a),
+    which keeps the order, so column 0 of S_k is a run of (k-2)! pairs of a
+    and each relabelled first label in turn, and column i is S_(k-1)'s column
+    i-1 with both labels relabelled: one ``bytes.translate`` per first label.
+    """
+    columns: tuple[bytes, ...] = ()
+    for k in range(2, n + 1):
+        relabels = [[x + (x >= a) for x in range(k - 1)] for a in range(k)]  # labels from 0
+        tables = [bytes(x * k + y for x, y in itertools.product(r, repeat=2)).ljust(256, b"\0")
+                  for r in relabels]
+        first = b"".join(bytes([a * k + x]) * math.factorial(k - 2)
+                         for a, r in enumerate(relabels) for x in r)
+        columns = (first, *(b"".join(map(column.translate, tables)) for column in columns))
+    return columns
 
 
 def _holders(columns, n: int) -> list[int]:

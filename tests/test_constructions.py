@@ -19,7 +19,6 @@ from blockperm.constructions import (
     _decode,
     _encode,
     _fiber,
-    _pair_columns,
     _plane_min,
     _word_keys,
     HAM_SEARCH_MAX_N,
@@ -44,7 +43,7 @@ from blockperm.constructions import (
 )
 from blockperm.enumeration import DEFAULT_MAX_N
 from blockperm.graph import build_graph, greedy_independent_set
-from blockperm.perm import block_distance, char_set, compose, identity
+from blockperm.perm import _pair_columns, block_distance, char_set, compose, identity
 
 
 def test_select_prime_frozen():
@@ -338,8 +337,9 @@ def test_fiber_walk_matches_per_permutation_syndromes(n, d):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_pair_columns_read_each_place_of_every_word(n):
     words = list(itertools.permutations(range(1, n + 1)))
-    assert _pair_columns(n) == [bytes((p[i] - 1) * n + p[i + 1] - 1 for p in words)
-                                for i in range(n - 1)]
+    assert _pair_columns(n) == tuple(bytes((p[i] - 1) * n + p[i + 1] - 1 for p in words)
+                                     for i in range(n - 1))
+    assert _pair_columns(n) is _pair_columns(n)  # built once per n
 
 
 # Lanes of 1, 2 and 4 bytes: a·n + b outgrows a byte from n = 16 and two bytes from n = 256.
@@ -356,7 +356,7 @@ def test_code_columns_read_each_place_of_every_word(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_code_columns_of_s_n_are_its_pair_columns(n):
-    assert list(map(bytes, _code_columns(list(itertools.permutations(range(1, n + 1))), n))) == (
+    assert tuple(map(bytes, _code_columns(list(itertools.permutations(range(1, n + 1))), n))) == (
         _pair_columns(n))
 
 

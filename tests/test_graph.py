@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -498,26 +499,55 @@ def test_exact_fixes_vertex_0_on_all_of_s_n_in_any_order(seed):
         assert all(block_distance(p, q) >= d for p, q in itertools.combinations(code.words, 2))
 
 
+def _reversal_conjugate(p):
+    """w0∘p∘w0, for the reversal w0 of p's labels."""
+    w0 = tuple(range(len(p), 0, -1))
+    return compose(compose(w0, p), w0)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_conjugating_by_the_reversal_fixes_e_and_keeps_every_distance(n):
+    """The map behind the root's second drop, checked by the cut search."""
+    group = list(itertools.permutations(range(1, n + 1)))
+    index = {p: i for i, p in enumerate(group)}
+    image = [index[_reversal_conjugate(p)] for p in group]
+    assert image[0] == 0  # e is first in lexicographic order
+    dist = [[distance_by_definition(p, q) for q in group] for p in group]
+    assert all(dist[image[i]][image[j]] == dist[i][j]
+               for i, j in itertools.product(range(len(group)), repeat=2))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_translates_drop_the_moved_copies_of_a_finished_root_pair(seed):
     """After the root branch on u, the words w and w' drop each other exactly
-    when w⁻¹∘w' is r or r⁻¹, r = g0⁻¹∘u for vertex 0's word g0: the
-    relabelling g0∘w⁻¹ moves such a pair onto (g0, u) or (g0∘r⁻¹, g0)."""
+    when w⁻¹∘w' is r, r⁻¹, ρ or ρ⁻¹, r = g0⁻¹∘u for the fixed word g0 and
+    ρ = w0∘r∘w0: the relabelling g0∘w⁻¹ moves such a pair onto g0 and one of
+    g0's four partners.  words[i] sits at bit i, g0 at the top bit, and
+    drop is indexed by ``bit_length``."""
     rng = random.Random(seed)
     words = _seeded_subset(rng, 5, 120)  # S_5, shuffled: g0 is not the identity
-    g0, u = words[0], rng.randrange(1, 120)
+    g0, u = words[-1], rng.randrange(119)
     r = compose(inverse(g0), words[u])
-    cand = ((1 << 120) - 2) & ~(1 << u)  # the root's candidates once u has finished
-    drop = [0] * 120
-    kept = graph._translates(words, list(range(120)), {}, drop, u, cand)
+    rho = _reversal_conjugate(r)
+    assert rho not in (r, inverse(r))  # so the conjugate's pairs are new ones
+    quotients = (r, inverse(r), rho, inverse(rho))
+    cand = ((1 << 119) - 1) & ~(1 << u)  # the root's candidates once u has finished
+    drop = [0] * 121
+    kept = graph._translates(words, {}, drop, u + 1, cand)
     among = [k for k in range(120) if k != u]
     expected = {(x, y) for x in among for y in among
-                if compose(inverse(words[x]), words[y]) in (r, inverse(r))}
-    assert {(x, y) for x in range(120) for y in range(120) if drop[x] >> y & 1} == expected
+                if compose(inverse(words[x]), words[y]) in quotients}
+    assert {(x, y) for x in range(120) for y in range(120) if drop[x + 1] >> y & 1} == expected
+    assert drop[0] == 0
+    partners = [compose(g0, s) for s in quotients]
     for x, y in expected:
         moved = [compose(compose(g0, inverse(words[x])), w) for w in (words[x], words[y])]
-        assert moved in ([g0, words[u]], [g0, compose(g0, inverse(r))])
-    assert kept == cand & ~(1 << words.index(compose(g0, inverse(r))))
+        assert moved[0] == g0 and moved[1] in partners
+    conjugate = {(x, y) for x, y in expected
+                 if compose(inverse(words[x]), words[y]) in quotients[2:]}
+    assert conjugate and not conjugate & {(x, y) for x, y in expected
+                                          if compose(inverse(words[x]), words[y]) in quotients[:2]}
+    assert kept == cand & ~sum(1 << words.index(w) for w in set(partners))
 
 
 def _count_nodes(monkeypatch):
@@ -533,7 +563,7 @@ def _count_nodes(monkeypatch):
     return nodes
 
 
-@pytest.mark.parametrize("n,d,count", [(5, 3, 3092), (6, 5, 85), (5, 4, 59), (4, 3, 4),
+@pytest.mark.parametrize("n,d,count", [(5, 3, 2731), (6, 5, 85), (5, 4, 59), (4, 3, 4),
                                        (5, 2, 0), (6, 1, 0), (6, 2, 0), (6, 6, 0)])
 def test_exact_search_nodes_are_pinned(monkeypatch, n, d, count):
     """Where the seed already meets the clique-coclique bound, the search
@@ -692,6 +722,91 @@ def test_exact_matches_exhaustive_search_off_the_full_group(n, d):
         code = exact_independent_set(graph_on(verts, d))
         assert len(code.words) == _alpha_by_exhaustion(verts, d)
         assert all(block_distance(p, q) >= d for p, q in itertools.combinations(code.words, 2))
+
+
+# Seeded graph_on subsets, (seed, n, size, d), whose solves search past the seed.
+PINNED_SUBSETS = [(0, 5, 60, 3), (1, 6, 90, 4), (2, 7, 120, 4)]
+# sha256 of the words of every finishing full-group solve and of the subsets,
+# one line each as below, from the solver before the bit layout, the
+# reversal conjugate and the kernel-built rows.
+WORDS_DIGEST = "4f24e9cb92285d2d5b290467e12b02c30c7c5c1d11bffc4cb428e8cc197dd4fc"
+
+
+def _seeded_graph(seed, n, size, d):
+    """graph_on at d of size words of S_n drawn from seed."""
+    return graph_on(_seeded_subset(random.Random(seed), n, size), d)
+
+
+def test_exact_words_are_pinned():
+    lines = [f"{n} {d}: {exact_independent_set(build_graph(n, d)).words}"
+             for n, d in WHOLE_GROUP]
+    for seed, n, size, d in PINNED_SUBSETS:
+        code = exact_independent_set(_seeded_graph(seed, n, size, d))
+        lines.append(f"{seed} {n} {size} {d}: {code.words}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WORDS_DIGEST
+
+
+class _Searched(Exception):
+    """Raised by the first search node, with the rows and bits it reads."""
+
+
+def _searched_rows(monkeypatch, g):
+    """Start solving g and return the words the search relabels, in bit
+    order, with the rows and bits its first node reads, or None if no search
+    starts.  The solve stops at that node."""
+    seen = []
+    neighbor_bits = graph._neighbor_bits
+
+    def rows_spy(words, n, d):
+        seen.append(list(words))
+        return neighbor_bits(words, n, d)
+
+    def grow_spy(adj, bits, *rest):
+        raise _Searched(adj, bits)
+
+    monkeypatch.setattr(graph, "_neighbor_bits", rows_spy)
+    monkeypatch.setattr(graph, "_grow", grow_spy)
+    try:
+        exact_independent_set(g)
+    except _Searched as searched:
+        return (*seen, *searched.args)
+    finally:
+        monkeypatch.undo()
+    assert not seen
+    return None
+
+
+SOLVER_GRAPHS = (
+    [pytest.param(lambda n=n, d=d: build_graph(n, d), id=f"G({n},{d})") for n, d in WHOLE_GROUP]
+    + [pytest.param(lambda seed=seed, d=d: _seeded_graph(seed, 5, 120, d),
+                    id=f"S_5 shuffled {seed} d={d}") for seed in range(6) for d in range(2, 6)]
+    + [pytest.param(lambda: graph_on(STAR, 3), id="star"),
+       pytest.param(lambda: graph_on(NO_ZERO, 4), id="no zero")]
+    + [pytest.param(lambda args=args: _seeded_graph(*args), id=f"subset {args}")
+       for args in PINNED_SUBSETS]
+    + [pytest.param(lambda n=n, d=d: [graph_on(_seeded_subset(rng, n, rng.randint(6, 14)), d)
+                                      for rng in [random.Random(10 * n + d)] for _ in range(6)],
+                    id=f"small subsets n={n} d={d}") for n in (5, 6) for d in range(2, 6)])
+
+
+@pytest.mark.parametrize("make", SOLVER_GRAPHS)
+def test_search_rows_are_the_graph_bits_relabelled(monkeypatch, make):
+    """The kernel-built rows of every search are the graph's own bitsets
+    gathered in label order: the word at bit i of L has its row at index
+    i + 1, and holds bit j exactly when the graph joins it to the word at
+    bit j."""
+    graphs = make()
+    for g in graphs if isinstance(graphs, list) else [graphs]:
+        searched = _searched_rows(monkeypatch, g)
+        if searched is None:
+            continue
+        words, rows, bits = searched
+        index = {w: v for v, w in enumerate(g.vertices)}
+        order = [index[w] for w in words]
+        assert rows[0] == 0 and len(rows) == len(words) + 1
+        assert bits == [0] + [1 << i for i in range(len(words))]
+        assert rows[1:] == [sum(1 << j for j, u in enumerate(order) if g.bits[v] >> u & 1)
+                            for v in order]
 
 
 def test_graph_layer_leaves_no_reference_cycles():
