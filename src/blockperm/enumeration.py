@@ -6,9 +6,9 @@ product sandwich bounds.  Everything here is exact integer arithmetic.
 Sphere and ball sizes come from one integer recurrence and work at any n;
 only ``enumerate_spheres`` scans all n! permutations, the independent
 cross-check of that recurrence, and it carries a size guard.  It runs one
-subset DP over prefixes, ``_prefix_dp``: what the completions of a prefix
+subset DP over prefixes in place: what the completions of a prefix
 contribute depends only on its last label and the set of labels left, and
-one join per set computes it for every last label outside the set.
+one row per set holds that for every last label outside the set.
 """
 
 from __future__ import annotations
@@ -21,34 +21,6 @@ from typing import Iterator, NamedTuple
 from .perm import Perm, _int_in, is_minimal
 
 DEFAULT_MAX_N = 8
-
-
-def _prefix_dp(n: int, leaf, join) -> list:
-    """Held and Karp's subset DP over the prefixes of S_n: the value of every
-    state (u, rest), a prefix's last label u and the set rest of labels left
-    after it in increasing order, returned for the top states u = 1..n.
-
-    A set is a bitmask, bit v-1 for label v.  A state with nothing left gets
-    leaf.  join runs once on each set of 1..n-1 labels, smaller sets first
-    and masks ascending within a size: join(below) gets below = [(v, value
-    of (v, rest - {v})) for v in rest ascending] and returns a row whose
-    entry u-1 is the value of (u, rest) for every u not in rest; other
-    entries are never read.  So a join that lists its completions in below's
-    order, v first, lists them in lexicographic order.  There are
-    n(2^(n-1) - 1) states past the leaves (1,016 at n = 8) but 2^n - 2 joins
-    (254), one per set, so whatever a state's value shares with the other
-    states of its set is computed once.
-    """
-    members = [()]  # members[rest]: the labels of rest, ascending
-    for rest in range(1, 1 << n):
-        low = rest & -rest
-        members.append((low.bit_length(), *members[rest ^ low]))
-    values = {0: [leaf] * n}
-    for _, rests in itertools.groupby(sorted(range(1, (1 << n) - 1), key=int.bit_count),
-                                      int.bit_count):  # keeping one level's values at a time
-        values = {rest: join([(v, values[rest ^ 1 << v - 1][v - 1]) for v in members[rest]])
-                  for rest in rests}
-    return [values[(1 << n) - 1 ^ 1 << u][u] for u in range(n)]
 
 
 class SphereProfile(NamedTuple):
@@ -74,30 +46,39 @@ def enumerate_spheres(n: int) -> SphereProfile:
 
     A pair (a, b) is an identity adjacency exactly when b = a + 1, so the
     distance to the identity is the number of adjacent pairs failing that,
-    its breaks.  The value of a ``_prefix_dp`` state is the histogram of the
-    break counts of its completions, junction pairs included, packed one
-    lane per distance into one int, lanes step bits wide, as n! needs: a step
+    its breaks.  A state (u, rest) is a prefix's last label u and the set
+    rest of labels left after it; its value is the histogram of the break
+    counts of its completions, junction pairs included, packed one lane per
+    distance into one int, lanes step bits wide, as n! needs.  Here labels
+    run 0..n-1 and a set is a bitmask, bit v for label v.  rows[rest][u] is
+    the value of (u, rest) for every u outside rest; other entries are
+    never read.  Masks ascend, so every set comes after its subsets.  A step
     to v adds v's histogram r as it is when v = u + 1 and one lane up
-    otherwise.  So a set's join shifts the sum of its histograms up one lane
-    once, to total, and each u gets total, except u = v - 1, which gets
-    total - r(2^step - 1): O(1) per state.  Every permutation is counted
-    once and no sphere formula is used.
+    otherwise, so a set's row is the sum of its histograms shifted up one
+    lane, total, for every u except u = v - 1, which gets
+    total - r(2^step - 1).  That is 2^n - 2 rows (254 at n = 8), reading
+    each of the n(2^(n-1) - 1) states past the leaves once (1,016).  Every
+    permutation is counted once and no sphere formula is used.
     """
     _int_in("n", n)
     if n > DEFAULT_MAX_N:
         raise ValueError(f"n={n} exceeds enumeration guard {DEFAULT_MAX_N}")
     step = math.factorial(n).bit_length()
     lane = (1 << step) - 1
-
-    def join(below):
-        total = sum(r for _, r in below) << step
+    full = (1 << n) - 1
+    members, rows = [()], [[1] * n]  # members[rest]: the labels in rest, ascending
+    for rest in range(1, full):
+        low = rest & -rest
+        labels = (low.bit_length() - 1, *members[rest ^ low])
+        members.append(labels)
+        below = [rows[rest ^ 1 << v][v] for v in labels]
+        total = sum(below) << step
         row = [total] * n
-        for v, r in below:
-            if v > 1:
-                row[v - 2] = total - r * lane
-        return row
-
-    packed = sum(_prefix_dp(n, 1, join))
+        for v, r in zip(labels, below):
+            if v:
+                row[v - 1] = total - r * lane
+        rows.append(row)
+    packed = sum(rows[full ^ 1 << u][u] for u in range(n))
     return SphereProfile(n, tuple(packed >> k * step & lane for k in range(n)))
 
 

@@ -11,11 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from blockperm import enumeration
 from blockperm.enumeration import (
     DEFAULT_MAX_N,
     SphereProfile,
-    _prefix_dp,
     ball_size_bounds,
     ball_size_exact,
     enumerate_spheres,
@@ -36,7 +34,7 @@ def test_sphere_profile_small_frozen():
 
 def _spheres_by_pair_test(n):
     """Reference: test each adjacent pair of each permutation of S_n, the
-    loop that ``_prefix_dp`` replaces in ``enumerate_spheres``."""
+    loop that the subset DP of ``enumerate_spheres`` replaces."""
     counts = [0] * n
     for p in itertools.permutations(range(1, n + 1)):
         k = 0
@@ -52,66 +50,6 @@ def _spheres_by_pair_test(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_enumerate_spheres_matches_a_pair_test_per_permutation(n):
     assert enumerate_spheres(n) == _spheres_by_pair_test(n)
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_prefix_dp_lists_completions_in_lexicographic_order(n):
-    # Joins that prepend v to each of its tails rebuild every word, so the top
-    # values pin the order of the completions.  A state's tails do not depend on u.
-    def join(below):
-        return [[(v, *tail) for v, tails in below for tail in tails]] * n
-
-    top = _prefix_dp(n, [()], join)
-    words = [(u, *tail) for u, tails in enumerate(top, 1) for tail in tails]
-    assert words == list(itertools.permutations(range(1, n + 1)))
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_prefix_dp_joins_once_per_set_and_reads_rows_outside_it(n):
-    # n(2^(n-1) - 1) states (u, rest) with rest nonempty, 1,016 at n = 8, but
-    # one join per set rest of 1..n-1 labels: 2^n - 2, 254 at n = 8
-    joins, reads = [], []
-
-    class Row(list):
-        def __getitem__(self, i):
-            reads.append((self.rest, i))
-            return super().__getitem__(i)
-
-    def join(below):
-        rest = tuple(v for v, _ in below)
-        joins.append(rest)
-        row = Row(range(n))
-        row.rest = rest
-        return row
-
-    _prefix_dp(n, None, join)
-    assert len(joins) == len(set(joins)) == 2 ** n - 2
-    assert all(0 < len(rest) < n and list(rest) == sorted(rest) for rest in joins)
-    # smaller sets first, masks ascending within a size
-    assert joins == sorted(joins, key=lambda rest: (len(rest), sum(1 << v - 1 for v in rest)))
-    # every state past the leaves is read once, from its set's row at u - 1
-    assert len(reads) == len(set(reads)) == n * (2 ** (n - 1) - 1)
-    assert all(0 <= i < n and i + 1 not in rest for rest, i in reads)
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_sphere_join_matches_the_per_state_sum(monkeypatch, n):
-    # The second route: each state's histogram summed from its successors',
-    # one lane up unless the step extends a run, as a row per set.
-    tops = []
-
-    def spy(*args):
-        tops.append(_prefix_dp(*args))
-        return tops[-1]
-
-    monkeypatch.setattr(enumeration, "_prefix_dp", spy)
-    enumerate_spheres(n)
-    step = math.factorial(n).bit_length()
-
-    def join(below):
-        return [sum(r if v == u + 1 else r << step for v, r in below) for u in range(1, n + 1)]
-
-    assert tops == [_prefix_dp(n, 1, join)]
 
 
 def test_enumerate_spheres_leaves_no_reference_cycles():

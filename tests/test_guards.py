@@ -299,7 +299,7 @@ DOMAIN_EDGES = [
                      {"n": 3, "d": 4, "provenance": "file", "words": [[1, 2, 3]]}), None,
                  "design distance must be an int in [1, 3], got 4",
                  id="codebook_from_payload-d-above"),
-    pytest.param(lambda: enumeration.enumerate_spheres(0), "enumeration._prefix_dp",
+    pytest.param(lambda: enumeration.enumerate_spheres(0), "enumeration.math.factorial",
                  "n must be positive, got 0", id="enumerate_spheres-n-0"),
     pytest.param(lambda: enumeration.ball_size_bounds(10, 6), "enumeration.math.prod",
                  "sandwich bounds need t <= n - sqrt(n) - 1; (n, t) = (10, 6) fails",
