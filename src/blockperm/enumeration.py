@@ -46,28 +46,42 @@ def enumerate_spheres(n: int) -> SphereProfile:
 
     A pair (a, b) is an identity adjacency exactly when b = a + 1, so the
     distance to the identity is the number of adjacent pairs failing that,
-    its breaks.  A state (u, rest) is a prefix's last label u and the set
-    rest of labels left after it; its value is the histogram of the break
-    counts of its completions, junction pairs included, packed one lane per
-    distance into one int, lanes step bits wide, as n! needs.  Here labels
-    run 0..n-1 and a set is a bitmask, bit v for label v.  rows[rest][u] is
-    the value of (u, rest) for every u outside rest; other entries are
-    never read.  Masks ascend, so every set comes after its subsets.  A step
-    to v adds v's histogram r as it is when v = u + 1 and one lane up
-    otherwise, so a set's row is the sum of its histograms shifted up one
-    lane, total, for every u except u = v - 1, which gets
-    total - r(2^step - 1).  That is 2^n - 2 rows (254 at n = 8), reading
-    each of the n(2^(n-1) - 1) states past the leaves once (1,016).  Every
-    permutation is counted once and no sphere formula is used.
+    its breaks.  The subset DP of ``_sphere_rows`` gives, for each first
+    label u, the histogram of the break counts of the words starting with u;
+    their sum is the profile.  Every permutation is counted once and no
+    sphere formula is used.
     """
     _int_in("n", n)
     if n > DEFAULT_MAX_N:
         raise ValueError(f"n={n} exceeds enumeration guard {DEFAULT_MAX_N}")
     step = math.factorial(n).bit_length()
     lane = (1 << step) - 1
-    full = (1 << n) - 1
+    rows = _sphere_rows(n, step)
+    full = len(rows)
+    packed = sum(rows[full ^ 1 << u][u] for u in range(n))
+    return SphereProfile(n, tuple(packed >> k * step & lane for k in range(n)))
+
+
+def _sphere_rows(n: int, step: int) -> list[list[int]]:
+    """The rows of the sphere scan's subset DP, one per proper subset of the
+    labels 0..n-1, indexed by its bitmask (bit v for label v): 2^n - 1 rows.
+
+    A state (u, rest) is a prefix's last label u and the set rest of labels
+    left after it; its value is the histogram of the break counts of its
+    completions, junction pairs included, packed one lane per distance into
+    one int, lanes step bits wide (n! needs factorial(n).bit_length()).
+    rows[rest][u] is the value of (u, rest) for every u outside rest; other
+    entries are never read.  Masks ascend, so every set comes after its
+    subsets.  A step to v adds v's histogram r as it is when v = u + 1 and
+    one lane up otherwise, so a set's row is the sum of its histograms
+    shifted up one lane, total, for every u except u = v - 1, which gets
+    total - r(2^step - 1).  That is 2^n - 2 rows past the leaf row (254 at
+    n = 8), reading each of the n(2^(n-1) - 1) states past the leaves once
+    (1,016).
+    """
+    lane = (1 << step) - 1
     members, rows = [()], [[1] * n]  # members[rest]: the labels in rest, ascending
-    for rest in range(1, full):
+    for rest in range(1, (1 << n) - 1):
         low = rest & -rest
         labels = (low.bit_length() - 1, *members[rest ^ low])
         members.append(labels)
@@ -78,8 +92,7 @@ def enumerate_spheres(n: int) -> SphereProfile:
             if v:
                 row[v - 1] = total - r * lane
         rows.append(row)
-    packed = sum(rows[full ^ 1 << u][u] for u in range(n))
-    return SphereProfile(n, tuple(packed >> k * step & lane for k in range(n)))
+    return rows
 
 
 def _sphere_sizes(n: int, t: int) -> Iterator[int]:

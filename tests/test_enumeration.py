@@ -1,5 +1,6 @@
 """Sphere profiles, the closed-form count, and ball sizes."""
 
+import functools
 import gc
 import itertools
 import json
@@ -14,6 +15,7 @@ import pytest
 from blockperm.enumeration import (
     DEFAULT_MAX_N,
     SphereProfile,
+    _sphere_rows,
     ball_size_bounds,
     ball_size_exact,
     enumerate_spheres,
@@ -50,6 +52,55 @@ def _spheres_by_pair_test(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_enumerate_spheres_matches_a_pair_test_per_permutation(n):
     assert enumerate_spheres(n) == _spheres_by_pair_test(n)
+
+
+def _states(n):
+    """Every state (u, rest) of the sphere DP: a label u of 0..n-1 and a
+    bitmask rest of the labels after it, u outside rest, rest != all."""
+    full = (1 << n) - 1
+    return [(u, rest) for rest in range(full) for u in range(n) if not rest >> u & 1]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sphere_join_matches_the_per_state_sum(n):
+    # The second route: each state's histogram summed from its successors',
+    # one lane up unless the step extends a run, recursively per state.
+    step = math.factorial(n).bit_length()
+    rows = _sphere_rows(n, step)
+    assert len(rows) == 2 ** n - 1
+
+    @functools.cache
+    def value(u, rest):
+        if not rest:
+            return 1
+        return sum(value(v, rest ^ 1 << v) << (0 if v == u + 1 else step)
+                   for v in range(n) if rest >> v & 1)
+
+    assert all(rows[rest][u] == value(u, rest) for u, rest in _states(n))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sphere_rows_count_the_breaks_of_every_completion(n):
+    # Each state's value is the packed histogram of the breaks of (u, *tail)
+    # over every ordering tail of rest, counted one word at a time.
+    step = math.factorial(n).bit_length()
+    rows = _sphere_rows(n, step)
+    for u, rest in _states(n):
+        labels = [v for v in range(n) if rest >> v & 1]
+        counts = Counter(sum(b != a + 1 for a, b in itertools.pairwise((u, *tail)))
+                         for tail in itertools.permutations(labels))
+        assert sum(counts.values()) == math.factorial(len(labels))
+        assert rows[rest][u] == sum(c << k * step for k, c in counts.items())
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sphere_rows_are_shift_invariant(n):
+    # Breaks depend only on differences of labels, so adding 1 to u and to
+    # every label of rest keeps a state's value: the states of n - 1 move onto
+    # those of n that avoid label 0.
+    step = math.factorial(n).bit_length()
+    rows = _sphere_rows(n, step)
+    assert all(rows[rest << 1][u + 1] == rows[rest][u] for u, rest in _states(n - 1))
 
 
 def test_enumerate_spheres_leaves_no_reference_cycles():
