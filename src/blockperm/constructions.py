@@ -135,10 +135,6 @@ def _pair_rank(n: int, a: int, b: int) -> int:
     return (a - 1) * n - (a - 1) * a // 2 + (b - a - 1)
 
 
-#: labels multiplied into the syndrome product between two lane reductions
-SYNDROME_RUN = 20
-
-
 def syndrome(p: Perm, d: int, enc: PairEncoder) -> tuple[int, ...]:
     """First d-1 elementary symmetric values of p's encoded adjacent pairs, d >= 2.
 
@@ -149,18 +145,18 @@ def syndrome(p: Perm, d: int, enc: PairEncoder) -> tuple[int, ...]:
     k·width (Kronecker substitution), read mod q at the end.
 
     No lane carries while width covers every lane's value.  Exactly,
-    e_k <= C(n-1, k)(q-1)^k < ((n-1)(q-1))^k, so m·bitlen((n-1)(q-1)) bits
-    cover the whole product.  Lanes reduced mod q and then multiplied by r
-    more labels stay at most (q-1)·q^r, so (SYNDROME_RUN + 1)·bitlen(q) bits
-    cover a run of SYNDROME_RUN labels from reduced lanes.  Lanes take the
-    narrower of the two widths, in whole bytes with a bit to spare; when
-    that is the run's, every lane is reduced mod q once per SYNDROME_RUN
-    labels, by one ``to_bytes``/``from_bytes`` pass.
+    e_k <= C(n-1, k)(q-1)^k < ((n-1)(q-1))^k, so m·bitlen((n-1)(q-1)) bits,
+    in whole bytes with a bit to spare, cover the whole product.
 
-    Work: one shift, multiply, add and mask, ``(poly + g * (poly << width))
-    & mask``, per adjacent pair on m+1 lanes, plus one reduction of m lanes
-    every SYNDROME_RUN labels past the whole product's width, so d beyond n
-    adds only its zero coordinates.
+    Work: n-1 steps of one shift, multiply, add and mask, ``(poly + g *
+    (poly << width)) & mask``, each linear in the int's (m+1)·width bits,
+    about m²·bitlen((n-1)(q-1)), so d beyond n adds only its zero
+    coordinates.  The time per label grows with m²: in n's own field the
+    int is 24 bytes at (40, 4), 5,985 at (300, 45), 269,400 at (300, 300)
+    and 3,622,000 at (1000, 1000).  Lanes reduced mod q once per 20 labels
+    would stay near 21·bitlen(q) bits and are faster past about d = 30,
+    39 times at (1000, 1000); one width is kept for its simplicity, since
+    the benchmark's calls have n <= 40 and d <= 5.
     """
     n = enc.n
     if len(p) != n:
@@ -169,26 +165,18 @@ def syndrome(p: Perm, d: int, enc: PairEncoder) -> tuple[int, ...]:
     _check_words((p,), n)
     q = enc.q
     m = min(d - 1, n - 1)
-    whole = m * ((n - 1) * (q - 1)).bit_length()
-    run = (SYNDROME_RUN + 1) * q.bit_length()
-    size = min(whole, run) // 8 + 1  # bytes per lane; e_0 = 1 needs a bit even at n = 1
+    # bytes per lane; e_0 = 1 needs a bit even at n = 1
+    size = m * ((n - 1) * (q - 1)).bit_length() // 8 + 1
     width = 8 * size
     total = size * (m + 1)
     mask = (1 << 8 * total) - 1
-    step = SYNDROME_RUN if whole > run else n  # labels between reductions
     odd, past = 2 * n - 1, n + 1
     poly = 1
-    for start in range(0, n - 1, step):
-        if start:  # every lane mod q; e_0 = 1 needs none
-            raw = poly.to_bytes(total, "little")
-            poly = 1 | int.from_bytes(b"".join(
-                [(int.from_bytes(raw[i:i + size], "little") % q).to_bytes(size, "little")
-                 for i in range(size, total, size)]), "little") << width
-        for a, b in zip(p[start:start + step], p[start + 1:start + step + 1]):
-            if a > b:
-                a, b = b, a
-            # g = _pair_rank(n, a, b) = a(2n-1-a)/2 + b - (n+1)
-            poly = (poly + ((a * (odd - a) >> 1) + b - past) * (poly << width)) & mask
+    for a, b in zip(p, p[1:]):
+        if a > b:
+            a, b = b, a
+        # g = _pair_rank(n, a, b) = a(2n-1-a)/2 + b - (n+1)
+        poly = (poly + ((a * (odd - a) >> 1) + b - past) * (poly << width)) & mask
     raw = poly.to_bytes(total, "little")
     return tuple([int.from_bytes(raw[i:i + size], "little") % q
                   for i in range(size, total, size)]) + (0,) * (d - 1 - m)

@@ -158,25 +158,13 @@ def test_syndrome_is_the_elementary_symmetric_sums(n):
 
 @pytest.mark.parametrize("n", [40, 100, 300])
 def test_syndrome_matches_the_per_pair_loop(n):
-    """Both lane widths: the whole product's, at (40, 4), and the reduced
-    run's, which every larger d here takes."""
+    """Lanes as wide as the whole product, m = 3 up to m = n-1 (299 at
+    n = 300), against d-1 updates mod q per label."""
     words = _seeded_words(n, 3, n)
     for enc in (PairEncoder.for_n(n), PairEncoder(n, 1_000_003)):
         for d in (4, 20, 132, n - 1, n, n + 3):
             for p in words:
                 assert syndrome(p, d, enc) == _syndrome_by_loop(p, d, enc)
-
-
-@pytest.mark.parametrize("run", [1, 2, 3, 7])
-def test_syndrome_reduces_its_lanes_after_any_run(monkeypatch, run):
-    """Short runs put a lane reduction after almost every label, and a run
-    may end on the last label or short of it."""
-    monkeypatch.setattr(constructions, "SYNDROME_RUN", run)
-    for n in range(2, 16):
-        for enc in (PairEncoder.for_n(n), PairEncoder(n, 1_000_003)):
-            for p in _seeded_words(n, 3, n):
-                for d in range(2, n + 2):
-                    assert syndrome(p, d, enc) == _syndrome_by_loop(p, d, enc)
 
 
 def test_syndrome_of_a_huge_design_distance_stays_cheap():
