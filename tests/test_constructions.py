@@ -167,6 +167,18 @@ def test_syndrome_matches_the_per_pair_loop(n):
                 assert syndrome(p, d, enc) == _syndrome_by_loop(p, d, enc)
 
 
+@pytest.mark.parametrize("n", range(10, 16))
+def test_syndrome_matches_the_per_pair_loop_at_every_d(n):
+    """The n between the subset sums' range and the sampled large n, at
+    every d from 2 to n+1: every lane count m from 1 to n-1, the last lane
+    ending at the int's top byte, and one surplus coordinate."""
+    words = _seeded_words(n, 3, n)
+    for enc in (PairEncoder.for_n(n), PairEncoder(n, 1_000_003)):
+        for d in range(2, n + 2):
+            for p in words:
+                assert syndrome(p, d, enc) == _syndrome_by_loop(p, d, enc)
+
+
 def test_syndrome_of_a_huge_design_distance_stays_cheap():
     """The product keeps min(d-1, n-1) lanes whatever d is; the per-pair loop
     made d-1 updates per label, about 0.3 s here on a 2-core Xeon."""
