@@ -22,9 +22,10 @@ design distance d.  This module builds them four ways:
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from collections import Counter, defaultdict
-from operator import add, invert, itemgetter, mul, neg, sub
+from operator import itemgetter
 from typing import NamedTuple
 
 from .enumeration import DEFAULT_MAX_N, _sphere_sizes, identity_sphere
@@ -68,16 +69,7 @@ class CodeBook(_CodeBookFields):
 
 
 def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m % 2 == 0:
-        return m == 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
+    return m > 1 and all(m % f for f in range(2, math.isqrt(m) + 1))
 
 
 def select_prime(n: int) -> int:
@@ -144,19 +136,20 @@ def syndrome(p: Perm, d: int, enc: PairEncoder) -> tuple[int, ...]:
     keeps m = min(d-1, n-1) terms: e_0..e_m as lanes of one int, e_k at bit
     k·width (Kronecker substitution), read mod q at the end.
 
-    No lane carries while width covers every lane's value.  Exactly,
-    e_k <= C(n-1, k)(q-1)^k < ((n-1)(q-1))^k, so m·bitlen((n-1)(q-1)) bits,
-    in whole bytes with a bit to spare, cover the whole product.
+    No lane carries while width covers every lane's value.  The labels are
+    pair ranks, at most L = n(n-1)/2 - 1 in any field, so exactly
+    e_k <= C(n-1, k)·L^k <= ((n-1)L)^k, and m·bitlen((n-1)L) bits, in whole
+    bytes with a bit to spare, cover the whole product.
 
     Work: n-1 steps of one shift, multiply, add and mask, ``(poly + g *
     (poly << width)) & mask``, each linear in the int's (m+1)·width bits,
-    about m²·bitlen((n-1)(q-1)), so d beyond n adds only its zero
-    coordinates.  The time per label grows with m²: in n's own field the
-    int is 24 bytes at (40, 4), 5,985 at (300, 45), 269,400 at (300, 300)
-    and 3,622,000 at (1000, 1000).  Lanes reduced mod q once per 20 labels
-    would stay near 21·bitlen(q) bits and are faster past about d = 30,
-    39 times at (1000, 1000); one width is kept for its simplicity, since
-    the benchmark's calls have n <= 40 and d <= 5.
+    about m²·bitlen((n-1)L), so d beyond n adds only its zero coordinates
+    and q none.  The time per label grows with m²: the int is 24 bytes at
+    (40, 4), 5,985 at (300, 45), 269,400 at (300, 300) and 3,622,000 at
+    (1000, 1000).  In n's own field, lanes reduced mod q once per 20 labels
+    would stay near 21·bitlen(q) bits and are faster past about d = 30, 39
+    times at (1000, 1000); one width is kept for its simplicity, since the
+    benchmark's calls have n <= 40 and d <= 5.
     """
     n = enc.n
     if len(p) != n:
@@ -166,7 +159,7 @@ def syndrome(p: Perm, d: int, enc: PairEncoder) -> tuple[int, ...]:
     q = enc.q
     m = min(d - 1, n - 1)
     # bytes per lane; e_0 = 1 needs a bit even at n = 1
-    size = m * ((n - 1) * (q - 1)).bit_length() // 8 + 1
+    size = m * ((n - 1) * (n * (n - 1) // 2 - 1)).bit_length() // 8 + 1
     width = 8 * size
     total = size * (m + 1)
     mask = (1 << 8 * total) - 1
@@ -209,11 +202,13 @@ def _decode(keys, m: int, q: int) -> list[tuple[int, ...]]:
     """The syndromes (e_1..e_m mod q) of packed power-sum keys, inverting
     ``_encode`` column-wise: each Newton term is one pass over all keys."""
     p = [[key >> s & 255 for key in keys] for s in range(0, 8 * m, 8)]
+    # p_i times (-1)^(i-1), so k e_k = sum_{i=1..k} e_{k-i} p_i has no signs
+    p = [column if i % 2 else [-x for x in column] for i, column in enumerate(p, 1)]
     e: dict[int, list[int]] = {}
     for k in range(1, m + 1):
-        terms = p[k - 1] if k % 2 else map(neg, p[k - 1])  # i = k, times e_0 = 1
+        terms = p[k - 1]  # i = k, times e_0 = 1
         for i in range(1, k):
-            terms = map(add if i % 2 else sub, terms, map(mul, e[k - i], p[i - 1]))
+            terms = [t + x * y for t, x, y in zip(terms, e[k - i], p[i - 1])]
         inverse = pow(k, -1, q)
         e[k] = [t * inverse % q for t in terms]
     return list(zip(*e.values()))
@@ -535,7 +530,7 @@ def _plane_min(words, n: int, floor: int) -> int:
         rows = range(len(words))
         for chunk in itertools.chain([rows[:16]], _chunks(rows[16:], len(words))):
             planes = _planes(columns, holders, chunk)
-            others = list(map(invert, map((1).__lshift__, chunk)))
+            others = [~(1 << i) for i in chunk]
             while any(_at_least(planes, most + 1, others)):
                 most += 1
                 if most == top:

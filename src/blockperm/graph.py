@@ -27,7 +27,7 @@ import functools
 import itertools
 import math
 from itertools import repeat
-from operator import and_, itemgetter, or_, xor
+from operator import and_, itemgetter, or_
 from typing import NamedTuple
 
 from .constructions import CodeBook, _code_columns
@@ -113,7 +113,7 @@ def _sharing(columns, holders: list[int], need: int, rows: range, count: int) ->
     everything = (1 << count) - 1
     found: list[int] = []
     for chunk in _chunks(rows, count):
-        others = map(xor, repeat(everything), map((1).__lshift__, chunk))
+        others = [everything ^ 1 << i for i in chunk]
         found += _at_least(_planes(columns, holders, chunk), need, others) if need else others
     return found
 

@@ -10,7 +10,9 @@ other deviation, or none, fails the test, as does a slow table.
 """
 
 import ast
+import itertools
 import math
+import random
 import re
 
 import pytest
@@ -93,3 +95,19 @@ def test_criterion_9_draws_cover_s7(monkeypatch):
     assert len(firsts) == 100_000  # one left-invariance check per triple
     # c∘a covers S_7 even if some index is never drawn; c, a and b do only if each can be
     assert len(set(firsts)) == len(outers) == len(inners) == math.factorial(7)
+
+
+def test_criterion_9_draws_are_one_choices_call(monkeypatch):
+    """The S_7 triples, in order, are those of one ``choices`` call of 300,000
+    draws, whatever chunks the criterion draws them in."""
+    calls = []
+
+    def compose_spy(outer, inner):
+        if len(outer) == 7:
+            calls.append((outer, inner))
+        return compose(outer, inner)
+
+    monkeypatch.setattr(selftest, "compose", compose_spy)
+    assert selftest.criterion_9_metric_axioms().status == "pass"
+    draws = iter(random.Random(2759).choices(list(itertools.permutations(range(1, 8))), k=300_000))
+    assert calls == [call for a, b, c in zip(draws, draws, draws) for call in ((c, a), (c, b))]

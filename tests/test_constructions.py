@@ -62,6 +62,21 @@ def test_select_prime_stays_below_pair_count(n):
     assert all(q % f for f in range(2, int(q**0.5) + 1))
 
 
+def test_is_prime_matches_a_sieve():
+    """Every m below 10^5 against a sieve of Eratosthenes, and the wide field
+    the tests use, prime, against a product with a prime factor near 10^6."""
+    limit = 10**5
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for f in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[f]:
+            sieve[f * f::f] = bytes(len(range(f * f, limit, f)))
+    assert [m for m in range(limit) if constructions._is_prime(m)] == [
+        m for m in range(limit) if sieve[m]]
+    assert constructions._is_prime(1_000_003)
+    assert not constructions._is_prime(999_983 * 3)
+
+
 def test_pair_encoder_frozen_table():
     enc = PairEncoder(4, 7)
     table = {(a, b): enc.value(a, b) for a in range(1, 5) for b in range(a + 1, 5)}
