@@ -7,8 +7,9 @@ design distance d.  This module builds them four ways:
   each permutation is mapped to the first d-1 elementary symmetric values of
   its labels; for 2 <= d <= n-1, permutations sharing that syndrome are at
   distance >= d, so each fiber is a code and the fibers partition S_n (the
-  scans of S_n work in n's own field, q = ``select_prime(n)``; ``syndrome``
-  and ``in_syndrome_class`` take any ``PairEncoder``),
+  scans of S_n work in n's own field, q = ``select_prime(n)``, on power-sum
+  lanes cached per (n, k), at most 270,414 bytes in all; ``syndrome`` and
+  ``in_syndrome_class`` take any ``PairEncoder``),
 * cyclic-class representatives: one permutation per rotation class gives a
   distance-2 code of size (n-1)!,
 * maximum-distance families for d = n-1: an arithmetic construction for even
@@ -21,6 +22,7 @@ design distance d.  This module builds them four ways:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -240,31 +242,40 @@ def _code_columns(words, n: int) -> list:
             for a, b in zip(places, places[1:])]
 
 
-def _word_keys(n: int, m: int) -> memoryview:
-    """The packed power sums of m lanes of the pair labels of every word of
-    S_n in n's own field, in lexicographic order, as a memoryview of ints,
-    for 3 <= n <= DEFAULT_MAX_N and 1 <= m <= n-2.  Each key sits in a slot
-    of m bytes rounded up to 1, 2, 4 or 8.
+@functools.cache
+def _lane(n: int, k: int) -> bytes:
+    """The power sums p_k mod q of the pair labels of every word of S_n in
+    n's own field, one byte per word in lexicographic order, for
+    3 <= n <= DEFAULT_MAX_N and 1 <= k <= n-2.  Each of the n-1
+    ``_pair_columns`` is translated to g^k mod q of its pairs' labels g, the
+    columns are summed as little-endian integers, one byte per word and no
+    carry, and one more translate reduces the sums mod q.
 
-    Lane k of every key at once: each of the n-1 ``_pair_columns`` is
-    translated to g^k mod q of its pairs' labels g, the columns are summed as
-    little-endian integers, one byte per word and no carry, and one more
-    translate reduces the sums mod q.
+    Cached per (n, k), as the columns are per n, since every fiber scan at n
+    reads lanes 1..d-1: the lanes of every n up to the guard take at most
+    sum (n-2)·n! = 270,414 bytes.
     """
     q = select_prime(n)
     columns = _pair_columns(n)
     # the label of each pair code; no word holds a pair (a, a)
     labels = [_pair_rank(n, *sorted(pair)) for pair in itertools.product(range(1, n + 1), repeat=2)]
-    mod_q = bytes(x % q for x in range(256))
+    table = bytes(pow(g, k, q) for g in labels).ljust(256, b"\0")
+    total = sum(int.from_bytes(column.translate(table), "little") for column in columns)
+    return total.to_bytes(len(columns[0]), "little").translate(bytes(x % q for x in range(256)))
+
+
+def _word_keys(n: int, m: int) -> memoryview:
+    """The packed power sums of m lanes of the pair labels of every word of
+    S_n in n's own field, in lexicographic order, as a memoryview of ints,
+    for 3 <= n <= DEFAULT_MAX_N and 1 <= m <= n-2.  Each key sits in a slot
+    of m bytes rounded up to 1, 2, 4 or 8, in a fresh buffer; byte k-1 of a
+    slot is ``_lane(n, k)``, built once per (n, k) and shared by every scan.
+    """
     size = 1 << (m - 1).bit_length()  # bytes per slot
-    count = len(columns[0])
-    keys = bytearray(size * count)
+    keys = bytearray(size * math.factorial(n))
     for k in range(1, m + 1):
-        table = bytes(pow(g, k, q) for g in labels).ljust(256, b"\0")
-        total = sum(int.from_bytes(column.translate(table), "little") for column in columns)
         # byte k-1 of a key, in the machine's order
-        keys[k - 1 if sys.byteorder == "little" else size - k::size] = (
-            total.to_bytes(count, "little").translate(mod_q))
+        keys[k - 1 if sys.byteorder == "little" else size - k::size] = _lane(n, k)
     return memoryview(keys).cast("BHIQ"[size.bit_length() - 1])
 
 
@@ -329,16 +340,12 @@ def syndrome_class(n: int, d: int, f) -> CodeBook:
 def largest_syndrome_class(n: int, d: int) -> CodeBook:
     """A maximum-cardinality syndrome fiber in n's own field, for
     2 <= d <= n-1; at least n!/q^(d-1) words by pigeonhole.  Ties break
-    toward the smallest syndrome vector.  Its first coordinate e_1 = p_1 is a
-    key's low byte, so only the tied keys with the least e_1 are turned into
-    syndromes."""
+    toward the smallest syndrome vector, decoded from every tied key."""
     q = _fiber_field(n, d)
     keys = _word_keys(n, d - 1)
     counts = Counter(keys)
     size = max(counts.values())
     tied = [key for key, count in counts.items() if count == size]
-    least = min(key & 255 for key in tied)
-    tied = [key for key in tied if key & 255 == least]
     best = min(zip(_decode(tied, d - 1, q), tied))[1]
     return _fiber(n, d, keys, best)
 

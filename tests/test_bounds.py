@@ -218,6 +218,19 @@ def test_published_18_11_value_disagrees_with_formula():
     assert "(18,11)" in deviations[0]
 
 
+def test_table1_deviations_skip_unpublished_rows():
+    assert (10, 5) not in TABLE1_PUBLISHED
+    assert table1_deviations([bound_report(10, 5)]) == []
+
+
+def test_table1_deviations_report_a_sphere_packing_mismatch():
+    rep = bound_report(13, 9)
+    assert table1_deviations([rep]) == []
+    wrong = rep._replace(sp_upper=rep.sp_upper + 1)
+    assert table1_deviations([wrong]) == [
+        f"(13,9): sphere-packing {rep.sp_upper + 1} != published {rep.sp_upper}"]
+
+
 def test_neighbour_rows_place_18_11_at_the_formula_value():
     # Second route to the same verdict, without the (18, 11) row itself: the
     # published (17, 11) and (19, 11) entries, each within the table's +-1,

@@ -210,6 +210,13 @@ def test_ball_exact_and_bounds(capsys):
     assert out.split() == ["11880", "154440"]
 
 
+def test_ball_json_schemas(capsys):
+    assert run(capsys, "ball", "--n", "4", "--t", "1", "--format", "json") == (
+        0, '{"n": 4, "size": 4, "t": 1}\n', "")
+    assert run(capsys, "ball", "--n", "13", "--t", "4", "--bounds", "--format", "json") == (
+        0, '{"lower": 11880, "n": 13, "t": 4, "upper": 154440}\n', "")
+
+
 def test_exact_balls_and_bounds_need_no_guard(capsys):
     code, out, _ = run(capsys, "ball", "--n", "13", "--t", "4")
     assert (code, out) == (0, f"{enumeration.ball_size_exact(13, 4).size}\n")
@@ -522,7 +529,10 @@ def test_verify_rejects_a_malformed_json_file(capsys, tmp_path, text, message):
     # every line is read before CodeBook checks the words
     ("4 3 foo\n1 1 1 1\nx\n", "permutation tokens must be integers: 'x'"),
     ("1 2 3\n1 3\n", "not a rearrangement of 1..3: [1, 3]"),
-], ids=["n-x", "d-2.0", "no-provenance", "token-x", "word-short", "tokens-first", "bare-short"])
+    ("", "empty code file"),
+    ("\n  \n\t\n", "empty code file"),
+], ids=["n-x", "d-2.0", "no-provenance", "token-x", "word-short", "tokens-first", "bare-short",
+        "empty", "blank-lines"])
 def test_verify_rejects_a_malformed_text_file(capsys, tmp_path, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)

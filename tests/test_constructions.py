@@ -19,6 +19,8 @@ from blockperm.constructions import (
     _decode,
     _encode,
     _fiber,
+    _lane,
+    _pair_rank,
     _plane_min,
     _word_keys,
     HAM_SEARCH_MAX_N,
@@ -355,6 +357,8 @@ def test_pair_columns_read_each_place_of_every_word(n):
     assert _pair_columns(n) == tuple(bytes((p[i] - 1) * n + p[i + 1] - 1 for p in words)
                                      for i in range(n - 1))
     assert _pair_columns(n) is _pair_columns(n)  # built once per n
+    for k in range(1, n - 1):
+        assert _lane(n, k) is _lane(n, k)  # and each lane once per (n, k)
 
 
 # Lanes of 1, 2 and 4 bytes: a·n + b outgrows a byte from n = 16 and two bytes from n = 256.
@@ -393,6 +397,37 @@ def test_default_encoder_keys_fit_one_machine_word(n):
         assert len(keys) == math.factorial(n) and keys.itemsize == 1 << (m - 1).bit_length()
     if n == 8:
         assert _word_keys(8, 5).itemsize == _word_keys(8, 6).itemsize == 8
+
+
+# The lanes against each word's power sums: byte k-1 of a key is the sum of
+# g^k mod q over the word's pair labels g.  m runs down, then up, so every m
+# but the first reads lanes another m built.
+@pytest.mark.parametrize("n", range(3, 8))
+def test_word_keys_are_each_words_power_sums(n):
+    q = select_prime(n)
+    labels = [[_pair_rank(n, min(a, b), max(a, b)) for a, b in zip(p, p[1:])]
+              for p in itertools.permutations(range(1, n + 1))]
+    for m in [*range(n - 2, 0, -1), *range(1, n - 1)]:
+        assert list(_word_keys(n, m)) == [
+            sum(sum(pow(g, k, q) for g in word) % q << 8 * (k - 1) for k in range(1, m + 1))
+            for word in labels]
+
+
+def test_a_repeated_scan_builds_no_lane():
+    largest_syndrome_class(8, 5)
+    built = _lane.cache_info().misses
+    assert largest_syndrome_class(8, 5) == largest_syndrome_class(8, 5)
+    assert _lane.cache_info().misses == built
+
+
+# Lanes k = 1..n-2 of n! bytes each for every n the scans admit: 270,414 bytes
+# in 21 lanes.  Only the fiber scans build lanes, so nothing else is cached.
+def test_cached_lanes_stay_within_their_bound():
+    for n in range(3, DEFAULT_MAX_N + 1):
+        _word_keys(n, n - 2)
+    every = [(n, k) for n in range(3, DEFAULT_MAX_N + 1) for k in range(1, n - 1)]
+    assert _lane.cache_info().currsize == len(every) == 21
+    assert sum(len(_lane(n, k)) for n, k in every) == 270_414
 
 
 # syndrome_classes and largest_syndrome_class as the earlier prefix walk
@@ -921,3 +956,10 @@ def test_codebook_from_text_reads_every_form(code):
     assert codebook_from_text(as_json) == codebook_from_text(" \n" + as_json, 9) == code
     bare = "".join(text.splitlines(keepends=True)[1:])
     assert codebook_from_text(bare, code.n) == CodeBook(code.n, code.n, code.words, "file")
+
+
+@pytest.mark.parametrize("text", ["", "\n", " \n\t\n"])
+@pytest.mark.parametrize("d", [None, 3])
+def test_codebook_from_text_rejects_an_empty_file(text, d):
+    with pytest.raises(ValueError, match="^empty code file$"):
+        codebook_from_text(text, d)

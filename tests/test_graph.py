@@ -54,6 +54,12 @@ def test_build_graph_rejects_n_below_1(n):
         build_graph(n, 2)
 
 
+@pytest.mark.parametrize("vertices", [[], (), iter([])])
+def test_graph_on_rejects_no_vertices(vertices):
+    with pytest.raises(ValueError, match="^graph needs at least one vertex$"):
+        graph_on(vertices, 2)
+
+
 def test_graph_on_rejects_empty_permutations():
     with pytest.raises(ValueError, match="^n must be positive, got 0$"):
         graph_on([()], 2)
