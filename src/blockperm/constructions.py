@@ -30,7 +30,7 @@ from collections import Counter, defaultdict
 from operator import itemgetter
 from typing import NamedTuple
 
-from .enumeration import DEFAULT_MAX_N, _sphere_sizes, identity_sphere
+from .enumeration import DEFAULT_MAX_N, identity_sphere
 from .perm import (Perm, _at_least, _check_words, _chunks, _holders, _int_in, _pair_columns,
                    _parse_labels, _planes, _unrank, format_permutation, parse_permutation)
 
@@ -473,16 +473,18 @@ def verify_min_distance(code: CodeBook) -> int:
     families, whose pairs partition all n(n-1), end here.
 
     Otherwise the bottom end.  By left-invariance, words w and w' are r
-    apart exactly when w' = w∘s for some s on the identity's sphere r, so
-    the smallest r with such a pair in the code is the minimum.  Sphere 1 is
-    the n-1 non-trivial rotations: keyed by its rotation that puts label 1
-    first, two words share a key exactly when they are 1 apart.  Spheres
-    r = 2, 3, ... are then walked with ``identity_sphere``, one ``itemgetter``
-    per s over all N words, while the n·N·(|S_2| + ... + |S_r|) labels read
-    stay within the N(N-1)/2 pairs a pairwise check compares; the sizes come
-    from the sphere formula, so the choice is made before any work.  Past
-    that, ``_plane_min`` finishes from the floor the walk proved.  A code
-    missing every sphere below n-1 is n-1 apart.
+    apart exactly when w' = w∘s for some s on the identity's sphere r.
+    Sphere 1 is the n-1 non-trivial rotations: keyed by its rotation that
+    puts label 1 first, two words share a key exactly when they are 1 apart.
+    Sphere 2 is probed, one ``itemgetter`` per s over all N words, when its
+    n·N·|S_2| labels, |S_2| = 3·C(n-1, 2), stay within the N(N-1)/2 pairs a
+    pairwise check compares: when N > 3n(n-1)(n-2).  A hit is the minimum 2;
+    otherwise ``_plane_min`` finishes from floor 3, and below the threshold
+    from floor 2.  Sphere 3 is never worth a probe: its labels need N >=
+    2n(|S_2| + |S_3|) + 1 words, at least 3 apart once sphere 2 has missed,
+    so N <= n! // ``_anticode_size(n, 3)``, and no n meets both within the
+    pairwise guard.  At n = 2 and 3 the top end and the rotation keys
+    always answer first.
 
     The 5040-word ``cyclic_class_code(8)`` ends after 5,040 rotation keys
     and two s of sphere 2, 2 × 5,040 words picked, where ``_plane_min``
@@ -501,19 +503,13 @@ def verify_min_distance(code: CodeBook) -> int:
         return n - 1
     if len({w[i:] + w[:i] for w in words for i in (w.index(1),)}) < count:
         return 1
-    budget = count * (count - 1) // 2
-    floor = 2  # no two words are closer
-    for size in itertools.islice(_sphere_sizes(n, n - 2), 2, None):
-        budget -= n * count * size
-        if budget < 0:
-            break
-        if floor == 2:
-            members = set(words)
-        for s in identity_sphere(n, floor):
-            if not members.isdisjoint(map(itemgetter(*[i - 1 for i in s]), words)):
-                return floor
-        floor += 1
-    return _plane_min(words, n, floor)
+    if count <= 3 * n * (n - 1) * (n - 2):
+        return _plane_min(words, n, 2)
+    members = set(words)
+    for s in identity_sphere(n, 2):
+        if not members.isdisjoint(map(itemgetter(*[i - 1 for i in s]), words)):
+            return 2
+    return _plane_min(words, n, 3)
 
 
 def _plane_min(words, n: int, floor: int) -> int:

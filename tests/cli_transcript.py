@@ -73,6 +73,8 @@ COMMANDS = [
     ["dist", *WORKED],
     ["dist", *WORKED, "--format", "json"],
     ["dist", *WORKED, "--check-definition"],
+    ["dist", " ".join(map(str, range(1, 18))), " ".join(map(str, range(17, 0, -1))),
+     "--check-definition"],
     ["dist", "1 2 3", "1 2"],
     ["dist", "1 1 2", "1 2 3"],
     ["charset", "3 1 4 2 5"],
@@ -139,6 +141,8 @@ COMMANDS = [
     ["graph", "--n", "5", "--d", "3", "--exact"],
     ["graph", "--n", "5", "--d", "3", "--exact", "--format", "json"],
     ["graph", "--n", "8", "--d", "3", "--greedy"],
+    ["graph", "--n", "8", "--d", "3", "--stats"],
+    ["graph", "--n", "7", "--d", "6", "--exact"],
     ["graph", "--n", "5", "--d", "3"],
     ["selftest"],
 ]

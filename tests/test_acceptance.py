@@ -19,7 +19,10 @@ import pytest
 
 from blockperm import selftest
 from blockperm.bounds import TABLE1_PUBLISHED
-from blockperm.perm import block_distance, compose
+from blockperm.constructions import cyclic_class_code, even_n_code, syndrome_classes
+from blockperm.enumeration import ball_size_bounds, enumerate_spheres, myers_count
+from blockperm.graph import build_graph, neighborhood_stats
+from blockperm.perm import block_distance, char_set, compose, distance_by_definition
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +114,80 @@ def test_criterion_9_draws_are_one_choices_call(monkeypatch):
     assert selftest.criterion_9_metric_axioms().status == "pass"
     draws = iter(random.Random(2759).choices(list(itertools.permutations(range(1, 8))), k=300_000))
     assert calls == [call for a, b, c in zip(draws, draws, draws) for call in ((c, a), (c, b))]
+
+
+def _first_mass_doubled(n):
+    profile = enumerate_spheres(n)
+    return profile._replace(counts=(2, *profile.counts[1:]))
+
+
+def _one_word_short(n):
+    code = even_n_code(n)
+    return code._replace(words=code.words[:-1])
+
+
+# One mutation for each failure line of criteria 2, 3, 5, 6 and 8, each
+# pinning the detail its criterion reports, seconds read as #s.
+@pytest.mark.parametrize("criterion, name, broken, expected", [
+    (selftest.criterion_2_sphere_formula, "myers_count",
+     lambda n, k: myers_count(n, k) + ((n, k) == (5, 2)), "n=3..7, #s; mismatches ['n=5 k=2']"),
+    (selftest.criterion_2_sphere_formula, "enumerate_spheres", _first_mass_doubled,
+     "n=3..7, #s; mismatches ['n=3 mass', 'n=4 mass', 'n=5 mass', 'n=6 mass', 'n=7 mass']"),
+    (selftest.criterion_3_ball_sandwich, "ball_size_bounds",
+     lambda n, t: (ball_size_bounds(n, t)[0],) * 2,
+     "12 admissible (n, t) pairs; failed ['(n=4, t=1): 3 <= 4 <= 3', '(n=5, t=1): 4 <= 5 <= 4', "
+     "'(n=6, t=1): 5 <= 6 <= 5', '(n=6, t=2): 20 <= 36 <= 20', '(n=7, t=1): 6 <= 7 <= 6', "
+     "'(n=7, t=2): 30 <= 52 <= 30', '(n=7, t=3): 120 <= 272 <= 120']"),
+    (selftest.criterion_5_syndrome_partition, "verify_min_distance",
+     lambda code: code.design_distance - 1,
+     "all fiber pairs checked: (5,3) 80, (5,4) 60, (6,3) 1156, (6,4) 392, (7,3) 26744; #s; "
+     "['(n=5, d=3): fiber pair below distance 3', '(n=5, d=3): fiber pair below distance 3', "
+     "'(n=5, d=3): fiber pair below distance 3']"),
+    (selftest.criterion_5_syndrome_partition, "syndrome_classes",
+     lambda n, d: dict(itertools.islice(syndrome_classes(n, d).items(), 1, None)),
+     "all fiber pairs checked: (5,3) 79, (5,4) 59, (6,3) 1150, (6,4) 391, (7,3) 26678; #s; "
+     "['(n=5, d=3): fiber sizes do not sum to n!', '(n=5, d=4): fiber sizes do not sum to n!', "
+     "'(n=6, d=3): fiber sizes do not sum to n!']"),
+    (selftest.criterion_5_syndrome_partition, "select_prime", lambda n: 2,
+     "all fiber pairs checked: (5,3) 80, (5,4) 60, (6,3) 1156, (6,4) 392, (7,3) 26744; #s; "
+     "['(n=5, d=3): largest fiber below pigeonhole floor 30', "
+     "'(n=5, d=4): largest fiber below pigeonhole floor 15', "
+     "'(n=6, d=3): largest fiber below pigeonhole floor 180']"),
+    (selftest.criterion_6_max_distance_codes, "even_n_code", _one_word_short,
+     "even n in {4..12}, n+1 prime in {4..12}, hub cycles at n=3,5,7; "
+     "['even n=4: 3 words', 'even n=6: 5 words', 'even n=8: 7 words']"),
+    (selftest.criterion_6_max_distance_codes, "distance_by_definition",
+     lambda a, b: distance_by_definition(a, b) - 1,
+     "even n in {4..12}, n+1 prime in {4..12}, hub cycles at n=3,5,7; "
+     "['even n=4: min distance != 3', 'even n=6: min distance != 5', "
+     "'even n=8: min distance != 7']"),
+    (selftest.criterion_6_max_distance_codes, "char_set",
+     lambda w: frozenset(tuple(sorted(pr)) for pr in char_set(w)),
+     "even n in {4..12}, n+1 prime in {4..12}, hub cycles at n=3,5,7; "
+     "['even n=4: adjacency pairs do not partition', "
+     "'even n=6: adjacency pairs do not partition', "
+     "'even n=8: adjacency pairs do not partition']"),
+    (selftest.criterion_6_max_distance_codes, "ham_decomp_code", lambda n: None,
+     "even n in {4..12}, n+1 prime in {4..12}, hub cycles at n=3,5,7; "
+     "['hub-cycle search at n=7 did not yield 7 words at distance 6']"),
+    (selftest.criterion_6_max_distance_codes, "ham_decomp_code", cyclic_class_code,
+     "even n in {4..12}, n+1 prime in {4..12}, hub cycles at n=3,5,7; "
+     "['cyclic n=7: 720 words', 'hub-cycle search claims a decomposition at n=3', "
+     "'hub-cycle search claims a decomposition at n=5']"),
+    (selftest.criterion_8_graph_structure, "build_graph", lambda n, d: build_graph(n, d + 1),
+     "regularity n<=6, ring check n<=7; "
+     "['G(3,1) not 0-regular', 'G(3,2) not 2-regular', 'G(4,1) not 0-regular']"),
+    (selftest.criterion_8_graph_structure, "neighborhood_stats",
+     lambda n, d: neighborhood_stats(n, d)._replace(zero_x_edge_count=1),
+     "regularity n<=6, ring check n<=7; "
+     "['(3,3): 1 zero-overlap edges', '(3,4): 1 zero-overlap edges', "
+     "'(4,3): 1 zero-overlap edges']"),
+], ids=["2-sphere-size", "2-sphere-mass", "3-upper-is-lower", "5-distance-short",
+        "5-fiber-dropped", "5-prime-too-small", "6-word-dropped", "6-distance-short",
+        "6-unordered-pairs", "6-no-hub-cycles", "6-cyclic-as-hub-cycles",
+        "8-distance-one-too-far", "8-zero-overlap-edge"])
+def test_criterion_catches_a_broken_library(monkeypatch, criterion, name, broken, expected):
+    monkeypatch.setattr(selftest, name, broken)
+    result = criterion()
+    assert result.status == "fail", result.detail
+    assert re.sub(r"\d+\.\d+s\b", "#s", result.detail) == expected

@@ -43,7 +43,7 @@ from blockperm.constructions import (
     verify_min_distance,
     zn1_code,
 )
-from blockperm.enumeration import DEFAULT_MAX_N
+from blockperm.enumeration import DEFAULT_MAX_N, _anticode_size, identity_sphere, myers_count
 from blockperm.graph import build_graph, greedy_independent_set
 from blockperm.perm import _pair_columns, block_distance, char_set, compose, identity
 
@@ -748,10 +748,8 @@ def test_verify_min_distance_of_the_5040_word_cyclic_code():
     assert verify_min_distance(cyclic_class_code(8)) == 2
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-def test_verify_min_distance_walks_two_members_of_sphere_2_for_the_cyclic_codes(monkeypatch, n):
-    """From n = 7 the code affords sphere 2, whose second member swaps the
-    first two labels and so lands in the code; below, no sphere is walked."""
+def _count_sphere_walk(monkeypatch):
+    """A counter of the members ``verify_min_distance`` takes from each sphere."""
     walked = collections.Counter()
     sphere = constructions.identity_sphere
 
@@ -761,8 +759,96 @@ def test_verify_min_distance_walks_two_members_of_sphere_2_for_the_cyclic_codes(
             yield s
 
     monkeypatch.setattr(constructions, "identity_sphere", counted)
+    return walked
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_verify_min_distance_walks_two_members_of_sphere_2_for_the_cyclic_codes(monkeypatch, n):
+    """From n = 7 the code affords sphere 2, whose second member swaps the
+    first two labels and so lands in the code; below, no sphere is walked."""
+    walked = _count_sphere_walk(monkeypatch)
     assert verify_min_distance(cyclic_class_code(n)) == 2
     assert walked == ({2: 2} if n >= 7 else {})
+
+
+@pytest.mark.parametrize("count, probed", [(630, False), (631, True)])
+def test_verify_min_distance_probes_sphere_2_just_past_its_threshold(monkeypatch, count, probed):
+    """At n = 7 the threshold 3n(n-1)(n-2) is 630.  Words that all start with
+    1 are never 1 apart, so 631 of them reach the probe and 630 do not."""
+    words = tuple(itertools.islice(((1, *w) for w in itertools.permutations(range(2, 8))), count))
+    walked = _count_sphere_walk(monkeypatch)
+    assert verify_min_distance(CodeBook(7, 1, words, "file")) == _plane_min(words, 7, 1)
+    assert bool(walked) == probed
+
+
+def _greedy_code(n, d):
+    """The lexicographic greedy code of S_n at distance d: each word taken
+    blocks w∘s for every s within d-1 of the identity."""
+    ball = [s for r in range(1, d) for s in identity_sphere(n, r)]
+    blocked, words = set(), []
+    for w in itertools.permutations(range(1, n + 1)):
+        if w not in blocked:
+            words.append(w)
+            blocked.update(compose(w, s) for s in ball)
+    return CodeBook(n, d, tuple(words), "greedy")
+
+
+def test_verify_min_distance_misses_sphere_2_on_the_greedy_8_3_code(monkeypatch):
+    """1,760 words exceed 3·8·7·6 = 1,008, so all 63 members of sphere 2 are
+    probed and miss, and the planes finish from floor 3.  The probe is
+    mispriced here: 23.2 ms for ``verify_min_distance`` against 6.6 ms for
+    ``_plane_min`` alone from floor 1 (best of 7, Python 3.11.7 on a 2-core
+    Intel Xeon VM)."""
+    code = _greedy_code(8, 3)
+    assert len(code) == 1760 and _plane_min(code.words, 8, 1) == 3
+    walked = _count_sphere_walk(monkeypatch)
+    floors = []
+
+    def plane_min(words, n, floor):
+        floors.append(floor)
+        return _plane_min(words, n, floor)
+
+    monkeypatch.setattr(constructions, "_plane_min", plane_min)
+    assert verify_min_distance(code) == 3
+    assert walked == {2: 63} and floors == [3]
+
+
+def test_the_sphere_2_threshold_is_the_walks_budget():
+    """The sphere walk this probe replaced read n·N·(|S_2| + ... + |S_r|)
+    labels, spheres 2..n-2, while they stayed within the N(N-1)/2 pairs.
+    Recomputed from ``myers_count``, it takes sphere 2 exactly when
+    N > 3n(n-1)(n-2), and sphere 3 never: past sphere 2 the words are 3
+    apart, so no code holds more than n! // ``_anticode_size(n, 3)``.  From
+    n = 16 on, 3n(n-1)(n-2) >= 10,080 exceeds the guard, so no sphere is
+    taken; n = 2 and 3 have no sphere to walk (see the next test)."""
+    for n in range(2, 40):
+        sizes = [myers_count(n, r) for r in range(2, n - 1)]
+        most = min(PAIRWISE_MAX_WORDS, math.factorial(n) // _anticode_size(n, 3))
+        for count in range(2, PAIRWISE_MAX_WORDS + 1):
+            budget, taken = count * (count - 1) // 2, 0
+            for size in sizes:
+                budget -= n * count * size
+                if budget < 0:
+                    break
+                taken += 1
+            assert (taken >= 1) == (n >= 4 and count > 3 * n * (n - 1) * (n - 2)), (n, count)
+            assert taken < 2 or count > most, (n, count)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_min_distance_answers_every_code_of_s2_and_s3_before_the_probe(monkeypatch, n):
+    """There 3n(n-1)(n-2) is 0 or 18, yet the top end and the rotation keys
+    settle every code of two or more words."""
+    def refuse(*args):
+        raise AssertionError("a code reached the probe or the planes")
+
+    perms = list(itertools.permutations(range(1, n + 1)))
+    codes = [CodeBook(n, 1, words, "file")
+             for size in range(2, len(perms) + 1) for words in itertools.combinations(perms, size)]
+    expected = [_pairwise_min(code) for code in codes]
+    for name in ("identity_sphere", "_plane_min"):
+        monkeypatch.setattr(constructions, name, refuse)
+    assert [verify_min_distance(code) for code in codes] == expected
 
 
 def _blocks_reversed(n, r):
