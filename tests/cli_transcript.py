@@ -90,6 +90,7 @@ COMMANDS = [
     ["ball", "--n", "30", "--t", "4", "--bounds", "--format", "json"],
     ["ball", "--n", "9", "--t", "7", "--bounds"],
     ["ball", "--n", "2000", "--t", "1999"],
+    ["ball", "--n", "10000", "--t", "5"],
     ["ball", "--n", "5", "--t", "5"],
     *[["construct", "--method", "syndrome", "--n", str(n), "--d", str(d), *fmt]
       for n in range(3, 9) for d in range(2, n) for fmt in ([], ["--format", "json"])],
@@ -129,6 +130,8 @@ COMMANDS = [
     ["bounds", "--n", "7", "--d", "4", "--exact"],
     ["bounds", "--n", "7", "--d", "4", "--exact", "--format", "json"],
     ["bounds", "--n", "40", "--d", "9"],
+    ["bounds", "--n", "2000", "--d", "1999", "--exact"],
+    ["bounds", "--n", "2000", "--d", "1999", "--exact", "--format", "json"],
     ["bounds", "--table1"],
     ["bounds", "--table1", "--format", "csv"],
     ["bounds", "--table1", "--format", "json"],
