@@ -148,9 +148,25 @@ def test_myers_count_matches_inclusion_exclusion():
 @pytest.mark.parametrize("k", range(8))
 def test_single_cut_sphere_counts_minimal_orders(k):
     # with n = k+1 there is one way to cut every gap, so the distance-k
-    # sphere is exactly the minimal orders of k+1 blocks (k = 0: the identity)
+    # sphere is exactly the minimal orders of k+1 blocks (k = 0: the identity),
+    # m_k by definition, along both routes
     minimal = sum(1 for o in itertools.permutations(range(k + 1)) if is_minimal(o))
     assert sphere_profile(k + 1).counts[k] == minimal
+    if k:
+        assert myers_count(k + 1, k) == minimal
+
+
+def test_myers_count_matches_sphere_profile_at_every_k():
+    # two routes: C(n-1, k) m_k against the profile's three-term recurrence
+    for n in range(2, 101):
+        assert [myers_count(n, k) for k in range(1, n)] == list(sphere_profile(n).counts[1:])
+
+
+def test_myers_count_matches_sphere_profile_at_n_2000():
+    counts = sphere_profile(2000).counts
+    assert sum(counts) == math.factorial(2000)
+    for k in (1, 2, 999, 1998, 1999):
+        assert myers_count(2000, k) == counts[k]
 
 
 def test_myers_count_frozen_values():

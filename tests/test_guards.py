@@ -251,7 +251,7 @@ def _edges(key, call, work, n, param, low, high=None, name=None, also=(), n_low=
 DESIGN = "design distance"
 DOMAIN_EDGES = [
     # below n = 2 no k, d or distance is left, so n is named
-    *_edges("myers_count", enumeration.myers_count, "enumeration._sphere_sizes", 5, "k", 1, 4,
+    *_edges("myers_count", enumeration.myers_count, "enumeration._minimal_orders", 5, "k", 1, 4,
             n_low=2),
     *_edges("identity_sphere", enumeration.identity_sphere, "enumeration.is_minimal",
             5, "k", 1, 4, n_low=2),
