@@ -53,7 +53,7 @@ def _greedy_8_3() -> str:
     return _lines(words)
 
 
-# One code file per route of ``verify_min_distance``, and one past its guard.
+# One code file per route of ``verify_min_distance``, one at its guard and one past it.
 INPUTS = {
     "top.txt": lambda: "1 2 3 4 5 6\n6 5 4 3 2 1\n",  # no shared pair: the top end, 5
     "rotation.txt": lambda: "1 2 3 4 5\n3 1 5 2 4\n2 3 4 5 1\n",  # a rotation: 1
@@ -61,6 +61,8 @@ INPUTS = {
     "sphere2.txt": lambda: _lines((1, *w) for w in itertools.permutations(range(2, 8))),
     "plane.txt": lambda: _lines((1, *w) for w in itertools.permutations(range(2, 6))),
     "greedy83.txt": _greedy_8_3,  # misses sphere 2, then the planes find 3
+    "limit.txt": lambda: _lines(itertools.islice(itertools.permutations(range(1, 9)),
+                                                  10_000)),
     "guard.txt": lambda: _lines(itertools.islice(itertools.permutations(range(1, 9)), 10_001)),
     "code.json": lambda: json.dumps({"n": 4, "d": 3, "provenance": "even", "verified_min_distance": 9,
                                      "words": [[1, 2, 3, 4], [2, 4, 1, 3], [3, 1, 4, 2],
@@ -73,6 +75,8 @@ COMMANDS = [
     ["dist", *WORKED],
     ["dist", *WORKED, "--format", "json"],
     ["dist", *WORKED, "--check-definition"],
+    ["dist", " ".join(map(str, range(1, 17))), " ".join(map(str, range(16, 0, -1))),
+     "--check-definition"],
     ["dist", " ".join(map(str, range(1, 18))), " ".join(map(str, range(17, 0, -1))),
      "--check-definition"],
     ["dist", "1 2 3", "1 2"],
@@ -98,6 +102,7 @@ COMMANDS = [
     ["construct", "--method", "syndrome", "--n", "6", "--d", "3", "--f", "1,2", "--format", "json"],
     ["construct", "--method", "syndrome", "--n", "6", "--d", "3", "--f", "1"],
     ["construct", "--method", "syndrome", "--n", "6"],
+    ["construct", "--method", "syndrome", "--n", "8", "--d", "3"],
     ["construct", "--method", "syndrome", "--n", "9", "--d", "3"],
     ["construct", "--method", "syndrome", "--n", "5", "--d", "5"],
     ["construct", "--method", "syndrome", "--n", "2", "--d", "2"],
@@ -112,6 +117,7 @@ COMMANDS = [
     ["construct", "--method", "hamdecomp", "--n", "7"],
     ["construct", "--method", "hamdecomp", "--n", "7", "--format", "json"],
     ["construct", "--method", "hamdecomp", "--n", "5"],
+    ["construct", "--method", "hamdecomp", "--n", "17"],
     ["construct", "--method", "hamdecomp", "--n", "19"],
     ["construct", "--method", "cyclic", "--n", "5", "--d", "2"],
     ["verify", "--d", "5", "top.txt"],
@@ -122,6 +128,7 @@ COMMANDS = [
     ["verify", "--d", "3", "greedy83.txt"],
     ["verify", "--d", "3", "code.json"],
     ["verify", "--d", "2", "headed.txt"],
+    ["verify", "--d", "1", "limit.txt"],
     ["verify", "--d", "1", "guard.txt"],
     ["verify", "--d", "0", "top.txt"],
     ["verify", "--d", "2", "missing.txt"],
@@ -143,6 +150,10 @@ COMMANDS = [
     ["graph", "--n", "5", "--d", "3", "--greedy", "--format", "json"],
     ["graph", "--n", "5", "--d", "3", "--exact"],
     ["graph", "--n", "5", "--d", "3", "--exact", "--format", "json"],
+    # every full-group solve through n = 6 that finishes; (5, 3) is above
+    *[["graph", "--n", str(n), "--d", str(d), "--exact"] for n in range(1, 7)
+      for d in range(1, n + 1) if (n, d) not in ((5, 3), (6, 3), (6, 4))],
+    ["graph", "--n", "7", "--d", "3", "--greedy"],
     ["graph", "--n", "8", "--d", "3", "--greedy"],
     ["graph", "--n", "8", "--d", "3", "--stats"],
     ["graph", "--n", "7", "--d", "6", "--exact"],
