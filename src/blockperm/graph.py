@@ -257,20 +257,20 @@ def _greedy(g: BlockGraph, order: str) -> list[int]:
     return chosen
 
 
-def _grow(adj: list[int], bits: list[int], chosen: list[int], cand: int, best: list[int],
-          limit: int, drop: list[int], finished=None) -> int:
+def _grow(rows: list[int], bits: list[int], chosen: list[int], cand: int, best: list[int],
+          limit: int, finished=None) -> int:
     """Search every independent extension of chosen by vertices of the
     bitset cand, replacing best's contents whenever chosen outgrows it, and
     stop the whole search once best holds limit vertices (a bound on its size).
     Returns the number of search nodes taken, this one included.
 
     A vertex is named by its index: the ``bit_length`` of its bit, so that
-    bits[b] is 1 << b-1.  The clique cover reads the neighbors adj[b];
-    choosing b drops drop[b] from the candidates: its neighbors, and any
-    vertex that no set larger than the incumbent holds together with b (see
-    ``_translates``).  If given, finished(b, cand) is called after each
-    branch b of this node that took at least as many nodes as there are
-    candidates left, with those candidates, and returns the ones to keep.
+    bits[b] is 1 << b-1.  rows[b] holds b's neighbors and any vertex that no
+    set larger than the incumbent holds together with b (``_translates``):
+    choosing b drops them, and the clique cover reads the same rows.  If
+    given, finished(b, cand) is called after each branch b of this node that
+    took at least as many nodes as there are candidates left, with those
+    candidates, and returns the ones to keep.
 
     Not a closure: one that calls itself is a reference cycle, which keeps
     each search's bitsets alive until a full collection.
@@ -282,16 +282,16 @@ def _grow(adj: list[int], bits: list[int], chosen: list[int], cand: int, best: l
     if cand.bit_count() <= room:
         return 1
     # Cover cand by `room` cliques, one at a time (see exact_independent_set),
-    # each step from the highest bit left.  An independent set takes at most
-    # one vertex per clique, so only the vertices still left can push past
-    # the incumbent; those are the branch vertices, lowest bit first.
+    # each step from the highest bit left.  A set that beats the incumbent,
+    # which only grows, takes at most one vertex per clique, so only the
+    # vertices still left can push past it: the branch set, lowest bit first.
     left = cand
     for _ in range(room):
         q = left
         while q:
             b = q.bit_length()
             left ^= bits[b]
-            q &= adj[b]
+            q &= rows[b]
         if not left:
             return 1
     nodes = 1
@@ -301,7 +301,7 @@ def _grow(adj: list[int], bits: list[int], chosen: list[int], cand: int, best: l
         cand ^= bit
         b = bit.bit_length()
         chosen.append(b)
-        below = _grow(adj, bits, chosen, cand & ~drop[b], best, limit, drop)
+        below = _grow(rows, bits, chosen, cand & ~rows[b], best, limit)
         nodes += below
         chosen.pop()
         if len(best) >= limit:
@@ -312,14 +312,14 @@ def _grow(adj: list[int], bits: list[int], chosen: list[int], cand: int, best: l
     return nodes
 
 
-def _translates(words: list[Perm], labels: dict[Perm, int], drop: list[int], b: int,
+def _translates(words: list[Perm], labels: dict[Perm, int], rows: list[int], b: int,
                 cand: int) -> int:
     """Isomorph rejection by the distance-keeping maps of S_n, called after
     the root branch on index b of a search that fixes one word g0 on all of
     S_n, with the root's candidates left.  words[i] is the word at bit i, g0
     at the top bit, labels maps the words back to their bits (filled on
-    first use), and drop[i + 1] is the bitset of the words that choosing
-    bit i drops.  Returns the root's candidates to keep.
+    first use), and rows[i + 1] is the row of bit i, as ``_grow`` reads it.
+    Returns the root's candidates to keep.
 
     In coordinates where g0 is the identity e, the finished branch has
     bounded by the incumbent every independent set that holds e and r =
@@ -327,8 +327,8 @@ def _translates(words: list[Perm], labels: dict[Perm, int], drop: list[int], b: 
     and keeps every distance, so it bounds every set that holds e and
     ρ = φ(r) too.  Left translation keeps distances, so a set that holds x
     and x∘s, for s = r or ρ, moved by x⁻¹, is such a set.  From now on the
-    words w and w∘s drop each other; in raw words too, since g0⁻¹∘(w∘s)
-    equals (g0⁻¹∘w)∘s.  g0 is in every set searched, so the root drops its
+    rows join w and w∘s; in raw words too, since g0⁻¹∘(w∘s) equals
+    (g0⁻¹∘w)∘s.  g0 is in every set searched, so the root drops its
     partners g0∘r⁻¹, g0∘ρ and g0∘ρ⁻¹; its other partner, g0∘r, is b's word
     itself.  The update is one pass over the candidates left per s, so
     ``_grow`` calls it only after a branch whose search took at least as
@@ -344,9 +344,9 @@ def _translates(words: list[Perm], labels: dict[Perm, int], drop: list[int], b: 
         for x in _indices(among):
             y = labels.get(right(words[x]))
             if y is not None and among >> y & 1:
-                drop[x + 1] |= 1 << y
-                drop[y + 1] |= 1 << x
-    return cand & ~drop[root + 1]
+                rows[x + 1] |= 1 << y
+                rows[y + 1] |= 1 << x
+    return cand & ~rows[root + 1]
 
 
 def exact_independent_set(g: BlockGraph) -> CodeBook:
@@ -391,10 +391,10 @@ def exact_independent_set(g: BlockGraph) -> CodeBook:
 
     The left translations that make the graph vertex-transitive also prune
     the search on S_n, with the map p ↦ w0∘p∘w0 that fixes vertex 0's word:
-    once the root branch on u has finished, each later choice drops that
-    branch's translates and their images under the map (``_translates``).
-    Search nodes (calls of ``_grow``): 2,731 at (5, 3) in 66,067 cover steps,
-    3,092 with the translates alone and 9,025 with neither; 4 at (4, 3),
+    once the root branch on u has finished, its translates and their images
+    under the map join the search rows (``_translates``).  Search nodes
+    (calls of ``_grow``): 2,515 at (5, 3) in 61,147 cover steps, 3,342 with
+    the translates but not their images and 9,025 with neither; 4 at (4, 3),
     59 at (5, 4) and 85 at (6, 5), where no root branch searches long enough
     to pay for its translates; none where the seed meets the bound, as at
     d <= 2 and at d = n for n <= 6.
@@ -420,12 +420,9 @@ def exact_independent_set(g: BlockGraph) -> CodeBook:
         rows = [0, *_neighbor_bits(by_bit, g.n, g.d)]  # by bit_length, as are bits
         bits = [0, *map((1).__lshift__, range(top))]
         best = [None] * len(seed)  # only its size counts until the search outgrows the seed
-        finished, drop = None, rows
-        if fixed:  # label 0 has no neighbors among the labels, so drop[top] starts empty
-            drop = rows[:]
-            finished = functools.partial(_translates, by_bit, {}, drop)
-        _grow(rows, bits, [top] * len(fixed), (1 << top - len(fixed)) - 1, best, limit, drop,
-              finished)
+        # label 0 has no neighbors among the labels, so rows[top] starts empty
+        finished = functools.partial(_translates, by_bit, {}, rows) if fixed else None
+        _grow(rows, bits, [top] * len(fixed), (1 << top - len(fixed)) - 1, best, limit, finished)
         if len(best) > len(seed):
             seed = [order[top - b] for b in best]
     words = tuple(sorted(g.vertices[v] for v in seed))
