@@ -72,6 +72,7 @@ INPUTS = {
 
 WORKED = ["4 8 3 2 6 7 5 1 9", "6 7 8 3 2 5 1 9 4"]
 COMMANDS = [
+    ["dist", "1 2 3", "3 2 1"],
     ["dist", *WORKED],
     ["dist", *WORKED, "--format", "json"],
     ["dist", *WORKED, "--check-definition"],
@@ -79,6 +80,9 @@ COMMANDS = [
      "--check-definition"],
     ["dist", " ".join(map(str, range(1, 18))), " ".join(map(str, range(17, 0, -1))),
      "--check-definition"],
+    # the reversal, by the byte table at n = 255 and by the pair sets at n = 300
+    ["dist", " ".join(map(str, range(1, 256))), " ".join(map(str, range(255, 0, -1)))],
+    ["dist", " ".join(map(str, range(1, 301))), " ".join(map(str, range(300, 0, -1)))],
     ["dist", "1 2 3", "1 2"],
     ["dist", "1 1 2", "1 2 3"],
     ["charset", "3 1 4 2 5"],
@@ -110,6 +114,8 @@ COMMANDS = [
       for n in (1, 5, 8) for fmt in ([], ["--format", "json"])],
     *[["construct", "--method", "even", "--n", str(n), *fmt]
       for n in (2, 8, 60) for fmt in ([], ["--format", "json"])],
+    # the even family's label picks well past n = 60, settled by its pairs
+    ["construct", "--method", "even", "--n", "130", "--format", "json"],
     ["construct", "--method", "even", "--n", "7"],
     *[["construct", "--method", "zn1", "--n", str(n), *fmt]
       for n in (4, 10) for fmt in ([], ["--format", "json"])],
@@ -137,6 +143,7 @@ COMMANDS = [
     ["bounds", "--n", "7", "--d", "4", "--exact"],
     ["bounds", "--n", "7", "--d", "4", "--exact", "--format", "json"],
     ["bounds", "--n", "40", "--d", "9"],
+    ["bounds", "--n", "13", "--d", "9"],  # the new bound's floor and exact value
     ["bounds", "--n", "2000", "--d", "1999", "--exact"],
     ["bounds", "--n", "2000", "--d", "1999", "--exact", "--format", "json"],
     ["bounds", "--table1"],
