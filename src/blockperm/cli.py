@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING
 
 # Every command loads these (and perm, which enumeration imports), and the
 # benchmark's tracing tests read them here.  Each command imports the rest of
@@ -27,9 +26,6 @@ from .enumeration import (
     sphere_profile,
     sphere_profile_payload,
 )
-
-if TYPE_CHECKING:
-    from .constructions import CodeBook
 
 
 def _emit_json(payload) -> None:
@@ -96,7 +92,7 @@ def _reject_unused(args, names, mode: str) -> None:
         raise ValueError(f"{', '.join(given)} not used by {mode}")
 
 
-def _print_code(code: CodeBook, args) -> int:
+def _print_code(code, args) -> int:
     """Print a code as text, or as JSON with its minimum distance."""
     from .constructions import codebook_payload, codebook_to_text
     if args.format == "json":
@@ -106,7 +102,7 @@ def _print_code(code: CodeBook, args) -> int:
     return 0
 
 
-def _construct(args) -> CodeBook | None:
+def _construct(args):
     from .constructions import (cyclic_class_code, even_n_code, ham_decomp_code,
                                 largest_syndrome_class, syndrome_class, zn1_code)
     method, n = args.method, args.n

@@ -524,20 +524,20 @@ def _plane_min(words, n: int, floor: int) -> int:
     asks whether any row has another word sharing one pair more than the most
     so far, until none has; that is at most one round per chunk and
     n-1-floor more, and a most of n-1-floor is distance floor and ends it.
+    At floor n-1 no two words share a pair, so no round finds one.
     """
     top = n - 1 - floor
     most = 0  # the most pairs two words share so far
-    if top:  # else no two words share a pair
-        columns = _code_columns(words, n)
-        holders = _holders(columns, n)
-        rows = range(len(words))
-        for chunk in itertools.chain([rows[:16]], _chunks(rows[16:], len(words))):
-            planes = _planes(columns, holders, chunk)
-            others = [~(1 << i) for i in chunk]
-            while any(_at_least(planes, most + 1, others)):
-                most += 1
-                if most == top:
-                    return floor
+    columns = _code_columns(words, n)
+    holders = _holders(columns, n)
+    rows = range(len(words))
+    for chunk in itertools.chain([rows[:16]], _chunks(rows[16:], len(words))):
+        planes = _planes(columns, holders, chunk)
+        others = [~(1 << i) for i in chunk]
+        while any(_at_least(planes, most + 1, others)):
+            most += 1
+            if most == top:
+                return floor
     return n - 1 - most
 
 

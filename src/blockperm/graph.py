@@ -312,14 +312,12 @@ def _grow(rows: list[int], bits: list[int], chosen: list[int], cand: int, best: 
     return nodes
 
 
-def _translates(words: list[Perm], labels: dict[Perm, int], rows: list[int], b: int,
-                cand: int) -> int:
+def _translates(words: list[Perm], rows: list[int], b: int, cand: int) -> int:
     """Isomorph rejection by the distance-keeping maps of S_n, called after
     the root branch on index b of a search that fixes one word g0 on all of
     S_n, with the root's candidates left.  words[i] is the word at bit i, g0
-    at the top bit, labels maps the words back to their bits (filled on
-    first use), and rows[i + 1] is the row of bit i, as ``_grow`` reads it.
-    Returns the root's candidates to keep.
+    at the top bit, and rows[i + 1] is the row of bit i, as ``_grow`` reads
+    it.  Returns the root's candidates to keep.
 
     In coordinates where g0 is the identity e, the finished branch has
     bounded by the incumbent every independent set that holds e and r =
@@ -330,12 +328,11 @@ def _translates(words: list[Perm], labels: dict[Perm, int], rows: list[int], b: 
     rows join w and w∘s; in raw words too, since g0⁻¹∘(w∘s) equals
     (g0⁻¹∘w)∘s.  g0 is in every set searched, so the root drops its
     partners g0∘r⁻¹, g0∘ρ and g0∘ρ⁻¹; its other partner, g0∘r, is b's word
-    itself.  The update is one pass over the candidates left per s, so
-    ``_grow`` calls it only after a branch whose search took at least as
-    many nodes.
+    itself.  The update maps the words back to their bits afresh on each
+    call, then makes one pass over the candidates left per s, so ``_grow``
+    calls it only after a branch whose search took at least as many nodes.
     """
-    if not labels:
-        labels.update(zip(words, itertools.count()))
+    labels = dict(zip(words, itertools.count()))
     root = len(words) - 1  # g0's bit
     r = compose(inverse(words[root]), words[b - 1])
     among = cand | 1 << root
@@ -421,7 +418,7 @@ def exact_independent_set(g: BlockGraph) -> CodeBook:
         bits = [0, *map((1).__lshift__, range(top))]
         best = [None] * len(seed)  # only its size counts until the search outgrows the seed
         # label 0 has no neighbors among the labels, so rows[top] starts empty
-        finished = functools.partial(_translates, by_bit, {}, rows) if fixed else None
+        finished = functools.partial(_translates, by_bit, rows) if fixed else None
         _grow(rows, bits, [top] * len(fixed), (1 << top - len(fixed)) - 1, best, limit, finished)
         if len(best) > len(seed):
             seed = [order[top - b] for b in best]

@@ -915,6 +915,12 @@ def test_verify_min_distance_settles_the_families_from_their_pairs_to_60(monkeyp
             assert verify_min_distance(code) == n - 1, code.provenance
 
 
+def test_plane_min_from_floor_n_minus_1_runs_the_kernel_and_finds_no_shared_pair():
+    for n in range(4, 13):
+        for code in _arithmetic_families(n):
+            assert _plane_min(code.words, n, n - 1) == n - 1, code.provenance
+
+
 def test_verify_min_distance_of_a_random_3000_word_code_at_30_in_46_rounds(monkeypatch):
     """No sphere is affordable, so after the rotation pass (floor 2) the plane
     scan reads all 3,000 rows: a first chunk of 16 and chunks of

@@ -1,6 +1,5 @@
 """Every demo script runs to completion in a fresh interpreter and prints its walkthrough."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,8 +16,7 @@ def test_the_six_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          env=env, cwd=ROOT, timeout=120)
+                          cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -539,7 +539,7 @@ def test_translates_drop_the_moved_copies_of_a_finished_root_pair(seed):
     quotients = (r, inverse(r), rho, inverse(rho))
     cand = ((1 << 119) - 1) & ~(1 << u)  # the root's candidates once u has finished
     drop = [0] * 121
-    kept = graph._translates(words, {}, drop, u + 1, cand)
+    kept = graph._translates(words, drop, u + 1, cand)
     among = [k for k in range(120) if k != u]
     expected = {(x, y) for x in among for y in among
                 if compose(inverse(words[x]), words[y]) in quotients}
