@@ -48,7 +48,9 @@ class _CodeBookFields(NamedTuple):
 class CodeBook(_CodeBookFields):
     """A set of same-size permutations with construction metadata.  The
     design distance d is 1 <= d <= n, as for the solvers: two words are at
-    most n-1 apart, and a one-word code is n apart by convention."""
+    most n-1 apart, and a one-word code is n apart by convention.  Words and
+    d are checked on construction, also through ``_make`` and ``_replace``;
+    the library's own builders skip it through ``_built`` (see ``perm``)."""
 
     __slots__ = ()
 
@@ -62,6 +64,11 @@ class CodeBook(_CodeBookFields):
         """Through ``__new__``, so ``_replace`` checks too; the inherited one
         counts the fields with ``len``, which here counts the words."""
         return cls(*iterable)
+
+    @classmethod
+    def _built(cls, *fields) -> "CodeBook":
+        """The code of fields whose words and d the library made, unchecked."""
+        return tuple.__new__(cls, fields)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -290,7 +297,7 @@ def _fiber(n: int, d: int, keys: memoryview, key: int) -> CodeBook:
     while (at := words.find(needle, at + 1)) >= 0:
         if not at % size:
             ranks.append(at // size)
-    return CodeBook(n, d, tuple(_unrank(n, r) for r in ranks), "syndrome")
+    return CodeBook._built(n, d, tuple(_unrank(n, r) for r in ranks), "syndrome")
 
 
 def syndrome_classes(n: int, d: int) -> dict[tuple[int, ...], list[Perm]]:
@@ -361,7 +368,7 @@ def cyclic_class_code(n: int) -> CodeBook:
     """
     _int_in("n", n, 2)
     words = tuple(p + (n,) for p in itertools.permutations(range(1, n)))
-    return CodeBook(n, 2, words, "cyclic")
+    return CodeBook._built(n, 2, words, "cyclic")
 
 
 def even_n_code(n: int) -> CodeBook:
@@ -381,7 +388,7 @@ def even_n_code(n: int) -> CodeBook:
     gaps = [j if j % 2 else n - j for j in range(1, n)]
     pick = itemgetter(*[s % n for s in itertools.accumulate(gaps, initial=0)])
     labels = [*range(1, n + 1)] * 2
-    return CodeBook(n, n - 1, tuple(pick(labels[i:i + n]) for i in range(n)), "even")
+    return CodeBook._built(n, n - 1, tuple(pick(labels[i:i + n]) for i in range(n)), "even")
 
 
 def zn1_code(n: int) -> CodeBook:
@@ -395,7 +402,7 @@ def zn1_code(n: int) -> CodeBook:
         raise ValueError(f"need n+1 prime, got n+1 = {n + 1}")
     m = n + 1
     words = tuple(tuple(k * i % m for k in range(1, m)) for i in range(1, m))
-    return CodeBook(n, n - 1, words, "zn1")
+    return CodeBook._built(n, n - 1, words, "zn1")
 
 
 def _hub_cycles(n: int, path: list[int], seen: int, free: list[int],
@@ -456,7 +463,7 @@ def ham_decomp_code(n: int) -> CodeBook | None:
     free = [every ^ 1 << u ^ 1 << (u + 1) % (n + 1) for u in range(n + 1)]
     if n > 1 and not _hub_cycles(n, [0, 2], 0b101, free, cycles):
         return None
-    return CodeBook(n, max(n - 1, 1), tuple(cycle[1:] for cycle in cycles), "hamdecomp")
+    return CodeBook._built(n, max(n - 1, 1), tuple(cycle[1:] for cycle in cycles), "hamdecomp")
 
 
 # -- verification -------------------------------------------------------------

@@ -67,7 +67,9 @@ class _BlockGraphFields(NamedTuple):
 class BlockGraph(_BlockGraphFields):
     """Bit j of ``bits[i]`` is set when vertices i and j are adjacent, so
     the bitsets of N vertices take N²/8 bytes.  Without ``__slots__`` an
-    instance has the ``__dict__`` that ``adjacency`` caches in."""
+    instance has the ``__dict__`` that ``adjacency`` caches in.  The solvers
+    build codes from the vertices unchecked: ``graph_on`` checked them, and a
+    hand-built graph is trusted as it is, as its bits are."""
 
     @functools.cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -229,7 +231,7 @@ def greedy_independent_set(g: BlockGraph, order: str = "lexicographic") -> CodeB
     low-degree vertices first (ties by index).
     """
     words = tuple(sorted(g.vertices[v] for v in _greedy(g, order)))
-    return CodeBook(g.n, g.d, words, f"greedy-{order}")
+    return CodeBook._built(g.n, g.d, words, f"greedy-{order}")
 
 
 def _greedy(g: BlockGraph, order: str) -> list[int]:
@@ -423,7 +425,7 @@ def exact_independent_set(g: BlockGraph) -> CodeBook:
         if len(best) > len(seed):
             seed = [order[top - b] for b in best]
     words = tuple(sorted(g.vertices[v] for v in seed))
-    return CodeBook(g.n, g.d, words, "exact-independent")
+    return CodeBook._built(g.n, g.d, words, "exact-independent")
 
 
 def neighborhood_stats_payload(stats: NeighborhoodStats) -> dict:

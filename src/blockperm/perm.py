@@ -24,7 +24,11 @@ verification where neither end of the range settles it.
 
 Input policy: entry points check integers with ``_int_in`` (ints, not bools, in
 the range each docstring states) and words with ``_check_words`` (distinct
-words, each rearranging 1..n in int labels).  Metric primitives
+words, each rearranging 1..n in int labels).  Words are checked where they
+enter.  Codes the library builds from its own constructions or from a
+``BlockGraph``'s vertices (checked by ``graph_on``, or trusted as a hand-built
+graph's bits are) are not checked again; the tests check each builder's
+words over its range instead.  Metric primitives
 (``block_distance``, ``char_set``, ``compose``, ``inverse``, ``cyclic_shifts``,
 ``is_minimal``) and the kernels (``_holders``, ``_planes``, ``_at_least``,
 ``_fewest_blocks``) trust their input, as a check would cost more than the

@@ -269,9 +269,10 @@ DOMAIN_EDGES = [
     *_edges("special_exact", bounds.special_exact, "bounds.math.factorial", 5, "d", 1,
             name="distance"),
     *_edges("select_prime", constructions.select_prime, "constructions._is_prime", None, "n", 2),
-    *_edges("cyclic_class_code", constructions.cyclic_class_code, "constructions.CodeBook",
+    *_edges("cyclic_class_code", constructions.cyclic_class_code, "constructions.CodeBook._built",
             None, "n", 2),
-    *_edges("even_n_code", constructions.even_n_code, "constructions.CodeBook", None, "n", 2),
+    *_edges("even_n_code", constructions.even_n_code, "constructions.CodeBook._built",
+            None, "n", 2),
     *_edges("zn1_code", constructions.zn1_code, "constructions._is_prime", None, "n", 2),
     *_edges("PairEncoder", PairEncoder, "constructions._is_prime", 4, "q", 6, name="field size"),
     *_edges("syndrome", lambda d: constructions.syndrome((1, 2), d, ENC_2),
@@ -286,11 +287,11 @@ DOMAIN_EDGES = [
     *_edges("largest_syndrome_class", constructions.largest_syndrome_class,
             "constructions._word_keys", 5, "d", 2, 4, DESIGN, n_low=3),
     *_edges("greedy_independent_set", lambda n, d: graph.greedy_independent_set(_graph(n, d)),
-            "graph.CodeBook", 3, "d", 1, 3, DESIGN),
+            "graph.CodeBook._built", 3, "d", 1, 3, DESIGN),
     # the exact solver's greedy seed checks the graph before the search
     *_edges("exact_independent_set", lambda n, d: graph.exact_independent_set(_graph(n, d)),
             "graph._grow", 3, "d", 1, 3, DESIGN),
-    pytest.param(lambda: graph.greedy_independent_set(_graph(3, 3.0)), "graph.CodeBook",
+    pytest.param(lambda: graph.greedy_independent_set(_graph(3, 3.0)), "graph.CodeBook._built",
                  "design distance must be an int in [1, 3], got 3.0", id="BlockGraph-d-float"),
     # a one-word code is n apart, and no two words are further
     pytest.param(lambda: CodeBook(3, 4, ((1, 2, 3),), "file"), None,
@@ -304,7 +305,7 @@ DOMAIN_EDGES = [
     pytest.param(lambda: enumeration.ball_size_bounds(10, 6), "enumeration.math.prod",
                  "sandwich bounds need t <= n - sqrt(n) - 1; (n, t) = (10, 6) fails",
                  id="ball_size_bounds-t-above"),
-    pytest.param(lambda: constructions.even_n_code(3), "constructions.CodeBook",
+    pytest.param(lambda: constructions.even_n_code(3), "constructions.CodeBook._built",
                  "n must be even, got 3", id="even_n_code-n-odd"),
     pytest.param(lambda: constructions.syndrome_class(5, 3, (2.5, 1)),
                  "constructions._word_keys", "syndrome coordinates must be ints, got (2.5, 1)",
