@@ -1,20 +1,15 @@
 """Line coverage of ``src/blockperm`` from the standard library alone.
 
-    python tests/linecov.py tests/linecov_allow.txt -- python -m pytest -q
+    python tests/linecov.py python -m pytest -q
 
 runs the command with a ``sitecustomize`` first on ``PYTHONPATH``, so that
 the command and every Python subprocess that keeps that ``PYTHONPATH`` load
 this file and trace their lines with ``sys.settrace``.  Each traced process
 writes the lines of ``src/blockperm`` it ran to a data directory on exit.
-Once the command has exited 0, the executable lines of each source file,
-those of its code objects' ``co_lines``, are checked against the lines run.
-Any that never ran and are not in the allowlist fail the check, as does an
-allowlist entry whose line did run, so the list can only shrink.  The
-allowlist holds one ``path:line reason`` per line, the path relative to the
-repository root; blank lines and lines starting with ``#`` are skipped.
-
-Line tables differ between Python versions, so an allowlist holds for the
-version it was written on.
+If the command exits nonzero, this exits with its code and checks nothing.
+Otherwise the executable lines of each source file, those of its code
+objects' ``co_lines``, are checked against the lines run, and this exits 1
+and names each one that never ran.
 """
 
 from __future__ import annotations
@@ -80,23 +75,9 @@ def executable(path: Path) -> set[int]:
     return lines
 
 
-def read_allowlist(path: Path) -> set[tuple[str, int]]:
-    allowed = set()
-    for number, text in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not text.strip() or text.startswith("#"):
-            continue
-        place, _, reason = text.partition(" ")
-        name, _, line = place.rpartition(":")
-        if not name or not line.isdigit() or not reason.strip():
-            raise SystemExit(f"{path}:{number}: want 'path:line reason', got {text!r}")
-        allowed.add((name, int(line)))
-    return allowed
-
-
 def main(argv: list[str]) -> int:
-    if len(argv) < 3 or argv[1] != "--":
-        raise SystemExit("usage: python tests/linecov.py ALLOWLIST -- COMMAND...")
-    allowed = read_allowlist(Path(argv[0]))
+    if not argv:
+        raise SystemExit("usage: python tests/linecov.py COMMAND...")
     with tempfile.TemporaryDirectory() as site, tempfile.TemporaryDirectory() as data:
         Path(site, "sitecustomize.py").write_text(
             "import importlib.util\n"
@@ -106,7 +87,7 @@ def main(argv: list[str]) -> int:
             "linecov.start()\n", encoding="utf-8")
         path = os.pathsep.join(filter(None, [site, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path, **{DATA: data})
-        code = subprocess.run(argv[2:], env=env).returncode
+        code = subprocess.run(argv, env=env).returncode
         if code:
             print(f"linecov: the command exited {code}; coverage not checked")
             return code
@@ -116,22 +97,14 @@ def main(argv: list[str]) -> int:
                 ran.update((name, line) for line in lines)
     unreached, total = [], 0
     for source in sorted(PACKAGE.glob("*.py")):
-        name = source.relative_to(ROOT).as_posix()
         lines = executable(source)
         total += len(lines)
-        unreached += [(name, line) for line in sorted(lines) if (str(source), line) not in ran]
-    missed = set(unreached)
-    print(f"linecov: {total - len(missed)} of {total} executable lines ran; "
-          f"{len(missed)} did not, {len(missed & allowed)} of them allowed")
-    failed = False
-    for name, line in unreached:
-        if (name, line) not in allowed:
-            print(f"{name}:{line}: never ran and is not in the allowlist")
-            failed = True
-    for name, line in sorted(allowed - missed):
-        print(f"{name}:{line}: in the allowlist but not an unreached line; take it out")
-        failed = True
-    return int(failed)
+        unreached += [f"{source.relative_to(ROOT).as_posix()}:{line}"
+                      for line in sorted(lines) if (str(source), line) not in ran]
+    print(f"linecov: {total - len(unreached)} of {total} executable lines ran")
+    for place in unreached:
+        print(f"{place}: never ran")
+    return int(bool(unreached))
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from blockperm.bounds import TABLE1_PUBLISHED
 from blockperm.constructions import cyclic_class_code, even_n_code, syndrome_classes
 from blockperm.enumeration import ball_size_bounds, enumerate_spheres, myers_count
 from blockperm.graph import build_graph, neighborhood_stats
-from blockperm.perm import block_distance, char_set, compose, distance_by_definition
+from blockperm.perm import _pair_masks, block_distance, char_set, compose, distance_by_definition
 
 
 @pytest.fixture(scope="module")
@@ -63,15 +63,28 @@ def _skewed_distance(p, q):
     return block_distance(p, q) + ((p[0] == 1) != (q[0] == 1))
 
 
+def _losing_first_pair(which):
+    """``_pair_masks`` with the first pair's bit cleared in each word ``which`` picks."""
+    def masks(perms, n):
+        return [mask & ~(1 << (p[0] - 1) * n + p[1] - 1) if which(p) else mask
+                for p, mask in zip(perms, _pair_masks(perms, n))]
+    return masks
+
+
 # S_4 and S_5 count each violated pair (a, b) once per condition it fails,
-# S_7 each violated triple once per condition.  Right-composition breaks
-# left-invariance on S_4, S_5 and S_7 alike; the skewed distance is only
-# read on S_7; a broken inverse misreads d(a, b) as f(a∘b) on S_4 and S_5.
+# S_7 each violated triple once.  Right-composition breaks left-invariance on
+# S_4, S_5 and S_7 alike; the skewed distance is only read on S_7; a broken
+# inverse misreads d(a, b) as f(a∘b) on S_4 and S_5.  A mask that lost a bit
+# miscounts its word's pairs; on S_7 the pair count's check against
+# block_distance sees it, and the reversed S_7 word is in no S_4 or S_5 check.
 @pytest.mark.parametrize("name, broken, expected", [
     ("compose", lambda outer, inner: compose(inner, outer), 72_147),
     ("block_distance", _skewed_distance, 24_359),
     ("inverse", lambda p: p, 7_476),
-], ids=["right-composition", "not-left-invariant", "identity-inverse"])
+    ("_pair_masks", _losing_first_pair(lambda p: p[0] == 1), 28_448),
+    ("_pair_masks", _losing_first_pair(lambda p: p == (7, 6, 5, 4, 3, 2, 1)), 19),
+], ids=["right-composition", "not-left-invariant", "identity-inverse",
+        "masks-short-after-1", "mask-short-on-reversal"])
 def test_criterion_9_catches_broken_invariance(monkeypatch, name, broken, expected):
     monkeypatch.setattr(selftest, name, broken)
     result = selftest.criterion_9_metric_axioms()

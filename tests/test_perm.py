@@ -469,10 +469,12 @@ JOINT_COUNTS = {
     5: {(0, 0): 1, (1, 1): 4, (1, 2): 18, (1, 3): 12, (1, 4): 1, (2, 3): 32, (2, 4): 52},
     6: {(0, 0): 1, (1, 1): 5, (1, 2): 30, (1, 3): 30, (1, 4): 5, (2, 3): 80, (2, 4): 260,
         (2, 5): 129, (3, 5): 180},
+    7: {(0, 0): 1, (1, 1): 6, (1, 2): 45, (1, 3): 60, (1, 4): 15, (2, 3): 160, (2, 4): 780,
+        (2, 5): 774, (2, 6): 155, (3, 5): 1080, (3, 6): 1964},
 }
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_block_metric_is_of_the_order_of_the_generalized_cayley_metric(n):
     """d_G <= d_B <= 4·d_G on all of S_n, the factor 4 first reached at n = 5.
     So a code at block distance 4d-3 has generalized Cayley distance at least
